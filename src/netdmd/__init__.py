@@ -11,6 +11,7 @@ from .errors import (
     BadConfig,
     ConvergenceFailure,
     DimensionMismatch,
+    Divergence,
     EmptyNetwork,
     NetdmdError,
     NonFiniteEntry,

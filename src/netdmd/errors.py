@@ -39,3 +39,7 @@ class EmptyNetwork(NetdmdError):
 
 class BadConfig(NetdmdError):
     """A configuration value violates its documented constraints."""
+
+
+class Divergence(NetdmdError):
+    """A simulated trajectory overflowed to non-finite values."""

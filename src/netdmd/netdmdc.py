@@ -33,7 +33,7 @@ class LocalData:
 
     ``gamma_j`` stacks the parents' rows (state parents first, then input
     parents, each group in declaration order); ``parent_row_ranges`` locates
-    every parent's rows inside it.
+    every parent's rows inside it, its keys in that same order.
     """
 
     center: str
@@ -161,33 +161,28 @@ def network_dmdc_exact(
     irows = t.input_row_ranges()
     for v in _check_node_order(t, node_order):
         ld = build_local_data(t, traj, v)
-        sub = local_subsystem(t, v)
         try:
             model = dmdc_exact(ld.z_j, ld.y_j, ld.gamma_j, rcond)
         except NetdmdError as exc:
             failures[v] = str(exc)
             blocks_a[(v, v)] = np.zeros((t.dims[v], t.dims[v]))
-            for w in sub.state_parents:
-                blocks_a[(v, w)] = np.zeros((t.dims[v], t.dims[w]))
-            for e in sub.input_parents:
-                blocks_b[(v, e)] = np.zeros((t.dims[v], t.dims[e]))
+            for w in ld.parent_row_ranges:
+                (blocks_a if w in srows else blocks_b)[(v, w)] = np.zeros((t.dims[v], t.dims[w]))
             continue
         conditioning[v] = model.conditioning
         blocks_a[(v, v)] = model.a
         lo, hi = srows[v]
         assembled_a[lo:hi, lo:hi] = model.a
-        for w in sub.state_parents:
-            plo, phi = ld.parent_row_ranges[w]
+        for w, (plo, phi) in ld.parent_row_ranges.items():
             block = model.b[:, plo:phi]
-            blocks_a[(v, w)] = block
-            clo, chi = srows[w]
-            assembled_a[lo:hi, clo:chi] = block
-        for e in sub.input_parents:
-            plo, phi = ld.parent_row_ranges[e]
-            block = model.b[:, plo:phi]
-            blocks_b[(v, e)] = block
-            clo, chi = irows[e]
-            assembled_b[lo:hi, clo:chi] = block
+            if w in srows:
+                blocks_a[(v, w)] = block
+                clo, chi = srows[w]
+                assembled_a[lo:hi, clo:chi] = block
+            else:
+                blocks_b[(v, w)] = block
+                clo, chi = irows[w]
+                assembled_b[lo:hi, clo:chi] = block
     return NetworkModel(
         topology=t,
         blocks_a=blocks_a,
@@ -220,29 +215,23 @@ def network_dmdc_reduced(
     blocks_b: dict[tuple[str, str], np.ndarray] = {}
     conditioning: dict[str, ConditioningRecord] = {}
     failures: dict[str, str] = {}
+    srows = t.state_row_ranges()
     for v in order:
         ld = build_local_data(t, traj, v)
-        sub = local_subsystem(t, v)
         try:
             model, _ = dmdc_reduced(ld.z_j, ld.y_j, ld.gamma_j, input_rule, output_rule)
         except NetdmdError as exc:
             failures[v] = str(exc)
             u_hat[v] = np.eye(t.dims[v])
             diag[v] = np.zeros((t.dims[v], t.dims[v]))
-            for w in sub.state_parents:
-                raw_cross[(v, w)] = np.zeros((t.dims[v], t.dims[w]))
-            for e in sub.input_parents:
-                blocks_b[(v, e)] = np.zeros((t.dims[v], t.dims[e]))
+            for w in ld.parent_row_ranges:
+                (raw_cross if w in srows else blocks_b)[(v, w)] = np.zeros((t.dims[v], t.dims[w]))
             continue
         conditioning[v] = conditioning_record(np.vstack([ld.z_j, ld.gamma_j]))
         u_hat[v] = model.u_hat
         diag[v] = model.a_tilde
-        for w in sub.state_parents:
-            plo, phi = ld.parent_row_ranges[w]
-            raw_cross[(v, w)] = model.b_tilde[:, plo:phi]
-        for e in sub.input_parents:
-            plo, phi = ld.parent_row_ranges[e]
-            blocks_b[(v, e)] = model.b_tilde[:, plo:phi]
+        for w, (plo, phi) in ld.parent_row_ranges.items():
+            (raw_cross if w in srows else blocks_b)[(v, w)] = model.b_tilde[:, plo:phi]
     blocks_a = {(v, v): diag[v] for v in t.state_vertices}
     for (v, w), block in raw_cross.items():
         blocks_a[(v, w)] = block @ u_hat[w]

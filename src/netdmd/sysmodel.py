@@ -1,18 +1,22 @@
 """Ground-truth linear network dynamics, simulation, and random generators.
 
 Systems and trajectories are immutable values; simulation is a pure function
-of (system, x0, inputs). Random generation goes through one PRNG algorithm
-project-wide (PCG64 keyed by integer tuples) so that results are bit-stable
-regardless of execution order.
+of (system, x0, inputs). A system stores its coefficient blocks read-only and
+derives its transition operator from them once, on first use: a sparse
+matrix over the stacked vector ``[x; u]`` held as coordinate (COO) arrays and
+applied with ``np.bincount``. Random generation goes through one PRNG
+algorithm project-wide (PCG64 keyed by integer tuples) so that results are
+bit-stable regardless of execution order.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BadConfig, DimensionMismatch
+from .errors import BadConfig, DimensionMismatch, Divergence, RowRangeMismatch
 from .topology import NetworkTopology, local_subsystem
 
 #: Separator used in serialized edge-block keys ("src->dst" with an arrow).
@@ -25,7 +29,9 @@ class LinearNetworkSystem:
 
     ``self_blocks[v]`` is the square block coupling vertex ``v`` to itself;
     ``edge_blocks[(w, v)]`` couples parent ``w`` (state or input) into ``v``.
-    Construction verifies block/edge consistency eagerly.
+    Construction verifies block/edge consistency eagerly and stores read-only
+    copies of the blocks, so the transition operator derived from them cannot
+    go stale. The system is a value: do not rebind entries of the block dicts.
     """
 
     topology: NetworkTopology
@@ -34,8 +40,8 @@ class LinearNetworkSystem:
 
     def __post_init__(self):
         t = self.topology
-        self_blocks = {v: np.asarray(b, dtype=float) for v, b in self.self_blocks.items()}
-        edge_blocks = {e: np.asarray(b, dtype=float) for e, b in self.edge_blocks.items()}
+        self_blocks = {v: _frozen(b) for v, b in self.self_blocks.items()}
+        edge_blocks = {e: _frozen(b) for e, b in self.edge_blocks.items()}
         for v in t.state_vertices:
             if v not in self_blocks:
                 raise BadConfig(f"state vertex {v!r} has no self block")
@@ -57,6 +63,39 @@ class LinearNetworkSystem:
             raise BadConfig(f"edges without blocks: {sorted(missing)}")
         object.__setattr__(self, "self_blocks", self_blocks)
         object.__setattr__(self, "edge_blocks", edge_blocks)
+
+    @cached_property
+    def _operator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The transition map as COO arrays (rows, cols, vals) over ``[x; u]``.
+
+        Row i's entries appear in the order ``step`` sums them: the self
+        block's row, then each state parent's block row, then each input
+        parent's, parents in declaration order. Input columns are offset by
+        the total state dimension.
+        """
+        t = self.topology
+        n = t.total_state_dim
+        # Each vertex's positions in [x; u]; a state vertex's are also its rows.
+        pos = {v: np.arange(a, b) for v, (a, b) in t.state_row_ranges().items()}
+        pos.update({e: np.arange(n + a, n + b) for e, (a, b) in t.input_row_ranges().items()})
+        rows, cols, vals = [], [], []
+        for v in t.state_vertices:
+            sub = local_subsystem(t, v)
+            parents = sub.state_parents + sub.input_parents
+            col = np.concatenate([pos[w] for w in (v, *parents)])
+            rows.append(np.repeat(pos[v], col.size))
+            cols.append(np.tile(col, t.dims[v]))
+            vals.append(np.hstack([self.self_blocks[v], *(self.edge_blocks[(w, v)] for w in parents)]).reshape(-1))
+        if not rows:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _frozen(block) -> np.ndarray:
+    """A read-only float copy, so later writes by the caller cannot reach the system."""
+    out = np.array(block, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +173,13 @@ def derive_rng(*key: int) -> np.random.Generator:
 def step(system: LinearNetworkSystem, x, u) -> np.ndarray:
     """One transition of the full network.
 
-    Each vertex's next value is its self block times its own component plus
-    the edge blocks times the parent components, accumulated in declaration
-    order (state parents first, then input parents) with plain double sums.
+    Each output entry is a plain double sum accumulated left to right from
+    0.0: the self block's row times the vertex's own component, then each
+    state parent's block row times that parent's component, then each input
+    parent's, parents in declaration order. For scalar vertices that is the
+    order of the per-vertex block products, so those trajectories equal
+    summing ``block @ component`` per vertex exactly (a sum of zeros is +0.0
+    where that loop could give -0.0).
     """
     t = system.topology
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -145,28 +188,21 @@ def step(system: LinearNetworkSystem, x, u) -> np.ndarray:
         raise DimensionMismatch(f"state vector has {x.size} entries, topology needs {t.total_state_dim}")
     if u.size != t.total_input_dim:
         raise DimensionMismatch(f"input vector has {u.size} entries, topology needs {t.total_input_dim}")
-    srows = t.state_row_ranges()
-    irows = t.input_row_ranges()
-    out = np.empty_like(x)
-    for v in t.state_vertices:
-        a, b = srows[v]
-        sub = local_subsystem(t, v)
-        acc = system.self_blocks[v] @ x[a:b]
-        for w in sub.state_parents:
-            wa, wb = srows[w]
-            acc = acc + system.edge_blocks[(w, v)] @ x[wa:wb]
-        for e in sub.input_parents:
-            ea, eb = irows[e]
-            acc = acc + system.edge_blocks[(e, v)] @ u[ea:eb]
-        out[a:b] = acc
-    return out
+    return _apply(system._operator, np.concatenate([x, u]), x.size)
+
+
+def _apply(operator, xu: np.ndarray, n: int) -> np.ndarray:
+    rows, cols, vals = operator
+    return np.bincount(rows, weights=vals * xu[cols], minlength=n)
 
 
 def simulate(system: LinearNetworkSystem, x0, inputs) -> TrajectoryData:
     """Roll the system forward one column of ``inputs`` at a time.
 
     ``inputs`` is l-by-m (use an l=0 array for autonomous systems; its column
-    count still sets the number of snapshot triples m).
+    count still sets the number of snapshot triples m). Each step is
+    :func:`step`'s operator. Raises :class:`Divergence`, naming the first
+    step whose state is not finite, if the trajectory overflows.
     """
     t = system.topology
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -179,13 +215,24 @@ def simulate(system: LinearNetworkSystem, x0, inputs) -> TrajectoryData:
     if m < 1:
         raise DimensionMismatch("need at least one input column (m >= 1)")
     n = t.total_state_dim
+    if x0.size != n:
+        raise DimensionMismatch(f"state vector has {x0.size} entries, topology needs {n}")
+    operator = system._operator
     z = np.empty((n, m))
     y = np.empty((n, m))
+    xu = np.empty(n + inputs.shape[0])
     x = x0
-    for k in range(m):
-        z[:, k] = x
-        x = step(system, x, inputs[:, k])
-        y[:, k] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m):
+            z[:, k] = x
+            xu[:n] = x
+            xu[n:] = inputs[:, k]
+            x = _apply(operator, xu, n)
+            y[:, k] = x
+    finite = np.isfinite(y).all(axis=0)
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise Divergence(f"state is not finite after step {k} of {m}")
     return TrajectoryData(z=z, gamma=inputs.astype(float).copy(), y=y, vertex_row_ranges=t.vertex_row_ranges())
 
 
@@ -256,25 +303,14 @@ def gen_erdos_renyi(cfg: GeneratorConfig, rng: np.random.Generator | None = None
 
 
 def true_full_matrices(system: LinearNetworkSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Assembled ground-truth (A, B) with exact zeros wherever there is no edge."""
-    t = system.topology
-    n = t.total_state_dim
-    l = t.total_input_dim
+    """Assembled ground-truth (A, B): the transition operator with exact zeros wherever there is no edge."""
+    n = system.topology.total_state_dim
+    rows, cols, vals = system._operator
     a = np.zeros((n, n))
-    b = np.zeros((n, l))
-    srows = t.state_row_ranges()
-    irows = t.input_row_ranges()
-    for v in t.state_vertices:
-        ra, rb = srows[v]
-        a[ra:rb, ra:rb] = system.self_blocks[v]
-    for (src, dst), block in system.edge_blocks.items():
-        ra, rb = srows[dst]
-        if src in srows:
-            ca, cb = srows[src]
-            a[ra:rb, ca:cb] = block
-        else:
-            ca, cb = irows[src]
-            b[ra:rb, ca:cb] = block
+    b = np.zeros((n, system.topology.total_input_dim))
+    state = cols < n
+    a[rows[state], cols[state]] = vals[state]
+    b[rows[~state], cols[~state] - n] = vals[~state]
     return a, b
 
 
@@ -329,10 +365,20 @@ def write_trajectory_csv(traj: TrajectoryData, topology: NetworkTopology, path) 
 
 
 def read_trajectory_csv(path) -> TrajectoryData:
-    """Rebuild a :class:`TrajectoryData` written by :func:`write_trajectory_csv`."""
+    """Rebuild a :class:`TrajectoryData` written by :func:`write_trajectory_csv`.
+
+    Raises :class:`DimensionMismatch` for a row whose field count differs
+    from the header's, and :class:`RowRangeMismatch` when a vertex's columns
+    are not contiguous or an id names both a state and an input vertex.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise DimensionMismatch("trajectory CSV is empty")
     header = rows[0]
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DimensionMismatch(f"trajectory CSV row {number} has {len(row)} fields, the header has {len(header)}")
     state_cols = []
     input_cols = []
     for idx, name in enumerate(header[1:], start=1):
@@ -342,8 +388,8 @@ def read_trajectory_csv(path) -> TrajectoryData:
         else:
             vertex = name.rsplit(":", 1)[0]
             state_cols.append((idx, vertex))
-    data_rows = [r for r in rows[1:] if r and r[0] != "y_final"]
-    final_rows = [r for r in rows[1:] if r and r[0] == "y_final"]
+    data_rows = [r for r in rows[1:] if r[0] != "y_final"]
+    final_rows = [r for r in rows[1:] if r[0] == "y_final"]
     if not data_rows or len(final_rows) != 1:
         raise DimensionMismatch("trajectory CSV needs data rows and exactly one y_final row")
     m = len(data_rows)
@@ -359,11 +405,21 @@ def read_trajectory_csv(path) -> TrajectoryData:
         y[:, : m - 1] = z[:, 1:]
     for r, (idx, _) in enumerate(state_cols):
         y[r, m - 1] = float(final_rows[0][idx])
-    ranges: dict[str, tuple[int, int]] = {}
-    for r, (_, vertex) in enumerate(state_cols):
-        lo, hi = ranges.get(vertex, (r, r))
-        ranges[vertex] = (min(lo, r), r + 1)
-    for r, (_, vertex) in enumerate(input_cols):
-        lo, hi = ranges.get(vertex, (r, r))
-        ranges[vertex] = (min(lo, r), r + 1)
+    ranges = _column_ranges([vertex for _, vertex in state_cols])
+    input_ranges = _column_ranges([vertex for _, vertex in input_cols])
+    shared = sorted(ranges.keys() & input_ranges.keys())
+    if shared:
+        raise RowRangeMismatch(f"trajectory CSV uses {shared[0]!r} as both a state and an input vertex")
+    ranges.update(input_ranges)
     return TrajectoryData(z=z, gamma=gamma, y=y, vertex_row_ranges=ranges)
+
+
+def _column_ranges(vertices) -> dict[str, tuple[int, int]]:
+    """Half-open row range of each vertex, given one vertex id per row."""
+    ranges: dict[str, tuple[int, int]] = {}
+    for r, vertex in enumerate(vertices):
+        lo, hi = ranges.get(vertex, (r, r))
+        if hi != r:
+            raise RowRangeMismatch(f"trajectory CSV columns of vertex {vertex!r} are not contiguous")
+        ranges[vertex] = (lo, r + 1)
+    return ranges

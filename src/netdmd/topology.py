@@ -5,12 +5,18 @@ a state vertex (input vertices only emit influence). A vertex's dependence
 on itself is structural, not an edge, so self-loops are never stored and the
 diagonal coupling block is always estimated. Vertex declaration order fixes
 every downstream block ordering.
+
+Each topology derives its parent index (the ordered state and input parents
+and the local dimension of every state vertex) once, in one pass over the
+edges, on the first lookup. Topologies are values: mutating one, ``dims``
+included, after that lookup leaves the index stale.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import EmptyNetwork, UnknownVertex
+from .errors import EmptyNetwork, NetdmdError, UnknownVertex
 
 
 @dataclass(frozen=True)
@@ -19,7 +25,8 @@ class NetworkTopology:
 
     ``dims`` maps every vertex id to the dimension of its component. The
     dataclass itself admits malformed graphs so that :func:`validate` can
-    report violations instead of raising.
+    report violations instead of raising. Treat an instance as immutable:
+    :func:`local_subsystem` reads an index derived from it once.
     """
 
     state_vertices: tuple[str, ...]
@@ -54,6 +61,11 @@ class NetworkTopology:
         merged = self.state_row_ranges()
         merged.update(self.input_row_ranges())
         return merged
+
+    @cached_property
+    def _parent_index(self) -> dict[str, LocalSubsystem | NetdmdError | KeyError]:
+        """Every state vertex's :class:`LocalSubsystem`, or the error asking for it raises."""
+        return _build_parent_index(self)
 
 
 def _ranges(vertices, dims):
@@ -127,27 +139,55 @@ def validate(t: NetworkTopology) -> list[Violation]:
     return violations
 
 
-def local_subsystem(t: NetworkTopology, v: str) -> LocalSubsystem:
-    """In-neighborhood of state vertex ``v``, split into state and input parents."""
-    if v not in set(t.state_vertices):
-        raise UnknownVertex(f"{v!r} is not a state vertex")
+def _build_parent_index(t: NetworkTopology) -> dict[str, LocalSubsystem | NetdmdError | KeyError]:
+    """One pass over the edges, grouping in-edges by their state-vertex target.
+
+    A vertex with an undeclared edge source (the first one in edge order) or
+    a missing dimension maps to the error a lookup of it raises, so a
+    malformed graph fails only for the vertices it affects.
+    """
     state_order = {w: i for i, w in enumerate(t.state_vertices)}
     input_order = {e: i for i, e in enumerate(t.input_vertices)}
-    state_parents = []
-    input_parents = []
+    state_parents: dict[str, list[str]] = {v: [] for v in state_order}
+    input_parents: dict[str, list[str]] = {v: [] for v in state_order}
+    undeclared: dict[str, str] = {}
     for src, dst in t.edges:
-        if dst != v:
+        if dst not in state_order:
             continue
         if src in state_order:
-            state_parents.append(src)
+            state_parents[dst].append(src)
         elif src in input_order:
-            input_parents.append(src)
+            input_parents[dst].append(src)
         else:
-            raise UnknownVertex(f"edge source {src!r} is not declared")
-    state_parents.sort(key=state_order.__getitem__)
-    input_parents.sort(key=input_order.__getitem__)
-    dim = t.dims[v] + sum(t.dims[w] for w in state_parents) + sum(t.dims[e] for e in input_parents)
-    return LocalSubsystem(v, tuple(state_parents), tuple(input_parents), dim)
+            undeclared.setdefault(dst, src)
+    index: dict[str, LocalSubsystem | NetdmdError | KeyError] = {}
+    for v in state_order:
+        if v in undeclared:
+            index[v] = UnknownVertex(f"edge source {undeclared[v]!r} is not declared")
+            continue
+        sp = tuple(sorted(state_parents[v], key=state_order.__getitem__))
+        ip = tuple(sorted(input_parents[v], key=input_order.__getitem__))
+        try:
+            dim = t.dims[v] + sum(t.dims[w] for w in sp) + sum(t.dims[e] for e in ip)
+        except KeyError as exc:
+            index[v] = exc
+            continue
+        index[v] = LocalSubsystem(v, sp, ip, dim)
+    return index
+
+
+def local_subsystem(t: NetworkTopology, v: str) -> LocalSubsystem:
+    """In-neighborhood of state vertex ``v``, split into state and input parents.
+
+    Reads the topology's parent index, so a lookup costs O(1) after the
+    first one on ``t``.
+    """
+    entry = t._parent_index.get(v)
+    if entry is None:
+        raise UnknownVertex(f"{v!r} is not a state vertex")
+    if isinstance(entry, Exception):
+        raise type(entry)(*entry.args)
+    return entry
 
 
 def max_local_dim(t: NetworkTopology) -> int:

@@ -1,8 +1,17 @@
-"""Shared constructors for randomized test systems."""
-import numpy as np
+"""Shared constructors for randomized test systems, and reference oracles.
 
-from netdmd.sysmodel import LinearNetworkSystem
-from netdmd.topology import NetworkTopology
+The oracles are the straightforward per-vertex forms of the package's
+indexed and vectorized code: a topology rescan per lookup, a per-vertex
+block loop per simulation step, and a per-node gather for network DMDc.
+"""
+import numpy as np
+from hypothesis import strategies as st
+
+from netdmd.dmdcore import dmdc_exact
+from netdmd.errors import DimensionMismatch, UnknownVertex
+from netdmd.numkernel import DEFAULT_RCOND
+from netdmd.sysmodel import LinearNetworkSystem, TrajectoryData
+from netdmd.topology import LocalSubsystem, NetworkTopology
 
 
 def random_small_system(rng: np.random.Generator, max_states: int = 4, max_inputs: int = 2) -> LinearNetworkSystem:
@@ -25,3 +34,112 @@ def random_small_system(rng: np.random.Generator, max_states: int = 4, max_input
     self_blocks = {v: rng.uniform(-1, 1, (1, 1)) for v in states}
     edge_blocks = {e: rng.uniform(-1, 1, (1, 1)) for e in edges}
     return LinearNetworkSystem(topology, self_blocks, edge_blocks)
+
+
+@st.composite
+def topologies(draw, max_states=5, max_inputs=3, max_dim=3):
+    """Valid topology with shuffled edge order and vertex dims in 1..max_dim."""
+    n_states = draw(st.integers(1, max_states))
+    n_inputs = draw(st.integers(0, max_inputs))
+    states = tuple(f"v{i}" for i in range(n_states))
+    inputs = tuple(f"e{i}" for i in range(n_inputs))
+    candidates = [(s, d) for s in states + inputs for d in states if s != d]
+    edges = draw(st.permutations(sorted(draw(st.sets(st.sampled_from(candidates)))))) if candidates else []
+    dims = {v: draw(st.integers(1, max_dim)) for v in states + inputs}
+    return NetworkTopology(states, inputs, tuple(edges), dims)
+
+
+@st.composite
+def systems(draw, max_dim=3):
+    """Topology from :func:`topologies` with uniform [-1, 1] blocks."""
+    t = draw(topologies(max_dim=max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    self_blocks = {v: rng.uniform(-1, 1, (t.dims[v], t.dims[v])) for v in t.state_vertices}
+    edge_blocks = {(s, d): rng.uniform(-1, 1, (t.dims[d], t.dims[s])) for s, d in t.edges}
+    return LinearNetworkSystem(t, self_blocks, edge_blocks)
+
+
+def rescan_local_subsystem(t: NetworkTopology, v: str) -> LocalSubsystem:
+    """Reference parent lookup: one full scan of the edges per call."""
+    if v not in set(t.state_vertices):
+        raise UnknownVertex(f"{v!r} is not a state vertex")
+    state_order = {w: i for i, w in enumerate(t.state_vertices)}
+    input_order = {e: i for i, e in enumerate(t.input_vertices)}
+    state_parents = []
+    input_parents = []
+    for src, dst in t.edges:
+        if dst != v:
+            continue
+        if src in state_order:
+            state_parents.append(src)
+        elif src in input_order:
+            input_parents.append(src)
+        else:
+            raise UnknownVertex(f"edge source {src!r} is not declared")
+    state_parents.sort(key=state_order.__getitem__)
+    input_parents.sort(key=input_order.__getitem__)
+    dim = t.dims[v] + sum(t.dims[w] for w in state_parents) + sum(t.dims[e] for e in input_parents)
+    return LocalSubsystem(v, tuple(state_parents), tuple(input_parents), dim)
+
+
+def reference_step(system: LinearNetworkSystem, x, u) -> np.ndarray:
+    """Reference transition: a block product per vertex, parents summed in declaration order."""
+    t = system.topology
+    x = np.asarray(x, dtype=float).reshape(-1)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if x.size != t.total_state_dim or u.size != t.total_input_dim:
+        raise DimensionMismatch("state or input vector does not match the topology")
+    srows = t.state_row_ranges()
+    irows = t.input_row_ranges()
+    out = np.empty_like(x)
+    for v in t.state_vertices:
+        a, b = srows[v]
+        sub = rescan_local_subsystem(t, v)
+        acc = system.self_blocks[v] @ x[a:b]
+        for w in sub.state_parents:
+            wa, wb = srows[w]
+            acc = acc + system.edge_blocks[(w, v)] @ x[wa:wb]
+        for e in sub.input_parents:
+            ea, eb = irows[e]
+            acc = acc + system.edge_blocks[(e, v)] @ u[ea:eb]
+        out[a:b] = acc
+    return out
+
+
+def reference_simulate(system: LinearNetworkSystem, x0, inputs) -> TrajectoryData:
+    """Reference rollout: :func:`reference_step` once per input column."""
+    t = system.topology
+    inputs = np.asarray(inputs, dtype=float)
+    m = inputs.shape[1]
+    z = np.empty((t.total_state_dim, m))
+    y = np.empty((t.total_state_dim, m))
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    for k in range(m):
+        z[:, k] = x
+        x = reference_step(system, x, inputs[:, k])
+        y[:, k] = x
+    return TrajectoryData(z=z, gamma=inputs.copy(), y=y, vertex_row_ranges=t.vertex_row_ranges())
+
+
+def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = DEFAULT_RCOND):
+    """Reference assembled (A, B): rescan, gather and solve each node on its own."""
+    srows = t.state_row_ranges()
+    irows = t.input_row_ranges()
+    ranges = traj.vertex_row_ranges
+    a = np.zeros((t.total_state_dim, t.total_state_dim))
+    b = np.zeros((t.total_state_dim, t.total_input_dim))
+    for v in t.state_vertices:
+        sub = rescan_local_subsystem(t, v)
+        lo, hi = ranges[v]
+        parents = [(w, traj.z, srows, a) for w in sub.state_parents]
+        parents += [(e, traj.gamma, irows, b) for e in sub.input_parents]
+        pieces = [data[slice(*ranges[w]), :] for w, data, _, _ in parents]
+        gamma_j = np.vstack(pieces) if pieces else np.zeros((0, traj.z.shape[1]))
+        model = dmdc_exact(traj.z[lo:hi, :], traj.y[lo:hi, :], gamma_j, rcond)
+        a[lo:hi, lo:hi] = model.a
+        offset = 0
+        for w, _, rows, target in parents:
+            width = t.dims[w]
+            target[lo:hi, slice(*rows[w])] = model.b[:, offset : offset + width]
+            offset += width
+    return a, b

@@ -21,6 +21,7 @@ from netdmd.sysmodel import (
     ErdosRenyi,
     GeneratorConfig,
     LinearNetworkSystem,
+    TrajectoryData,
     derive_rng,
     gen_circular,
     gen_erdos_renyi,
@@ -192,6 +193,22 @@ class TestNetworkDmdcReduced:
         reduced = network_dmdc_reduced(t, traj)
         for u in reduced.u_hat.values():
             assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-10
+
+
+@pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
+def test_failed_node_keeps_zero_blocks_for_every_parent(identify, two_node_topology, two_node_trajectory):
+    traj = two_node_trajectory
+    gamma = traj.gamma.copy()
+    gamma[0, 1] = np.nan  # input e1 feeds only v1
+    bad = TrajectoryData(traj.z, gamma, traj.y, traj.vertex_row_ranges)
+    model = identify(two_node_topology, bad)
+    assert set(model.node_failures) == {"v1"}
+    assert set(model.blocks_a) == {("v1", "v1"), ("v1", "v2"), ("v2", "v2")}
+    assert set(model.blocks_b) == {("v1", "e1"), ("v2", "e2")}
+    for key in (("v1", "v1"), ("v1", "v2")):
+        assert model.blocks_a[key].shape == (1, 1) and not model.blocks_a[key].any()
+    assert not model.blocks_b[("v1", "e1")].any()
+    assert model.blocks_b[("v2", "e2")].any()
 
 
 class TestModelError:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from netdmd.errors import BadConfig, DimensionMismatch
+from netdmd.errors import BadConfig, DimensionMismatch, Divergence, RowRangeMismatch
 from netdmd.sysmodel import (
     Circular,
     ErdosRenyi,
@@ -46,6 +46,12 @@ class TestSimulate:
 
     def test_shift_invariant(self, two_node_trajectory):
         assert np.array_equal(two_node_trajectory.z[:, 1:], two_node_trajectory.y[:, :-1])
+
+    def test_overflow_raises_divergence_naming_the_step(self):
+        t = NetworkTopology(("v1",), (), (), {"v1": 1})
+        system = LinearNetworkSystem(t, {"v1": [[1e200]]}, {})
+        with pytest.raises(Divergence, match="after step 2 of 4"):
+            simulate(system, (1.0,), np.zeros((0, 4)))
 
     def test_single_snapshot(self, two_node_system):
         traj = simulate(two_node_system, (1.0, 1.0), np.zeros((2, 1)))
@@ -223,6 +229,35 @@ class TestSerialization:
         assert back.gamma.shape == (0, 1)
         assert np.array_equal(back.y, traj.y)
 
+    def test_trajectory_csv_ragged_row(self, two_node_system, two_node_trajectory, tmp_path):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(two_node_trajectory, two_node_system.topology, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DimensionMismatch, match="row 3 has 4 fields"):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "k,a:0,b:0,a:1\n1,1,2,3\ny_final,4,5,6\n",
+            "k,a:0,u:a:0\n1,1,2\ny_final,3,\n",
+        ],
+        ids=["non_contiguous", "state_and_input"],
+    )
+    def test_trajectory_csv_overlapping_vertex_columns(self, text, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text(text)
+        with pytest.raises(RowRangeMismatch):
+            read_trajectory_csv(path)
+
+    def test_trajectory_csv_empty(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("")
+        with pytest.raises(DimensionMismatch):
+            read_trajectory_csv(path)
+
     def test_header_format(self, two_node_system, two_node_trajectory, tmp_path):
         path = tmp_path / "traj.csv"
         write_trajectory_csv(two_node_trajectory, two_node_system.topology, path)
@@ -231,6 +266,19 @@ class TestSerialization:
 
 
 class TestSystemValidation:
+    def test_blocks_are_read_only_copies(self, two_node_topology, two_node_system):
+        own = np.array([[1.2]])
+        system = LinearNetworkSystem(
+            two_node_topology,
+            {"v1": own, "v2": [[0.8]]},
+            {("v2", "v1"): [[-0.5]], ("e1", "v1"): [[1.0]], ("e2", "v2"): [[1.0]]},
+        )
+        own[0, 0] = 5.0
+        assert np.array_equal(step(system, (2, 5), (0.2, 0.3)), step(two_node_system, (2, 5), (0.2, 0.3)))
+        for block in [*system.self_blocks.values(), *system.edge_blocks.values()]:
+            with pytest.raises(ValueError):
+                block[0, 0] = 0.0
+
     def test_missing_self_block(self, two_node_topology):
         with pytest.raises(BadConfig):
             LinearNetworkSystem(two_node_topology, {"v1": [[1.0]]}, {})

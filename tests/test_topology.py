@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import topologies
 from netdmd.errors import EmptyNetwork, UnknownVertex
 from netdmd.sysmodel import Circular, GeneratorConfig, gen_circular
 from netdmd.topology import (
@@ -79,18 +80,6 @@ class TestMaxLocalDim:
     def test_single_vertex(self):
         t = NetworkTopology(("v1",), (), (), {"v1": 1})
         assert max_local_dim(t) == 1
-
-
-@st.composite
-def topologies(draw):
-    n_states = draw(st.integers(1, 5))
-    n_inputs = draw(st.integers(0, 3))
-    states = tuple(f"v{i}" for i in range(n_states))
-    inputs = tuple(f"e{i}" for i in range(n_inputs))
-    candidates = [(s, d) for s in states + inputs for d in states if s != d]
-    edges = tuple(sorted(draw(st.sets(st.sampled_from(candidates))))) if candidates else ()
-    dims = {v: draw(st.integers(1, 3)) for v in states + inputs}
-    return NetworkTopology(states, inputs, edges, dims)
 
 
 @given(topologies())
