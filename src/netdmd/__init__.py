@@ -28,16 +28,21 @@ from .numkernel import (
     RelativeThreshold,
     SvdResult,
     TruncationRule,
+    conditioning_from_dict,
     conditioning_record,
+    conditioning_to_dict,
     eig,
     frobenius_norm,
+    pinv_conditioning,
     pseudoinverse,
     truncated_svd,
 )
 from .topology import (
     LocalSubsystem,
     NetworkTopology,
+    ShapeGroup,
     Violation,
+    gather_plan,
     local_subsystem,
     max_local_dim,
     topology_from_dict,

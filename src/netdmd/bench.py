@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig
+from .errors import BadConfig, NetdmdError
 from .numkernel import (
     DEFAULT_RCOND,
     ConditioningRecord,
@@ -100,11 +101,17 @@ class SweepResult:
 
 
 def mean_errors(rows) -> dict[tuple[int, str], float]:
-    """Average frobenius_error per (m, algorithm) cell."""
+    """Average frobenius_error per (m, algorithm) cell over its finite rows.
+
+    Failed rows carry a NaN error and are skipped; a cell with no finite row
+    averages to NaN.
+    """
     sums: dict[tuple[int, str], list[float]] = {}
     for row in rows:
-        sums.setdefault((row.m, row.algorithm), []).append(row.frobenius_error)
-    return {key: float(np.mean(vals)) for key, vals in sorted(sums.items())}
+        vals = sums.setdefault((row.m, row.algorithm), [])
+        if math.isfinite(row.frobenius_error):
+            vals.append(row.frobenius_error)
+    return {key: float(np.mean(vals)) if vals else math.nan for key, vals in sorted(sums.items())}
 
 
 def trajectory_digest(traj) -> str:
@@ -189,13 +196,22 @@ def run_trial(
     same trajectory (checked by hash); the error is measured against the
     system's true assembled matrices. A plain DMD run on a driven system
     scores its state operator only and is tagged ``dmd_ignores_inputs``.
+
+    Failures become rows, not exceptions. If the simulation or an algorithm
+    raises a :class:`NetdmdError`, each affected row has a NaN error and
+    sigma ratio and the tags ``failed`` and ``error:<type>``. A network row
+    with failed nodes (tagged ``failed:<vertex>``) also reports a NaN error,
+    since its zeroed blocks are not an estimate.
     """
     if m < 1:
         raise BadConfig(f"m must be >= 1, got {m}")
     t = system.topology
     x0 = rng.uniform(*initial_state_range, size=t.total_state_dim)
     inputs = rng.uniform(*input_range, size=(t.total_input_dim, m))
-    traj = simulate(system, x0, inputs)
+    try:
+        traj = simulate(system, x0, inputs)
+    except NetdmdError as exc:
+        return [_failed_row(trial, m, algorithm, 0.0, exc) for algorithm in algorithms]
     truth_a, truth_b = true_full_matrices(system)
     digest = trajectory_digest(traj)
     rows = []
@@ -203,10 +219,17 @@ def run_trial(
         if trajectory_digest(traj) != digest:
             raise AssertionError("trajectory mutated between algorithm dispatches")
         start = time.perf_counter()
-        a, b, record, warnings = _identify(algorithm, system, traj, rcond, truncation, use_reduced)
+        try:
+            a, b, record, warnings = _identify(algorithm, system, traj, rcond, truncation, use_reduced)
+        except NetdmdError as exc:
+            rows.append(_failed_row(trial, m, algorithm, time.perf_counter() - start, exc))
+            continue
         wall = time.perf_counter() - start
-        model = ExactLinearModel(a=a, b=b, conditioning=record)
-        error = model_error(model, truth_a, truth_b if b is not None else None)
+        if any(tag.startswith("failed:") for tag in warnings):
+            error = math.nan
+        else:
+            model = ExactLinearModel(a=a, b=b, conditioning=record)
+            error = model_error(model, truth_a, truth_b if b is not None else None)
         rows.append(
             SweepRow(
                 trial=trial,
@@ -219,6 +242,18 @@ def run_trial(
             )
         )
     return rows
+
+
+def _failed_row(trial: int, m: int, algorithm: str, wall: float, exc: NetdmdError) -> SweepRow:
+    return SweepRow(
+        trial=trial,
+        m=m,
+        algorithm=algorithm,
+        frobenius_error=math.nan,
+        cond_ratio=math.nan,
+        wall_time_s=float(wall),
+        warnings=f"failed;error:{type(exc).__name__}",
+    )
 
 
 def generate_system(generator: GeneratorConfig, rng: np.random.Generator | None = None) -> LinearNetworkSystem:

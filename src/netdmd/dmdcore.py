@@ -20,9 +20,10 @@ from .numkernel import (
     MachineDefault,
     TruncationRule,
     as_matrix,
-    conditioning_record,
+    conditioning_from_dict,
+    conditioning_to_dict,
     eig,
-    pseudoinverse,
+    pinv_conditioning,
     truncated_svd,
 )
 
@@ -87,8 +88,8 @@ def dmd_exact(z, y, rcond: float = DEFAULT_RCOND) -> ExactLinearModel:
     _check_columns(z, y)
     if z.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
-    a = y @ pseudoinverse(z, rcond)
-    return ExactLinearModel(a=a, b=None, conditioning=conditioning_record(z, rcond))
+    pinv, conditioning = pinv_conditioning(z, rcond)
+    return ExactLinearModel(a=y @ pinv, b=None, conditioning=conditioning)
 
 
 def dmdc_exact(z, y, gamma, rcond: float = DEFAULT_RCOND) -> ExactLinearModel:
@@ -96,6 +97,7 @@ def dmdc_exact(z, y, gamma, rcond: float = DEFAULT_RCOND) -> ExactLinearModel:
 
     Stacks ``omega = [z; gamma]``, applies the pseudoinverse, and splits the
     result into the state part (first n columns) and input part (last l).
+    One SVD of omega gives both the pseudoinverse and the conditioning record.
     """
     z = as_matrix(z, "z")
     y = as_matrix(y, "y")
@@ -105,8 +107,9 @@ def dmdc_exact(z, y, gamma, rcond: float = DEFAULT_RCOND) -> ExactLinearModel:
         raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
     n = z.shape[0]
     omega = np.vstack([z, gamma])
-    g = y @ pseudoinverse(omega, rcond)
-    return ExactLinearModel(a=g[:, :n], b=g[:, n:], conditioning=conditioning_record(omega, rcond))
+    pinv, conditioning = pinv_conditioning(omega, rcond)
+    g = y @ pinv
+    return ExactLinearModel(a=g[:, :n], b=g[:, n:], conditioning=conditioning)
 
 
 def _filter_zero_modes(values: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -257,24 +260,14 @@ def model_to_dict(model: ExactLinearModel, modes: DynamicModes | None = None) ->
         "B": model.b.tolist() if model.b is not None else None,
         "eigenvalues": [{"re": v.real, "im": v.imag} for v in modes.eigenvalues],
         "modes": [[{"re": c.real, "im": c.imag} for c in row] for row in modes.modes],
-        "conditioning": {
-            "sigma_max": model.conditioning.sigma_max,
-            "sigma_min": model.conditioning.sigma_min,
-            "rcond_used": model.conditioning.rcond_used,
-            "warning": model.conditioning.warning,
-        },
+        "conditioning": conditioning_to_dict(model.conditioning),
     }
 
 
 def model_from_dict(d: dict) -> tuple[ExactLinearModel, DynamicModes]:
     a = np.asarray(d["A"], dtype=float)
     b = np.asarray(d["B"], dtype=float) if d["B"] is not None else None
-    cond = ConditioningRecord(
-        sigma_max=float(d["conditioning"]["sigma_max"]),
-        sigma_min=float(d["conditioning"]["sigma_min"]),
-        rcond_used=float(d["conditioning"]["rcond_used"]),
-        warning=bool(d["conditioning"]["warning"]),
-    )
+    cond = conditioning_from_dict(d["conditioning"])
     values = np.array([complex(e["re"], e["im"]) for e in d["eigenvalues"]], dtype=complex)
     if d["modes"]:
         modes = np.array([[complex(c["re"], c["im"]) for c in row] for row in d["modes"]], dtype=complex)

@@ -4,27 +4,41 @@ Each state vertex is identified from its own rows of the trajectory plus the
 rows of its parents (states and inputs alike enter the local regression as
 controls). The per-node results are assembled into full matrices whose
 blocks are exactly zero wherever the topology has no edge. Node
-identifications are independent of one another; assembly is a keyed merge in
-vertex order, so any processing schedule yields the same model.
+identifications are independent of one another, so the exact solve gathers
+all nodes of one local shape into a stack, factors the stack with one
+batched SVD, and scatters the solutions into the assembled matrices.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import NetdmdError, DimensionMismatch, RowRangeMismatch, UnknownVertex
+from .errors import ConvergenceFailure, DimensionMismatch, NetdmdError, RowRangeMismatch
 from .numkernel import (
     DEFAULT_RCOND,
     ConditioningRecord,
     MachineDefault,
     TruncationRule,
+    conditioning_from_dict,
     conditioning_record,
+    conditioning_to_dict,
     frobenius_norm,
+    pinv_conditioning,
 )
-from .dmdcore import ExactLinearModel, dmdc_exact, dmdc_reduced
+from .dmdcore import ExactLinearModel, dmdc_reduced
 from .sysmodel import BLOCK_KEY_SEP, TrajectoryData
-from .topology import NetworkTopology, local_subsystem, topology_from_dict, topology_to_dict
+from .topology import (
+    NetworkTopology,
+    ShapeGroup,
+    gather_plan,
+    local_subsystem,
+    topology_from_dict,
+    topology_to_dict,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,20 +61,51 @@ class LocalData:
 class NetworkModel:
     """Block-structured full-order model identified node by node.
 
+    ``assembled_a``/``assembled_b`` are the full matrices, with exact zeros
+    at non-edges; they are the model's only stored coefficients.
     ``blocks_a[(j, i)]`` couples state vertex i into j (including the
-    structural diagonal j == i); ``blocks_b[(j, i)]`` couples input vertex i
-    into j. ``assembled_a``/``assembled_b`` hold the same information as full
-    matrices with exact zeros at non-edges. Nodes whose local regression
-    failed appear in ``node_failures`` with zeroed blocks.
+    structural diagonal j == i) and ``blocks_b[(j, i)]`` couples input
+    vertex i into j: read-only views into the assembled matrices, one per
+    edge. Nodes whose local regression failed appear in ``node_failures``
+    with zeroed blocks.
     """
 
     topology: NetworkTopology
-    blocks_a: dict[tuple[str, str], np.ndarray]
-    blocks_b: dict[tuple[str, str], np.ndarray]
     assembled_a: np.ndarray
     assembled_b: np.ndarray
     per_node_conditioning: dict[str, ConditioningRecord]
     node_failures: dict[str, str]
+
+    @property
+    def blocks_a(self) -> Mapping[tuple[str, str], np.ndarray]:
+        return self._blocks[0]
+
+    @property
+    def blocks_b(self) -> Mapping[tuple[str, str], np.ndarray]:
+        return self._blocks[1]
+
+    @cached_property
+    def _blocks(self):
+        t = self.topology
+        srows = t.state_row_ranges()
+        irows = t.input_row_ranges()
+        blocks_a: dict[tuple[str, str], np.ndarray] = {}
+        blocks_b: dict[tuple[str, str], np.ndarray] = {}
+        for v in t.state_vertices:
+            sub = local_subsystem(t, v)
+            rows = slice(*srows[v])
+            blocks_a[(v, v)] = _view(self.assembled_a[rows, rows])
+            for w in sub.state_parents:
+                blocks_a[(v, w)] = _view(self.assembled_a[rows, slice(*srows[w])])
+            for e in sub.input_parents:
+                blocks_b[(v, e)] = _view(self.assembled_b[rows, slice(*irows[e])])
+        return MappingProxyType(blocks_a), MappingProxyType(blocks_b)
+
+
+def _view(block: np.ndarray) -> np.ndarray:
+    block = block.view()
+    block.flags.writeable = False
+    return block
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,13 +141,7 @@ def build_local_data(t: NetworkTopology, traj: TrajectoryData, v: str) -> LocalD
     sub = local_subsystem(t, v)
     ranges = traj.vertex_row_ranges
     for w in (v, *sub.state_parents, *sub.input_parents):
-        if w not in ranges:
-            raise RowRangeMismatch(f"trajectory has no rows for vertex {w!r}")
-        lo, hi = ranges[w]
-        if hi - lo != t.dims[w]:
-            raise RowRangeMismatch(
-                f"vertex {w!r} spans {hi - lo} trajectory rows but has dimension {t.dims[w]}"
-            )
+        _vertex_rows(t, traj, w)
     lo, hi = ranges[v]
     m = traj.z.shape[1]
     pieces = []
@@ -128,70 +167,129 @@ def build_local_data(t: NetworkTopology, traj: TrajectoryData, v: str) -> LocalD
     )
 
 
-def _check_node_order(t: NetworkTopology, node_order):
-    if node_order is None:
-        return t.state_vertices
-    if sorted(node_order) != sorted(t.state_vertices):
-        raise UnknownVertex("node_order must be a permutation of the state vertices")
-    return tuple(node_order)
-
-
-def network_dmdc_exact(
-    t: NetworkTopology,
-    traj: TrajectoryData,
-    rcond: float = DEFAULT_RCOND,
-    node_order=None,
-) -> NetworkModel:
+def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = DEFAULT_RCOND) -> NetworkModel:
     """Identify every local subsystem with exact DMDc and assemble the blocks.
 
-    A node whose regression raises is recorded in ``node_failures`` and
-    contributes zero blocks; the rest of the model is still assembled.
-    ``node_order`` only schedules the per-node work (useful for parallel
-    drivers); the assembled result is independent of it.
+    Each node's solution is ``G_j = Y_j pinv(Omega_j)`` with
+    ``Omega_j = [Z_j; Gamma_j]``, as :func:`dmdc_exact` computes it. Nodes are
+    solved a shape group of the topology's gather plan at a time, with one
+    batched SVD per group. A node whose data are not finite, or whose SVD
+    does not converge, is recorded in ``node_failures`` with the message
+    :func:`dmdc_exact` would raise and contributes zero blocks; the rest of
+    the model is still assembled.
     """
+    plan = gather_plan(t)
     n = t.total_state_dim
-    l = t.total_input_dim
+    source = _trajectory_rows(t, traj)
+    data = np.vstack([traj.z, traj.gamma])
+    not_finite = ~np.isfinite(data).all(axis=1)
+    y_not_finite = ~np.isfinite(traj.y).all(axis=1)
     assembled_a = np.zeros((n, n))
-    assembled_b = np.zeros((n, l))
-    blocks_a: dict[tuple[str, str], np.ndarray] = {}
-    blocks_b: dict[tuple[str, str], np.ndarray] = {}
+    assembled_b = np.zeros((n, t.total_input_dim))
     conditioning: dict[str, ConditioningRecord] = {}
     failures: dict[str, str] = {}
-    srows = t.state_row_ranges()
-    irows = t.input_row_ranges()
-    for v in _check_node_order(t, node_order):
-        ld = build_local_data(t, traj, v)
-        try:
-            model = dmdc_exact(ld.z_j, ld.y_j, ld.gamma_j, rcond)
-        except NetdmdError as exc:
-            failures[v] = str(exc)
-            blocks_a[(v, v)] = np.zeros((t.dims[v], t.dims[v]))
-            for w in ld.parent_row_ranges:
-                (blocks_a if w in srows else blocks_b)[(v, w)] = np.zeros((t.dims[v], t.dims[w]))
+    for group in plan:
+        cols = source[group.cols]
+        rows = source[group.rows]
+        ok = np.ones(len(group.vertices), dtype=bool)
+        for i, message in _non_finite_nodes(group, not_finite[cols], y_not_finite[rows]):
+            failures[group.vertices[i]] = message
+            ok[i] = False
+        if not ok.any():
             continue
-        conditioning[v] = model.conditioning
-        blocks_a[(v, v)] = model.a
-        lo, hi = srows[v]
-        assembled_a[lo:hi, lo:hi] = model.a
-        for w, (plo, phi) in ld.parent_row_ranges.items():
-            block = model.b[:, plo:phi]
-            if w in srows:
-                blocks_a[(v, w)] = block
-                clo, chi = srows[w]
-                assembled_a[lo:hi, clo:chi] = block
-            else:
-                blocks_b[(v, w)] = block
-                clo, chi = irows[w]
-                assembled_b[lo:hi, clo:chi] = block
+        omega = data[cols[ok]]
+        solution, records = _solve_stack(omega, traj.y[rows[ok]], rcond)
+        solved = [v for v, keep in zip(group.vertices, ok) if keep]
+        for v, record in zip(solved, records):
+            (failures if isinstance(record, str) else conditioning)[v] = record
+        _scatter(assembled_a, assembled_b, group.rows[ok], group.cols[ok], solution)
     return NetworkModel(
         topology=t,
-        blocks_a=blocks_a,
-        blocks_b=blocks_b,
         assembled_a=assembled_a,
         assembled_b=assembled_b,
-        per_node_conditioning=conditioning,
-        node_failures=failures,
+        per_node_conditioning={v: conditioning[v] for v in t.state_vertices if v in conditioning},
+        node_failures={v: failures[v] for v in t.state_vertices if v in failures},
     )
+
+
+def _vertex_rows(t: NetworkTopology, traj: TrajectoryData, w: str) -> tuple[int, int]:
+    """Vertex w's half-open row range in the trajectory, checked against its dimension."""
+    if w not in traj.vertex_row_ranges:
+        raise RowRangeMismatch(f"trajectory has no rows for vertex {w!r}")
+    lo, hi = traj.vertex_row_ranges[w]
+    if hi - lo != t.dims[w]:
+        raise RowRangeMismatch(f"vertex {w!r} spans {hi - lo} trajectory rows but has dimension {t.dims[w]}")
+    return lo, hi
+
+
+def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
+    """Row of ``[traj.z; traj.gamma]`` holding each position of ``[x; u]``.
+
+    Raises what :func:`build_local_data` raises for the first node, in
+    vertex order, whose own or parent rows are missing or mis-sized; a
+    vertex that no node reads (an input without edges) may lack rows.
+    """
+    source: list[int] = []
+    errors: dict[str, RowRangeMismatch] = {}
+    for vertices, shift in ((t.state_vertices, 0), (t.input_vertices, traj.z.shape[0])):
+        for w in vertices:
+            try:
+                lo, hi = _vertex_rows(t, traj, w)
+            except RowRangeMismatch as exc:
+                errors[w] = exc
+                source.extend([-1] * t.dims[w])
+                continue
+            source.extend(range(lo + shift, hi + shift))
+    for v in t.state_vertices if errors else ():
+        sub = local_subsystem(t, v)
+        for w in (v, *sub.state_parents, *sub.input_parents):
+            if w in errors:
+                raise errors[w]
+    return np.array(source, dtype=np.intp)
+
+
+def _non_finite_nodes(group: ShapeGroup, bad_cols: np.ndarray, bad_rows: np.ndarray):
+    """(index, message) of each node in the group whose z, y or gamma part is not finite."""
+    d = group.rows.shape[1]
+    parts = (("z", bad_cols[:, :d]), ("y", bad_rows), ("gamma", bad_cols[:, d:]))
+    for i in np.flatnonzero(bad_cols.any(axis=1) | bad_rows.any(axis=1)):
+        name = next(name for name, bad in parts if bad[i].any())
+        yield int(i), f"{name} contains NaN or Inf entries"
+
+
+def _solve_stack(omega: np.ndarray, y: np.ndarray, rcond: float):
+    """``y @ pinv(omega)`` for a stack, plus each node's record or failure message.
+
+    If the batched SVD does not converge, the stack is solved node by node so
+    that only the nodes that fail themselves get a message (and zero rows).
+    """
+    try:
+        pinv, records = pinv_conditioning(omega, rcond)
+    except ConvergenceFailure:
+        pass
+    else:
+        return y @ pinv, records
+    solution = np.zeros((y.shape[0], y.shape[1], omega.shape[1]))
+    records: list[ConditioningRecord | str] = []
+    for i in range(omega.shape[0]):
+        try:
+            pinv, record = pinv_conditioning(omega[i], rcond)
+        except ConvergenceFailure as exc:
+            records.append(str(exc))
+            continue
+        solution[i] = y[i] @ pinv
+        records.append(record)
+    return solution, records
+
+
+def _scatter(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, solution: np.ndarray) -> None:
+    """Write each node's solution rows into A (state columns) and B (input columns) in place."""
+    r = np.broadcast_to(rows[:, :, None], solution.shape)
+    c = np.broadcast_to(cols[:, None, :], solution.shape)
+    n = a.shape[0]
+    state = c < n
+    a[r[state], c[state]] = solution[state]
+    b[r[~state], c[~state] - n] = solution[~state]
 
 
 def network_dmdc_reduced(
@@ -199,7 +297,6 @@ def network_dmdc_reduced(
     traj: TrajectoryData,
     input_rule: TruncationRule = MachineDefault(),
     output_rule: TruncationRule = MachineDefault(),
-    node_order=None,
 ) -> ReducedNetworkModel:
     """Per-node reduced DMDc composed into a blockwise reduced network model.
 
@@ -208,7 +305,6 @@ def network_dmdc_reduced(
     the parent's projector) and assembles the block matrices. A failed node
     keeps an identity projector and zero blocks.
     """
-    order = _check_node_order(t, node_order)
     u_hat: dict[str, np.ndarray] = {}
     diag: dict[str, np.ndarray] = {}
     raw_cross: dict[tuple[str, str], np.ndarray] = {}
@@ -216,7 +312,7 @@ def network_dmdc_reduced(
     conditioning: dict[str, ConditioningRecord] = {}
     failures: dict[str, str] = {}
     srows = t.state_row_ranges()
-    for v in order:
+    for v in t.state_vertices:
         ld = build_local_data(t, traj, v)
         try:
             model, _ = dmdc_reduced(ld.z_j, ld.y_j, ld.gamma_j, input_rule, output_rule)
@@ -319,47 +415,24 @@ def network_model_to_dict(model: NetworkModel) -> dict:
         "blocks_b": {key(j, i): blk.tolist() for (j, i), blk in model.blocks_b.items()},
         "assembled_a": model.assembled_a.tolist(),
         "assembled_b": model.assembled_b.tolist(),
-        "per_node_conditioning": {
-            v: {
-                "sigma_max": rec.sigma_max,
-                "sigma_min": rec.sigma_min,
-                "rcond_used": rec.rcond_used,
-                "warning": rec.warning,
-            }
-            for v, rec in model.per_node_conditioning.items()
-        },
+        "per_node_conditioning": {v: conditioning_to_dict(rec) for v, rec in model.per_node_conditioning.items()},
         "node_failures": dict(model.node_failures),
     }
 
 
 def network_model_from_dict(d: dict) -> NetworkModel:
+    """Rebuild a model from :func:`network_model_to_dict`'s output.
+
+    The blocks are derived from the assembled matrices, so the document's
+    ``blocks_a``/``blocks_b`` entries are not read.
+    """
     topology = topology_from_dict(d["topology"])
-
-    def unkey(s):
-        src, _, dst = s.partition(BLOCK_KEY_SEP)
-        return dst, src
-
-    blocks_a = {unkey(k): np.asarray(blk, dtype=float) for k, blk in d["blocks_a"].items()}
-    blocks_b = {unkey(k): np.asarray(blk, dtype=float) for k, blk in d["blocks_b"].items()}
-    conditioning = {
-        v: ConditioningRecord(
-            sigma_max=float(rec["sigma_max"]),
-            sigma_min=float(rec["sigma_min"]),
-            rcond_used=float(rec["rcond_used"]),
-            warning=bool(rec["warning"]),
-        )
-        for v, rec in d["per_node_conditioning"].items()
-    }
     n = topology.total_state_dim
     l = topology.total_input_dim
-    assembled_a = np.asarray(d["assembled_a"], dtype=float).reshape(n, n)
-    assembled_b = np.asarray(d["assembled_b"], dtype=float).reshape(n, l)
     return NetworkModel(
         topology=topology,
-        blocks_a=blocks_a,
-        blocks_b=blocks_b,
-        assembled_a=assembled_a,
-        assembled_b=assembled_b,
-        per_node_conditioning=conditioning,
+        assembled_a=np.asarray(d["assembled_a"], dtype=float).reshape(n, n),
+        assembled_b=np.asarray(d["assembled_b"], dtype=float).reshape(n, l),
+        per_node_conditioning={v: conditioning_from_dict(rec) for v, rec in d["per_node_conditioning"].items()},
         node_failures=dict(d["node_failures"]),
     )

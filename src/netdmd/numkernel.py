@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroMatrix, ConvergenceFailure, NonFiniteEntry, NotSquare
+from .errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -95,6 +95,25 @@ class ConditioningRecord:
         return self.sigma_min / self.sigma_max if self.sigma_max > 0 else 0.0
 
 
+def conditioning_to_dict(rec: ConditioningRecord) -> dict:
+    """JSON-ready form; round-trips exactly through :func:`conditioning_from_dict`."""
+    return {
+        "sigma_max": rec.sigma_max,
+        "sigma_min": rec.sigma_min,
+        "rcond_used": rec.rcond_used,
+        "warning": rec.warning,
+    }
+
+
+def conditioning_from_dict(d: dict) -> ConditioningRecord:
+    return ConditioningRecord(
+        sigma_max=float(d["sigma_max"]),
+        sigma_min=float(d["sigma_min"]),
+        rcond_used=float(d["rcond_used"]),
+        warning=bool(d["warning"]),
+    )
+
+
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting NaN/Inf entries."""
     a = np.asarray(m, dtype=np.float64)
@@ -117,7 +136,7 @@ def truncated_svd(m, rule: TruncationRule = MachineDefault()) -> SvdResult:
     a = as_matrix(m)
     if isinstance(rule, (RelativeThreshold, MachineDefault)) and not np.any(a):
         raise AllZeroMatrix("relative truncation is undefined for an all-zero matrix")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    u, s, vt = _svd(a)
     if isinstance(rule, FixedRank):
         k = min(rule.rank, s.size)
         while k > 0 and s[k - 1] == 0.0:
@@ -141,16 +160,51 @@ def pseudoinverse(m, rcond: float = DEFAULT_RCOND) -> np.ndarray:
 
     Singular values below ``rcond * sigma_max`` are treated as zero.
     """
-    a = as_matrix(m)
+    return pinv_conditioning(m, rcond)[0]
+
+
+def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
+    """Pseudoinverse and conditioning record of a matrix, or of a stack, from one SVD.
+
+    ``m`` is one k-by-n matrix or a G-by-k-by-n stack of them, which LAPACK
+    factors in one batched call. Returns the pseudoinverse (n-by-k, or
+    G-by-n-by-k) under :func:`pseudoinverse`'s cutoff, and the record
+    :func:`conditioning_record` describes (for a stack, a list of G records),
+    both read from the same singular values.
+    """
     if rcond < 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
-    if a.size == 0 or not np.any(a):
-        return np.zeros((a.shape[1], a.shape[0]))
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = (s >= rcond * s[0]) & (s > 0.0)
-    s_inv = np.zeros_like(s)
-    s_inv[keep] = 1.0 / s[keep]
-    return (vt.T * s_inv) @ u.T
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim > 3:
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {a.shape}")
+    if a.ndim < 3:
+        stack = as_matrix(a)[None]
+    elif a.size and not np.all(np.isfinite(a)):
+        raise NonFiniteEntry("matrix stack contains NaN or Inf entries")
+    else:
+        stack = a
+    g, k, n = stack.shape
+    if stack.size == 0:
+        pinv = np.zeros((g, n, k))
+        sigma = np.zeros((g, 1))
+    else:
+        u, sigma, vt = _svd(stack)
+        keep = (sigma >= rcond * sigma[:, :1]) & (sigma > 0.0)
+        s_inv = np.zeros_like(sigma)
+        s_inv[keep] = 1.0 / sigma[keep]
+        pinv = (np.swapaxes(vt, 1, 2) * s_inv[:, None, :]) @ np.swapaxes(u, 1, 2)
+    records = _records(sigma[:, 0], sigma[:, -1], rcond)
+    if a.ndim < 3:
+        return pinv[0], records[0]
+    return pinv, records
+
+
+def _svd(a, compute_uv: bool = True):
+    """Reduced SVD of a matrix or stack; LAPACK non-convergence becomes :class:`ConvergenceFailure`."""
+    try:
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
 
 
 def eig(m) -> EigResult:
@@ -211,9 +265,16 @@ def conditioning_record(m, rcond: float = DEFAULT_RCOND) -> ConditioningRecord:
     """
     a = as_matrix(m)
     if a.size == 0:
-        return ConditioningRecord(0.0, 0.0, rcond, True)
-    s = np.linalg.svd(a, compute_uv=False)
-    sigma_max = float(s[0])
-    sigma_min = float(s[-1])
-    warning = sigma_max == 0.0 or sigma_min / sigma_max < ILL_CONDITIONED_RATIO
-    return ConditioningRecord(sigma_max, sigma_min, rcond, warning)
+        return _records(np.zeros(1), np.zeros(1), rcond)[0]
+    s = _svd(a, compute_uv=False)
+    return _records(s[:1], s[-1:], rcond)[0]
+
+
+def _records(sigma_max: np.ndarray, sigma_min: np.ndarray, rcond: float) -> list[ConditioningRecord]:
+    """One record per pair of singular-value extremes; an all-zero matrix always warns."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        warning = (sigma_max == 0.0) | (sigma_min / sigma_max < ILL_CONDITIONED_RATIO)
+    return [
+        ConditioningRecord(hi, lo, rcond, w)
+        for hi, lo, w in zip(sigma_max.tolist(), sigma_min.tolist(), warning.tolist())
+    ]

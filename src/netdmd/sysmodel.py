@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadConfig, DimensionMismatch, Divergence, RowRangeMismatch
-from .topology import NetworkTopology, local_subsystem
+from .topology import NetworkTopology, gather_plan, local_subsystem
 
 #: Separator used in serialized edge-block keys ("src->dst" with an arrow).
 BLOCK_KEY_SEP = "→"
@@ -68,27 +68,27 @@ class LinearNetworkSystem:
     def _operator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The transition map as COO arrays (rows, cols, vals) over ``[x; u]``.
 
+        Entries come one shape group of the topology's gather plan at a time.
         Row i's entries appear in the order ``step`` sums them: the self
         block's row, then each state parent's block row, then each input
-        parent's, parents in declaration order. Input columns are offset by
-        the total state dimension.
+        parent's, parents in declaration order.
         """
         t = self.topology
-        n = t.total_state_dim
-        # Each vertex's positions in [x; u]; a state vertex's are also its rows.
-        pos = {v: np.arange(a, b) for v, (a, b) in t.state_row_ranges().items()}
-        pos.update({e: np.arange(n + a, n + b) for e, (a, b) in t.input_row_ranges().items()})
         rows, cols, vals = [], [], []
-        for v in t.state_vertices:
-            sub = local_subsystem(t, v)
-            parents = sub.state_parents + sub.input_parents
-            col = np.concatenate([pos[w] for w in (v, *parents)])
-            rows.append(np.repeat(pos[v], col.size))
-            cols.append(np.tile(col, t.dims[v]))
-            vals.append(np.hstack([self.self_blocks[v], *(self.edge_blocks[(w, v)] for w in parents)]).reshape(-1))
+        for group in gather_plan(t):
+            block_rows = np.stack([self._block_row(v) for v in group.vertices])
+            rows.append(np.broadcast_to(group.rows[:, :, None], block_rows.shape).reshape(-1))
+            cols.append(np.broadcast_to(group.cols[:, None, :], block_rows.shape).reshape(-1))
+            vals.append(block_rows.reshape(-1))
         if not rows:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+    def _block_row(self, v: str) -> np.ndarray:
+        """Vertex v's blocks side by side, in the column order of its gather indices."""
+        sub = local_subsystem(self.topology, v)
+        parents = sub.state_parents + sub.input_parents
+        return np.hstack([self.self_blocks[v], *(self.edge_blocks[(w, v)] for w in parents)])
 
 
 def _frozen(block) -> np.ndarray:

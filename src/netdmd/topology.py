@@ -8,13 +8,17 @@ every downstream block ordering.
 
 Each topology derives its parent index (the ordered state and input parents
 and the local dimension of every state vertex) once, in one pass over the
-edges, on the first lookup. Topologies are values: mutating one, ``dims``
-included, after that lookup leaves the index stale.
+edges, on the first lookup, and its gather plan (every vertex's positions in
+the stacked vector ``[x; u]``, grouped by local shape) on the first use of
+that. Topologies are values: mutating one, ``dims`` included, after either
+is derived leaves it stale.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import EmptyNetwork, NetdmdError, UnknownVertex
 
@@ -67,6 +71,10 @@ class NetworkTopology:
         """Every state vertex's :class:`LocalSubsystem`, or the error asking for it raises."""
         return _build_parent_index(self)
 
+    @cached_property
+    def _gather_plan(self) -> tuple[ShapeGroup, ...]:
+        return _build_gather_plan(self)
+
 
 def _ranges(vertices, dims):
     out = {}
@@ -90,6 +98,23 @@ class LocalSubsystem:
     state_parents: tuple[str, ...]
     input_parents: tuple[str, ...]
     local_dim: int
+
+
+@dataclass(frozen=True, eq=False)
+class ShapeGroup:
+    """The state vertices whose local data share one shape, with their gather indices.
+
+    Every vertex in ``vertices`` has center dimension d and local dimension
+    k. Row i of ``rows`` (G-by-d) holds the positions of ``vertices[i]`` in
+    the stacked state vector x; row i of ``cols`` (G-by-k) holds the
+    positions in ``[x; u]`` of its local data: the vertex itself, then its
+    state parents, then its input parents, each in declaration order. Input
+    positions are offset by the total state dimension.
+    """
+
+    vertices: tuple[str, ...]
+    rows: np.ndarray
+    cols: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -188,6 +213,42 @@ def local_subsystem(t: NetworkTopology, v: str) -> LocalSubsystem:
     if isinstance(entry, Exception):
         raise type(entry)(*entry.args)
     return entry
+
+
+def gather_plan(t: NetworkTopology) -> tuple[ShapeGroup, ...]:
+    """The topology's state vertices grouped by local shape (center dim, local dim).
+
+    Groups appear in the order of their first vertex, and vertices keep
+    declaration order within a group. Derived once per topology; raises what
+    :func:`local_subsystem` raises for the first state vertex it fails on.
+    """
+    return t._gather_plan
+
+
+def _build_gather_plan(t: NetworkTopology) -> tuple[ShapeGroup, ...]:
+    subs = [local_subsystem(t, v) for v in t.state_vertices]
+    pos = {}
+    offset = 0
+    for w in t.state_vertices + t.input_vertices:
+        pos[w] = range(offset, offset + t.dims[w])
+        offset += t.dims[w]
+    groups: dict[tuple[int, int], tuple[list, list, list]] = {}
+    for sub in subs:
+        v = sub.center
+        vertices, rows, cols = groups.setdefault((t.dims[v], sub.local_dim), ([], [], []))
+        vertices.append(v)
+        rows.append(pos[v])
+        cols.append([p for w in (v, *sub.state_parents, *sub.input_parents) for p in pos[w]])
+    return tuple(
+        ShapeGroup(tuple(vertices), _index_array(rows), _index_array(cols))
+        for vertices, rows, cols in groups.values()
+    )
+
+
+def _index_array(rows) -> np.ndarray:
+    out = np.array(rows, dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 def max_local_dim(t: NetworkTopology) -> int:

@@ -1,0 +1,179 @@
+"""The batched network DMDc solve and its gather plan against per-node oracles."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_network_dmdc_exact, rescan_local_subsystem, systems, topologies
+from netdmd.dmdcore import dmdc_exact
+from netdmd.errors import NetdmdError, RowRangeMismatch
+from netdmd.netdmdc import build_local_data, network_dmdc_exact, network_model_to_dict
+from netdmd.numkernel import conditioning_record
+from netdmd.sysmodel import LinearNetworkSystem, TrajectoryData, simulate
+from netdmd.topology import NetworkTopology, gather_plan
+
+
+def _trajectory(system, m, seed):
+    t = system.topology
+    rng = np.random.default_rng(seed)
+    return simulate(system, rng.uniform(-1, 1, t.total_state_dim), rng.uniform(-1, 1, (t.total_input_dim, m)))
+
+
+def _close(got, want):
+    return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _strip(model, t, v):
+    """Node v's row of blocks, in the column order of its local data."""
+    sub = rescan_local_subsystem(t, v)
+    blocks = [model.blocks_a[(v, v)]]
+    blocks += [model.blocks_a[(v, w)] for w in sub.state_parents]
+    blocks += [model.blocks_b[(v, e)] for e in sub.input_parents]
+    return np.hstack(blocks)
+
+
+@given(topologies())
+@settings(max_examples=80, deadline=None)
+def test_gather_plan_matches_rescan(t):
+    n = t.total_state_dim
+    pos = {v: list(range(*r)) for v, r in t.state_row_ranges().items()}
+    pos.update({e: [n + p for p in range(*r)] for e, r in t.input_row_ranges().items()})
+    plan = gather_plan(t)
+    grouped = [v for group in plan for v in group.vertices]
+    assert sorted(grouped) == sorted(t.state_vertices)
+    for group in plan:
+        order = [t.state_vertices.index(v) for v in group.vertices]
+        assert order == sorted(order)
+        for i, v in enumerate(group.vertices):
+            sub = rescan_local_subsystem(t, v)
+            assert group.rows[i].tolist() == pos[v]
+            assert group.cols[i].tolist() == [p for w in (v, *sub.state_parents, *sub.input_parents) for p in pos[w]]
+        shapes = {(t.dims[v], rescan_local_subsystem(t, v).local_dim) for v in group.vertices}
+        assert shapes == {(group.rows.shape[1], group.cols.shape[1])}
+    assert len({(g.rows.shape[1], g.cols.shape[1]) for g in plan}) == len(plan)
+
+
+def test_gather_plan_is_built_once(two_node_topology):
+    assert gather_plan(two_node_topology) is gather_plan(two_node_topology)
+
+
+@given(systems(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_batched_solve_matches_per_node_reference(system, m, seed):
+    t = system.topology
+    traj = _trajectory(system, m, seed)
+    model = network_dmdc_exact(t, traj)
+    a, b = reference_network_dmdc_exact(t, traj)
+    assert _close(model.assembled_a, a)
+    assert _close(model.assembled_b, b)
+    assert model.node_failures == {}
+    assert list(model.per_node_conditioning) == list(t.state_vertices)
+    for v in t.state_vertices:
+        ld = build_local_data(t, traj, v)
+        want = conditioning_record(np.vstack([ld.z_j, ld.gamma_j]))
+        got = model.per_node_conditioning[v]
+        # both extremes agree relative to the matrix norm, sigma_max
+        assert abs(got.sigma_max - want.sigma_max) <= 1e-12 * want.sigma_max
+        assert abs(got.sigma_min - want.sigma_min) <= 1e-12 * want.sigma_max
+        assert (got.warning, got.rcond_used) == (want.warning, want.rcond_used)
+
+
+@given(systems(), st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_non_finite_data_fails_exactly_the_nodes_that_read_it(system, m, seed, data):
+    t = system.topology
+    clean = _trajectory(system, m, seed)
+    arrays = {"z": clean.z.copy(), "gamma": clean.gamma.copy(), "y": clean.y.copy()}
+    names = [name for name, arr in arrays.items() if arr.size]
+    for _ in range(data.draw(st.integers(1, 3))):
+        arr = arrays[data.draw(st.sampled_from(names))]
+        row = data.draw(st.integers(0, arr.shape[0] - 1))
+        col = data.draw(st.integers(0, m - 1))
+        arr[row, col] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    traj = TrajectoryData(arrays["z"], arrays["gamma"], arrays["y"], clean.vertex_row_ranges)
+    model = network_dmdc_exact(t, traj)
+    want = {}
+    for v in t.state_vertices:
+        ld = build_local_data(t, traj, v)
+        try:
+            node = dmdc_exact(ld.z_j, ld.y_j, ld.gamma_j)
+        except NetdmdError as exc:
+            want[v] = str(exc)
+            assert not _strip(model, t, v).any()
+            continue
+        assert _close(_strip(model, t, v), np.hstack([node.a, node.b]))
+    assert model.node_failures == want
+    assert set(model.per_node_conditioning) == set(t.state_vertices) - set(want)
+
+
+def _star(leaves=3):
+    """v0 feeds every leaf; the leaves share one local shape and feed nothing."""
+    states = ("v0",) + tuple(f"v{i}" for i in range(1, leaves + 1))
+    t = NetworkTopology(states, (), tuple(("v0", v) for v in states[1:]), {v: 1 for v in states})
+    rng = np.random.default_rng(5)
+    blocks = {v: rng.uniform(-1, 1, (1, 1)) for v in states}
+    return LinearNetworkSystem(t, blocks, {e: rng.uniform(-1, 1, (1, 1)) for e in t.edges})
+
+
+def test_non_converging_node_fails_alone(monkeypatch):
+    system = _star()
+    t = system.topology
+    traj = _trajectory(system, 4, 11)
+    marker = 12345.678
+    z = traj.z.copy()
+    z[2, 0] = marker  # only v2's local data contain its own row
+    traj = TrajectoryData(z, traj.gamma, traj.y, traj.vertex_row_ranges)
+    real_svd = np.linalg.svd
+    stacks = []
+
+    def svd(a, *args, **kwargs):
+        stacks.append(np.ndim(a))
+        if np.any(np.asarray(a) == marker):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    model = network_dmdc_exact(t, traj)
+    assert model.node_failures == {"v2": "SVD did not converge"}
+    assert 3 in stacks
+    assert not _strip(model, t, "v2").any()
+    for v in ("v1", "v3"):
+        ld = build_local_data(t, traj, v)
+        node = dmdc_exact(ld.z_j, ld.y_j, ld.gamma_j)
+        assert _close(_strip(model, t, v), np.hstack([node.a, node.b]))
+        assert model.per_node_conditioning[v] == node.conditioning
+    assert set(model.per_node_conditioning) == {"v0", "v1", "v3"}
+
+
+def test_blocks_are_read_only_views_of_the_assembled_matrices(two_node_topology, two_node_trajectory):
+    model = network_dmdc_exact(two_node_topology, two_node_trajectory)
+    block = model.blocks_a[("v1", "v2")]
+    assert np.shares_memory(block, model.assembled_a)
+    assert block[0, 0] == model.assembled_a[0, 1]
+    assert not block.flags.writeable
+    assert np.shares_memory(model.blocks_b[("v2", "e2")], model.assembled_b)
+    with pytest.raises(TypeError):
+        model.blocks_a[("v1", "v2")] = np.zeros((1, 1))
+
+
+def test_json_block_keys_keep_vertex_then_parent_order(two_node_topology, two_node_trajectory):
+    doc = network_model_to_dict(network_dmdc_exact(two_node_topology, two_node_trajectory))
+    assert list(doc["blocks_a"]) == ["v1→v1", "v2→v1", "v2→v2"]
+    assert list(doc["blocks_b"]) == ["e1→v1", "e2→v2"]
+    assert list(doc["per_node_conditioning"]) == ["v1", "v2"]
+
+
+def test_missing_trajectory_rows_raise(two_node_topology, two_node_trajectory):
+    traj = two_node_trajectory
+    ranges = {k: r for k, r in traj.vertex_row_ranges.items() if k != "e1"}
+    with pytest.raises(RowRangeMismatch, match="e1"):
+        network_dmdc_exact(two_node_topology, TrajectoryData(traj.z, traj.gamma, traj.y, ranges))
+
+
+def test_unused_input_needs_no_trajectory_rows(two_node_system):
+    t = two_node_system.topology
+    wider = NetworkTopology(t.state_vertices, t.input_vertices + ("e3",), t.edges, {**t.dims, "e3": 1})
+    traj = simulate(two_node_system, (2.0, 5.0), np.array([[0.2, 0.4, 0.8], [0.3, 0.1, 0.3]]))
+    model = network_dmdc_exact(wider, TrajectoryData(traj.z, np.vstack([traj.gamma, np.ones(3)]), traj.y, traj.vertex_row_ranges))
+    assert model.assembled_b.shape == (2, 3)
+    assert not model.assembled_b[:, 2].any()

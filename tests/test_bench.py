@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import math
+
 from netdmd.errors import BadConfig
 from netdmd.bench import (
     CSV_COLUMNS,
@@ -78,6 +80,60 @@ class TestRunTrial:
         # full-rank data: reduced dmdc and network dmdc still recover
         assert by_alg["dmdc"].frobenius_error < 1e-6
         assert by_alg["network_dmdc"].frobenius_error < 1e-6
+
+
+class TestFailedCells:
+    def test_divergent_simulation_gives_one_failed_row_per_algorithm(self):
+        t = NetworkTopology(("v1",), (), (), {"v1": 1})
+        system = LinearNetworkSystem(t, {"v1": [[1e200]]}, {})
+        rows = run_trial(system, 3, ("dmd", "dmdc", "network_dmdc"), derive_rng(0), trial=4)
+        assert [r.algorithm for r in rows] == ["dmd", "dmdc", "network_dmdc"]
+        for row in rows:
+            assert (row.trial, row.m) == (4, 3)
+            assert math.isnan(row.frobenius_error) and math.isnan(row.cond_ratio)
+            assert row.warnings == "failed;error:Divergence"
+
+    def test_solver_failures_report_nan_errors(self, two_node_system, monkeypatch):
+        def svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        by_alg = {r.algorithm: r for r in run_trial(two_node_system, 5, ("dmdc", "network_dmdc"), derive_rng(1))}
+        assert math.isnan(by_alg["dmdc"].frobenius_error)
+        assert by_alg["dmdc"].warnings == "failed;error:ConvergenceFailure"
+        # every node failed, so the zeroed blocks are not scored
+        net = by_alg["network_dmdc"]
+        assert math.isnan(net.frobenius_error)
+        assert net.warnings.split(";") == ["failed:v1", "failed:v2"]
+
+    def test_mean_errors_skip_non_finite_rows(self):
+        from netdmd.bench import SweepRow
+
+        rows = [
+            SweepRow(0, 3, "dmdc", 1.0, 0.1, 0.0, ""),
+            SweepRow(1, 3, "dmdc", math.nan, math.nan, 0.0, "failed;error:Divergence"),
+            SweepRow(2, 3, "dmdc", 3.0, 0.1, 0.0, ""),
+            SweepRow(0, 3, "network_dmdc", math.nan, 0.1, 0.0, "failed:v1"),
+        ]
+        means = mean_errors(rows)
+        assert means[(3, "dmdc")] == 2.0
+        assert math.isnan(means[(3, "network_dmdc")])
+
+    def test_divergent_cell_does_not_abort_the_sweep(self):
+        # this ER graph overflows at step 874 of 2000
+        cfg = SweepConfig(
+            generator=GeneratorConfig(ErdosRenyi(30, 0.5)),
+            trials=1,
+            m_values=(5, 2000),
+            master_seed=1,
+        )
+        result = run_sweep(cfg)
+        assert len(result.rows) == 4
+        failed = [r for r in result.rows if r.m == 2000]
+        assert all(r.warnings == "failed;error:Divergence" for r in failed)
+        assert all(math.isfinite(r.frobenius_error) for r in result.rows if r.m == 5)
+        assert math.isnan(result.means[(2000, "dmdc")])
+        assert math.isfinite(result.means[(5, "network_dmdc")])
 
 
 class TestSweepConfig:

@@ -105,16 +105,6 @@ class TestNetworkDmdcExact:
                     clo, chi = srows[vi]
                     assert np.all(model.assembled_a[rlo:rhi, clo:chi] == 0.0)
 
-    def test_node_order_does_not_matter(self, two_node_topology, two_node_trajectory):
-        forward = network_dmdc_exact(two_node_topology, two_node_trajectory)
-        backward = network_dmdc_exact(two_node_topology, two_node_trajectory, node_order=("v2", "v1"))
-        assert forward.assembled_a.tobytes() == backward.assembled_a.tobytes()
-        assert forward.assembled_b.tobytes() == backward.assembled_b.tobytes()
-
-    def test_bad_node_order_rejected(self, two_node_topology, two_node_trajectory):
-        with pytest.raises(UnknownVertex):
-            network_dmdc_exact(two_node_topology, two_node_trajectory, node_order=("v1",))
-
     def test_matches_standard_dmdc_on_complete_graph(self):
         # every state feeds every other and each input feeds every state, so
         # each local regression sees the full stacked row space

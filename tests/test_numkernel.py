@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from netdmd.errors import AllZeroMatrix, NonFiniteEntry, NotSquare
+from netdmd.errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare
 from netdmd.numkernel import (
     ConditioningRecord,
     FixedRank,
     MachineDefault,
     RelativeThreshold,
+    conditioning_from_dict,
     conditioning_record,
+    conditioning_to_dict,
     eig,
     frobenius_norm,
+    pinv_conditioning,
     pseudoinverse,
     truncated_svd,
 )
@@ -91,6 +94,9 @@ class TestPseudoinverse:
         m = np.array([[3.0, 4.0]])
         assert_allclose(m @ pinv @ m, m, atol=1e-14)
         assert_allclose(pinv @ m @ pinv, pinv, atol=1e-14)
+
+    def test_vector_is_a_row(self):
+        assert_allclose(pseudoinverse([3.0, 4.0]), [[0.12], [0.16]], atol=1e-15)
 
     def test_zero_matrix(self):
         out = pseudoinverse(np.zeros((2, 3)))
@@ -199,3 +205,64 @@ class TestConditioningRecord:
         rec = conditioning_record(np.diag([1.0, 1e-12]))
         assert rec.warning
         assert rec.ratio == pytest.approx(1e-12)
+
+
+class TestPinvConditioning:
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(8)
+        stack = rng.uniform(-2, 2, size=(6, 3, 5))
+        stack[2] = 0.0
+        stack[4, 2] = stack[4, 0]  # rank deficient
+        pinv, records = pinv_conditioning(stack)
+        assert pinv.shape == (6, 5, 3) and len(records) == 6
+        assert not pinv[2].any() and records[2] == ConditioningRecord(0.0, 0.0, 1e-12, True)
+        for a, p, rec in zip(stack, pinv, records):
+            one, one_rec = pinv_conditioning(a)
+            assert np.array_equal(p, one) and rec == one_rec
+            assert np.array_equal(one, pseudoinverse(a))
+            assert np.linalg.norm(one - np.linalg.pinv(a, rcond=1e-12)) <= 1e-10 * max(1.0, np.linalg.norm(one))
+            want = conditioning_record(a)
+            assert abs(rec.sigma_max - want.sigma_max) <= 1e-12 * max(want.sigma_max, 1.0)
+            assert abs(rec.sigma_min - want.sigma_min) <= 1e-12 * max(want.sigma_max, 1.0)
+            assert rec.warning == want.warning
+        assert records[4].warning
+
+    def test_empty_matrix(self):
+        pinv, rec = pinv_conditioning(np.zeros((2, 0)))
+        assert pinv.shape == (0, 2)
+        assert rec == conditioning_record(np.zeros((2, 0))) == ConditioningRecord(0.0, 0.0, 1e-12, True)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(NonFiniteEntry):
+            pinv_conditioning(np.full((2, 2, 2), np.nan))
+        with pytest.raises(DimensionMismatch):
+            pinv_conditioning(np.zeros((1, 2, 2, 2)))
+        with pytest.raises(ValueError):
+            pinv_conditioning(np.eye(2), rcond=-1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pseudoinverse,
+        conditioning_record,
+        lambda a: truncated_svd(a, MachineDefault()),
+        pinv_conditioning,
+        lambda a: pinv_conditioning(np.stack([a, a])),
+    ],
+    ids=["pseudoinverse", "conditioning_record", "truncated_svd", "pinv_conditioning", "pinv_conditioning_stack"],
+)
+def test_svd_non_convergence_is_typed(call, monkeypatch):
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        call(STACK_3X3)
+
+
+def test_conditioning_dict_round_trip():
+    rec = conditioning_record(STACK_3X3)
+    doc = conditioning_to_dict(rec)
+    assert list(doc) == ["sigma_max", "sigma_min", "rcond_used", "warning"]
+    assert conditioning_from_dict(doc) == rec
