@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,7 +375,10 @@ def export_result(result: SweepResult, format: str, path) -> None:
 
     CSV columns are exactly ``CSV_COLUMNS``; the JSON mirrors the rows and
     adds the aggregate means plus the config (including the truncation rule
-    in force for every row).
+    in force for every row). Each mean entry counts, as ``excluded``, the
+    rows of its cell whose error is not finite. The JSON is strict: a
+    non-finite error, sigma ratio or mean is written as null, which
+    :func:`load_result_json` reads back as NaN.
     """
     if format == "csv":
         with open(path, "w", newline="") as fh:
@@ -393,6 +397,7 @@ def export_result(result: SweepResult, format: str, path) -> None:
                     ]
                 )
     elif format == "json":
+        excluded = Counter((row.m, row.algorithm) for row in result.rows if not math.isfinite(row.frobenius_error))
         doc = {
             "config": sweep_config_to_dict(result.config) if result.config is not None else None,
             "rows": [
@@ -400,8 +405,8 @@ def export_result(result: SweepResult, format: str, path) -> None:
                     "trial": row.trial,
                     "m": row.m,
                     "algorithm": row.algorithm,
-                    "frobenius_error": row.frobenius_error,
-                    "cond_ratio": row.cond_ratio,
+                    "frobenius_error": _finite_or_null(row.frobenius_error),
+                    "cond_ratio": _finite_or_null(row.cond_ratio),
                     "wall_time_s": row.wall_time_s,
                     "warnings": row.warnings,
                 }
@@ -409,14 +414,19 @@ def export_result(result: SweepResult, format: str, path) -> None:
             ],
             "aggregate": {
                 "means": [
-                    {"m": m, "algorithm": alg, "mean_frobenius_error": err}
+                    {
+                        "m": m,
+                        "algorithm": alg,
+                        "mean_frobenius_error": _finite_or_null(err),
+                        "excluded": excluded[(m, alg)],
+                    }
                     for (m, alg), err in sorted(result.means.items())
                 ]
             },
         }
+        text = json.dumps(doc, indent=2, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     else:
         raise BadConfig(f"unknown export format {format!r}")
 
@@ -429,19 +439,27 @@ def load_result_json(path) -> SweepResult:
             trial=int(r["trial"]),
             m=int(r["m"]),
             algorithm=r["algorithm"],
-            frobenius_error=float(r["frobenius_error"]),
-            cond_ratio=float(r["cond_ratio"]),
+            frobenius_error=_float_or_nan(r["frobenius_error"]),
+            cond_ratio=_float_or_nan(r["cond_ratio"]),
             wall_time_s=float(r["wall_time_s"]),
             warnings=r["warnings"],
         )
         for r in doc["rows"]
     )
     means = {
-        (int(entry["m"]), entry["algorithm"]): float(entry["mean_frobenius_error"])
+        (int(entry["m"]), entry["algorithm"]): _float_or_nan(entry["mean_frobenius_error"])
         for entry in doc["aggregate"]["means"]
     }
     config = sweep_config_from_dict(doc["config"]) if doc.get("config") else None
     return SweepResult(rows=rows, means=means, config=config)
+
+
+def _finite_or_null(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
+def _float_or_nan(x) -> float:
+    return math.nan if x is None else float(x)
 
 
 def load_result_csv(path) -> SweepResult:

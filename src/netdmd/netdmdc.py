@@ -10,9 +10,11 @@ batched SVD, and scatters the solutions into the assembled matrices.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -23,10 +25,10 @@ from .numkernel import (
     ConditioningRecord,
     MachineDefault,
     TruncationRule,
+    as_matrix,
     conditioning_from_dict,
     conditioning_record,
     conditioning_to_dict,
-    frobenius_norm,
     pinv_conditioning,
 )
 from .dmdcore import ExactLinearModel, dmdc_reduced
@@ -176,16 +178,17 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     batched SVD per group. A node whose data are not finite, or whose SVD
     does not converge, is recorded in ``node_failures`` with the message
     :func:`dmdc_exact` would raise and contributes zero blocks; the rest of
-    the model is still assembled.
+    the model is still assembled. The assembled A and B are views into one
+    buffer, which each group fills through the plan's flat destinations.
     """
     plan = gather_plan(t)
     n = t.total_state_dim
+    l = t.total_input_dim
     source = _trajectory_rows(t, traj)
     data = np.vstack([traj.z, traj.gamma])
     not_finite = ~np.isfinite(data).all(axis=1)
     y_not_finite = ~np.isfinite(traj.y).all(axis=1)
-    assembled_a = np.zeros((n, n))
-    assembled_b = np.zeros((n, t.total_input_dim))
+    coeffs = np.zeros(n * n + n * l)
     conditioning: dict[str, ConditioningRecord] = {}
     failures: dict[str, str] = {}
     for group in plan:
@@ -202,11 +205,11 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
         solved = [v for v, keep in zip(group.vertices, ok) if keep]
         for v, record in zip(solved, records):
             (failures if isinstance(record, str) else conditioning)[v] = record
-        _scatter(assembled_a, assembled_b, group.rows[ok], group.cols[ok], solution)
+        coeffs[group.dest[ok]] = solution
     return NetworkModel(
         topology=t,
-        assembled_a=assembled_a,
-        assembled_b=assembled_b,
+        assembled_a=coeffs[: n * n].reshape(n, n),
+        assembled_b=coeffs[n * n :].reshape(n, l),
         per_node_conditioning={v: conditioning[v] for v in t.state_vertices if v in conditioning},
         node_failures={v: failures[v] for v in t.state_vertices if v in failures},
     )
@@ -229,23 +232,22 @@ def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
     vertex order, whose own or parent rows are missing or mis-sized; a
     vertex that no node reads (an input without edges) may lack rows.
     """
-    source: list[int] = []
-    errors: dict[str, RowRangeMismatch] = {}
-    for vertices, shift in ((t.state_vertices, 0), (t.input_vertices, traj.z.shape[0])):
-        for w in vertices:
-            try:
-                lo, hi = _vertex_rows(t, traj, w)
-            except RowRangeMismatch as exc:
-                errors[w] = exc
-                source.extend([-1] * t.dims[w])
-                continue
-            source.extend(range(lo + shift, hi + shift))
-    for v in t.state_vertices if errors else ():
-        sub = local_subsystem(t, v)
-        for w in (v, *sub.state_parents, *sub.input_parents):
-            if w in errors:
-                raise errors[w]
-    return np.array(source, dtype=np.intp)
+    vertices = t.state_vertices + t.input_vertices
+    spans = [traj.vertex_row_ranges.get(w, (0, -1)) for w in vertices]
+    lo, hi = np.fromiter(chain.from_iterable(spans), dtype=np.intp).reshape(len(vertices), 2).T
+    dim = np.fromiter(map(t.dims.__getitem__, vertices), dtype=np.intp, count=len(vertices))
+    bad = hi - lo != dim
+    lo[len(t.state_vertices) :] += traj.z.shape[0]
+    source = np.repeat(lo - (np.cumsum(dim) - dim), dim) + np.arange(dim.sum())
+    if bad.any():
+        failing = {w for w, b in zip(vertices, bad) if b}
+        for v in t.state_vertices:
+            sub = local_subsystem(t, v)
+            for w in (v, *sub.state_parents, *sub.input_parents):
+                if w in failing:
+                    _vertex_rows(t, traj, w)  # raises
+        source[np.repeat(bad, dim)] = -1
+    return source
 
 
 def _non_finite_nodes(group: ShapeGroup, bad_cols: np.ndarray, bad_rows: np.ndarray):
@@ -280,16 +282,6 @@ def _solve_stack(omega: np.ndarray, y: np.ndarray, rcond: float):
         solution[i] = y[i] @ pinv
         records.append(record)
     return solution, records
-
-
-def _scatter(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, solution: np.ndarray) -> None:
-    """Write each node's solution rows into A (state columns) and B (input columns) in place."""
-    r = np.broadcast_to(rows[:, :, None], solution.shape)
-    c = np.broadcast_to(cols[:, None, :], solution.shape)
-    n = a.shape[0]
-    state = c < n
-    a[r[state], c[state]] = solution[state]
-    b[r[~state], c[~state] - n] = solution[~state]
 
 
 def network_dmdc_reduced(
@@ -377,12 +369,20 @@ def lift_reduced_network(model: ReducedNetworkModel) -> tuple[np.ndarray, np.nda
     return ublk @ model.assembled_a @ ublk.T, ublk @ model.assembled_b
 
 
+#: Elements of :func:`model_error`'s difference buffer: 96 KiB of float64, which
+#: stays in cache and below glibc's default 128 KiB mmap threshold.
+_SCORE_BLOCK_ELEMENTS = 12 * 1024
+
+
 def model_error(model, truth_a, truth_b=None) -> float:
     """Frobenius norm of ``[A B] - [A_true B_true]``.
 
     Accepts a :class:`NetworkModel` or :class:`ExactLinearModel`. The input
     part is skipped when both the model and the truth lack one (None or zero
-    columns); a one-sided input operator is a dimension error.
+    columns); a one-sided input operator is a dimension error. The squared
+    differences are summed a few rows at a time through one small buffer, so
+    no n-by-n temporary is made. A NaN or Inf difference raises
+    :class:`NonFiniteEntry`; finite differences whose squares overflow give inf.
     """
     if isinstance(model, NetworkModel):
         a, b = model.assembled_a, model.assembled_b
@@ -393,14 +393,39 @@ def model_error(model, truth_a, truth_b=None) -> float:
     truth_a = np.asarray(truth_a, dtype=float)
     if a.shape != truth_a.shape:
         raise DimensionMismatch(f"A is {a.shape} but truth is {truth_a.shape}")
+    pairs = [(a, truth_a)]
     b_width = 0 if b is None else b.shape[1]
     truth_width = 0 if truth_b is None else np.asarray(truth_b).shape[1]
-    if b_width == 0 and truth_width == 0:
-        return frobenius_norm(a - truth_a)
     if b_width != truth_width:
         raise DimensionMismatch(f"B has {b_width} columns but truth has {truth_width}")
-    truth_b = np.asarray(truth_b, dtype=float)
-    return frobenius_norm(np.hstack([a - truth_a, b - truth_b]))
+    if b_width:
+        truth_b = np.asarray(truth_b, dtype=float)
+        if b.shape != truth_b.shape:
+            raise DimensionMismatch(f"B is {b.shape} but truth is {truth_b.shape}")
+        pairs.append((b, truth_b))
+    total = _squared_distance(pairs)
+    if not math.isfinite(total):
+        for x, y in pairs:
+            as_matrix(x - y)  # raises NonFiniteEntry unless only the squares overflowed
+    return math.sqrt(total)
+
+
+def _squared_distance(pairs) -> float:
+    """Sum of squared entries of ``[x1 - y1, x2 - y2, ...]``, row blocks at a time."""
+    n = pairs[0][0].shape[0]
+    width = sum(x.shape[1] for x, _ in pairs)
+    buffer = np.empty((max(1, _SCORE_BLOCK_ELEMENTS // max(width, 1)), width))
+    total = 0.0
+    for lo in range(0, n, buffer.shape[0]):
+        hi = min(lo + buffer.shape[0], n)
+        block = buffer[: hi - lo]
+        col = 0
+        for x, y in pairs:
+            np.subtract(x[lo:hi], y[lo:hi], out=block[:, col : col + x.shape[1]])
+            col += x.shape[1]
+        flat = block.ravel()
+        total += float(flat @ flat)
+    return total
 
 
 def network_model_to_dict(model: NetworkModel) -> dict:

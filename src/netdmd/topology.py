@@ -9,9 +9,9 @@ every downstream block ordering.
 Each topology derives its parent index (the ordered state and input parents
 and the local dimension of every state vertex) once, in one pass over the
 edges, on the first lookup, and its gather plan (every vertex's positions in
-the stacked vector ``[x; u]``, grouped by local shape) on the first use of
-that. Topologies are values: mutating one, ``dims`` included, after either
-is derived leaves it stale.
+the stacked vector ``[x; u]`` and in the assembled matrices, grouped by local
+shape) on the first use of that. Topologies are values: mutating one,
+``dims`` included, after either is derived leaves it stale.
 """
 from __future__ import annotations
 
@@ -110,11 +110,18 @@ class ShapeGroup:
     positions in ``[x; u]`` of its local data: the vertex itself, then its
     state parents, then its input parents, each in declaration order. Input
     positions are offset by the total state dimension.
+
+    ``dest[i]`` (d-by-k) places ``vertices[i]``'s coefficient rows: entry
+    (r, c) is the flat position of A[rows[i, r], cols[i, c]], or of
+    B[rows[i, r], cols[i, c] - n] for an input column, in one buffer that
+    holds the n-by-n A and then the n-by-l B, each row-major (n and l are
+    the total state and input dimensions).
     """
 
     vertices: tuple[str, ...]
     rows: np.ndarray
     cols: np.ndarray
+    dest: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -239,10 +246,15 @@ def _build_gather_plan(t: NetworkTopology) -> tuple[ShapeGroup, ...]:
         vertices.append(v)
         rows.append(pos[v])
         cols.append([p for w in (v, *sub.state_parents, *sub.input_parents) for p in pos[w]])
-    return tuple(
-        ShapeGroup(tuple(vertices), _index_array(rows), _index_array(cols))
-        for vertices, rows, cols in groups.values()
-    )
+    n = t.total_state_dim
+    l = t.total_input_dim
+    plan = []
+    for vertices, rows, cols in groups.values():
+        rows, cols = _index_array(rows), _index_array(cols)
+        r, c = rows[:, :, None], cols[:, None, :]
+        dest = _index_array(np.where(c < n, r * n + c, n * n + r * l + (c - n)))
+        plan.append(ShapeGroup(tuple(vertices), rows, cols, dest))
+    return tuple(plan)
 
 
 def _index_array(rows) -> np.ndarray:

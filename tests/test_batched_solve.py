@@ -1,16 +1,27 @@
 """The batched network DMDc solve and its gather plan against per-node oracles."""
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_network_dmdc_exact, rescan_local_subsystem, systems, topologies
+from netdmd.bench import generate_system
 from netdmd.dmdcore import dmdc_exact
 from netdmd.errors import NetdmdError, RowRangeMismatch
 from netdmd.netdmdc import build_local_data, network_dmdc_exact, network_model_to_dict
 from netdmd.numkernel import conditioning_record
-from netdmd.sysmodel import LinearNetworkSystem, TrajectoryData, simulate
-from netdmd.topology import NetworkTopology, gather_plan
+from netdmd.sysmodel import (
+    Circular,
+    ErdosRenyi,
+    GeneratorConfig,
+    LinearNetworkSystem,
+    TrajectoryData,
+    derive_rng,
+    simulate,
+)
+from netdmd.topology import NetworkTopology, gather_plan, max_local_dim
 
 
 def _trajectory(system, m, seed):
@@ -177,3 +188,81 @@ def test_unused_input_needs_no_trajectory_rows(two_node_system):
     model = network_dmdc_exact(wider, TrajectoryData(traj.z, np.vstack([traj.gamma, np.ones(3)]), traj.y, traj.vertex_row_ranges))
     assert model.assembled_b.shape == (2, 3)
     assert not model.assembled_b[:, 2].any()
+
+
+@given(topologies())
+@settings(max_examples=80, deadline=None)
+def test_gather_plan_destinations_cover_exactly_the_edge_blocks(t):
+    n, l = t.total_state_dim, t.total_input_dim
+    srows = t.state_row_ranges()
+    irows = t.input_row_ranges()
+    want_a = np.zeros((n, n), dtype=int)
+    want_b = np.zeros((n, l), dtype=int)
+    for v in t.state_vertices:
+        sub = rescan_local_subsystem(t, v)
+        rows = slice(*srows[v])
+        for w in (v, *sub.state_parents):
+            want_a[rows, slice(*srows[w])] = 1
+        for e in sub.input_parents:
+            want_b[rows, slice(*irows[e])] = 1
+    hits = np.zeros(n * n + n * l, dtype=int)
+    for group in gather_plan(t):
+        assert group.dest.shape == (len(group.vertices), group.rows.shape[1], group.cols.shape[1])
+        assert not group.dest.flags.writeable
+        np.add.at(hits, group.dest.reshape(-1), 1)
+        for i in range(len(group.vertices)):
+            for r, row in enumerate(group.rows[i]):
+                for c, col in enumerate(group.cols[i]):
+                    want = row * n + col if col < n else n * n + row * l + col - n
+                    assert group.dest[i, r, c] == want
+    assert np.array_equal(hits[: n * n].reshape(n, n), want_a)
+    assert np.array_equal(hits[n * n :].reshape(n, l), want_b)
+
+
+@given(systems(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_trajectory_row_errors_match_the_per_node_gather(system, data):
+    t = system.topology
+    traj = _trajectory(system, 3, 0)
+    ranges = dict(traj.vertex_row_ranges)
+    vertices = t.state_vertices + t.input_vertices
+    for w in data.draw(st.lists(st.sampled_from(vertices), max_size=3, unique=True)):
+        lo, hi = ranges[w]
+        change = data.draw(st.sampled_from(["drop", "shorter", "longer"]))
+        if change == "drop":
+            del ranges[w]
+        else:
+            ranges[w] = (lo, hi - 1 if change == "shorter" else hi + 1)
+    broken = TrajectoryData(traj.z, traj.gamma, traj.y, ranges)
+    want = None
+    try:
+        for v in t.state_vertices:
+            build_local_data(t, broken, v)
+    except RowRangeMismatch as exc:
+        want = str(exc)
+    if want is None:
+        model = network_dmdc_exact(t, broken)
+        a, b = reference_network_dmdc_exact(t, broken)
+        assert _close(model.assembled_a, a) and _close(model.assembled_b, b)
+    else:
+        with pytest.raises(RowRangeMismatch) as raised:
+            network_dmdc_exact(t, broken)
+        assert str(raised.value) == want
+
+
+def test_fresh_topologies_in_a_row_match_the_per_node_reference():
+    # each topology is dropped before the next is built, so a later one can
+    # reuse the memory (and ids) of an earlier one's derived index arrays
+    for i in range(50):
+        n = 3 + i % 6
+        family = Circular(n, 2) if i % 2 else ErdosRenyi(n, 0.4)
+        system = generate_system(GeneratorConfig(family, seed=i), derive_rng(7, i))
+        t = system.topology
+        traj = _trajectory(system, max_local_dim(t) + 2, i)
+        model = network_dmdc_exact(t, traj)
+        a, b = reference_network_dmdc_exact(t, traj)
+        assert _close(model.assembled_a, a), i
+        assert _close(model.assembled_b, b), i
+        assert model.node_failures == {}
+        del system, t, traj, model
+        gc.collect()

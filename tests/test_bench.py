@@ -136,6 +136,69 @@ class TestFailedCells:
         assert math.isfinite(result.means[(5, "network_dmdc")])
 
 
+    def test_json_export_is_strict_and_counts_excluded_rows(self, tmp_path):
+        import json
+
+        cfg = SweepConfig(
+            generator=GeneratorConfig(ErdosRenyi(30, 0.5)),
+            trials=1,
+            m_values=(5, 2000),
+            master_seed=1,
+        )
+        result = run_sweep(cfg)
+        path = tmp_path / "out.json"
+        export_result(result, "json", path)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        failed = [r for r in doc["rows"] if r["m"] == 2000]
+        assert failed and all(r["frobenius_error"] is None and r["cond_ratio"] is None for r in failed)
+        means = {(e["m"], e["algorithm"]): e for e in doc["aggregate"]["means"]}
+        assert means[(2000, "dmdc")]["mean_frobenius_error"] is None
+        assert {key: e["excluded"] for key, e in means.items()} == {
+            (5, "dmdc"): 0,
+            (5, "network_dmdc"): 0,
+            (2000, "dmdc"): 1,
+            (2000, "network_dmdc"): 1,
+        }
+
+        back = load_result_json(path)
+        assert back.config == result.config
+        assert len(back.rows) == len(result.rows)
+        for got, want in zip(back.rows, result.rows):
+            for name in ("trial", "m", "algorithm", "warnings"):
+                assert getattr(got, name) == getattr(want, name)
+            for name in ("frobenius_error", "cond_ratio", "wall_time_s"):
+                assert _same_float(getattr(got, name), getattr(want, name))
+        assert back.means.keys() == result.means.keys()
+        assert all(_same_float(back.means[key], result.means[key]) for key in result.means)
+
+    def test_excluded_counts_only_non_finite_rows(self, tmp_path):
+        import json
+
+        from netdmd.bench import SweepRow
+
+        rows = (
+            SweepRow(0, 3, "dmdc", 1.0, 0.1, 0.0, ""),
+            SweepRow(1, 3, "dmdc", math.nan, math.nan, 0.0, "failed;error:Divergence"),
+            SweepRow(2, 3, "dmdc", math.inf, 0.1, 0.0, ""),
+            SweepRow(0, 3, "network_dmdc", 2.0, 0.1, 0.0, ""),
+        )
+        path = tmp_path / "out.json"
+        export_result(SweepResult(rows=rows, means=mean_errors(rows)), "json", path)
+        means = json.loads(path.read_text())["aggregate"]["means"]
+        assert [(e["algorithm"], e["mean_frobenius_error"], e["excluded"]) for e in means] == [
+            ("dmdc", 1.0, 2),
+            ("network_dmdc", 2.0, 0),
+        ]
+
+
+def _same_float(x: float, y: float) -> bool:
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
 class TestSweepConfig:
     def test_validation(self):
         gen = GeneratorConfig(Circular(4, 2))
