@@ -10,7 +10,6 @@ aside).
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import time
@@ -27,7 +26,6 @@ from .numkernel import (
     MachineDefault,
     RelativeThreshold,
     TruncationRule,
-    conditioning_record,
 )
 from .dmdcore import ExactLinearModel, dmd_exact, dmd_reduced, dmdc_exact, dmdc_reduced, lift_reduced
 from .netdmdc import lift_reduced_network, model_error, network_dmdc_exact, network_dmdc_reduced
@@ -115,15 +113,6 @@ def mean_errors(rows) -> dict[tuple[int, str], float]:
     return {key: float(np.mean(vals)) if vals else math.nan for key, vals in sorted(sums.items())}
 
 
-def trajectory_digest(traj) -> str:
-    """SHA-256 over the trajectory arrays; used to assert fairness across algorithms."""
-    h = hashlib.sha256()
-    for arr in (traj.z, traj.gamma, traj.y):
-        h.update(str(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
-
-
 def _worst_record(records: dict, rcond: float) -> ConditioningRecord:
     """The per-node record with the smallest sigma ratio (degenerate if none)."""
     if not records:
@@ -134,48 +123,31 @@ def _worst_record(records: dict, rcond: float) -> ConditioningRecord:
 def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
     """Run one algorithm; returns (a, b, conditioning record, warnings list)."""
     t = system.topology
-    warnings = []
     if algorithm == "network_dmdc":
         if use_reduced:
-            reduced = network_dmdc_reduced(t, traj, truncation, truncation)
-            a, b = lift_reduced_network(reduced)
-            records = reduced.per_node_conditioning
-            failures = reduced.node_failures
+            model = network_dmdc_reduced(t, traj, truncation, truncation)
+            a, b = lift_reduced_network(model)
         else:
             model = network_dmdc_exact(t, traj, rcond)
             a, b = model.assembled_a, model.assembled_b
-            records = model.per_node_conditioning
-            failures = model.node_failures
-        warnings += [f"ill_conditioned:{v}" for v, rec in sorted(records.items()) if rec.warning]
-        warnings += [f"failed:{v}" for v in sorted(failures)]
+        records = model.per_node_conditioning
+        warnings = [f"ill_conditioned:{v}" for v, rec in sorted(records.items()) if rec.warning]
+        warnings += [f"failed:{v}" for v in sorted(model.node_failures)]
         return a, b, _worst_record(records, rcond), warnings
     if algorithm == "dmdc":
         if use_reduced:
-            reduced, _ = dmdc_reduced(traj.z, traj.y, traj.gamma, truncation, truncation)
-            a, b = lift_reduced(reduced)
-            record = conditioning_record(np.vstack([traj.z, traj.gamma]), rcond)
+            model, _ = dmdc_reduced(traj.z, traj.y, traj.gamma, truncation, truncation)
         else:
             model = dmdc_exact(traj.z, traj.y, traj.gamma, rcond)
-            a, b = model.a, model.b
-            record = model.conditioning
-        if record.warning:
-            warnings.append("ill_conditioned")
-        return a, b, record, warnings
-    if algorithm == "dmd":
-        if use_reduced:
-            reduced, _ = dmd_reduced(traj.z, traj.y, truncation)
-            a, _ = lift_reduced(reduced)
-            record = conditioning_record(traj.z, rcond)
-        else:
-            model = dmd_exact(traj.z, traj.y, rcond)
-            a = model.a
-            record = model.conditioning
-        if record.warning:
-            warnings.append("ill_conditioned")
-        if t.total_input_dim > 0:
-            warnings.append("dmd_ignores_inputs")
-        return a, None, record, warnings
-    raise BadConfig(f"unknown algorithm {algorithm!r}")
+    elif algorithm == "dmd":
+        model = dmd_reduced(traj.z, traj.y, truncation)[0] if use_reduced else dmd_exact(traj.z, traj.y, rcond)
+    else:
+        raise BadConfig(f"unknown algorithm {algorithm!r}")
+    a, b = lift_reduced(model) if use_reduced else (model.a, model.b)
+    warnings = ["ill_conditioned"] if model.conditioning.warning else []
+    if algorithm == "dmd" and t.total_input_dim > 0:
+        warnings.append("dmd_ignores_inputs")
+    return a, b, model.conditioning, warnings
 
 
 def run_trial(
@@ -194,9 +166,10 @@ def run_trial(
 
     The state starts uniform in ``initial_state_range`` and each input entry
     is drawn i.i.d. uniform from ``input_range``. All algorithms consume the
-    same trajectory (checked by hash); the error is measured against the
-    system's true assembled matrices. A plain DMD run on a driven system
-    scores its state operator only and is tagged ``dmd_ignores_inputs``.
+    same trajectory, which :func:`simulate` returns read-only; the error is
+    measured against the system's true assembled matrices. A plain DMD run
+    on a driven system scores its state operator only and is tagged
+    ``dmd_ignores_inputs``.
 
     Failures become rows, not exceptions. If the simulation or an algorithm
     raises a :class:`NetdmdError`, each affected row has a NaN error and
@@ -214,11 +187,8 @@ def run_trial(
     except NetdmdError as exc:
         return [_failed_row(trial, m, algorithm, 0.0, exc) for algorithm in algorithms]
     truth_a, truth_b = true_full_matrices(system)
-    digest = trajectory_digest(traj)
     rows = []
     for algorithm in algorithms:
-        if trajectory_digest(traj) != digest:
-            raise AssertionError("trajectory mutated between algorithm dispatches")
         start = time.perf_counter()
         try:
             a, b, record, warnings = _identify(algorithm, system, traj, rcond, truncation, use_reduced)

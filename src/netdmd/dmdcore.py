@@ -51,7 +51,9 @@ class ReducedLinearModel:
 
     ``u_hat`` (n-by-r, orthonormal columns) projects full states down and
     lifts reduced states back up. ``p`` is the input-stack truncation rank,
-    ``r`` the output truncation rank.
+    ``r`` the output truncation rank. ``conditioning`` describes the data
+    matrix of the input-stack SVD (``[z; gamma]``, or z for DMD), read from
+    that SVD's singular values.
     """
 
     a_tilde: np.ndarray
@@ -59,6 +61,7 @@ class ReducedLinearModel:
     u_hat: np.ndarray
     p: int
     r: int
+    conditioning: ConditioningRecord
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +149,7 @@ def dmd_reduced(z, y, rule: TruncationRule = MachineDefault()) -> tuple[ReducedL
         u_hat=svd.u,
         p=svd.truncation_rank,
         r=svd.truncation_rank,
+        conditioning=svd.conditioning,
     )
     return model, DynamicModes(values, modes, source="reduced", n_zero_excluded=dropped)
 
@@ -194,6 +198,7 @@ def dmdc_reduced(
         u_hat=u_hat,
         p=svd_in.truncation_rank,
         r=svd_out.truncation_rank,
+        conditioning=svd_in.conditioning,
     )
     return model, DynamicModes(values, modes, source="reduced", n_zero_excluded=dropped)
 

@@ -4,9 +4,11 @@ Each state vertex is identified from its own rows of the trajectory plus the
 rows of its parents (states and inputs alike enter the local regression as
 controls). The per-node results are assembled into full matrices whose
 blocks are exactly zero wherever the topology has no edge. Node
-identifications are independent of one another, so the exact solve gathers
-all nodes of one local shape into a stack, factors the stack with one
-batched SVD, and scatters the solutions into the assembled matrices.
+identifications are independent of one another, so both network solvers
+gather all nodes of one local shape into a stack: the exact solve factors
+the stack with one batched SVD and scatters the solutions into the
+assembled matrices; the reduced solve runs its two truncated SVDs per node
+on slices of the stack. Either model stores only its assembled matrices.
 """
 from __future__ import annotations
 
@@ -27,15 +29,15 @@ from .numkernel import (
     TruncationRule,
     as_matrix,
     conditioning_from_dict,
-    conditioning_record,
     conditioning_to_dict,
     pinv_conditioning,
 )
-from .dmdcore import ExactLinearModel, dmdc_reduced
+from .dmdcore import ExactLinearModel, ReducedLinearModel, dmdc_reduced
 from .sysmodel import BLOCK_KEY_SEP, TrajectoryData
 from .topology import (
     NetworkTopology,
     ShapeGroup,
+    _ranges,
     gather_plan,
     local_subsystem,
     topology_from_dict,
@@ -59,24 +61,19 @@ class LocalData:
     parent_row_ranges: dict[str, tuple[int, int]]
 
 
-@dataclass(frozen=True, eq=False)
-class NetworkModel:
-    """Block-structured full-order model identified node by node.
+class _BlockViews:
+    """Per-edge read-only views into a network model's assembled matrices.
 
-    ``assembled_a``/``assembled_b`` are the full matrices, with exact zeros
-    at non-edges; they are the model's only stored coefficients.
     ``blocks_a[(j, i)]`` couples state vertex i into j (including the
     structural diagonal j == i) and ``blocks_b[(j, i)]`` couples input
-    vertex i into j: read-only views into the assembled matrices, one per
-    edge. Nodes whose local regression failed appear in ``node_failures``
-    with zeroed blocks.
+    vertex i into j, one per edge, vertex by vertex: each vertex's own block,
+    then its state parents', then its input parents'. ``_row_ranges`` gives
+    each state vertex's rows of A, which are also its columns: by default
+    its rows in the stacked state vector.
     """
 
-    topology: NetworkTopology
-    assembled_a: np.ndarray
-    assembled_b: np.ndarray
-    per_node_conditioning: dict[str, ConditioningRecord]
-    node_failures: dict[str, str]
+    def _row_ranges(self) -> dict[str, tuple[int, int]]:
+        return self.topology.state_row_ranges()
 
     @property
     def blocks_a(self) -> Mapping[tuple[str, str], np.ndarray]:
@@ -89,7 +86,7 @@ class NetworkModel:
     @cached_property
     def _blocks(self):
         t = self.topology
-        srows = t.state_row_ranges()
+        srows = self._row_ranges()
         irows = t.input_row_ranges()
         blocks_a: dict[tuple[str, str], np.ndarray] = {}
         blocks_b: dict[tuple[str, str], np.ndarray] = {}
@@ -111,61 +108,62 @@ def _view(block: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ReducedNetworkModel:
+class NetworkModel(_BlockViews):
+    """Block-structured full-order model identified node by node.
+
+    ``assembled_a``/``assembled_b`` are the full matrices, with exact zeros
+    at non-edges; they are the model's only stored coefficients, and
+    ``blocks_a``/``blocks_b`` view them edge by edge. Nodes whose local
+    regression failed appear in ``node_failures`` with zeroed blocks.
+    """
+
+    topology: NetworkTopology
+    assembled_a: np.ndarray
+    assembled_b: np.ndarray
+    per_node_conditioning: dict[str, ConditioningRecord]
+    node_failures: dict[str, str]
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedNetworkModel(_BlockViews):
     """Blockwise reduced model with one projector per state vertex.
 
     Node j's reduced state is ``u_hat[j].T @ x_j``. Diagonal blocks are
     r_j-by-r_j; cross blocks map node k's reduced coordinates into node j's;
-    input blocks keep the raw input coordinates.
+    input blocks keep the raw input coordinates. ``assembled_a``/
+    ``assembled_b`` are the model's only stored coefficients, and
+    ``blocks_a``/``blocks_b`` view them edge by edge.
     """
 
     topology: NetworkTopology
     u_hat: dict[str, np.ndarray]
-    blocks_a: dict[tuple[str, str], np.ndarray]
-    blocks_b: dict[tuple[str, str], np.ndarray]
     assembled_a: np.ndarray
     assembled_b: np.ndarray
     per_node_conditioning: dict[str, ConditioningRecord]
     node_failures: dict[str, str]
 
     def reduced_row_ranges(self) -> dict[str, tuple[int, int]]:
-        out = {}
-        offset = 0
-        for v in self.topology.state_vertices:
-            r = self.u_hat[v].shape[1]
-            out[v] = (offset, offset + r)
-            offset += r
-        return out
+        return _ranges(self.topology.state_vertices, {v: u.shape[1] for v, u in self.u_hat.items()})
+
+    _row_ranges = reduced_row_ranges
 
 
 def build_local_data(t: NetworkTopology, traj: TrajectoryData, v: str) -> LocalData:
     """Slice one vertex's rows and stack its parents' rows as local controls."""
     sub = local_subsystem(t, v)
-    ranges = traj.vertex_row_ranges
-    for w in (v, *sub.state_parents, *sub.input_parents):
+    parents = sub.state_parents + sub.input_parents
+    for w in (v, *parents):
         _vertex_rows(t, traj, w)
+    ranges = traj.vertex_row_ranges
+    pieces = [traj.z[slice(*ranges[w])] for w in sub.state_parents]
+    pieces += [traj.gamma[slice(*ranges[e])] for e in sub.input_parents]
     lo, hi = ranges[v]
-    m = traj.z.shape[1]
-    pieces = []
-    parent_ranges = {}
-    offset = 0
-    for w in sub.state_parents:
-        wlo, whi = ranges[w]
-        pieces.append(traj.z[wlo:whi, :])
-        parent_ranges[w] = (offset, offset + (whi - wlo))
-        offset += whi - wlo
-    for e in sub.input_parents:
-        elo, ehi = ranges[e]
-        pieces.append(traj.gamma[elo:ehi, :])
-        parent_ranges[e] = (offset, offset + (ehi - elo))
-        offset += ehi - elo
-    gamma_j = np.vstack(pieces) if pieces else np.zeros((0, m))
     return LocalData(
         center=v,
         z_j=traj.z[lo:hi, :].copy(),
         y_j=traj.y[lo:hi, :].copy(),
-        gamma_j=gamma_j,
-        parent_row_ranges=parent_ranges,
+        gamma_j=np.vstack(pieces) if pieces else np.zeros((0, traj.z.shape[1])),
+        parent_row_ranges=_ranges(parents, t.dims),
     )
 
 
@@ -181,29 +179,14 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     the model is still assembled. The assembled A and B are views into one
     buffer, which each group fills through the plan's flat destinations.
     """
-    plan = gather_plan(t)
     n = t.total_state_dim
     l = t.total_input_dim
-    source = _trajectory_rows(t, traj)
-    data = np.vstack([traj.z, traj.gamma])
-    not_finite = ~np.isfinite(data).all(axis=1)
-    y_not_finite = ~np.isfinite(traj.y).all(axis=1)
     coeffs = np.zeros(n * n + n * l)
     conditioning: dict[str, ConditioningRecord] = {}
     failures: dict[str, str] = {}
-    for group in plan:
-        cols = source[group.cols]
-        rows = source[group.rows]
-        ok = np.ones(len(group.vertices), dtype=bool)
-        for i, message in _non_finite_nodes(group, not_finite[cols], y_not_finite[rows]):
-            failures[group.vertices[i]] = message
-            ok[i] = False
-        if not ok.any():
-            continue
-        omega = data[cols[ok]]
-        solution, records = _solve_stack(omega, traj.y[rows[ok]], rcond)
-        solved = [v for v, keep in zip(group.vertices, ok) if keep]
-        for v, record in zip(solved, records):
+    for group, ok, kept, omega, y in _gathered(t, traj, failures):
+        solution, records = _solve_stack(omega, y, rcond)
+        for v, record in zip(kept, records):
             (failures if isinstance(record, str) else conditioning)[v] = record
         coeffs[group.dest[ok]] = solution
     return NetworkModel(
@@ -213,6 +196,33 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
         per_node_conditioning={v: conditioning[v] for v in t.state_vertices if v in conditioning},
         node_failures={v: failures[v] for v in t.state_vertices if v in failures},
     )
+
+
+def _gathered(t: NetworkTopology, traj: TrajectoryData, failures: dict[str, str]):
+    """Each shape group's local data as stacks, for the nodes whose data are finite.
+
+    Yields ``(group, ok, kept, omega, y)`` for every group of the gather plan
+    that keeps a node: ``ok`` masks the group's nodes whose z, y and gamma
+    parts are all finite, ``kept`` names them, and ``omega`` (G-by-k-by-m)
+    and ``y`` (G-by-d-by-m) stack their ``Omega_j = [Z_j; Gamma_j]`` and
+    ``Y_j``. Each other node gets, in ``failures``, the message
+    :func:`dmdc_exact` would raise for its data.
+    """
+    plan = gather_plan(t)
+    source = _trajectory_rows(t, traj)
+    data = np.vstack([traj.z, traj.gamma])
+    not_finite = ~np.isfinite(data).all(axis=1)
+    y_not_finite = ~np.isfinite(traj.y).all(axis=1)
+    for group in plan:
+        cols = source[group.cols]
+        rows = source[group.rows]
+        ok = np.ones(len(group.vertices), dtype=bool)
+        for i, message in _non_finite_nodes(group, not_finite[cols], y_not_finite[rows]):
+            failures[group.vertices[i]] = message
+            ok[i] = False
+        if ok.any():
+            kept = [v for v, keep in zip(group.vertices, ok) if keep]
+            yield group, ok, kept, data[cols[ok]], traj.y[rows[ok]]
 
 
 def _vertex_rows(t: NetworkTopology, traj: TrajectoryData, w: str) -> tuple[int, int]:
@@ -292,65 +302,45 @@ def network_dmdc_reduced(
 ) -> ReducedNetworkModel:
     """Per-node reduced DMDc composed into a blockwise reduced network model.
 
-    Pass one runs every node's reduced identification; pass two rewrites each
-    cross block into the parent's reduced coordinates (right-multiplying by
-    the parent's projector) and assembles the block matrices. A failed node
-    keeps an identity projector and zero blocks.
+    Nodes are gathered a shape group at a time, as in
+    :func:`network_dmdc_exact`, and each is identified by :func:`dmdc_reduced`
+    on its slices of the stacks; its record comes from that call's SVD of
+    ``Omega_j``. Once every projector is known, each node's blocks are
+    written into the assembled matrices, every cross block rewritten into
+    the parent's reduced coordinates (right-multiplied by the parent's
+    projector). A failed node keeps an identity projector and zero blocks.
     """
-    u_hat: dict[str, np.ndarray] = {}
-    diag: dict[str, np.ndarray] = {}
-    raw_cross: dict[tuple[str, str], np.ndarray] = {}
-    blocks_b: dict[tuple[str, str], np.ndarray] = {}
-    conditioning: dict[str, ConditioningRecord] = {}
     failures: dict[str, str] = {}
-    srows = t.state_row_ranges()
-    for v in t.state_vertices:
-        ld = build_local_data(t, traj, v)
-        try:
-            model, _ = dmdc_reduced(ld.z_j, ld.y_j, ld.gamma_j, input_rule, output_rule)
-        except NetdmdError as exc:
-            failures[v] = str(exc)
-            u_hat[v] = np.eye(t.dims[v])
-            diag[v] = np.zeros((t.dims[v], t.dims[v]))
-            for w in ld.parent_row_ranges:
-                (raw_cross if w in srows else blocks_b)[(v, w)] = np.zeros((t.dims[v], t.dims[w]))
-            continue
-        conditioning[v] = conditioning_record(np.vstack([ld.z_j, ld.gamma_j]))
-        u_hat[v] = model.u_hat
-        diag[v] = model.a_tilde
-        for w, (plo, phi) in ld.parent_row_ranges.items():
-            (raw_cross if w in srows else blocks_b)[(v, w)] = model.b_tilde[:, plo:phi]
-    blocks_a = {(v, v): diag[v] for v in t.state_vertices}
-    for (v, w), block in raw_cross.items():
-        blocks_a[(v, w)] = block @ u_hat[w]
-    ranges = {}
-    offset = 0
-    for v in t.state_vertices:
-        r = u_hat[v].shape[1]
-        ranges[v] = (offset, offset + r)
-        offset += r
-    total_r = offset
-    l = t.total_input_dim
+    solved: dict[str, ReducedLinearModel] = {}
+    for _, _, kept, omega, y in _gathered(t, traj, failures):
+        d = y.shape[1]
+        for v, omega_j, y_j in zip(kept, omega, y):
+            try:
+                solved[v], _ = dmdc_reduced(omega_j[:d], y_j, omega_j[d:], input_rule, output_rule)
+            except NetdmdError as exc:
+                failures[v] = str(exc)
+    u_hat = {v: solved[v].u_hat if v in solved else np.eye(t.dims[v]) for v in t.state_vertices}
+    ranges = _ranges(t.state_vertices, {v: u.shape[1] for v, u in u_hat.items()})
     irows = t.input_row_ranges()
+    total_r = sum(u.shape[1] for u in u_hat.values())
     assembled_a = np.zeros((total_r, total_r))
-    assembled_b = np.zeros((total_r, l))
-    for (v, w), block in blocks_a.items():
-        rlo, rhi = ranges[v]
-        clo, chi = ranges[w]
-        assembled_a[rlo:rhi, clo:chi] = block
-    for (v, e), block in blocks_b.items():
-        rlo, rhi = ranges[v]
-        clo, chi = irows[e]
-        assembled_b[rlo:rhi, clo:chi] = block
+    assembled_b = np.zeros((total_r, t.total_input_dim))
+    for v, node in solved.items():
+        sub = local_subsystem(t, v)
+        rows = slice(*ranges[v])
+        spans = _ranges(sub.state_parents + sub.input_parents, t.dims)
+        assembled_a[rows, rows] = node.a_tilde
+        for w in sub.state_parents:
+            assembled_a[rows, slice(*ranges[w])] = node.b_tilde[:, slice(*spans[w])] @ u_hat[w]
+        for e in sub.input_parents:
+            assembled_b[rows, slice(*irows[e])] = node.b_tilde[:, slice(*spans[e])]
     return ReducedNetworkModel(
         topology=t,
         u_hat=u_hat,
-        blocks_a=blocks_a,
-        blocks_b=blocks_b,
         assembled_a=assembled_a,
         assembled_b=assembled_b,
-        per_node_conditioning=conditioning,
-        node_failures=failures,
+        per_node_conditioning={v: solved[v].conditioning for v in t.state_vertices if v in solved},
+        node_failures={v: failures[v] for v in t.state_vertices if v in failures},
     )
 
 

@@ -57,7 +57,9 @@ class SvdResult:
 
     ``u`` is n-by-p, ``sigma`` the p retained singular values (descending),
     ``v`` is m-by-p. ``discarded_energy`` is the squared-singular-value mass
-    dropped by truncation, as a fraction of the total.
+    dropped by truncation, as a fraction of the total. ``conditioning`` is
+    :func:`conditioning_record`'s record of the input at ``DEFAULT_RCOND``,
+    read from the same (untruncated) singular values.
     """
 
     u: np.ndarray
@@ -65,6 +67,7 @@ class SvdResult:
     v: np.ndarray
     truncation_rank: int
     discarded_energy: float
+    conditioning: ConditioningRecord
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +155,7 @@ def truncated_svd(m, rule: TruncationRule = MachineDefault()) -> SvdResult:
         v=vt[:k, :].T.copy(),
         truncation_rank=k,
         discarded_energy=discarded,
+        conditioning=_record(s, DEFAULT_RCOND),
     )
 
 
@@ -264,10 +268,13 @@ def conditioning_record(m, rcond: float = DEFAULT_RCOND) -> ConditioningRecord:
     regime where pseudoinverse-based estimates become unreliable.
     """
     a = as_matrix(m)
-    if a.size == 0:
-        return _records(np.zeros(1), np.zeros(1), rcond)[0]
-    s = _svd(a, compute_uv=False)
-    return _records(s[:1], s[-1:], rcond)[0]
+    return _record(_svd(a, compute_uv=False) if a.size else np.zeros(0), rcond)
+
+
+def _record(sigma: np.ndarray, rcond: float) -> ConditioningRecord:
+    """The record of one matrix from its singular values, descending; an empty matrix has none."""
+    sigma = sigma if sigma.size else np.zeros(1)
+    return _records(sigma[:1], sigma[-1:], rcond)[0]
 
 
 def _records(sigma_max: np.ndarray, sigma_min: np.ndarray, rcond: float) -> list[ConditioningRecord]:

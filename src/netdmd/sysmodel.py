@@ -106,6 +106,8 @@ class TrajectoryData:
     ``gamma``; when produced by :func:`simulate`, column k+1 of ``z`` equals
     column k of ``y``. ``vertex_row_ranges`` locates each vertex's rows
     (state ids index ``z``/``y`` rows, input ids index ``gamma`` rows).
+    :func:`simulate` and :func:`read_trajectory_csv` return read-only arrays,
+    so every consumer of one trajectory sees the same data.
     """
 
     z: np.ndarray
@@ -233,7 +235,14 @@ def simulate(system: LinearNetworkSystem, x0, inputs) -> TrajectoryData:
     if not finite.all():
         k = int(np.argmin(finite)) + 1
         raise Divergence(f"state is not finite after step {k} of {m}")
-    return TrajectoryData(z=z, gamma=inputs.astype(float).copy(), y=y, vertex_row_ranges=t.vertex_row_ranges())
+    return _read_only_trajectory(z, inputs.copy(), y, t.vertex_row_ranges())
+
+
+def _read_only_trajectory(z, gamma, y, ranges) -> TrajectoryData:
+    """A trajectory over freshly built arrays, which are made read-only."""
+    for arr in (z, gamma, y):
+        arr.flags.writeable = False
+    return TrajectoryData(z=z, gamma=gamma, y=y, vertex_row_ranges=ranges)
 
 
 def _draw_blocks(topology: NetworkTopology, rng: np.random.Generator, coeff_range) -> LinearNetworkSystem:
@@ -365,7 +374,7 @@ def write_trajectory_csv(traj: TrajectoryData, topology: NetworkTopology, path) 
 
 
 def read_trajectory_csv(path) -> TrajectoryData:
-    """Rebuild a :class:`TrajectoryData` written by :func:`write_trajectory_csv`.
+    """Rebuild a read-only :class:`TrajectoryData` written by :func:`write_trajectory_csv`.
 
     Raises :class:`DimensionMismatch` for a row whose field count differs
     from the header's, and :class:`RowRangeMismatch` when a vertex's columns
@@ -411,7 +420,7 @@ def read_trajectory_csv(path) -> TrajectoryData:
     if shared:
         raise RowRangeMismatch(f"trajectory CSV uses {shared[0]!r} as both a state and an input vertex")
     ranges.update(input_ranges)
-    return TrajectoryData(z=z, gamma=gamma, y=y, vertex_row_ranges=ranges)
+    return _read_only_trajectory(z, gamma, y, ranges)
 
 
 def _column_ranges(vertices) -> dict[str, tuple[int, int]]:

@@ -2,14 +2,18 @@
 
 The oracles are the straightforward per-vertex forms of the package's
 indexed and vectorized code: a topology rescan per lookup, a per-vertex
-block loop per simulation step, and a per-node gather for network DMDc.
+block loop per simulation step, and a per-node gather for both network
+DMDc solvers.
 """
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import strategies as st
 
-from netdmd.dmdcore import dmdc_exact
-from netdmd.errors import DimensionMismatch, UnknownVertex
-from netdmd.numkernel import DEFAULT_RCOND
+from netdmd.dmdcore import dmdc_exact, dmdc_reduced
+from netdmd.errors import DimensionMismatch, NetdmdError, UnknownVertex
+from netdmd.netdmdc import build_local_data
+from netdmd.numkernel import DEFAULT_RCOND, ConditioningRecord, MachineDefault, TruncationRule, conditioning_record
 from netdmd.sysmodel import LinearNetworkSystem, TrajectoryData
 from netdmd.topology import LocalSubsystem, NetworkTopology
 
@@ -143,3 +147,72 @@ def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond
             target[lo:hi, slice(*rows[w])] = model.b[:, offset : offset + width]
             offset += width
     return a, b
+
+
+def reference_network_dmdc_reduced(
+    t: NetworkTopology,
+    traj: TrajectoryData,
+    input_rule: TruncationRule = MachineDefault(),
+    output_rule: TruncationRule = MachineDefault(),
+) -> SimpleNamespace:
+    """Reference reduced network model: gather, solve and record each node on its own.
+
+    The per-node loop is the package's former ``network_dmdc_reduced``, which
+    also ran a third SVD per node for its record and kept the blocks next to
+    the assembled matrices; the result carries the same fields.
+    """
+    u_hat: dict[str, np.ndarray] = {}
+    diag: dict[str, np.ndarray] = {}
+    raw_cross: dict[tuple[str, str], np.ndarray] = {}
+    blocks_b: dict[tuple[str, str], np.ndarray] = {}
+    conditioning: dict[str, ConditioningRecord] = {}
+    failures: dict[str, str] = {}
+    srows = t.state_row_ranges()
+    for v in t.state_vertices:
+        ld = build_local_data(t, traj, v)
+        try:
+            model, _ = dmdc_reduced(ld.z_j, ld.y_j, ld.gamma_j, input_rule, output_rule)
+        except NetdmdError as exc:
+            failures[v] = str(exc)
+            u_hat[v] = np.eye(t.dims[v])
+            diag[v] = np.zeros((t.dims[v], t.dims[v]))
+            for w in ld.parent_row_ranges:
+                (raw_cross if w in srows else blocks_b)[(v, w)] = np.zeros((t.dims[v], t.dims[w]))
+            continue
+        conditioning[v] = conditioning_record(np.vstack([ld.z_j, ld.gamma_j]))
+        u_hat[v] = model.u_hat
+        diag[v] = model.a_tilde
+        for w, (plo, phi) in ld.parent_row_ranges.items():
+            (raw_cross if w in srows else blocks_b)[(v, w)] = model.b_tilde[:, plo:phi]
+    blocks_a = {(v, v): diag[v] for v in t.state_vertices}
+    for (v, w), block in raw_cross.items():
+        blocks_a[(v, w)] = block @ u_hat[w]
+    ranges = {}
+    offset = 0
+    for v in t.state_vertices:
+        r = u_hat[v].shape[1]
+        ranges[v] = (offset, offset + r)
+        offset += r
+    total_r = offset
+    l = t.total_input_dim
+    irows = t.input_row_ranges()
+    assembled_a = np.zeros((total_r, total_r))
+    assembled_b = np.zeros((total_r, l))
+    for (v, w), block in blocks_a.items():
+        rlo, rhi = ranges[v]
+        clo, chi = ranges[w]
+        assembled_a[rlo:rhi, clo:chi] = block
+    for (v, e), block in blocks_b.items():
+        rlo, rhi = ranges[v]
+        clo, chi = irows[e]
+        assembled_b[rlo:rhi, clo:chi] = block
+    return SimpleNamespace(
+        topology=t,
+        u_hat=u_hat,
+        blocks_a=blocks_a,
+        blocks_b=blocks_b,
+        assembled_a=assembled_a,
+        assembled_b=assembled_b,
+        per_node_conditioning=conditioning,
+        node_failures=failures,
+    )

@@ -1,4 +1,4 @@
-"""The batched network DMDc solve and its gather plan against per-node oracles."""
+"""Both network DMDc solvers and their shared gather plan against per-node oracles."""
 import gc
 
 import numpy as np
@@ -6,12 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_network_dmdc_exact, rescan_local_subsystem, systems, topologies
+from helpers import (
+    reference_network_dmdc_exact,
+    reference_network_dmdc_reduced,
+    rescan_local_subsystem,
+    systems,
+    topologies,
+)
+from netdmd import netdmdc
 from netdmd.bench import generate_system
 from netdmd.dmdcore import dmdc_exact
 from netdmd.errors import NetdmdError, RowRangeMismatch
-from netdmd.netdmdc import build_local_data, network_dmdc_exact, network_model_to_dict
-from netdmd.numkernel import conditioning_record
+from netdmd.netdmdc import build_local_data, network_dmdc_exact, network_dmdc_reduced, network_model_to_dict
+from netdmd.numkernel import FixedRank, MachineDefault, RelativeThreshold, conditioning_record
 from netdmd.sysmodel import (
     Circular,
     ErdosRenyi,
@@ -219,9 +226,18 @@ def test_gather_plan_destinations_cover_exactly_the_edge_blocks(t):
     assert np.array_equal(hits[n * n :].reshape(n, l), want_b)
 
 
+def _reference_assembled(identify, t, traj):
+    """The per-node reference's assembled (A, B) for either network solver."""
+    if identify is network_dmdc_exact:
+        return reference_network_dmdc_exact(t, traj)
+    reference = reference_network_dmdc_reduced(t, traj)
+    return reference.assembled_a, reference.assembled_b
+
+
+@pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
 @given(systems(), st.data())
 @settings(max_examples=80, deadline=None)
-def test_trajectory_row_errors_match_the_per_node_gather(system, data):
+def test_trajectory_row_errors_match_the_per_node_gather(identify, system, data):
     t = system.topology
     traj = _trajectory(system, 3, 0)
     ranges = dict(traj.vertex_row_ranges)
@@ -241,12 +257,12 @@ def test_trajectory_row_errors_match_the_per_node_gather(system, data):
     except RowRangeMismatch as exc:
         want = str(exc)
     if want is None:
-        model = network_dmdc_exact(t, broken)
-        a, b = reference_network_dmdc_exact(t, broken)
+        model = identify(t, broken)
+        a, b = _reference_assembled(identify, t, broken)
         assert _close(model.assembled_a, a) and _close(model.assembled_b, b)
     else:
         with pytest.raises(RowRangeMismatch) as raised:
-            network_dmdc_exact(t, broken)
+            identify(t, broken)
         assert str(raised.value) == want
 
 
@@ -266,3 +282,76 @@ def test_fresh_topologies_in_a_row_match_the_per_node_reference():
         assert model.node_failures == {}
         del system, t, traj, model
         gc.collect()
+
+
+RULE_PAIRS = [
+    (MachineDefault(), MachineDefault()),
+    (FixedRank(2), FixedRank(1)),
+    (RelativeThreshold(1e-3), MachineDefault()),
+]
+
+
+@given(systems(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from(RULE_PAIRS), st.data())
+@settings(max_examples=120, deadline=None)
+def test_reduced_solve_matches_per_node_reference(system, m, seed, rules, data):
+    t = system.topology
+    traj = _trajectory(system, m, seed)
+    if data.draw(st.booleans()):
+        arrays = {"z": traj.z.copy(), "gamma": traj.gamma.copy(), "y": traj.y.copy()}
+        arr = arrays[data.draw(st.sampled_from([name for name, arr in arrays.items() if arr.size]))]
+        arr[data.draw(st.integers(0, arr.shape[0] - 1)), data.draw(st.integers(0, m - 1))] = np.nan
+        traj = TrajectoryData(arrays["z"], arrays["gamma"], arrays["y"], traj.vertex_row_ranges)
+    model = network_dmdc_reduced(t, traj, *rules)
+    want = reference_network_dmdc_reduced(t, traj, *rules)
+    # the same per-node arithmetic on the same values: bit-identical, not just close
+    assert list(model.u_hat) == list(want.u_hat)
+    assert all(np.array_equal(model.u_hat[v], want.u_hat[v]) for v in t.state_vertices)
+    assert np.array_equal(model.assembled_a, want.assembled_a)
+    assert np.array_equal(model.assembled_b, want.assembled_b)
+    for got, ref in ((model.blocks_a, want.blocks_a), (model.blocks_b, want.blocks_b)):
+        assert set(got) == set(ref)
+        assert all(np.array_equal(got[key], ref[key]) for key in ref)
+    assert list(model.node_failures.items()) == list(want.node_failures.items())
+    assert list(model.per_node_conditioning) == list(want.per_node_conditioning)
+    for v, ref in want.per_node_conditioning.items():
+        got = model.per_node_conditioning[v]
+        # the record is read from the solve's SVD of Omega_j, the reference's from an SVD without vectors
+        assert abs(got.sigma_max - ref.sigma_max) <= 1e-12 * ref.sigma_max
+        assert abs(got.sigma_min - ref.sigma_min) <= 1e-12 * ref.sigma_max
+        assert (got.warning, got.rcond_used) == (ref.warning, ref.rcond_used)
+
+
+def test_reduced_solve_runs_two_svds_per_node_and_no_per_node_gather(monkeypatch):
+    system = generate_system(GeneratorConfig(Circular(10, 2), seed=4), derive_rng(4))
+    t = system.topology
+    traj = _trajectory(system, 6, 4)
+    real_svd = np.linalg.svd
+    calls = []
+
+    def svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    def per_node(*args, **kwargs):
+        raise AssertionError("per-node gather called")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(netdmdc, "build_local_data", per_node)
+    model = network_dmdc_reduced(t, traj)
+    assert len(calls) == 20
+    assert model.node_failures == {}
+    assert list(model.per_node_conditioning) == list(t.state_vertices)
+
+
+def test_reduced_blocks_are_read_only_views_of_the_assembled_matrices(two_node_topology, two_node_trajectory):
+    model = network_dmdc_reduced(two_node_topology, two_node_trajectory, FixedRank(3), FixedRank(1))
+    assert list(model.blocks_a) == [("v1", "v1"), ("v1", "v2"), ("v2", "v2")]
+    assert list(model.blocks_b) == [("v1", "e1"), ("v2", "e2")]
+    ranges = model.reduced_row_ranges()
+    block = model.blocks_a[("v1", "v2")]
+    assert np.shares_memory(block, model.assembled_a)
+    assert block[0, 0] == model.assembled_a[ranges["v1"][0], ranges["v2"][0]]
+    assert not block.flags.writeable
+    assert np.shares_memory(model.blocks_b[("v2", "e2")], model.assembled_b)
+    with pytest.raises(TypeError):
+        model.blocks_a[("v1", "v2")] = np.zeros((1, 1))

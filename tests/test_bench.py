@@ -1,7 +1,9 @@
+import json
+import math
+import pathlib
+
 import numpy as np
 import pytest
-
-import math
 
 from netdmd.errors import BadConfig
 from netdmd.bench import (
@@ -16,9 +18,8 @@ from netdmd.bench import (
     run_trial,
     sweep_config_from_dict,
     sweep_config_to_dict,
-    trajectory_digest,
 )
-from netdmd.numkernel import FixedRank, MachineDefault, RelativeThreshold
+from netdmd.numkernel import FixedRank, MachineDefault, RelativeThreshold, conditioning_record
 from netdmd.sysmodel import (
     Circular,
     ErdosRenyi,
@@ -26,7 +27,9 @@ from netdmd.sysmodel import (
     LinearNetworkSystem,
     derive_rng,
     gen_circular,
+    read_trajectory_csv,
     simulate,
+    write_trajectory_csv,
 )
 from netdmd.topology import NetworkTopology
 
@@ -63,9 +66,17 @@ class TestRunTrial:
         with pytest.raises(BadConfig):
             run_trial(two_node_system, 0, ("dmdc",), derive_rng(0))
 
-    def test_digest_stable(self, two_node_system):
+    def test_trajectories_are_read_only(self, two_node_system, tmp_path):
+        # every algorithm of a trial reads the same arrays, so none may write them
         traj = simulate(two_node_system, (1.0, 2.0), np.ones((2, 3)))
-        assert trajectory_digest(traj) == trajectory_digest(traj)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, two_node_system.topology, path)
+        for loaded in (traj, read_trajectory_csv(path)):
+            for arr in (loaded.z, loaded.gamma, loaded.y):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 0.0
+                with pytest.raises(ValueError):
+                    arr += 1.0
 
     def test_reduced_variants_run(self, two_node_system):
         rows = run_trial(
@@ -80,6 +91,27 @@ class TestRunTrial:
         # full-rank data: reduced dmdc and network dmdc still recover
         assert by_alg["dmdc"].frobenius_error < 1e-6
         assert by_alg["network_dmdc"].frobenius_error < 1e-6
+
+    @pytest.mark.parametrize("algorithm, svds", [("dmdc", 2), ("dmd", 1)])
+    def test_reduced_rows_read_the_record_of_their_own_svd(self, two_node_system, monkeypatch, algorithm, svds):
+        t = two_node_system.topology
+        rng = derive_rng(5)
+        x0 = rng.uniform(-1.0, 1.0, size=t.total_state_dim)
+        traj = simulate(two_node_system, x0, rng.uniform(-1.0, 1.0, size=(t.total_input_dim, 10)))
+        data = np.vstack([traj.z, traj.gamma]) if algorithm == "dmdc" else traj.z
+        want = conditioning_record(data).ratio
+        real_svd = np.linalg.svd
+        calls = []
+
+        def svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        (row,) = run_trial(two_node_system, 10, (algorithm,), derive_rng(5), use_reduced=True)
+        assert len(calls) == svds
+        assert calls[0] == data.shape
+        assert abs(row.cond_ratio - want) <= 1e-12
 
 
 class TestFailedCells:
@@ -137,8 +169,6 @@ class TestFailedCells:
 
 
     def test_json_export_is_strict_and_counts_excluded_rows(self, tmp_path):
-        import json
-
         cfg = SweepConfig(
             generator=GeneratorConfig(ErdosRenyi(30, 0.5)),
             trials=1,
@@ -176,8 +206,6 @@ class TestFailedCells:
         assert all(_same_float(back.means[key], result.means[key]) for key in result.means)
 
     def test_excluded_counts_only_non_finite_rows(self, tmp_path):
-        import json
-
         from netdmd.bench import SweepRow
 
         rows = (
@@ -231,6 +259,37 @@ class TestSweepConfig:
             use_reduced=True,
         )
         assert sweep_config_from_dict(sweep_config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "name, cfg",
+        [
+            (
+                "circular_sweep",
+                SweepConfig(
+                    generator=GeneratorConfig(Circular(50, 2), coeff_range=(-1.0, 1.0), input_range=(-10.0, 10.0)),
+                    trials=20,
+                    m_values=(3, 5, 10, 25, 50, 75),
+                    algorithms=("dmdc", "network_dmdc"),
+                    master_seed=2024,
+                ),
+            ),
+            (
+                "erdos_renyi_sweep",
+                SweepConfig(
+                    generator=GeneratorConfig(ErdosRenyi(50, 0.05), coeff_range=(-1.0, 1.0)),
+                    trials=20,
+                    m_values=(4, 8, 16, 32, 50),
+                    algorithms=("dmd", "network_dmdc"),
+                    master_seed=77,
+                ),
+            ),
+        ],
+        ids=["circular_sweep", "erdos_renyi_sweep"],
+    )
+    def test_checked_in_configs_load(self, name, cfg):
+        # the configs replace the sweep scripts; these are the configs the scripts built by default
+        path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        assert sweep_config_from_dict(json.loads(path.read_text())) == cfg
 
 
 @pytest.fixture(scope="module")
