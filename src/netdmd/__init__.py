@@ -42,6 +42,7 @@ from .topology import (
     NetworkTopology,
     ShapeGroup,
     Violation,
+    coefficient_support,
     gather_plan,
     local_subsystem,
     max_local_dim,

@@ -28,7 +28,7 @@ from .numkernel import (
     TruncationRule,
 )
 from .dmdcore import ExactLinearModel, dmd_exact, dmd_reduced, dmdc_exact, dmdc_reduced, lift_reduced
-from .netdmdc import lift_reduced_network, model_error, network_dmdc_exact, network_dmdc_reduced
+from .netdmdc import NetworkModel, lift_reduced_network, model_error, network_dmdc_exact, network_dmdc_reduced
 from .sysmodel import (
     Circular,
     ErdosRenyi,
@@ -121,19 +121,25 @@ def _worst_record(records: dict, rcond: float) -> ConditioningRecord:
 
 
 def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
-    """Run one algorithm; returns (a, b, conditioning record, warnings list)."""
+    """Run one algorithm; returns (model to score, conditioning record, warnings list).
+
+    The exact network model is scored as it is; every other result is
+    scored as the full-space :class:`ExactLinearModel` it lifts to.
+    """
     t = system.topology
     if algorithm == "network_dmdc":
         if use_reduced:
             model = network_dmdc_reduced(t, traj, truncation, truncation)
-            a, b = lift_reduced_network(model)
         else:
             model = network_dmdc_exact(t, traj, rcond)
-            a, b = model.assembled_a, model.assembled_b
         records = model.per_node_conditioning
+        record = _worst_record(records, rcond)
         warnings = [f"ill_conditioned:{v}" for v, rec in sorted(records.items()) if rec.warning]
         warnings += [f"failed:{v}" for v in sorted(model.node_failures)]
-        return a, b, _worst_record(records, rcond), warnings
+        if use_reduced:
+            a, b = lift_reduced_network(model)
+            model = ExactLinearModel(a=a, b=b, conditioning=record)
+        return model, record, warnings
     if algorithm == "dmdc":
         if use_reduced:
             model, _ = dmdc_reduced(traj.z, traj.y, traj.gamma, truncation, truncation)
@@ -143,11 +149,13 @@ def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
         model = dmd_reduced(traj.z, traj.y, truncation)[0] if use_reduced else dmd_exact(traj.z, traj.y, rcond)
     else:
         raise BadConfig(f"unknown algorithm {algorithm!r}")
-    a, b = lift_reduced(model) if use_reduced else (model.a, model.b)
+    if use_reduced:
+        a, b = lift_reduced(model)
+        model = ExactLinearModel(a=a, b=b, conditioning=model.conditioning)
     warnings = ["ill_conditioned"] if model.conditioning.warning else []
     if algorithm == "dmd" and t.total_input_dim > 0:
         warnings.append("dmd_ignores_inputs")
-    return a, b, model.conditioning, warnings
+    return model, model.conditioning, warnings
 
 
 def run_trial(
@@ -191,7 +199,7 @@ def run_trial(
     for algorithm in algorithms:
         start = time.perf_counter()
         try:
-            a, b, record, warnings = _identify(algorithm, system, traj, rcond, truncation, use_reduced)
+            model, record, warnings = _identify(algorithm, system, traj, rcond, truncation, use_reduced)
         except NetdmdError as exc:
             rows.append(_failed_row(trial, m, algorithm, time.perf_counter() - start, exc))
             continue
@@ -199,8 +207,8 @@ def run_trial(
         if any(tag.startswith("failed:") for tag in warnings):
             error = math.nan
         else:
-            model = ExactLinearModel(a=a, b=b, conditioning=record)
-            error = model_error(model, truth_a, truth_b if b is not None else None)
+            scores_inputs = isinstance(model, NetworkModel) or model.b is not None
+            error = model_error(model, truth_a, truth_b if scores_inputs else None)
         rows.append(
             SweepRow(
                 trial=trial,

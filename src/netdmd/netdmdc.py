@@ -2,13 +2,18 @@
 
 Each state vertex is identified from its own rows of the trajectory plus the
 rows of its parents (states and inputs alike enter the local regression as
-controls). The per-node results are assembled into full matrices whose
-blocks are exactly zero wherever the topology has no edge. Node
-identifications are independent of one another, so both network solvers
-gather all nodes of one local shape into a stack: the exact solve factors
-the stack with one batched SVD and scatters the solutions into the
-assembled matrices; the reduced solve runs its two truncated SVDs per node
-on slices of the stack. Either model stores only its assembled matrices.
+controls). Node identifications are independent of one another, so both
+network solvers gather all nodes of one local shape into a stack: the exact
+solve factors the stack with one batched SVD; the reduced solve runs its two
+truncated SVDs per node on slices of the stacks.
+
+The exact model stores only its coefficients, one flat vector in the
+topology's gather-plan order: group by group, each group's (G, d, k)
+solution stack, the layout of the system's own transition operator. Its
+blocks are views of that vector, and its dense A and B, exact zeros wherever
+the topology has no edge, are built on request; scoring reads the
+coefficients and the truth, never a dense model. The reduced model stores
+its assembled reduced matrices.
 """
 from __future__ import annotations
 
@@ -38,6 +43,7 @@ from .topology import (
     NetworkTopology,
     ShapeGroup,
     _ranges,
+    coefficient_support,
     gather_plan,
     local_subsystem,
     topology_from_dict,
@@ -61,44 +67,98 @@ class LocalData:
     parent_row_ranges: dict[str, tuple[int, int]]
 
 
-class _BlockViews:
-    """Per-edge read-only views into a network model's assembled matrices.
+@dataclass(frozen=True, eq=False)
+class NetworkModel:
+    """Block-structured full-order model identified node by node.
 
-    ``blocks_a[(j, i)]`` couples state vertex i into j (including the
-    structural diagonal j == i) and ``blocks_b[(j, i)]`` couples input
-    vertex i into j, one per edge, vertex by vertex: each vertex's own block,
-    then its state parents', then its input parents'. ``_row_ranges`` gives
-    each state vertex's rows of A, which are also its columns: by default
-    its rows in the stacked state vector.
+    ``coeffs`` is the model's only stored data: every estimated coefficient
+    once, in the topology's gather-plan order. Group by group of
+    :func:`gather_plan`, it holds each node's d-by-k solution row-major,
+    its columns in the node's local-data order (itself, then its state
+    parents, then its input parents): the layout of the group's
+    (G, d, k) solution stack, and of ``LinearNetworkSystem._operator``'s
+    values. ``blocks_a``/``blocks_b`` are read-only views of each node's
+    slice, edge by edge. ``assembled_a``/``assembled_b`` densify the model
+    through the plan's coefficient positions (:func:`coefficient_support`),
+    exact zeros at non-edges; each access allocates a new n-by-n (n-by-l)
+    array. Nodes whose local regression failed appear in ``node_failures``
+    with zero coefficients.
     """
 
-    def _row_ranges(self) -> dict[str, tuple[int, int]]:
-        return self.topology.state_row_ranges()
+    topology: NetworkTopology
+    coeffs: np.ndarray
+    per_node_conditioning: dict[str, ConditioningRecord]
+    node_failures: dict[str, str]
+
+    def __post_init__(self):
+        size = coefficient_support(self.topology)[0].size
+        if self.coeffs.shape != (size,):
+            raise DimensionMismatch(f"coeffs must have shape ({size},), got {self.coeffs.shape}")
+
+    @property
+    def assembled_a(self) -> np.ndarray:
+        n = self.topology.total_state_dim
+        rows, cols, _ = coefficient_support(self.topology)
+        state = cols < n
+        a = np.zeros((n, n))
+        a[rows[state], cols[state]] = self.coeffs[state]
+        return a
+
+    @property
+    def assembled_b(self) -> np.ndarray:
+        n = self.topology.total_state_dim
+        rows, cols, _ = coefficient_support(self.topology)
+        inputs = cols >= n
+        b = np.zeros((n, self.topology.total_input_dim))
+        b[rows[inputs], cols[inputs] - n] = self.coeffs[inputs]
+        return b
 
     @property
     def blocks_a(self) -> Mapping[tuple[str, str], np.ndarray]:
+        """``blocks_a[(j, i)]`` couples state vertex i into j, the structural diagonal j == i included."""
         return self._blocks[0]
 
     @property
     def blocks_b(self) -> Mapping[tuple[str, str], np.ndarray]:
+        """``blocks_b[(j, i)]`` couples input vertex i into state vertex j."""
         return self._blocks[1]
 
     @cached_property
     def _blocks(self):
+        """One view per edge, vertex by vertex: its own block, then its state parents', then its input parents'."""
         t = self.topology
-        srows = self._row_ranges()
-        irows = t.input_row_ranges()
+        strips = _node_strips(t, self.coeffs)
         blocks_a: dict[tuple[str, str], np.ndarray] = {}
         blocks_b: dict[tuple[str, str], np.ndarray] = {}
         for v in t.state_vertices:
-            sub = local_subsystem(t, v)
-            rows = slice(*srows[v])
-            blocks_a[(v, v)] = _view(self.assembled_a[rows, rows])
-            for w in sub.state_parents:
-                blocks_a[(v, w)] = _view(self.assembled_a[rows, slice(*srows[w])])
-            for e in sub.input_parents:
-                blocks_b[(v, e)] = _view(self.assembled_b[rows, slice(*irows[e])])
+            for w, is_input, cols in _strip_columns(t, v):
+                (blocks_b if is_input else blocks_a)[(v, w)] = _view(strips[v][:, cols])
         return MappingProxyType(blocks_a), MappingProxyType(blocks_b)
+
+
+def _group_stacks(coeffs: np.ndarray, plan):
+    """Each shape group's (G, d, k) view of a coefficient vector in plan order."""
+    offset = 0
+    for group in plan:
+        size = math.prod(group.shape)
+        yield coeffs[offset : offset + size].reshape(group.shape)
+        offset += size
+
+
+def _node_strips(t: NetworkTopology, coeffs: np.ndarray) -> dict[str, np.ndarray]:
+    """Every state vertex's d-by-k coefficient rows, as views of ``coeffs``."""
+    plan = gather_plan(t)
+    return {v: stack[i] for group, stack in zip(plan, _group_stacks(coeffs, plan)) for i, v in enumerate(group.vertices)}
+
+
+def _strip_columns(t: NetworkTopology, v: str):
+    """``(w, is_input, cols)`` for each block of vertex v's strip, in local-data order."""
+    sub = local_subsystem(t, v)
+    blocks = [(v, False)] + [(w, False) for w in sub.state_parents] + [(e, True) for e in sub.input_parents]
+    offset = 0
+    for w, is_input in blocks:
+        yield w, is_input, slice(offset, offset + t.dims[w])
+        offset += t.dims[w]
 
 
 def _view(block: np.ndarray) -> np.ndarray:
@@ -108,31 +168,15 @@ def _view(block: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class NetworkModel(_BlockViews):
-    """Block-structured full-order model identified node by node.
-
-    ``assembled_a``/``assembled_b`` are the full matrices, with exact zeros
-    at non-edges; they are the model's only stored coefficients, and
-    ``blocks_a``/``blocks_b`` view them edge by edge. Nodes whose local
-    regression failed appear in ``node_failures`` with zeroed blocks.
-    """
-
-    topology: NetworkTopology
-    assembled_a: np.ndarray
-    assembled_b: np.ndarray
-    per_node_conditioning: dict[str, ConditioningRecord]
-    node_failures: dict[str, str]
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedNetworkModel(_BlockViews):
+class ReducedNetworkModel:
     """Blockwise reduced model with one projector per state vertex.
 
     Node j's reduced state is ``u_hat[j].T @ x_j``. Diagonal blocks are
     r_j-by-r_j; cross blocks map node k's reduced coordinates into node j's;
     input blocks keep the raw input coordinates. ``assembled_a``/
     ``assembled_b`` are the model's only stored coefficients, and
-    ``blocks_a``/``blocks_b`` view them edge by edge.
+    ``blocks_a``/``blocks_b`` view them edge by edge, vertex by vertex: each
+    vertex's own block, then its state parents', then its input parents'.
     """
 
     topology: NetworkTopology
@@ -145,7 +189,29 @@ class ReducedNetworkModel(_BlockViews):
     def reduced_row_ranges(self) -> dict[str, tuple[int, int]]:
         return _ranges(self.topology.state_vertices, {v: u.shape[1] for v, u in self.u_hat.items()})
 
-    _row_ranges = reduced_row_ranges
+    @property
+    def blocks_a(self) -> Mapping[tuple[str, str], np.ndarray]:
+        return self._blocks[0]
+
+    @property
+    def blocks_b(self) -> Mapping[tuple[str, str], np.ndarray]:
+        return self._blocks[1]
+
+    @cached_property
+    def _blocks(self):
+        t = self.topology
+        rrows = self.reduced_row_ranges()
+        irows = t.input_row_ranges()
+        blocks_a: dict[tuple[str, str], np.ndarray] = {}
+        blocks_b: dict[tuple[str, str], np.ndarray] = {}
+        for v in t.state_vertices:
+            sub = local_subsystem(t, v)
+            rows = slice(*rrows[v])
+            for w in (v, *sub.state_parents):
+                blocks_a[(v, w)] = _view(self.assembled_a[rows, slice(*rrows[w])])
+            for e in sub.input_parents:
+                blocks_b[(v, e)] = _view(self.assembled_b[rows, slice(*irows[e])])
+        return MappingProxyType(blocks_a), MappingProxyType(blocks_b)
 
 
 def build_local_data(t: NetworkTopology, traj: TrajectoryData, v: str) -> LocalData:
@@ -176,23 +242,23 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     batched SVD per group. A node whose data are not finite, or whose SVD
     does not converge, is recorded in ``node_failures`` with the message
     :func:`dmdc_exact` would raise and contributes zero blocks; the rest of
-    the model is still assembled. The assembled A and B are views into one
-    buffer, which each group fills through the plan's flat destinations.
+    the model is still assembled. Each group writes its solution stack into
+    its contiguous slice of the model's plan-order ``coeffs``.
     """
-    n = t.total_state_dim
-    l = t.total_input_dim
-    coeffs = np.zeros(n * n + n * l)
+    plan = gather_plan(t)
+    coeffs = np.zeros(coefficient_support(t)[0].size)
+    stacks = dict(zip(plan, _group_stacks(coeffs, plan)))
     conditioning: dict[str, ConditioningRecord] = {}
     failures: dict[str, str] = {}
     for group, ok, kept, omega, y in _gathered(t, traj, failures):
         solution, records = _solve_stack(omega, y, rcond)
         for v, record in zip(kept, records):
             (failures if isinstance(record, str) else conditioning)[v] = record
-        coeffs[group.dest[ok]] = solution
+        stacks[group][ok] = solution
+    coeffs.flags.writeable = False
     return NetworkModel(
         topology=t,
-        assembled_a=coeffs[: n * n].reshape(n, n),
-        assembled_b=coeffs[n * n :].reshape(n, l),
+        coeffs=coeffs,
         per_node_conditioning={v: conditioning[v] for v in t.state_vertices if v in conditioning},
         node_failures={v: failures[v] for v in t.state_vertices if v in failures},
     )
@@ -371,55 +437,92 @@ def model_error(model, truth_a, truth_b=None) -> float:
     part is skipped when both the model and the truth lack one (None or zero
     columns); a one-sided input operator is a dimension error. The squared
     differences are summed a few rows at a time through one small buffer, so
-    no n-by-n temporary is made. A NaN or Inf difference raises
-    :class:`NonFiniteEntry`; finite differences whose squares overflow give inf.
+    no n-by-n temporary is made. A network model is read only at its
+    coefficients: each block of rows holds the truth's entries, negated,
+    and the block's share of ``coeffs`` is added at its positions, so the
+    truth's mass off the support is counted in full without densifying the
+    model. A NaN or Inf difference raises :class:`NonFiniteEntry`; finite
+    differences whose squares overflow give inf.
     """
     if isinstance(model, NetworkModel):
-        a, b = model.assembled_a, model.assembled_b
+        n = model.topology.total_state_dim
+        a_shape, b_shape = (n, n), (n, model.topology.total_input_dim)
+        dense = [None, None]
     elif isinstance(model, ExactLinearModel):
-        a, b = model.a, model.b
+        a_shape, b_shape = model.a.shape, None if model.b is None else model.b.shape
+        dense = [model.a, model.b]
     else:
         raise DimensionMismatch(f"unsupported model type {type(model).__name__}")
     truth_a = np.asarray(truth_a, dtype=float)
-    if a.shape != truth_a.shape:
-        raise DimensionMismatch(f"A is {a.shape} but truth is {truth_a.shape}")
-    pairs = [(a, truth_a)]
-    b_width = 0 if b is None else b.shape[1]
+    if a_shape != truth_a.shape:
+        raise DimensionMismatch(f"A is {a_shape} but truth is {truth_a.shape}")
+    truths = [truth_a]
+    b_width = 0 if b_shape is None else b_shape[1]
     truth_width = 0 if truth_b is None else np.asarray(truth_b).shape[1]
     if b_width != truth_width:
         raise DimensionMismatch(f"B has {b_width} columns but truth has {truth_width}")
     if b_width:
         truth_b = np.asarray(truth_b, dtype=float)
-        if b.shape != truth_b.shape:
-            raise DimensionMismatch(f"B is {b.shape} but truth is {truth_b.shape}")
-        pairs.append((b, truth_b))
-    total = _squared_distance(pairs)
+        if b_shape != truth_b.shape:
+            raise DimensionMismatch(f"B is {b_shape} but truth is {truth_b.shape}")
+        truths.append(truth_b)
+    pairs = list(zip(dense, truths))
+    support = _support(model, sum(t.shape[1] for t in truths)) if isinstance(model, NetworkModel) else None
+    total = 0.0
+    for flat in _difference_blocks(pairs, support):
+        total += float(flat @ flat)
     if not math.isfinite(total):
-        for x, y in pairs:
-            as_matrix(x - y)  # raises NonFiniteEntry unless only the squares overflowed
+        for block in _difference_blocks(pairs, support):
+            as_matrix(block)  # raises NonFiniteEntry unless only the squares overflowed
     return math.sqrt(total)
 
 
-def _squared_distance(pairs) -> float:
-    """Sum of squared entries of ``[x1 - y1, x2 - y2, ...]``, row blocks at a time."""
-    n = pairs[0][0].shape[0]
-    width = sum(x.shape[1] for x, _ in pairs)
-    buffer = np.empty((max(1, _SCORE_BLOCK_ELEMENTS // max(width, 1)), width))
-    total = 0.0
-    for lo in range(0, n, buffer.shape[0]):
-        hi = min(lo + buffer.shape[0], n)
+def _support(model: NetworkModel, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The model's coefficients as ascending flat positions in the row-major difference, and their values."""
+    rows, cols, order = coefficient_support(model.topology)
+    return (rows * width + cols)[order], model.coeffs[order]
+
+
+def _difference_blocks(pairs, support=None):
+    """``[x1 - y1, x2 - y2, ...]`` a few rows at a time, flattened, each block in one reused buffer.
+
+    An ``x`` of None stands for zeros. ``support``, if given, is
+    ``(positions, values)``: ascending flat positions in the row-major
+    difference and the entries added there, the sparse part of the x's.
+    """
+    n = pairs[0][1].shape[0]
+    width = sum(y.shape[1] for _, y in pairs)
+    height = max(1, _SCORE_BLOCK_ELEMENTS // max(width, 1))
+    buffer = np.empty((height, width))
+    if support is not None:
+        positions, values = support
+        step = height * width
+        bounds = np.searchsorted(positions, np.arange(0, n * width + step, step)).tolist()
+        positions = positions % step
+    for i, lo in enumerate(range(0, n, height)):
+        hi = min(lo + height, n)
         block = buffer[: hi - lo]
         col = 0
         for x, y in pairs:
-            np.subtract(x[lo:hi], y[lo:hi], out=block[:, col : col + x.shape[1]])
-            col += x.shape[1]
-        flat = block.ravel()
-        total += float(flat @ flat)
-    return total
+            out = block[:, col : col + y.shape[1]]
+            if x is None:
+                np.negative(y[lo:hi], out=out)
+            else:
+                np.subtract(x[lo:hi], y[lo:hi], out=out)
+            col += y.shape[1]
+        flat = block.reshape(-1)
+        if support is not None:
+            inside = slice(bounds[i], bounds[i + 1])
+            flat[positions[inside]] += values[inside]
+        yield flat
 
 
 def network_model_to_dict(model: NetworkModel) -> dict:
-    """JSON-ready form; block keys are "src->dst" strings with an arrow."""
+    """JSON-ready form; block keys are "src->dst" strings with an arrow.
+
+    The coefficients are written once, as the per-edge blocks; no assembled
+    (n-by-n) matrix is written.
+    """
 
     def key(dst, src):
         return f"{src}{BLOCK_KEY_SEP}{dst}"
@@ -428,8 +531,6 @@ def network_model_to_dict(model: NetworkModel) -> dict:
         "topology": topology_to_dict(model.topology),
         "blocks_a": {key(j, i): blk.tolist() for (j, i), blk in model.blocks_a.items()},
         "blocks_b": {key(j, i): blk.tolist() for (j, i), blk in model.blocks_b.items()},
-        "assembled_a": model.assembled_a.tolist(),
-        "assembled_b": model.assembled_b.tolist(),
         "per_node_conditioning": {v: conditioning_to_dict(rec) for v, rec in model.per_node_conditioning.items()},
         "node_failures": dict(model.node_failures),
     }
@@ -438,16 +539,38 @@ def network_model_to_dict(model: NetworkModel) -> dict:
 def network_model_from_dict(d: dict) -> NetworkModel:
     """Rebuild a model from :func:`network_model_to_dict`'s output.
 
-    The blocks are derived from the assembled matrices, so the document's
-    ``blocks_a``/``blocks_b`` entries are not read.
+    The coefficients are read from ``blocks_a``/``blocks_b``, which hold one
+    block per edge and one per state vertex. Documents that also carry
+    ``assembled_a``/``assembled_b`` (as earlier versions wrote) load the
+    same; those entries are not read. A missing, unexpected or mis-shaped
+    block raises :class:`DimensionMismatch`.
     """
     topology = topology_from_dict(d["topology"])
-    n = topology.total_state_dim
-    l = topology.total_input_dim
+    coeffs = np.zeros(coefficient_support(topology)[0].size)
+    strips = _node_strips(topology, coeffs)
+    docs = {False: d["blocks_a"], True: d["blocks_b"]}
+    read = {False: set(), True: set()}
+    for v in topology.state_vertices:
+        for w, is_input, cols in _strip_columns(topology, v):
+            key = f"{w}{BLOCK_KEY_SEP}{v}"
+            if key not in docs[is_input]:
+                raise DimensionMismatch(f"model has no block {key!r}")
+            try:
+                block = np.asarray(docs[is_input][key], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise DimensionMismatch(f"block {key!r} is not a matrix: {exc}") from exc
+            if block.shape != (topology.dims[v], topology.dims[w]):
+                raise DimensionMismatch(f"block {key!r} must be {(topology.dims[v], topology.dims[w])}, got {block.shape}")
+            strips[v][:, cols] = block
+            read[is_input].add(key)
+    for is_input, doc in docs.items():
+        extra = sorted(set(doc) - read[is_input])
+        if extra:
+            raise DimensionMismatch(f"blocks without an edge: {extra}")
+    coeffs.flags.writeable = False
     return NetworkModel(
         topology=topology,
-        assembled_a=np.asarray(d["assembled_a"], dtype=float).reshape(n, n),
-        assembled_b=np.asarray(d["assembled_b"], dtype=float).reshape(n, l),
+        coeffs=coeffs,
         per_node_conditioning={v: conditioning_from_dict(rec) for v, rec in d["per_node_conditioning"].items()},
         node_failures=dict(d["node_failures"]),
     )

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadConfig, DimensionMismatch, Divergence, RowRangeMismatch
-from .topology import NetworkTopology, gather_plan, local_subsystem
+from .topology import NetworkTopology, coefficient_support, gather_plan, local_subsystem
 
 #: Separator used in serialized edge-block keys ("src->dst" with an arrow).
 BLOCK_KEY_SEP = "→"
@@ -68,21 +68,16 @@ class LinearNetworkSystem:
     def _operator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The transition map as COO arrays (rows, cols, vals) over ``[x; u]``.
 
-        Entries come one shape group of the topology's gather plan at a time.
-        Row i's entries appear in the order ``step`` sums them: the self
-        block's row, then each state parent's block row, then each input
+        Entries come in the topology's coefficient order
+        (:func:`coefficient_support`), one shape group of its gather plan at
+        a time. Row i's entries appear in the order ``step`` sums them: the
+        self block's row, then each state parent's block row, then each input
         parent's, parents in declaration order.
         """
         t = self.topology
-        rows, cols, vals = [], [], []
-        for group in gather_plan(t):
-            block_rows = np.stack([self._block_row(v) for v in group.vertices])
-            rows.append(np.broadcast_to(group.rows[:, :, None], block_rows.shape).reshape(-1))
-            cols.append(np.broadcast_to(group.cols[:, None, :], block_rows.shape).reshape(-1))
-            vals.append(block_rows.reshape(-1))
-        if not rows:
-            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        rows, cols, _ = coefficient_support(t)
+        vals = [np.stack([self._block_row(v) for v in group.vertices]).reshape(-1) for group in gather_plan(t)]
+        return rows, cols, np.concatenate([np.zeros(0), *vals])
 
     def _block_row(self, v: str) -> np.ndarray:
         """Vertex v's blocks side by side, in the column order of its gather indices."""

@@ -8,10 +8,11 @@ every downstream block ordering.
 
 Each topology derives its parent index (the ordered state and input parents
 and the local dimension of every state vertex) once, in one pass over the
-edges, on the first lookup, and its gather plan (every vertex's positions in
-the stacked vector ``[x; u]`` and in the assembled matrices, grouped by local
-shape) on the first use of that. Topologies are values: mutating one,
-``dims`` included, after either is derived leaves it stale.
+edges, on the first lookup, its gather plan (every vertex's positions in
+the stacked vector ``[x; u]``, grouped by local shape) on the first use of
+that, and where each of the plan's coefficients sits on the first use of
+those. Topologies are values: mutating one, ``dims`` included, after any of
+these is derived leaves it stale.
 """
 from __future__ import annotations
 
@@ -75,6 +76,10 @@ class NetworkTopology:
     def _gather_plan(self) -> tuple[ShapeGroup, ...]:
         return _build_gather_plan(self)
 
+    @cached_property
+    def _coefficient_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _build_coefficient_support(gather_plan(self), self.total_state_dim + self.total_input_dim)
+
 
 def _ranges(vertices, dims):
     out = {}
@@ -110,18 +115,16 @@ class ShapeGroup:
     positions in ``[x; u]`` of its local data: the vertex itself, then its
     state parents, then its input parents, each in declaration order. Input
     positions are offset by the total state dimension.
-
-    ``dest[i]`` (d-by-k) places ``vertices[i]``'s coefficient rows: entry
-    (r, c) is the flat position of A[rows[i, r], cols[i, c]], or of
-    B[rows[i, r], cols[i, c] - n] for an input column, in one buffer that
-    holds the n-by-n A and then the n-by-l B, each row-major (n and l are
-    the total state and input dimensions).
     """
 
     vertices: tuple[str, ...]
     rows: np.ndarray
     cols: np.ndarray
-    dest: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(G, d, k): the shape of the group's stack of d-by-k local solutions."""
+        return len(self.vertices), self.rows.shape[1], self.cols.shape[1]
 
 
 @dataclass(frozen=True)
@@ -246,15 +249,26 @@ def _build_gather_plan(t: NetworkTopology) -> tuple[ShapeGroup, ...]:
         vertices.append(v)
         rows.append(pos[v])
         cols.append([p for w in (v, *sub.state_parents, *sub.input_parents) for p in pos[w]])
-    n = t.total_state_dim
-    l = t.total_input_dim
-    plan = []
-    for vertices, rows, cols in groups.values():
-        rows, cols = _index_array(rows), _index_array(cols)
-        r, c = rows[:, :, None], cols[:, None, :]
-        dest = _index_array(np.where(c < n, r * n + c, n * n + r * l + (c - n)))
-        plan.append(ShapeGroup(tuple(vertices), rows, cols, dest))
-    return tuple(plan)
+    return tuple(ShapeGroup(tuple(v), _index_array(rows), _index_array(cols)) for v, rows, cols in groups.values())
+
+
+def coefficient_support(t: NetworkTopology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, order)``: where each coefficient of the gather plan sits, and their row-major order.
+
+    Coefficients are in plan order: group by group, each group's (G, d, k)
+    stack of local solutions row-major. Coefficient i couples position
+    ``cols[i]`` of ``[x; u]`` into state position ``rows[i]``, and ``order``
+    sorts the coefficients by row and then by column of ``[A B]``. Derived
+    once per topology.
+    """
+    return t._coefficient_support
+
+
+def _build_coefficient_support(plan, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    empty = np.zeros(0, dtype=np.intp)
+    rows = np.concatenate([empty, *(np.broadcast_to(g.rows[:, :, None], g.shape).reshape(-1) for g in plan)])
+    cols = np.concatenate([empty, *(np.broadcast_to(g.cols[:, None, :], g.shape).reshape(-1) for g in plan)])
+    return _index_array(rows), _index_array(cols), _index_array(np.argsort(rows * width + cols))
 
 
 def _index_array(rows) -> np.ndarray:

@@ -125,8 +125,12 @@ def reference_simulate(system: LinearNetworkSystem, x0, inputs) -> TrajectoryDat
     return TrajectoryData(z=z, gamma=inputs.copy(), y=y, vertex_row_ranges=t.vertex_row_ranges())
 
 
-def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = DEFAULT_RCOND):
-    """Reference assembled (A, B): rescan, gather and solve each node on its own."""
+def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = DEFAULT_RCOND, failures=None):
+    """Reference assembled (A, B): rescan, gather and solve each node on its own.
+
+    A node whose solve raises propagates the error, unless a ``failures``
+    dict is given: then the node's message goes there and its blocks stay zero.
+    """
     srows = t.state_row_ranges()
     irows = t.input_row_ranges()
     ranges = traj.vertex_row_ranges
@@ -139,7 +143,13 @@ def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond
         parents += [(e, traj.gamma, irows, b) for e in sub.input_parents]
         pieces = [data[slice(*ranges[w]), :] for w, data, _, _ in parents]
         gamma_j = np.vstack(pieces) if pieces else np.zeros((0, traj.z.shape[1]))
-        model = dmdc_exact(traj.z[lo:hi, :], traj.y[lo:hi, :], gamma_j, rcond)
+        try:
+            model = dmdc_exact(traj.z[lo:hi, :], traj.y[lo:hi, :], gamma_j, rcond)
+        except NetdmdError as exc:
+            if failures is None:
+                raise
+            failures[v] = str(exc)
+            continue
         a[lo:hi, lo:hi] = model.a
         offset = 0
         for w, _, rows, target in parents:

@@ -28,7 +28,7 @@ from netdmd.sysmodel import (
     derive_rng,
     simulate,
 )
-from netdmd.topology import NetworkTopology, gather_plan, max_local_dim
+from netdmd.topology import NetworkTopology, coefficient_support, gather_plan, max_local_dim
 
 
 def _trajectory(system, m, seed):
@@ -163,13 +163,13 @@ def test_non_converging_node_fails_alone(monkeypatch):
     assert set(model.per_node_conditioning) == {"v0", "v1", "v3"}
 
 
-def test_blocks_are_read_only_views_of_the_assembled_matrices(two_node_topology, two_node_trajectory):
+def test_blocks_are_read_only_views_of_the_coefficient_vector(two_node_topology, two_node_trajectory):
     model = network_dmdc_exact(two_node_topology, two_node_trajectory)
     block = model.blocks_a[("v1", "v2")]
-    assert np.shares_memory(block, model.assembled_a)
+    assert np.shares_memory(block, model.coeffs)
     assert block[0, 0] == model.assembled_a[0, 1]
     assert not block.flags.writeable
-    assert np.shares_memory(model.blocks_b[("v2", "e2")], model.assembled_b)
+    assert np.shares_memory(model.blocks_b[("v2", "e2")], model.coeffs)
     with pytest.raises(TypeError):
         model.blocks_a[("v1", "v2")] = np.zeros((1, 1))
 
@@ -199,7 +199,7 @@ def test_unused_input_needs_no_trajectory_rows(two_node_system):
 
 @given(topologies())
 @settings(max_examples=80, deadline=None)
-def test_gather_plan_destinations_cover_exactly_the_edge_blocks(t):
+def test_coefficient_support_covers_exactly_the_edge_blocks(t):
     n, l = t.total_state_dim, t.total_input_dim
     srows = t.state_row_ranges()
     irows = t.input_row_ranges()
@@ -212,18 +212,22 @@ def test_gather_plan_destinations_cover_exactly_the_edge_blocks(t):
             want_a[rows, slice(*srows[w])] = 1
         for e in sub.input_parents:
             want_b[rows, slice(*irows[e])] = 1
-    hits = np.zeros(n * n + n * l, dtype=int)
+    rows, cols, order = coefficient_support(t)
+    assert not any(x.flags.writeable for x in (rows, cols, order))
+    assert np.all(np.diff((rows * (n + l) + cols)[order]) > 0)
+    hits = np.zeros((n, n + l), dtype=int)
+    np.add.at(hits, (rows, cols), 1)
+    assert np.array_equal(hits[:, :n], want_a)
+    assert np.array_equal(hits[:, n:], want_b)
+    position = 0
     for group in gather_plan(t):
-        assert group.dest.shape == (len(group.vertices), group.rows.shape[1], group.cols.shape[1])
-        assert not group.dest.flags.writeable
-        np.add.at(hits, group.dest.reshape(-1), 1)
+        assert group.shape == (len(group.vertices), group.rows.shape[1], group.cols.shape[1])
         for i in range(len(group.vertices)):
-            for r, row in enumerate(group.rows[i]):
-                for c, col in enumerate(group.cols[i]):
-                    want = row * n + col if col < n else n * n + row * l + col - n
-                    assert group.dest[i, r, c] == want
-    assert np.array_equal(hits[: n * n].reshape(n, n), want_a)
-    assert np.array_equal(hits[n * n :].reshape(n, l), want_b)
+            for row in group.rows[i]:
+                for col in group.cols[i]:
+                    assert (rows[position], cols[position]) == (row, col)
+                    position += 1
+    assert position == rows.size
 
 
 def _reference_assembled(identify, t, traj):

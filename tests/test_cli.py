@@ -131,8 +131,11 @@ def test_identify_network_dmdc(tmp_path, topology_file, trajectory_file):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert_allclose(doc["assembled_a"], [[1.2, -0.5], [0.0, 0.8]], atol=1e-9)
-    assert_allclose(doc["assembled_b"], np.eye(2), atol=1e-9)
+    assert list(doc["blocks_a"]) == ["v1→v1", "v2→v1", "v2→v2"]
+    assert_allclose([doc["blocks_a"][key] for key in doc["blocks_a"]], [[[1.2]], [[-0.5]], [[0.8]]], atol=1e-9)
+    assert list(doc["blocks_b"]) == ["e1→v1", "e2→v2"]
+    assert_allclose([doc["blocks_b"][key] for key in doc["blocks_b"]], [[[1.0]], [[1.0]]], atol=1e-9)
+    assert "assembled_a" not in doc and "assembled_b" not in doc
 
 
 @pytest.mark.parametrize(
