@@ -32,9 +32,7 @@ from .numkernel import (
     conditioning_record,
     conditioning_to_dict,
     eig,
-    frobenius_norm,
     pinv_conditioning,
-    pseudoinverse,
     truncated_svd,
 )
 from .topology import (
@@ -71,7 +69,6 @@ from .dmdcore import (
     DynamicModes,
     ExactLinearModel,
     ReducedLinearModel,
-    dmd_exact,
     dmd_modes,
     dmd_reduced,
     dmdc_exact,
@@ -82,10 +79,8 @@ from .dmdcore import (
     predict,
 )
 from .netdmdc import (
-    LocalData,
     NetworkModel,
     ReducedNetworkModel,
-    build_local_data,
     lift_reduced_network,
     model_error,
     network_dmdc_exact,

@@ -27,7 +27,7 @@ from .numkernel import (
     RelativeThreshold,
     TruncationRule,
 )
-from .dmdcore import ExactLinearModel, dmd_exact, dmd_reduced, dmdc_exact, dmdc_reduced, lift_reduced
+from .dmdcore import ExactLinearModel, dmd_reduced, dmdc_exact, dmdc_reduced, lift_reduced
 from .netdmdc import NetworkModel, lift_reduced_network, model_error, network_dmdc_exact, network_dmdc_reduced
 from .sysmodel import (
     Circular,
@@ -123,30 +123,27 @@ def _worst_record(records: dict, rcond: float) -> ConditioningRecord:
 def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
     """Run one algorithm; returns (model to score, conditioning record, warnings list).
 
-    The exact network model is scored as it is; every other result is
-    scored as the full-space :class:`ExactLinearModel` it lifts to.
+    A network result is scored as the full-space :class:`NetworkModel` it
+    is, or that the reduced one lifts to; a whole-system result as the
+    full-space :class:`ExactLinearModel` it lifts to.
     """
     t = system.topology
     if algorithm == "network_dmdc":
         if use_reduced:
-            model = network_dmdc_reduced(t, traj, truncation, truncation)
+            model = lift_reduced_network(network_dmdc_reduced(t, traj, truncation, truncation))
         else:
             model = network_dmdc_exact(t, traj, rcond)
         records = model.per_node_conditioning
-        record = _worst_record(records, rcond)
         warnings = [f"ill_conditioned:{v}" for v, rec in sorted(records.items()) if rec.warning]
         warnings += [f"failed:{v}" for v in sorted(model.node_failures)]
-        if use_reduced:
-            a, b = lift_reduced_network(model)
-            model = ExactLinearModel(a=a, b=b, conditioning=record)
-        return model, record, warnings
+        return model, _worst_record(records, rcond), warnings
     if algorithm == "dmdc":
         if use_reduced:
             model, _ = dmdc_reduced(traj.z, traj.y, traj.gamma, truncation, truncation)
         else:
             model = dmdc_exact(traj.z, traj.y, traj.gamma, rcond)
     elif algorithm == "dmd":
-        model = dmd_reduced(traj.z, traj.y, truncation)[0] if use_reduced else dmd_exact(traj.z, traj.y, rcond)
+        model = dmd_reduced(traj.z, traj.y, truncation)[0] if use_reduced else dmdc_exact(traj.z, traj.y, rcond=rcond)
     else:
         raise BadConfig(f"unknown algorithm {algorithm!r}")
     if use_reduced:

@@ -23,7 +23,7 @@ from .bench import (
     run_sweep,
     sweep_config_from_dict,
 )
-from .dmdcore import dmd_exact, dmdc_exact, model_to_dict
+from .dmdcore import dmdc_exact, model_to_dict
 from .netdmdc import network_dmdc_exact, network_model_to_dict
 from .sysmodel import (
     derive_rng,
@@ -98,10 +98,8 @@ def _cmd_identify(args) -> int:
         model = network_dmdc_exact(topology, traj, rcond=args.rcond)
         _dump_json(network_model_to_dict(model), args.out)
         return 0
-    if algorithm == "dmdc":
-        model = dmdc_exact(traj.z, traj.y, traj.gamma, rcond=args.rcond)
-    else:
-        model = dmd_exact(traj.z, traj.y, rcond=args.rcond)
+    gamma = traj.gamma if algorithm == "dmdc" else None
+    model = dmdc_exact(traj.z, traj.y, gamma, rcond=args.rcond)
     _dump_json(model_to_dict(model), args.out)
     return 0
 

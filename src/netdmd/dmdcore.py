@@ -84,35 +84,24 @@ def _check_columns(*mats):
         raise DimensionMismatch(f"column counts differ: {[m.shape for m in mats]}")
 
 
-def dmd_exact(z, y, rcond: float = DEFAULT_RCOND) -> ExactLinearModel:
-    """Minimum-norm solution of ``y ~ a z`` via the pseudoinverse of z."""
-    z = as_matrix(z, "z")
-    y = as_matrix(y, "y")
-    _check_columns(z, y)
-    if z.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
-    pinv, conditioning = pinv_conditioning(z, rcond)
-    return ExactLinearModel(a=y @ pinv, b=None, conditioning=conditioning)
+def dmdc_exact(z, y, gamma=None, rcond: float = DEFAULT_RCOND) -> ExactLinearModel:
+    """Minimum-norm solution of ``y ~ a z + b gamma``, or of ``y ~ a z`` (DMD) when gamma is None.
 
-
-def dmdc_exact(z, y, gamma, rcond: float = DEFAULT_RCOND) -> ExactLinearModel:
-    """Minimum-norm solution of ``y ~ a z + b gamma``.
-
-    Stacks ``omega = [z; gamma]``, applies the pseudoinverse, and splits the
-    result into the state part (first n columns) and input part (last l).
-    One SVD of omega gives both the pseudoinverse and the conditioning record.
+    Stacks ``omega = [z; gamma]`` (just z for DMD), applies the
+    pseudoinverse, and splits the result into the state part (first n
+    columns) and input part (last l); for DMD ``b`` is None. One SVD of
+    omega gives both the pseudoinverse and the conditioning record.
     """
     z = as_matrix(z, "z")
     y = as_matrix(y, "y")
-    gamma = as_matrix(gamma, "gamma")
-    _check_columns(z, y, gamma)
+    gammas = [] if gamma is None else [as_matrix(gamma, "gamma")]
+    _check_columns(z, y, *gammas)
     if z.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
     n = z.shape[0]
-    omega = np.vstack([z, gamma])
-    pinv, conditioning = pinv_conditioning(omega, rcond)
+    pinv, conditioning = pinv_conditioning(np.vstack([z, *gammas]), rcond)
     g = y @ pinv
-    return ExactLinearModel(a=g[:, :n], b=g[:, n:], conditioning=conditioning)
+    return ExactLinearModel(a=g[:, :n], b=g[:, n:] if gammas else None, conditioning=conditioning)
 
 
 def _filter_zero_modes(values: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -170,6 +159,19 @@ def dmdc_reduced(
     ``b_tilde = u_hat.T y v s^-1 u2.T``; (4) the eigendecomposition of
     ``a_tilde``; (5) full-space modes ``y v s^-1 u1.T u_hat w``.
     """
+    model, core, state_map = _dmdc_reduced_model(z, y, gamma, input_rule, output_rule)
+    eigres = eig(model.a_tilde)
+    raw_modes = (core @ state_map).astype(complex) @ eigres.vectors
+    values, modes, dropped = _filter_zero_modes(eigres.values, raw_modes)
+    return model, DynamicModes(values, modes, source="reduced", n_zero_excluded=dropped)
+
+
+def _dmdc_reduced_model(z, y, gamma, input_rule: TruncationRule, output_rule: TruncationRule):
+    """Steps (1) to (3) of :func:`dmdc_reduced`, without the modes.
+
+    Returns the model and the two factors of the modes' full-space map,
+    ``core = y v s^-1`` and ``state_map = u1.T u_hat``.
+    """
     z = as_matrix(z, "z")
     y = as_matrix(y, "y")
     gamma = as_matrix(gamma, "gamma")
@@ -187,20 +189,15 @@ def dmdc_reduced(
     u_hat = svd_out.u
     core = (y @ svd_in.v) / svd_in.sigma
     state_map = u1.T @ u_hat
-    a_tilde = u_hat.T @ core @ state_map
-    b_tilde = u_hat.T @ core @ u2.T
-    eigres = eig(a_tilde)
-    raw_modes = (core @ state_map).astype(complex) @ eigres.vectors
-    values, modes, dropped = _filter_zero_modes(eigres.values, raw_modes)
     model = ReducedLinearModel(
-        a_tilde=a_tilde,
-        b_tilde=b_tilde,
+        a_tilde=u_hat.T @ core @ state_map,
+        b_tilde=u_hat.T @ core @ u2.T,
         u_hat=u_hat,
         p=svd_in.truncation_rank,
         r=svd_out.truncation_rank,
         conditioning=svd_in.conditioning,
     )
-    return model, DynamicModes(values, modes, source="reduced", n_zero_excluded=dropped)
+    return model, core, state_map
 
 
 def dmd_modes(model: ExactLinearModel) -> DynamicModes:

@@ -7,13 +7,14 @@ network solvers gather all nodes of one local shape into a stack: the exact
 solve factors the stack with one batched SVD; the reduced solve runs its two
 truncated SVDs per node on slices of the stacks.
 
-The exact model stores only its coefficients, one flat vector in the
-topology's gather-plan order: group by group, each group's (G, d, k)
+The full-space network model stores only its coefficients, one flat vector
+in the topology's gather-plan order: group by group, each group's (G, d, k)
 solution stack, the layout of the system's own transition operator. Its
 blocks are views of that vector, and its dense A and B, exact zeros wherever
 the topology has no edge, are built on request; scoring reads the
-coefficients and the truth, never a dense model. The reduced model stores
-its assembled reduced matrices.
+coefficients and the truth, never a dense model. The exact solve writes that
+model directly; the reduced solve stores its assembled reduced matrices and
+is lifted, node by node, into the same full-space model.
 """
 from __future__ import annotations
 
@@ -37,11 +38,12 @@ from .numkernel import (
     conditioning_to_dict,
     pinv_conditioning,
 )
-from .dmdcore import ExactLinearModel, ReducedLinearModel, dmdc_reduced
+from .dmdcore import ExactLinearModel, ReducedLinearModel, _dmdc_reduced_model
 from .sysmodel import BLOCK_KEY_SEP, TrajectoryData
 from .topology import (
     NetworkTopology,
     ShapeGroup,
+    _densify,
     _ranges,
     coefficient_support,
     gather_plan,
@@ -49,22 +51,6 @@ from .topology import (
     topology_from_dict,
     topology_to_dict,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class LocalData:
-    """Snapshot triple of one local subsystem.
-
-    ``gamma_j`` stacks the parents' rows (state parents first, then input
-    parents, each group in declaration order); ``parent_row_ranges`` locates
-    every parent's rows inside it, its keys in that same order.
-    """
-
-    center: str
-    z_j: np.ndarray
-    y_j: np.ndarray
-    gamma_j: np.ndarray
-    parent_row_ranges: dict[str, tuple[int, int]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,21 +83,11 @@ class NetworkModel:
 
     @property
     def assembled_a(self) -> np.ndarray:
-        n = self.topology.total_state_dim
-        rows, cols, _ = coefficient_support(self.topology)
-        state = cols < n
-        a = np.zeros((n, n))
-        a[rows[state], cols[state]] = self.coeffs[state]
-        return a
+        return _densify(self.topology, self.coeffs)
 
     @property
     def assembled_b(self) -> np.ndarray:
-        n = self.topology.total_state_dim
-        rows, cols, _ = coefficient_support(self.topology)
-        inputs = cols >= n
-        b = np.zeros((n, self.topology.total_input_dim))
-        b[rows[inputs], cols[inputs] - n] = self.coeffs[inputs]
-        return b
+        return _densify(self.topology, self.coeffs, inputs=True)
 
     @property
     def blocks_a(self) -> Mapping[tuple[str, str], np.ndarray]:
@@ -214,25 +190,6 @@ class ReducedNetworkModel:
         return MappingProxyType(blocks_a), MappingProxyType(blocks_b)
 
 
-def build_local_data(t: NetworkTopology, traj: TrajectoryData, v: str) -> LocalData:
-    """Slice one vertex's rows and stack its parents' rows as local controls."""
-    sub = local_subsystem(t, v)
-    parents = sub.state_parents + sub.input_parents
-    for w in (v, *parents):
-        _vertex_rows(t, traj, w)
-    ranges = traj.vertex_row_ranges
-    pieces = [traj.z[slice(*ranges[w])] for w in sub.state_parents]
-    pieces += [traj.gamma[slice(*ranges[e])] for e in sub.input_parents]
-    lo, hi = ranges[v]
-    return LocalData(
-        center=v,
-        z_j=traj.z[lo:hi, :].copy(),
-        y_j=traj.y[lo:hi, :].copy(),
-        gamma_j=np.vstack(pieces) if pieces else np.zeros((0, traj.z.shape[1])),
-        parent_row_ranges=_ranges(parents, t.dims),
-    )
-
-
 def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = DEFAULT_RCOND) -> NetworkModel:
     """Identify every local subsystem with exact DMDc and assemble the blocks.
 
@@ -291,22 +248,13 @@ def _gathered(t: NetworkTopology, traj: TrajectoryData, failures: dict[str, str]
             yield group, ok, kept, data[cols[ok]], traj.y[rows[ok]]
 
 
-def _vertex_rows(t: NetworkTopology, traj: TrajectoryData, w: str) -> tuple[int, int]:
-    """Vertex w's half-open row range in the trajectory, checked against its dimension."""
-    if w not in traj.vertex_row_ranges:
-        raise RowRangeMismatch(f"trajectory has no rows for vertex {w!r}")
-    lo, hi = traj.vertex_row_ranges[w]
-    if hi - lo != t.dims[w]:
-        raise RowRangeMismatch(f"vertex {w!r} spans {hi - lo} trajectory rows but has dimension {t.dims[w]}")
-    return lo, hi
-
-
 def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
     """Row of ``[traj.z; traj.gamma]`` holding each position of ``[x; u]``.
 
-    Raises what :func:`build_local_data` raises for the first node, in
-    vertex order, whose own or parent rows are missing or mis-sized; a
-    vertex that no node reads (an input without edges) may lack rows.
+    Raises :class:`RowRangeMismatch` for the first node, in vertex order,
+    whose own or parent rows (checked in local-data order) are missing or
+    mis-sized; a vertex that no node reads (an input without edges) may
+    lack rows.
     """
     vertices = t.state_vertices + t.input_vertices
     spans = [traj.vertex_row_ranges.get(w, (0, -1)) for w in vertices]
@@ -320,8 +268,12 @@ def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
         for v in t.state_vertices:
             sub = local_subsystem(t, v)
             for w in (v, *sub.state_parents, *sub.input_parents):
-                if w in failing:
-                    _vertex_rows(t, traj, w)  # raises
+                if w not in failing:
+                    continue
+                if w not in traj.vertex_row_ranges:
+                    raise RowRangeMismatch(f"trajectory has no rows for vertex {w!r}")
+                lo, hi = traj.vertex_row_ranges[w]
+                raise RowRangeMismatch(f"vertex {w!r} spans {hi - lo} trajectory rows but has dimension {t.dims[w]}")
         source[np.repeat(bad, dim)] = -1
     return source
 
@@ -369,12 +321,13 @@ def network_dmdc_reduced(
     """Per-node reduced DMDc composed into a blockwise reduced network model.
 
     Nodes are gathered a shape group at a time, as in
-    :func:`network_dmdc_exact`, and each is identified by :func:`dmdc_reduced`
-    on its slices of the stacks; its record comes from that call's SVD of
-    ``Omega_j``. Once every projector is known, each node's blocks are
-    written into the assembled matrices, every cross block rewritten into
-    the parent's reduced coordinates (right-multiplied by the parent's
-    projector). A failed node keeps an identity projector and zero blocks.
+    :func:`network_dmdc_exact`, and each is identified by the model part of
+    :func:`dmdc_reduced` (no eigendecomposition, no modes) on its slices of
+    the stacks; its record comes from that call's SVD of ``Omega_j``. Once
+    every projector is known, each node's blocks are written into the
+    assembled matrices, every cross block rewritten into the parent's
+    reduced coordinates (right-multiplied by the parent's projector). A
+    failed node keeps an identity projector and zero blocks.
     """
     failures: dict[str, str] = {}
     solved: dict[str, ReducedLinearModel] = {}
@@ -382,7 +335,7 @@ def network_dmdc_reduced(
         d = y.shape[1]
         for v, omega_j, y_j in zip(kept, omega, y):
             try:
-                solved[v], _ = dmdc_reduced(omega_j[:d], y_j, omega_j[d:], input_rule, output_rule)
+                solved[v] = _dmdc_reduced_model(omega_j[:d], y_j, omega_j[d:], input_rule, output_rule)[0]
             except NetdmdError as exc:
                 failures[v] = str(exc)
     u_hat = {v: solved[v].u_hat if v in solved else np.eye(t.dims[v]) for v in t.state_vertices}
@@ -410,19 +363,33 @@ def network_dmdc_reduced(
     )
 
 
-def lift_reduced_network(model: ReducedNetworkModel) -> tuple[np.ndarray, np.ndarray]:
-    """Full-space (A, B) obtained through the block-diagonal projector."""
+def lift_reduced_network(model: ReducedNetworkModel) -> NetworkModel:
+    """The full-space network model of a reduced one, lifted edge by edge through the projectors.
+
+    Node j's coefficient strip is ``U_j [a~_j U_j^T | b~_jw U_w U_w^T ... | b~_je ...]``
+    with ``U = u_hat`` and ``b~_jw U_w`` the reduced model's cross block, so
+    only the topology's edges are formed. Failed nodes keep zero
+    coefficients; records and failures carry over.
+    """
     t = model.topology
-    n = t.total_state_dim
-    srows = t.state_row_ranges()
-    rranges = model.reduced_row_ranges()
-    total_r = model.assembled_a.shape[0]
-    ublk = np.zeros((n, total_r))
+    u_hat = model.u_hat
+    coeffs = np.zeros(coefficient_support(t)[0].size)
+    strips = _node_strips(t, coeffs)
     for v in t.state_vertices:
-        lo, hi = srows[v]
-        rlo, rhi = rranges[v]
-        ublk[lo:hi, rlo:rhi] = model.u_hat[v]
-    return ublk @ model.assembled_a @ ublk.T, ublk @ model.assembled_b
+        if v in model.node_failures:
+            continue
+        for w, is_input, cols in _strip_columns(t, v):
+            if is_input:
+                strips[v][:, cols] = u_hat[v] @ model.blocks_b[(v, w)]
+            else:
+                strips[v][:, cols] = u_hat[v] @ model.blocks_a[(v, w)] @ u_hat[w].T
+    coeffs.flags.writeable = False
+    return NetworkModel(
+        topology=t,
+        coeffs=coeffs,
+        per_node_conditioning=dict(model.per_node_conditioning),
+        node_failures=dict(model.node_failures),
+    )
 
 
 #: Elements of :func:`model_error`'s difference buffer: 96 KiB of float64, which

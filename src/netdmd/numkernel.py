@@ -159,20 +159,13 @@ def truncated_svd(m, rule: TruncationRule = MachineDefault()) -> SvdResult:
     )
 
 
-def pseudoinverse(m, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values below ``rcond * sigma_max`` are treated as zero.
-    """
-    return pinv_conditioning(m, rcond)[0]
-
-
 def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
     """Pseudoinverse and conditioning record of a matrix, or of a stack, from one SVD.
 
     ``m`` is one k-by-n matrix or a G-by-k-by-n stack of them, which LAPACK
-    factors in one batched call. Returns the pseudoinverse (n-by-k, or
-    G-by-n-by-k) under :func:`pseudoinverse`'s cutoff, and the record
+    factors in one batched call. Returns the Moore-Penrose pseudoinverse
+    (n-by-k, or G-by-n-by-k), with singular values below
+    ``rcond * sigma_max`` treated as zero, and the record
     :func:`conditioning_record` describes (for a stack, a list of G records),
     both read from the same singular values.
     """
@@ -251,14 +244,6 @@ def _canonicalize_columns(vectors: np.ndarray) -> np.ndarray:
                 col = -col
         out[:, j] = col
     return out
-
-
-def frobenius_norm(m) -> float:
-    """Square root of the sum of squared entries."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a))
 
 
 def conditioning_record(m, rcond: float = DEFAULT_RCOND) -> ConditioningRecord:

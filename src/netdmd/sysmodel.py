@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadConfig, DimensionMismatch, Divergence, RowRangeMismatch
-from .topology import NetworkTopology, coefficient_support, gather_plan, local_subsystem
+from .topology import NetworkTopology, _densify, coefficient_support, gather_plan, local_subsystem
 
 #: Separator used in serialized edge-block keys ("src->dst" with an arrow).
 BLOCK_KEY_SEP = "→"
@@ -308,14 +308,8 @@ def gen_erdos_renyi(cfg: GeneratorConfig, rng: np.random.Generator | None = None
 
 def true_full_matrices(system: LinearNetworkSystem) -> tuple[np.ndarray, np.ndarray]:
     """Assembled ground-truth (A, B): the transition operator with exact zeros wherever there is no edge."""
-    n = system.topology.total_state_dim
-    rows, cols, vals = system._operator
-    a = np.zeros((n, n))
-    b = np.zeros((n, system.topology.total_input_dim))
-    state = cols < n
-    a[rows[state], cols[state]] = vals[state]
-    b[rows[~state], cols[~state] - n] = vals[~state]
-    return a, b
+    vals = system._operator[2]
+    return _densify(system.topology, vals), _densify(system.topology, vals, inputs=True)
 
 
 def system_to_dict(system: LinearNetworkSystem) -> dict:

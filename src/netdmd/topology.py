@@ -10,9 +10,10 @@ Each topology derives its parent index (the ordered state and input parents
 and the local dimension of every state vertex) once, in one pass over the
 edges, on the first lookup, its gather plan (every vertex's positions in
 the stacked vector ``[x; u]``, grouped by local shape) on the first use of
-that, and where each of the plan's coefficients sits on the first use of
-those. Topologies are values: mutating one, ``dims`` included, after any of
-these is derived leaves it stale.
+that, where each of the plan's coefficients sits on the first use of those,
+and its total state and input dimensions on their first use. Topologies are
+values: mutating one, ``dims`` included, after any of these is derived
+leaves it stale.
 """
 from __future__ import annotations
 
@@ -45,11 +46,11 @@ class NetworkTopology:
         object.__setattr__(self, "edges", tuple((s, d) for s, d in self.edges))
         object.__setattr__(self, "dims", dict(self.dims))
 
-    @property
+    @cached_property
     def total_state_dim(self) -> int:
         return sum(self.dims[v] for v in self.state_vertices)
 
-    @property
+    @cached_property
     def total_input_dim(self) -> int:
         return sum(self.dims[e] for e in self.input_vertices)
 
@@ -269,6 +270,20 @@ def _build_coefficient_support(plan, width: int) -> tuple[np.ndarray, np.ndarray
     rows = np.concatenate([empty, *(np.broadcast_to(g.rows[:, :, None], g.shape).reshape(-1) for g in plan)])
     cols = np.concatenate([empty, *(np.broadcast_to(g.cols[:, None, :], g.shape).reshape(-1) for g in plan)])
     return _index_array(rows), _index_array(cols), _index_array(np.argsort(rows * width + cols))
+
+
+def _densify(t: NetworkTopology, values: np.ndarray, inputs: bool = False) -> np.ndarray:
+    """The state (A) or, with ``inputs``, the input (B) part of plan-order coefficients as a dense matrix.
+
+    ``values`` holds one entry per coefficient of :func:`coefficient_support`;
+    every position the topology has no coefficient for is an exact zero.
+    """
+    n = t.total_state_dim
+    rows, cols, _ = coefficient_support(t)
+    part = cols >= n if inputs else cols < n
+    out = np.zeros((n, t.total_input_dim if inputs else n))
+    out[rows[part], cols[part] - (n if inputs else 0)] = values[part]
+    return out
 
 
 def _index_array(rows) -> np.ndarray:

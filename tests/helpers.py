@@ -2,17 +2,18 @@
 
 The oracles are the straightforward per-vertex forms of the package's
 indexed and vectorized code: a topology rescan per lookup, a per-vertex
-block loop per simulation step, and a per-node gather for both network
-DMDc solvers.
+block loop per simulation step, a per-node gather for both network DMDc
+solvers, and a lift of the reduced network model through one dense
+block-diagonal projector.
 """
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
 
 from netdmd.dmdcore import dmdc_exact, dmdc_reduced
-from netdmd.errors import DimensionMismatch, NetdmdError, UnknownVertex
-from netdmd.netdmdc import build_local_data
+from netdmd.errors import DimensionMismatch, NetdmdError, RowRangeMismatch, UnknownVertex
 from netdmd.numkernel import DEFAULT_RCOND, ConditioningRecord, MachineDefault, TruncationRule, conditioning_record
 from netdmd.sysmodel import LinearNetworkSystem, TrajectoryData
 from netdmd.topology import LocalSubsystem, NetworkTopology
@@ -84,6 +85,55 @@ def rescan_local_subsystem(t: NetworkTopology, v: str) -> LocalSubsystem:
     input_parents.sort(key=input_order.__getitem__)
     dim = t.dims[v] + sum(t.dims[w] for w in state_parents) + sum(t.dims[e] for e in input_parents)
     return LocalSubsystem(v, tuple(state_parents), tuple(input_parents), dim)
+
+
+@dataclass(frozen=True, eq=False)
+class LocalData:
+    """Snapshot triple of one local subsystem.
+
+    ``gamma_j`` stacks the parents' rows (state parents first, then input
+    parents, each group in declaration order); ``parent_row_ranges`` locates
+    every parent's rows inside it, its keys in that same order.
+    """
+
+    center: str
+    z_j: np.ndarray
+    y_j: np.ndarray
+    gamma_j: np.ndarray
+    parent_row_ranges: dict
+
+
+def build_local_data(t: NetworkTopology, traj: TrajectoryData, v: str) -> LocalData:
+    """Reference per-node gather: slice one vertex's rows and stack its parents' rows as local controls.
+
+    Checks the vertex's own rows and then each parent's, in local-data
+    order, raising :class:`RowRangeMismatch` for the first that is missing
+    or mis-sized.
+    """
+    sub = rescan_local_subsystem(t, v)
+    parents = sub.state_parents + sub.input_parents
+    ranges = traj.vertex_row_ranges
+    for w in (v, *parents):
+        if w not in ranges:
+            raise RowRangeMismatch(f"trajectory has no rows for vertex {w!r}")
+        lo, hi = ranges[w]
+        if hi - lo != t.dims[w]:
+            raise RowRangeMismatch(f"vertex {w!r} spans {hi - lo} trajectory rows but has dimension {t.dims[w]}")
+    pieces = [traj.z[slice(*ranges[w])] for w in sub.state_parents]
+    pieces += [traj.gamma[slice(*ranges[e])] for e in sub.input_parents]
+    parent_row_ranges = {}
+    offset = 0
+    for w in parents:
+        parent_row_ranges[w] = (offset, offset + t.dims[w])
+        offset += t.dims[w]
+    lo, hi = ranges[v]
+    return LocalData(
+        center=v,
+        z_j=traj.z[lo:hi, :].copy(),
+        y_j=traj.y[lo:hi, :].copy(),
+        gamma_j=np.vstack(pieces) if pieces else np.zeros((0, traj.z.shape[1])),
+        parent_row_ranges=parent_row_ranges,
+    )
 
 
 def reference_step(system: LinearNetworkSystem, x, u) -> np.ndarray:
@@ -226,3 +276,22 @@ def reference_network_dmdc_reduced(
         per_node_conditioning=conditioning,
         node_failures=failures,
     )
+
+
+def reference_lift_reduced_network(model) -> tuple[np.ndarray, np.ndarray]:
+    """Reference full-space (A, B) of a reduced network model, through its dense block-diagonal projector.
+
+    This is the package's former ``lift_reduced_network``: ``U A~ U^T`` and
+    ``U B~`` with U the n-by-r block-diagonal stack of the nodes' ``u_hat``.
+    """
+    t = model.topology
+    n = t.total_state_dim
+    srows = t.state_row_ranges()
+    rranges = model.reduced_row_ranges()
+    total_r = model.assembled_a.shape[0]
+    ublk = np.zeros((n, total_r))
+    for v in t.state_vertices:
+        lo, hi = srows[v]
+        rlo, rhi = rranges[v]
+        ublk[lo:hi, rlo:rhi] = model.u_hat[v]
+    return ublk @ model.assembled_a @ ublk.T, ublk @ model.assembled_b

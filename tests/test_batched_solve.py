@@ -1,5 +1,6 @@
 """Both network DMDc solvers and their shared gather plan against per-node oracles."""
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    build_local_data,
+    reference_lift_reduced_network,
     reference_network_dmdc_exact,
     reference_network_dmdc_reduced,
     rescan_local_subsystem,
     systems,
     topologies,
 )
-from netdmd import netdmdc
 from netdmd.bench import generate_system
 from netdmd.dmdcore import dmdc_exact
 from netdmd.errors import NetdmdError, RowRangeMismatch
-from netdmd.netdmdc import build_local_data, network_dmdc_exact, network_dmdc_reduced, network_model_to_dict
+from netdmd.netdmdc import lift_reduced_network, network_dmdc_exact, network_dmdc_reduced, network_model_to_dict
 from netdmd.numkernel import FixedRank, MachineDefault, RelativeThreshold, conditioning_record
 from netdmd.sysmodel import (
     Circular,
@@ -37,8 +39,8 @@ def _trajectory(system, m, seed):
     return simulate(system, rng.uniform(-1, 1, t.total_state_dim), rng.uniform(-1, 1, (t.total_input_dim, m)))
 
 
-def _close(got, want):
-    return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+def _close(got, want, rtol=1e-12):
+    return np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
 def _strip(model, t, v):
@@ -295,16 +297,21 @@ RULE_PAIRS = [
 ]
 
 
+def _maybe_one_nan(traj, data):
+    """The trajectory, or a copy with one entry of z, gamma or y set to NaN."""
+    if not data.draw(st.booleans()):
+        return traj
+    arrays = {"z": traj.z.copy(), "gamma": traj.gamma.copy(), "y": traj.y.copy()}
+    arr = arrays[data.draw(st.sampled_from([name for name, arr in arrays.items() if arr.size]))]
+    arr[data.draw(st.integers(0, arr.shape[0] - 1)), data.draw(st.integers(0, traj.n_snapshots - 1))] = np.nan
+    return TrajectoryData(arrays["z"], arrays["gamma"], arrays["y"], traj.vertex_row_ranges)
+
+
 @given(systems(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from(RULE_PAIRS), st.data())
 @settings(max_examples=120, deadline=None)
 def test_reduced_solve_matches_per_node_reference(system, m, seed, rules, data):
     t = system.topology
-    traj = _trajectory(system, m, seed)
-    if data.draw(st.booleans()):
-        arrays = {"z": traj.z.copy(), "gamma": traj.gamma.copy(), "y": traj.y.copy()}
-        arr = arrays[data.draw(st.sampled_from([name for name, arr in arrays.items() if arr.size]))]
-        arr[data.draw(st.integers(0, arr.shape[0] - 1)), data.draw(st.integers(0, m - 1))] = np.nan
-        traj = TrajectoryData(arrays["z"], arrays["gamma"], arrays["y"], traj.vertex_row_ranges)
+    traj = _maybe_one_nan(_trajectory(system, m, seed), data)
     model = network_dmdc_reduced(t, traj, *rules)
     want = reference_network_dmdc_reduced(t, traj, *rules)
     # the same per-node arithmetic on the same values: bit-identical, not just close
@@ -325,6 +332,41 @@ def test_reduced_solve_matches_per_node_reference(system, m, seed, rules, data):
         assert (got.warning, got.rcond_used) == (ref.warning, ref.rcond_used)
 
 
+@given(systems(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from(RULE_PAIRS), st.data())
+@settings(max_examples=120, deadline=None)
+def test_lift_matches_the_dense_projector_reference(system, m, seed, rules, data):
+    t = system.topology
+    traj = _maybe_one_nan(_trajectory(system, m, seed), data)
+    reduced = network_dmdc_reduced(t, traj, *rules)
+    lifted = lift_reduced_network(reduced)
+    a, b = reference_lift_reduced_network(reduced)
+    if all(u.shape == (1, 1) for u in reduced.u_hat.values()):
+        # every product is a sign flip: the same values whatever the summation order
+        assert np.array_equal(lifted.assembled_a, a) and np.array_equal(lifted.assembled_b, b)
+    else:
+        assert _close(lifted.assembled_a, a, 1e-14) and _close(lifted.assembled_b, b, 1e-14)
+    for v in reduced.node_failures:
+        assert not _strip(lifted, t, v).any()
+    assert lifted.per_node_conditioning == reduced.per_node_conditioning
+    assert list(lifted.node_failures.items()) == list(reduced.node_failures.items())
+
+
+def test_lift_of_a_two_thousand_vertex_ring_forms_only_the_edges():
+    # the dense block-diagonal lift allocated n-by-n products: 32 MB each at this size
+    system = generate_system(GeneratorConfig(Circular(2000, 2), seed=6), derive_rng(6))
+    t = system.topology
+    reduced = network_dmdc_reduced(t, _trajectory(system, 10, 6))
+    tracemalloc.start()
+    try:
+        lifted = lift_reduced_network(reduced)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lifted.coeffs.size == t.total_state_dim + len(t.edges)
+    assert lifted.node_failures == {}
+    assert peak < 8 * 2**20
+
+
 def test_reduced_solve_runs_two_svds_per_node_and_no_per_node_gather(monkeypatch):
     system = generate_system(GeneratorConfig(Circular(10, 2), seed=4), derive_rng(4))
     t = system.topology
@@ -336,11 +378,11 @@ def test_reduced_solve_runs_two_svds_per_node_and_no_per_node_gather(monkeypatch
         calls.append(np.shape(args[0]))
         return real_svd(*args, **kwargs)
 
-    def per_node(*args, **kwargs):
-        raise AssertionError("per-node gather called")
+    def no_eig(*args, **kwargs):
+        raise AssertionError("eigendecomposition computed for modes the network model discards")
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    monkeypatch.setattr(netdmdc, "build_local_data", per_node)
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
     model = network_dmdc_reduced(t, traj)
     assert len(calls) == 20
     assert model.node_failures == {}

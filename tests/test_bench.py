@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from helpers import reference_lift_reduced_network
 from netdmd.errors import BadConfig
 from netdmd.bench import (
     CSV_COLUMNS,
@@ -19,6 +20,7 @@ from netdmd.bench import (
     sweep_config_from_dict,
     sweep_config_to_dict,
 )
+from netdmd.netdmdc import network_dmdc_reduced
 from netdmd.numkernel import FixedRank, MachineDefault, RelativeThreshold, conditioning_record
 from netdmd.sysmodel import (
     Circular,
@@ -29,6 +31,7 @@ from netdmd.sysmodel import (
     gen_circular,
     read_trajectory_csv,
     simulate,
+    true_full_matrices,
     write_trajectory_csv,
 )
 from netdmd.topology import NetworkTopology
@@ -91,6 +94,31 @@ class TestRunTrial:
         # full-rank data: reduced dmdc and network dmdc still recover
         assert by_alg["dmdc"].frobenius_error < 1e-6
         assert by_alg["network_dmdc"].frobenius_error < 1e-6
+
+    def test_reduced_network_row_scores_the_lifted_model(self):
+        # vertex dims 2 and 3 under rank-1 truncation: the lift is lossy and its projectors are not signs
+        t = NetworkTopology(
+            ("v1", "v2", "v3"),
+            ("e1",),
+            (("v1", "v2"), ("v3", "v2"), ("v2", "v3"), ("e1", "v1"), ("e1", "v3")),
+            {"v1": 2, "v2": 3, "v3": 1, "e1": 2},
+        )
+        rng = np.random.default_rng(8)
+        system = LinearNetworkSystem(
+            t,
+            {v: rng.uniform(-0.4, 0.4, (t.dims[v], t.dims[v])) for v in t.state_vertices},
+            {(s, d): rng.uniform(-0.4, 0.4, (t.dims[d], t.dims[s])) for s, d in t.edges},
+        )
+        (row,) = run_trial(system, 9, ("network_dmdc",), derive_rng(6), truncation=FixedRank(1), use_reduced=True)
+        rng = derive_rng(6)
+        x0 = rng.uniform(-1.0, 1.0, size=t.total_state_dim)
+        traj = simulate(system, x0, rng.uniform(-1.0, 1.0, size=(t.total_input_dim, 9)))
+        reduced = network_dmdc_reduced(t, traj, FixedRank(1), FixedRank(1))
+        a, b = reference_lift_reduced_network(reduced)
+        truth_a, truth_b = true_full_matrices(system)
+        want = np.linalg.norm(np.hstack([a - truth_a, b - truth_b]))
+        assert reduced.node_failures == {} and want > 1e-3
+        assert abs(row.frobenius_error - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("algorithm, svds", [("dmdc", 2), ("dmd", 1)])
     def test_reduced_rows_read_the_record_of_their_own_svd(self, two_node_system, monkeypatch, algorithm, svds):
@@ -274,6 +302,17 @@ class TestSweepConfig:
                 ),
             ),
             (
+                "circular_reduced_sweep",
+                SweepConfig(
+                    generator=GeneratorConfig(Circular(50, 2), coeff_range=(-1.0, 1.0), input_range=(-10.0, 10.0)),
+                    trials=20,
+                    m_values=(3, 5, 10, 25, 50, 75),
+                    algorithms=("dmdc", "network_dmdc"),
+                    master_seed=2024,
+                    use_reduced=True,
+                ),
+            ),
+            (
                 "erdos_renyi_sweep",
                 SweepConfig(
                     generator=GeneratorConfig(ErdosRenyi(50, 0.05), coeff_range=(-1.0, 1.0)),
@@ -284,10 +323,11 @@ class TestSweepConfig:
                 ),
             ),
         ],
-        ids=["circular_sweep", "erdos_renyi_sweep"],
+        ids=["circular_sweep", "circular_reduced_sweep", "erdos_renyi_sweep"],
     )
     def test_checked_in_configs_load(self, name, cfg):
-        # the configs replace the sweep scripts; these are the configs the scripts built by default
+        # the configs replace the sweep scripts (these are the configs the scripts built by default),
+        # plus the circular sweep through the reduced solvers
         path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
         assert sweep_config_from_dict(json.loads(path.read_text())) == cfg
 

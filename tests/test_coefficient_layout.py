@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_network_dmdc_exact, systems
+from helpers import build_local_data, reference_network_dmdc_exact, systems
 from netdmd import netdmdc
 from netdmd.dmdcore import dmdc_exact
 from netdmd.errors import DimensionMismatch, NonFiniteEntry
 from netdmd.netdmdc import (
     NetworkModel,
-    build_local_data,
     model_error,
     network_dmdc_exact,
     network_model_from_dict,

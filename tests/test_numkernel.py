@@ -12,11 +12,11 @@ from netdmd.numkernel import (
     conditioning_record,
     conditioning_to_dict,
     eig,
-    frobenius_norm,
     pinv_conditioning,
-    pseudoinverse,
     truncated_svd,
 )
+from netdmd.dmdcore import ExactLinearModel
+from netdmd.netdmdc import model_error
 
 # 3x3 stacked data matrix from the two-node worked example: [Z1; Gamma1]
 STACK_3X3 = np.array([[2.0, 0.1, -1.63], [5.0, 4.3, 3.54], [0.2, 0.4, 0.8]])
@@ -82,6 +82,11 @@ class TestTruncatedSvd:
             err = np.linalg.norm(res.u @ np.diag(res.sigma) @ res.v.T - a)
             bound = (np.sqrt(res.discarded_energy) + 1e-10) * np.linalg.norm(a)
             assert err <= bound + 1e-12
+
+
+def pseudoinverse(m):
+    """The pseudoinverse alone, as ``pinv_conditioning`` returns it."""
+    return pinv_conditioning(m)[0]
 
 
 class TestPseudoinverse:
@@ -180,6 +185,12 @@ class TestEig:
             assert lead.real > 0 or (lead.real == 0 and lead.imag >= 0)
 
 
+def frobenius_norm(m):
+    """The Frobenius norm as the program computes it: a model's distance from an all-zero truth."""
+    a = np.asarray(m, dtype=float)
+    return model_error(ExactLinearModel(a, None, ConditioningRecord(1.0, 1.0, 1e-12, False)), np.zeros(a.shape))
+
+
 class TestFrobeniusNorm:
     def test_zero(self):
         assert frobenius_norm(np.zeros((3, 3))) == 0.0
@@ -244,13 +255,12 @@ class TestPinvConditioning:
 @pytest.mark.parametrize(
     "call",
     [
-        pseudoinverse,
         conditioning_record,
         lambda a: truncated_svd(a, MachineDefault()),
         pinv_conditioning,
         lambda a: pinv_conditioning(np.stack([a, a])),
     ],
-    ids=["pseudoinverse", "conditioning_record", "truncated_svd", "pinv_conditioning", "pinv_conditioning_stack"],
+    ids=["conditioning_record", "truncated_svd", "pinv_conditioning", "pinv_conditioning_stack"],
 )
 def test_svd_non_convergence_is_typed(call, monkeypatch):
     def svd(*args, **kwargs):
