@@ -80,8 +80,6 @@ from .dmdcore import (
 )
 from .netdmdc import (
     NetworkModel,
-    ReducedNetworkModel,
-    lift_reduced_network,
     model_error,
     network_dmdc_exact,
     network_dmdc_reduced,

@@ -28,7 +28,7 @@ from .numkernel import (
     TruncationRule,
 )
 from .dmdcore import ExactLinearModel, dmd_reduced, dmdc_exact, dmdc_reduced, lift_reduced
-from .netdmdc import NetworkModel, lift_reduced_network, model_error, network_dmdc_exact, network_dmdc_reduced
+from .netdmdc import NetworkModel, model_error, network_dmdc_exact, network_dmdc_reduced
 from .sysmodel import (
     Circular,
     ErdosRenyi,
@@ -123,14 +123,14 @@ def _worst_record(records: dict, rcond: float) -> ConditioningRecord:
 def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
     """Run one algorithm; returns (model to score, conditioning record, warnings list).
 
-    A network result is scored as the full-space :class:`NetworkModel` it
-    is, or that the reduced one lifts to; a whole-system result as the
-    full-space :class:`ExactLinearModel` it lifts to.
+    A network result is scored as the full-space :class:`NetworkModel` both
+    network solvers return; a whole-system result as the full-space
+    :class:`ExactLinearModel` it lifts to.
     """
     t = system.topology
     if algorithm == "network_dmdc":
         if use_reduced:
-            model = lift_reduced_network(network_dmdc_reduced(t, traj, truncation, truncation))
+            model = network_dmdc_reduced(t, traj, truncation, truncation)
         else:
             model = network_dmdc_exact(t, traj, rcond)
         records = model.per_node_conditioning

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import NetdmdError
+from .errors import BadConfig, NetdmdError
 from .numkernel import DEFAULT_RCOND
 from .bench import (
     export_result,
@@ -39,6 +39,21 @@ from .topology import topology_from_dict, validate
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _read_document(path, reader):
+    """``reader`` applied to the JSON document at ``path``.
+
+    The readers index and convert fields as they are documented, so a field
+    of the wrong type (a list where an object belongs, a number where a list
+    does) surfaces as a TypeError or AttributeError from the reader; that is
+    a :class:`BadConfig` about the document.
+    """
+    doc = _load_json(path)
+    try:
+        return reader(doc)
+    except (TypeError, AttributeError) as exc:
+        raise BadConfig(f"{path}: field of the wrong type: {exc}") from exc
 
 
 def _dump_json(doc, path):
@@ -71,14 +86,14 @@ def _cmd_gen_network(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    system = system_from_dict(_load_json(args.system))
+    system = _read_document(args.system, system_from_dict)
     t = system.topology
     if args.x0 is not None:
         x0 = np.array([float(s) for s in args.x0.split(",")])
     else:
         x0 = derive_rng(args.x0_seed).uniform(*args.x0_range, size=t.total_state_dim)
     if args.inputs_json is not None:
-        inputs = np.asarray(_load_json(args.inputs_json), dtype=float)
+        inputs = _read_document(args.inputs_json, lambda doc: np.asarray(doc, dtype=float))
     else:
         if args.steps is None:
             raise NetdmdError("--steps is required when inputs are drawn from a seed")
@@ -91,7 +106,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    topology = topology_from_dict(_load_json(args.topology))
+    topology = _read_document(args.topology, topology_from_dict)
     traj = read_trajectory_csv(args.trajectory)
     algorithm = args.algorithm.replace("-", "_")
     if algorithm == "network_dmdc":
@@ -105,7 +120,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = sweep_config_from_dict(_load_json(args.config))
+    cfg = _read_document(args.config, sweep_config_from_dict)
     result = run_sweep(cfg)
     if args.csv is None and args.json is None:
         for (m, alg), err in sorted(result.means.items()):
@@ -119,7 +134,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    topology = topology_from_dict(_load_json(args.topology))
+    topology = _read_document(args.topology, topology_from_dict)
     violations = validate(topology)
     for violation in violations:
         print(f"{violation.code}: {violation.message}")

@@ -12,9 +12,9 @@ in the topology's gather-plan order: group by group, each group's (G, d, k)
 solution stack, the layout of the system's own transition operator. Its
 blocks are views of that vector, and its dense A and B, exact zeros wherever
 the topology has no edge, are built on request; scoring reads the
-coefficients and the truth, never a dense model. The exact solve writes that
-model directly; the reduced solve stores its assembled reduced matrices and
-is lifted, node by node, into the same full-space model.
+coefficients and the truth, never a dense model. Both solvers write that
+model directly: the reduced solve lifts each node's reduced blocks through
+the projectors, edge by edge, into the same layout.
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ from .topology import (
     NetworkTopology,
     ShapeGroup,
     _densify,
-    _ranges,
     coefficient_support,
     gather_plan,
     local_subsystem,
@@ -141,53 +140,6 @@ def _view(block: np.ndarray) -> np.ndarray:
     block = block.view()
     block.flags.writeable = False
     return block
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedNetworkModel:
-    """Blockwise reduced model with one projector per state vertex.
-
-    Node j's reduced state is ``u_hat[j].T @ x_j``. Diagonal blocks are
-    r_j-by-r_j; cross blocks map node k's reduced coordinates into node j's;
-    input blocks keep the raw input coordinates. ``assembled_a``/
-    ``assembled_b`` are the model's only stored coefficients, and
-    ``blocks_a``/``blocks_b`` view them edge by edge, vertex by vertex: each
-    vertex's own block, then its state parents', then its input parents'.
-    """
-
-    topology: NetworkTopology
-    u_hat: dict[str, np.ndarray]
-    assembled_a: np.ndarray
-    assembled_b: np.ndarray
-    per_node_conditioning: dict[str, ConditioningRecord]
-    node_failures: dict[str, str]
-
-    def reduced_row_ranges(self) -> dict[str, tuple[int, int]]:
-        return _ranges(self.topology.state_vertices, {v: u.shape[1] for v, u in self.u_hat.items()})
-
-    @property
-    def blocks_a(self) -> Mapping[tuple[str, str], np.ndarray]:
-        return self._blocks[0]
-
-    @property
-    def blocks_b(self) -> Mapping[tuple[str, str], np.ndarray]:
-        return self._blocks[1]
-
-    @cached_property
-    def _blocks(self):
-        t = self.topology
-        rrows = self.reduced_row_ranges()
-        irows = t.input_row_ranges()
-        blocks_a: dict[tuple[str, str], np.ndarray] = {}
-        blocks_b: dict[tuple[str, str], np.ndarray] = {}
-        for v in t.state_vertices:
-            sub = local_subsystem(t, v)
-            rows = slice(*rrows[v])
-            for w in (v, *sub.state_parents):
-                blocks_a[(v, w)] = _view(self.assembled_a[rows, slice(*rrows[w])])
-            for e in sub.input_parents:
-                blocks_b[(v, e)] = _view(self.assembled_b[rows, slice(*irows[e])])
-        return MappingProxyType(blocks_a), MappingProxyType(blocks_b)
 
 
 def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = DEFAULT_RCOND) -> NetworkModel:
@@ -317,17 +269,19 @@ def network_dmdc_reduced(
     traj: TrajectoryData,
     input_rule: TruncationRule = MachineDefault(),
     output_rule: TruncationRule = MachineDefault(),
-) -> ReducedNetworkModel:
-    """Per-node reduced DMDc composed into a blockwise reduced network model.
+) -> NetworkModel:
+    """Per-node reduced DMDc, lifted into the full-space network model.
 
     Nodes are gathered a shape group at a time, as in
     :func:`network_dmdc_exact`, and each is identified by the model part of
     :func:`dmdc_reduced` (no eigendecomposition, no modes) on its slices of
     the stacks; its record comes from that call's SVD of ``Omega_j``. Once
-    every projector is known, each node's blocks are written into the
-    assembled matrices, every cross block rewritten into the parent's
-    reduced coordinates (right-multiplied by the parent's projector). A
-    failed node keeps an identity projector and zero blocks.
+    every projector ``U = u_hat`` is known, node j's coefficient strip
+    ``U_j a~_j U_j^T | U_j (b~_jw U_w) U_w^T ... | U_j b~_je ...`` is written
+    edge by edge into its plan-order slice of ``coeffs``: the cross block is
+    first rewritten into the parent's reduced coordinates, then lifted. A
+    failed node keeps zero coefficients, and the identity as its projector
+    where it is a parent of a solved node.
     """
     failures: dict[str, str] = {}
     solved: dict[str, ReducedLinearModel] = {}
@@ -339,56 +293,22 @@ def network_dmdc_reduced(
             except NetdmdError as exc:
                 failures[v] = str(exc)
     u_hat = {v: solved[v].u_hat if v in solved else np.eye(t.dims[v]) for v in t.state_vertices}
-    ranges = _ranges(t.state_vertices, {v: u.shape[1] for v, u in u_hat.items()})
-    irows = t.input_row_ranges()
-    total_r = sum(u.shape[1] for u in u_hat.values())
-    assembled_a = np.zeros((total_r, total_r))
-    assembled_b = np.zeros((total_r, t.total_input_dim))
-    for v, node in solved.items():
-        sub = local_subsystem(t, v)
-        rows = slice(*ranges[v])
-        spans = _ranges(sub.state_parents + sub.input_parents, t.dims)
-        assembled_a[rows, rows] = node.a_tilde
-        for w in sub.state_parents:
-            assembled_a[rows, slice(*ranges[w])] = node.b_tilde[:, slice(*spans[w])] @ u_hat[w]
-        for e in sub.input_parents:
-            assembled_b[rows, slice(*irows[e])] = node.b_tilde[:, slice(*spans[e])]
-    return ReducedNetworkModel(
-        topology=t,
-        u_hat=u_hat,
-        assembled_a=assembled_a,
-        assembled_b=assembled_b,
-        per_node_conditioning={v: solved[v].conditioning for v in t.state_vertices if v in solved},
-        node_failures={v: failures[v] for v in t.state_vertices if v in failures},
-    )
-
-
-def lift_reduced_network(model: ReducedNetworkModel) -> NetworkModel:
-    """The full-space network model of a reduced one, lifted edge by edge through the projectors.
-
-    Node j's coefficient strip is ``U_j [a~_j U_j^T | b~_jw U_w U_w^T ... | b~_je ...]``
-    with ``U = u_hat`` and ``b~_jw U_w`` the reduced model's cross block, so
-    only the topology's edges are formed. Failed nodes keep zero
-    coefficients; records and failures carry over.
-    """
-    t = model.topology
-    u_hat = model.u_hat
     coeffs = np.zeros(coefficient_support(t)[0].size)
     strips = _node_strips(t, coeffs)
-    for v in t.state_vertices:
-        if v in model.node_failures:
-            continue
-        for w, is_input, cols in _strip_columns(t, v):
-            if is_input:
-                strips[v][:, cols] = u_hat[v] @ model.blocks_b[(v, w)]
-            else:
-                strips[v][:, cols] = u_hat[v] @ model.blocks_a[(v, w)] @ u_hat[w].T
+    for v, node in solved.items():
+        u, d = u_hat[v], t.dims[v]
+        blocks = _strip_columns(t, v)
+        _, _, own = next(blocks)
+        strips[v][:, own] = u @ node.a_tilde @ u.T
+        for w, is_input, cols in blocks:
+            block = node.b_tilde[:, cols.start - d : cols.stop - d]
+            strips[v][:, cols] = u @ block if is_input else u @ (block @ u_hat[w]) @ u_hat[w].T
     coeffs.flags.writeable = False
     return NetworkModel(
         topology=t,
         coeffs=coeffs,
-        per_node_conditioning=dict(model.per_node_conditioning),
-        node_failures=dict(model.node_failures),
+        per_node_conditioning={v: solved[v].conditioning for v in t.state_vertices if v in solved},
+        node_failures={v: failures[v] for v in t.state_vertices if v in failures},
     )
 
 

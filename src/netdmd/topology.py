@@ -309,14 +309,21 @@ def topology_to_dict(t: NetworkTopology) -> dict:
 
 
 def topology_from_dict(d: dict) -> NetworkTopology:
+    """Read :func:`topology_to_dict`'s form; a vertex id or edge end that is not a string raises TypeError."""
     dims = {}
     states = []
     inputs = []
     for entry in d["state_vertices"]:
-        states.append(entry["id"])
+        states.append(_vertex_id(entry["id"]))
         dims[entry["id"]] = int(entry["dim"])
     for entry in d["input_vertices"]:
-        inputs.append(entry["id"])
+        inputs.append(_vertex_id(entry["id"]))
         dims[entry["id"]] = int(entry["dim"])
-    edges = tuple((src, dst) for src, dst in d["edges"])
+    edges = tuple((_vertex_id(src), _vertex_id(dst)) for src, dst in d["edges"])
     return NetworkTopology(tuple(states), tuple(inputs), edges, dims)
+
+
+def _vertex_id(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"vertex ids are strings, got {value!r}")
+    return value

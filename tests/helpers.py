@@ -279,19 +279,19 @@ def reference_network_dmdc_reduced(
 
 
 def reference_lift_reduced_network(model) -> tuple[np.ndarray, np.ndarray]:
-    """Reference full-space (A, B) of a reduced network model, through its dense block-diagonal projector.
+    """Reference full-space (A, B) of :func:`reference_network_dmdc_reduced`'s model, through a dense projector.
 
-    This is the package's former ``lift_reduced_network``: ``U A~ U^T`` and
-    ``U B~`` with U the n-by-r block-diagonal stack of the nodes' ``u_hat``.
+    This is the package's former dense lift: ``U A~ U^T`` and ``U B~`` with U
+    the n-by-r block-diagonal stack of the nodes' ``u_hat``, each node's
+    reduced columns in vertex order.
     """
     t = model.topology
-    n = t.total_state_dim
     srows = t.state_row_ranges()
-    rranges = model.reduced_row_ranges()
-    total_r = model.assembled_a.shape[0]
-    ublk = np.zeros((n, total_r))
+    ublk = np.zeros((t.total_state_dim, model.assembled_a.shape[0]))
+    offset = 0
     for v in t.state_vertices:
         lo, hi = srows[v]
-        rlo, rhi = rranges[v]
-        ublk[lo:hi, rlo:rhi] = model.u_hat[v]
+        r = model.u_hat[v].shape[1]
+        ublk[lo:hi, offset : offset + r] = model.u_hat[v]
+        offset += r
     return ublk @ model.assembled_a @ ublk.T, ublk @ model.assembled_b

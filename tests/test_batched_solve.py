@@ -19,7 +19,7 @@ from helpers import (
 from netdmd.bench import generate_system
 from netdmd.dmdcore import dmdc_exact
 from netdmd.errors import NetdmdError, RowRangeMismatch
-from netdmd.netdmdc import lift_reduced_network, network_dmdc_exact, network_dmdc_reduced, network_model_to_dict
+from netdmd.netdmdc import network_dmdc_exact, network_dmdc_reduced, network_model_to_dict
 from netdmd.numkernel import FixedRank, MachineDefault, RelativeThreshold, conditioning_record
 from netdmd.sysmodel import (
     Circular,
@@ -233,11 +233,10 @@ def test_coefficient_support_covers_exactly_the_edge_blocks(t):
 
 
 def _reference_assembled(identify, t, traj):
-    """The per-node reference's assembled (A, B) for either network solver."""
+    """The per-node reference's full-space (A, B) for either network solver."""
     if identify is network_dmdc_exact:
         return reference_network_dmdc_exact(t, traj)
-    reference = reference_network_dmdc_reduced(t, traj)
-    return reference.assembled_a, reference.assembled_b
+    return reference_lift_reduced_network(reference_network_dmdc_reduced(t, traj))
 
 
 @pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
@@ -307,6 +306,19 @@ def _maybe_one_nan(traj, data):
     return TrajectoryData(arrays["z"], arrays["gamma"], arrays["y"], traj.vertex_row_ranges)
 
 
+def _edge_lift(t, reference):
+    """The reference's blocks lifted edge by edge, ``u_v @ block @ u_w.T`` and ``u_v @ block_b``, in gather-plan order."""
+    u = reference.u_hat
+    strips = []
+    for group in gather_plan(t):
+        for v in group.vertices:
+            sub = rescan_local_subsystem(t, v)
+            blocks = [u[v] @ reference.blocks_a[(v, w)] @ u[w].T for w in (v, *sub.state_parents)]
+            blocks += [u[v] @ reference.blocks_b[(v, e)] for e in sub.input_parents]
+            strips.append(np.hstack(blocks).ravel())
+    return np.concatenate(strips)
+
+
 @given(systems(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from(RULE_PAIRS), st.data())
 @settings(max_examples=120, deadline=None)
 def test_reduced_solve_matches_per_node_reference(system, m, seed, rules, data):
@@ -314,14 +326,16 @@ def test_reduced_solve_matches_per_node_reference(system, m, seed, rules, data):
     traj = _maybe_one_nan(_trajectory(system, m, seed), data)
     model = network_dmdc_reduced(t, traj, *rules)
     want = reference_network_dmdc_reduced(t, traj, *rules)
-    # the same per-node arithmetic on the same values: bit-identical, not just close
-    assert list(model.u_hat) == list(want.u_hat)
-    assert all(np.array_equal(model.u_hat[v], want.u_hat[v]) for v in t.state_vertices)
-    assert np.array_equal(model.assembled_a, want.assembled_a)
-    assert np.array_equal(model.assembled_b, want.assembled_b)
-    for got, ref in ((model.blocks_a, want.blocks_a), (model.blocks_b, want.blocks_b)):
-        assert set(got) == set(ref)
-        assert all(np.array_equal(got[key], ref[key]) for key in ref)
+    # the same per-node arithmetic and the same lift products on the same values: bit-identical, not just close
+    assert np.array_equal(model.coeffs, _edge_lift(t, want))
+    a, b = reference_lift_reduced_network(want)
+    if all(u.shape == (1, 1) for u in want.u_hat.values()):
+        # every product is a sign flip: the same values whatever the summation order
+        assert np.array_equal(model.assembled_a, a) and np.array_equal(model.assembled_b, b)
+    else:
+        assert _close(model.assembled_a, a, 1e-14) and _close(model.assembled_b, b, 1e-14)
+    for v in want.node_failures:
+        assert not _strip(model, t, v).any()
     assert list(model.node_failures.items()) == list(want.node_failures.items())
     assert list(model.per_node_conditioning) == list(want.per_node_conditioning)
     for v, ref in want.per_node_conditioning.items():
@@ -332,38 +346,19 @@ def test_reduced_solve_matches_per_node_reference(system, m, seed, rules, data):
         assert (got.warning, got.rcond_used) == (ref.warning, ref.rcond_used)
 
 
-@given(systems(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from(RULE_PAIRS), st.data())
-@settings(max_examples=120, deadline=None)
-def test_lift_matches_the_dense_projector_reference(system, m, seed, rules, data):
-    t = system.topology
-    traj = _maybe_one_nan(_trajectory(system, m, seed), data)
-    reduced = network_dmdc_reduced(t, traj, *rules)
-    lifted = lift_reduced_network(reduced)
-    a, b = reference_lift_reduced_network(reduced)
-    if all(u.shape == (1, 1) for u in reduced.u_hat.values()):
-        # every product is a sign flip: the same values whatever the summation order
-        assert np.array_equal(lifted.assembled_a, a) and np.array_equal(lifted.assembled_b, b)
-    else:
-        assert _close(lifted.assembled_a, a, 1e-14) and _close(lifted.assembled_b, b, 1e-14)
-    for v in reduced.node_failures:
-        assert not _strip(lifted, t, v).any()
-    assert lifted.per_node_conditioning == reduced.per_node_conditioning
-    assert list(lifted.node_failures.items()) == list(reduced.node_failures.items())
-
-
 def test_lift_of_a_two_thousand_vertex_ring_forms_only_the_edges():
-    # the dense block-diagonal lift allocated n-by-n products: 32 MB each at this size
+    # any n-by-n (or total_r-by-total_r) buffer takes 32 MB at this size
     system = generate_system(GeneratorConfig(Circular(2000, 2), seed=6), derive_rng(6))
     t = system.topology
-    reduced = network_dmdc_reduced(t, _trajectory(system, 10, 6))
+    traj = _trajectory(system, 10, 6)
     tracemalloc.start()
     try:
-        lifted = lift_reduced_network(reduced)
+        model = network_dmdc_reduced(t, traj)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert lifted.coeffs.size == t.total_state_dim + len(t.edges)
-    assert lifted.node_failures == {}
+    assert model.coeffs.size == t.total_state_dim + len(t.edges)
+    assert model.node_failures == {}
     assert peak < 8 * 2**20
 
 
@@ -387,17 +382,3 @@ def test_reduced_solve_runs_two_svds_per_node_and_no_per_node_gather(monkeypatch
     assert len(calls) == 20
     assert model.node_failures == {}
     assert list(model.per_node_conditioning) == list(t.state_vertices)
-
-
-def test_reduced_blocks_are_read_only_views_of_the_assembled_matrices(two_node_topology, two_node_trajectory):
-    model = network_dmdc_reduced(two_node_topology, two_node_trajectory, FixedRank(3), FixedRank(1))
-    assert list(model.blocks_a) == [("v1", "v1"), ("v1", "v2"), ("v2", "v2")]
-    assert list(model.blocks_b) == [("v1", "e1"), ("v2", "e2")]
-    ranges = model.reduced_row_ranges()
-    block = model.blocks_a[("v1", "v2")]
-    assert np.shares_memory(block, model.assembled_a)
-    assert block[0, 0] == model.assembled_a[ranges["v1"][0], ranges["v2"][0]]
-    assert not block.flags.writeable
-    assert np.shares_memory(model.blocks_b[("v2", "e2")], model.assembled_b)
-    with pytest.raises(TypeError):
-        model.blocks_a[("v1", "v2")] = np.zeros((1, 1))

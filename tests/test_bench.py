@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from helpers import reference_lift_reduced_network
+from helpers import reference_lift_reduced_network, reference_network_dmdc_reduced
 from netdmd.errors import BadConfig
 from netdmd.bench import (
     CSV_COLUMNS,
@@ -20,7 +20,6 @@ from netdmd.bench import (
     sweep_config_from_dict,
     sweep_config_to_dict,
 )
-from netdmd.netdmdc import network_dmdc_reduced
 from netdmd.numkernel import FixedRank, MachineDefault, RelativeThreshold, conditioning_record
 from netdmd.sysmodel import (
     Circular,
@@ -113,7 +112,7 @@ class TestRunTrial:
         rng = derive_rng(6)
         x0 = rng.uniform(-1.0, 1.0, size=t.total_state_dim)
         traj = simulate(system, x0, rng.uniform(-1.0, 1.0, size=(t.total_input_dim, 9)))
-        reduced = network_dmdc_reduced(t, traj, FixedRank(1), FixedRank(1))
+        reduced = reference_network_dmdc_reduced(t, traj, FixedRank(1), FixedRank(1))
         a, b = reference_lift_reduced_network(reduced)
         truth_a, truth_b = true_full_matrices(system)
         want = np.linalg.norm(np.hstack([a - truth_a, b - truth_b]))

@@ -246,3 +246,27 @@ def test_malformed_json_is_validation_error(tmp_path):
     path = tmp_path / "topology.json"
     path.write_text("{not json")
     assert main(["validate", "--topology", str(path)]) == 1
+
+
+_ONE_VERTEX = {"state_vertices": [{"id": "v1", "dim": 1}], "input_vertices": [], "edges": []}
+
+
+@pytest.mark.parametrize(
+    "command, flag, doc",
+    [
+        ("validate", "--topology", {"state_vertices": [1], "input_vertices": [], "edges": []}),
+        ("validate", "--topology", [1, 2]),
+        ("validate", "--topology", {**_ONE_VERTEX, "state_vertices": [{"id": "v1", "dim": [1]}]}),
+        ("validate", "--topology", {**_ONE_VERTEX, "edges": [[["v1"], "v1"]]}),
+        ("sweep", "--config", {"generator": [1], "trials": 1, "m_values": [3]}),
+        ("sweep", "--config", {"generator": {"family": "circular", "n_states": 3}, "trials": 1, "m_values": 3}),
+        ("simulate", "--system", {"topology": _ONE_VERTEX, "self_blocks": [1], "edge_blocks": {}}),
+    ],
+    ids=["vertex_not_an_object", "top_level_list", "dim_a_list", "edge_end_a_list", "generator_a_list", "m_values_a_number", "self_blocks_a_list"],
+)
+def test_field_of_the_wrong_type_is_validation_error(tmp_path, capsys, command, flag, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--steps", "3", "--out", str(tmp_path / "traj.csv")] if command == "simulate" else []
+    assert main([command, flag, str(path), *extra]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import build_local_data
+
 from netdmd.errors import AllZeroMatrix, DimensionMismatch
 from netdmd.numkernel import FixedRank, MachineDefault, eig
 from netdmd.dmdcore import (
@@ -14,6 +16,7 @@ from netdmd.dmdcore import (
     model_to_dict,
     predict,
 )
+from netdmd.sysmodel import Circular, GeneratorConfig, derive_rng, gen_circular, simulate
 
 NODE1 = {
     "z": np.array([[2.0, 0.1, -1.63]]),
@@ -125,6 +128,23 @@ class TestDmdcReduced:
     def test_all_zero_rejected(self):
         with pytest.raises(AllZeroMatrix):
             dmdc_reduced(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
+
+    def test_scalar_nodes_have_sign_projectors(self):
+        for node in (NODE1, NODE2):
+            reduced, _ = dmdc_reduced(node["z"], node["y"], node["gamma"], FixedRank(3), FixedRank(1))
+            assert reduced.u_hat.shape == (1, 1)
+            assert abs(abs(reduced.u_hat[0, 0]) - 1.0) <= 1e-12
+
+    def test_projectors_orthonormal(self):
+        # each node of a ring of two-dimensional vertices, on its own local data
+        system = gen_circular(GeneratorConfig(Circular(8, 2), seed=3))
+        t = system.topology
+        rng = derive_rng(3, 5)
+        traj = simulate(system, rng.uniform(-1, 1, 8), rng.uniform(-1, 1, (4, 10)))
+        for v in t.state_vertices:
+            ld = build_local_data(t, traj, v)
+            u = dmdc_reduced(ld.z_j, ld.y_j, ld.gamma_j)[0].u_hat
+            assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-10
 
 
 class TestDmdReduced:

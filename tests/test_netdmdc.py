@@ -8,7 +8,6 @@ from netdmd.errors import RowRangeMismatch, UnknownVertex
 from netdmd.numkernel import FixedRank
 from netdmd.dmdcore import dmdc_exact
 from netdmd.netdmdc import (
-    lift_reduced_network,
     model_error,
     network_dmdc_exact,
     network_dmdc_reduced,
@@ -147,20 +146,9 @@ class TestNetworkDmdcExact:
 class TestNetworkDmdcReduced:
     def test_full_rank_lift_matches_exact(self, two_node_topology, two_node_trajectory):
         exact = network_dmdc_exact(two_node_topology, two_node_trajectory)
-        reduced = network_dmdc_reduced(
-            two_node_topology, two_node_trajectory, FixedRank(3), FixedRank(1)
-        )
-        lifted = lift_reduced_network(reduced)
+        lifted = network_dmdc_reduced(two_node_topology, two_node_trajectory, FixedRank(3), FixedRank(1))
         assert np.linalg.norm(lifted.assembled_a - exact.assembled_a) <= 1e-8
         assert np.linalg.norm(lifted.assembled_b - exact.assembled_b) <= 1e-8
-
-    def test_scalar_nodes_have_sign_projectors(self, two_node_topology, two_node_trajectory):
-        reduced = network_dmdc_reduced(
-            two_node_topology, two_node_trajectory, FixedRank(3), FixedRank(1)
-        )
-        for v, u in reduced.u_hat.items():
-            assert u.shape == (1, 1)
-            assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
     def test_scalar_chain_coefficients_up_to_sign(self):
         t = NetworkTopology(("v1", "v2"), (), (("v1", "v2"),), {"v1": 1, "v2": 1})
@@ -168,20 +156,11 @@ class TestNetworkDmdcReduced:
             t, {"v1": [[0.6]], "v2": [[-0.4]]}, {("v1", "v2"): [[0.9]]}
         )
         traj = simulate(system, (1.3, -0.7), np.zeros((0, 2)))
-        reduced = network_dmdc_reduced(t, traj, FixedRank(2), FixedRank(1))
-        # diagonal entries are invariant under the +-1 projectors
-        assert reduced.blocks_a[("v1", "v1")][0, 0] == pytest.approx(0.6, abs=1e-9)
-        assert reduced.blocks_a[("v2", "v2")][0, 0] == pytest.approx(-0.4, abs=1e-9)
-        assert abs(reduced.blocks_a[("v2", "v1")][0, 0]) == pytest.approx(0.9, abs=1e-9)
-
-    def test_projectors_orthonormal(self):
-        system = gen_circular(GeneratorConfig(Circular(8, 2), seed=3))
-        t = system.topology
-        rng = derive_rng(3, 5)
-        traj = simulate(system, rng.uniform(-1, 1, 8), rng.uniform(-1, 1, (4, 10)))
-        reduced = network_dmdc_reduced(t, traj)
-        for u in reduced.u_hat.values():
-            assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-10
+        model = network_dmdc_reduced(t, traj, FixedRank(2), FixedRank(1))
+        # the +-1 projectors' signs cancel in the full-space blocks, the cross block's included
+        assert model.blocks_a[("v1", "v1")][0, 0] == pytest.approx(0.6, abs=1e-9)
+        assert model.blocks_a[("v2", "v2")][0, 0] == pytest.approx(-0.4, abs=1e-9)
+        assert model.blocks_a[("v2", "v1")][0, 0] == pytest.approx(0.9, abs=1e-9)
 
 
 @pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
