@@ -328,14 +328,6 @@ def test_reduced_solve_matches_per_node_reference(system, m, seed, rules, data):
     want = reference_network_dmdc_reduced(t, traj, *rules)
     # the same per-node arithmetic and the same lift products on the same values: bit-identical, not just close
     assert np.array_equal(model.coeffs, _edge_lift(t, want))
-    a, b = reference_lift_reduced_network(want)
-    if all(u.shape == (1, 1) for u in want.u_hat.values()):
-        # every product is a sign flip: the same values whatever the summation order
-        assert np.array_equal(model.assembled_a, a) and np.array_equal(model.assembled_b, b)
-    else:
-        assert _close(model.assembled_a, a, 1e-14) and _close(model.assembled_b, b, 1e-14)
-    for v in want.node_failures:
-        assert not _strip(model, t, v).any()
     assert list(model.node_failures.items()) == list(want.node_failures.items())
     assert list(model.per_node_conditioning) == list(want.per_node_conditioning)
     for v, ref in want.per_node_conditioning.items():
@@ -344,6 +336,24 @@ def test_reduced_solve_matches_per_node_reference(system, m, seed, rules, data):
         assert abs(got.sigma_max - ref.sigma_max) <= 1e-12 * ref.sigma_max
         assert abs(got.sigma_min - ref.sigma_min) <= 1e-12 * ref.sigma_max
         assert (got.warning, got.rcond_used) == (ref.warning, ref.rcond_used)
+
+
+@given(systems(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from(RULE_PAIRS), st.data())
+@settings(max_examples=120, deadline=None)
+def test_lift_matches_the_dense_projector_reference(system, m, seed, rules, data):
+    t = system.topology
+    traj = _maybe_one_nan(_trajectory(system, m, seed), data)
+    model = network_dmdc_reduced(t, traj, *rules)
+    reduced = reference_network_dmdc_reduced(t, traj, *rules)
+    a, b = reference_lift_reduced_network(reduced)
+    if all(u.shape == (1, 1) for u in reduced.u_hat.values()):
+        # every product is a sign flip: the same values whatever the summation order
+        assert np.array_equal(model.assembled_a, a) and np.array_equal(model.assembled_b, b)
+    else:
+        assert _close(model.assembled_a, a, 1e-14) and _close(model.assembled_b, b, 1e-14)
+    for v in reduced.node_failures:
+        assert not _strip(model, t, v).any()
+    assert list(model.node_failures.items()) == list(reduced.node_failures.items())
 
 
 def test_lift_of_a_two_thousand_vertex_ring_forms_only_the_edges():
