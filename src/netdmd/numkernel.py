@@ -6,7 +6,8 @@ complex spectra, which are always returned as explicit complex arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +60,8 @@ class SvdResult:
     ``v`` is m-by-p. ``discarded_energy`` is the squared-singular-value mass
     dropped by truncation, as a fraction of the total. ``conditioning`` is
     :func:`conditioning_record`'s record of the input at ``DEFAULT_RCOND``,
-    read from the same (untruncated) singular values.
+    read from the same (untruncated) singular values on first access, so a
+    caller that never reads it never builds it.
     """
 
     u: np.ndarray
@@ -67,7 +69,11 @@ class SvdResult:
     v: np.ndarray
     truncation_rank: int
     discarded_energy: float
-    conditioning: ConditioningRecord
+    _all_sigma: np.ndarray = field(repr=False)
+
+    @cached_property
+    def conditioning(self) -> ConditioningRecord:
+        return _record(self._all_sigma, DEFAULT_RCOND)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +161,7 @@ def truncated_svd(m, rule: TruncationRule = MachineDefault()) -> SvdResult:
         v=vt[:k, :].T.copy(),
         truncation_rank=k,
         discarded_energy=discarded,
-        conditioning=_record(s, DEFAULT_RCOND),
+        _all_sigma=s,
     )
 
 

@@ -76,14 +76,17 @@ class LinearNetworkSystem:
         """
         t = self.topology
         rows, cols, _ = coefficient_support(t)
-        vals = [np.stack([self._block_row(v) for v in group.vertices]).reshape(-1) for group in gather_plan(t)]
-        return rows, cols, np.concatenate([np.zeros(0), *vals])
-
-    def _block_row(self, v: str) -> np.ndarray:
-        """Vertex v's blocks side by side, in the column order of its gather indices."""
-        sub = local_subsystem(self.topology, v)
-        parents = sub.state_parents + sub.input_parents
-        return np.hstack([self.self_blocks[v], *(self.edge_blocks[(w, v)] for w in parents)])
+        vals = [np.zeros(0)]
+        for group in gather_plan(t):
+            g, d, k = group.shape
+            blocks = []
+            for v in group.vertices:
+                sub = local_subsystem(t, v)
+                blocks.append(self.self_blocks[v])
+                blocks.extend(self.edge_blocks[(w, v)] for w in sub.state_parents + sub.input_parents)
+            # The d-by-(G*k) strip of every block row side by side, regrouped into the (G, d, k) stack.
+            vals.append(np.concatenate(blocks, axis=1).reshape(d, g, k).transpose(1, 0, 2).reshape(-1))
+        return rows, cols, np.concatenate(vals)
 
 
 def _frozen(block) -> np.ndarray:
@@ -285,8 +288,11 @@ def gen_circular(cfg: GeneratorConfig, rng: np.random.Generator | None = None) -
 def gen_erdos_renyi(cfg: GeneratorConfig, rng: np.random.Generator | None = None) -> LinearNetworkSystem:
     """Random autonomous digraph: each ordered non-self pair is an edge w.p. p.
 
-    Edge existence is drawn first (one uniform per ordered pair, row-major),
-    then coefficients in the same per-vertex order as every other generator.
+    Edge existence is drawn first: one uniform per ordered pair (i, j),
+    including i == j, in row-major order, drawn one row of n at a time so the
+    draws take O(n) memory. Pair (i, j) is an edge when i != j and its
+    uniform is below p. Coefficients follow, in the same per-vertex order as
+    every other generator.
     """
     if not isinstance(cfg.family, ErdosRenyi):
         raise BadConfig("gen_erdos_renyi requires an ErdosRenyi family config")
@@ -294,13 +300,10 @@ def gen_erdos_renyi(cfg: GeneratorConfig, rng: np.random.Generator | None = None
         rng = derive_rng(cfg.seed)
     n = cfg.family.n
     states = [f"v{j}" for j in range(1, n + 1)]
-    draws = rng.random((n, n))
-    edges = [
-        (states[i], states[j])
-        for i in range(n)
-        for j in range(n)
-        if i != j and draws[i, j] < cfg.family.p
-    ]
+    edges = []
+    for i, src in enumerate(states):
+        targets = np.flatnonzero(rng.random(n) < cfg.family.p).tolist()
+        edges.extend((src, states[j]) for j in targets if j != i)
     dims = {v: 1 for v in states}
     topology = NetworkTopology(tuple(states), (), tuple(edges), dims)
     return _draw_blocks(topology, rng, cfg.coeff_range)

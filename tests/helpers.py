@@ -2,9 +2,10 @@
 
 The oracles are the straightforward per-vertex forms of the package's
 indexed and vectorized code: a topology rescan per lookup, a per-vertex
-block loop per simulation step, a per-node gather for both network DMDc
-solvers, and a lift of the reduced network model through one dense
-block-diagonal projector.
+block loop per simulation step, a per-pair loop over one n-by-n draw for the
+Erdős–Rényi edges, a per-vertex block row for the transition operator's
+values, a per-node gather for both network DMDc solvers, and a lift of the
+reduced network model through one dense block-diagonal projector.
 """
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -15,8 +16,15 @@ from hypothesis import strategies as st
 from netdmd.dmdcore import dmdc_exact, dmdc_reduced
 from netdmd.errors import DimensionMismatch, NetdmdError, RowRangeMismatch, UnknownVertex
 from netdmd.numkernel import DEFAULT_RCOND, ConditioningRecord, MachineDefault, TruncationRule, conditioning_record
-from netdmd.sysmodel import LinearNetworkSystem, TrajectoryData
-from netdmd.topology import LocalSubsystem, NetworkTopology
+from netdmd.sysmodel import (
+    ErdosRenyi,
+    GeneratorConfig,
+    LinearNetworkSystem,
+    TrajectoryData,
+    _draw_blocks,
+    derive_rng,
+)
+from netdmd.topology import LocalSubsystem, NetworkTopology, gather_plan, local_subsystem
 
 
 def random_small_system(rng: np.random.Generator, max_states: int = 4, max_inputs: int = 2) -> LinearNetworkSystem:
@@ -134,6 +142,37 @@ def build_local_data(t: NetworkTopology, traj: TrajectoryData, v: str) -> LocalD
         gamma_j=np.vstack(pieces) if pieces else np.zeros((0, traj.z.shape[1])),
         parent_row_ranges=parent_row_ranges,
     )
+
+
+def reference_gen_erdos_renyi(cfg: GeneratorConfig, rng: np.random.Generator | None = None) -> LinearNetworkSystem:
+    """Reference Erdős–Rényi generator: one n-by-n draw, then a Python test per ordered pair."""
+    assert isinstance(cfg.family, ErdosRenyi)
+    if rng is None:
+        rng = derive_rng(cfg.seed)
+    n = cfg.family.n
+    states = [f"v{j}" for j in range(1, n + 1)]
+    draws = rng.random((n, n))
+    edges = [
+        (states[i], states[j])
+        for i in range(n)
+        for j in range(n)
+        if i != j and draws[i, j] < cfg.family.p
+    ]
+    dims = {v: 1 for v in states}
+    topology = NetworkTopology(tuple(states), (), tuple(edges), dims)
+    return _draw_blocks(topology, rng, cfg.coeff_range)
+
+
+def reference_operator_values(system: LinearNetworkSystem) -> np.ndarray:
+    """Reference operator values: one hstacked block row per vertex, stacked per shape group."""
+
+    def block_row(v):
+        sub = local_subsystem(system.topology, v)
+        parents = sub.state_parents + sub.input_parents
+        return np.hstack([system.self_blocks[v], *(system.edge_blocks[(w, v)] for w in parents)])
+
+    vals = [np.stack([block_row(v) for v in group.vertices]).reshape(-1) for group in gather_plan(system.topology)]
+    return np.concatenate([np.zeros(0), *vals])
 
 
 def reference_step(system: LinearNetworkSystem, x, u) -> np.ndarray:

@@ -16,6 +16,7 @@ from helpers import (
     systems,
     topologies,
 )
+from netdmd import numkernel
 from netdmd.bench import generate_system
 from netdmd.dmdcore import dmdc_exact
 from netdmd.errors import NetdmdError, RowRangeMismatch
@@ -391,4 +392,21 @@ def test_reduced_solve_runs_two_svds_per_node_and_no_per_node_gather(monkeypatch
     model = network_dmdc_reduced(t, traj)
     assert len(calls) == 20
     assert model.node_failures == {}
+    assert list(model.per_node_conditioning) == list(t.state_vertices)
+
+
+def test_reduced_solve_builds_one_conditioning_record_per_node(monkeypatch):
+    system = generate_system(GeneratorConfig(Circular(10, 2), seed=4), derive_rng(4))
+    t = system.topology
+    traj = _trajectory(system, 6, 4)
+    real_records = numkernel._records
+    calls = []
+
+    def records(*args, **kwargs):
+        calls.append(args)
+        return real_records(*args, **kwargs)
+
+    monkeypatch.setattr(numkernel, "_records", records)
+    model = network_dmdc_reduced(t, traj)
+    assert len(calls) == 10
     assert list(model.per_node_conditioning) == list(t.state_vertices)

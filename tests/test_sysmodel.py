@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from helpers import reference_gen_erdos_renyi, reference_operator_values, systems
 from netdmd.errors import BadConfig, DimensionMismatch, Divergence, RowRangeMismatch
 from netdmd.sysmodel import (
     Circular,
@@ -148,11 +153,48 @@ class TestGenErdosRenyi:
         for v in a.topology.state_vertices:
             assert a.self_blocks[v].tobytes() == b.self_blocks[v].tobytes()
 
+    @given(
+        n=st.integers(1, 60),
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_pair_reference_bit_for_bit(self, n, p, seed):
+        cfg = GeneratorConfig(ErdosRenyi(n, p), seed=seed)
+        got_rng, want_rng = derive_rng(seed), derive_rng(seed)
+        got = gen_erdos_renyi(cfg, got_rng)
+        want = reference_gen_erdos_renyi(cfg, want_rng)
+        assert got.topology == want.topology  # edges compared as an ordered tuple
+        assert list(got.self_blocks) == list(want.self_blocks)
+        assert all(got.self_blocks[v].tobytes() == b.tobytes() for v, b in want.self_blocks.items())
+        assert list(got.edge_blocks) == list(want.edge_blocks)
+        assert all(got.edge_blocks[e].tobytes() == b.tobytes() for e, b in want.edge_blocks.items())
+        assert np.array_equal(got._operator[2], reference_operator_values(want))
+        # the caller's generator is left at the same position
+        assert got_rng.random() == want_rng.random()
+
+    def test_two_thousand_vertices_draw_no_square_array(self):
+        # an n-by-n float draw alone takes 32 MB at this size
+        tracemalloc.start()
+        try:
+            system = gen_erdos_renyi(GeneratorConfig(ErdosRenyi(2000, 2.5 / 2000)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.topology.edges
+        assert peak < 16 * 2**20
+
     def test_bad_family(self):
         with pytest.raises(BadConfig):
             ErdosRenyi(5, 1.5)
         with pytest.raises(BadConfig):
             gen_erdos_renyi(GeneratorConfig(Circular(4, 1)))
+
+
+@given(systems(max_dim=3))
+@settings(max_examples=80, deadline=None)
+def test_operator_values_match_the_per_vertex_reference(system):
+    assert np.array_equal(system._operator[2], reference_operator_values(system))
 
 
 class TestTrueFullMatrices:
