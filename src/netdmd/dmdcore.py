@@ -159,27 +159,27 @@ def dmdc_reduced(
     ``b_tilde = u_hat.T y v s^-1 u2.T``; (4) the eigendecomposition of
     ``a_tilde``; (5) full-space modes ``y v s^-1 u1.T u_hat w``.
     """
-    model, core, state_map = _dmdc_reduced_model(z, y, gamma, input_rule, output_rule)
-    eigres = eig(model.a_tilde)
-    raw_modes = (core @ state_map).astype(complex) @ eigres.vectors
-    values, modes, dropped = _filter_zero_modes(eigres.values, raw_modes)
-    return model, DynamicModes(values, modes, source="reduced", n_zero_excluded=dropped)
-
-
-def _dmdc_reduced_model(z, y, gamma, input_rule: TruncationRule, output_rule: TruncationRule):
-    """Steps (1) to (3) of :func:`dmdc_reduced`, without the modes.
-
-    Returns the model and the two factors of the modes' full-space map,
-    ``core = y v s^-1`` and ``state_map = u1.T u_hat``.
-    """
     z = as_matrix(z, "z")
     y = as_matrix(y, "y")
     gamma = as_matrix(gamma, "gamma")
     _check_columns(z, y, gamma)
     if z.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
-    n = z.shape[0]
-    omega = np.vstack([z, gamma])
+    model, core, state_map = _dmdc_reduced_model(np.vstack([z, gamma]), y, z.shape[0], input_rule, output_rule)
+    eigres = eig(model.a_tilde)
+    raw_modes = (core @ state_map).astype(complex) @ eigres.vectors
+    values, modes, dropped = _filter_zero_modes(eigres.values, raw_modes)
+    return model, DynamicModes(values, modes, source="reduced", n_zero_excluded=dropped)
+
+
+def _dmdc_reduced_model(omega, y, n: int, input_rule: TruncationRule, output_rule: TruncationRule):
+    """Steps (1) to (3) of :func:`dmdc_reduced` on checked data, without the modes.
+
+    ``omega = [z; gamma]`` and ``y`` are finite float matrices with equal
+    column counts, and the first n rows of omega are z. Returns the model and
+    the two factors of the modes' full-space map, ``core = y v s^-1`` and
+    ``state_map = u1.T u_hat``.
+    """
     if not np.any(omega) or not np.any(y):
         raise AllZeroMatrix("dmdc_reduced needs nonzero [z; gamma] and y")
     svd_in = truncated_svd(omega, input_rule)

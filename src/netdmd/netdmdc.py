@@ -9,12 +9,13 @@ truncated SVDs per node on slices of the stacks.
 
 The full-space network model stores only its coefficients, one flat vector
 in the topology's gather-plan order: group by group, each group's (G, d, k)
-solution stack, the layout of the system's own transition operator. Its
-blocks are views of that vector, and its dense A and B, exact zeros wherever
-the topology has no edge, are built on request; scoring reads the
-coefficients and the truth, never a dense model. Both solvers write that
-model directly: the reduced solve lifts each node's reduced blocks through
-the projectors, edge by edge, into the same layout.
+solution stack, the layout of ``LinearNetworkSystem.coeffs``. Its blocks are
+views of that vector, and its dense A and B, exact zeros wherever the
+topology has no edge, are built on request; scoring reads the coefficients
+and the truth, never a dense model. Both solvers write that model directly:
+the reduced solve lifts each node's reduced blocks through the projectors,
+edge by edge, into the same layout. The layout itself is known only to
+:mod:`netdmd.topology`.
 """
 from __future__ import annotations
 
@@ -43,7 +44,10 @@ from .sysmodel import BLOCK_KEY_SEP, TrajectoryData
 from .topology import (
     NetworkTopology,
     ShapeGroup,
+    _coefficient_views,
     _densify,
+    _group_stacks,
+    _write_coefficients,
     coefficient_support,
     gather_plan,
     local_subsystem,
@@ -61,9 +65,9 @@ class NetworkModel:
     :func:`gather_plan`, it holds each node's d-by-k solution row-major,
     its columns in the node's local-data order (itself, then its state
     parents, then its input parents): the layout of the group's
-    (G, d, k) solution stack, and of ``LinearNetworkSystem._operator``'s
-    values. ``blocks_a``/``blocks_b`` are read-only views of each node's
-    slice, edge by edge. ``assembled_a``/``assembled_b`` densify the model
+    (G, d, k) solution stack, and of ``LinearNetworkSystem.coeffs``.
+    ``blocks_a``/``blocks_b`` are read-only views of each node's slice,
+    edge by edge. ``assembled_a``/``assembled_b`` densify the model
     through the plan's coefficient positions (:func:`coefficient_support`),
     exact zeros at non-edges; each access allocates a new n-by-n (n-by-l)
     array. Nodes whose local regression failed appear in ``node_failures``
@@ -88,58 +92,19 @@ class NetworkModel:
     def assembled_b(self) -> np.ndarray:
         return _densify(self.topology, self.coeffs, inputs=True)
 
-    @property
+    @cached_property
     def blocks_a(self) -> Mapping[tuple[str, str], np.ndarray]:
         """``blocks_a[(j, i)]`` couples state vertex i into j, the structural diagonal j == i included."""
-        return self._blocks[0]
-
-    @property
-    def blocks_b(self) -> Mapping[tuple[str, str], np.ndarray]:
-        """``blocks_b[(j, i)]`` couples input vertex i into state vertex j."""
-        return self._blocks[1]
+        inputs = set(self.topology.input_vertices)
+        views = _coefficient_views(self.topology, self.coeffs)
+        return MappingProxyType({(v, w): b for v, w, b in views if w not in inputs})
 
     @cached_property
-    def _blocks(self):
-        """One view per edge, vertex by vertex: its own block, then its state parents', then its input parents'."""
-        t = self.topology
-        strips = _node_strips(t, self.coeffs)
-        blocks_a: dict[tuple[str, str], np.ndarray] = {}
-        blocks_b: dict[tuple[str, str], np.ndarray] = {}
-        for v in t.state_vertices:
-            for w, is_input, cols in _strip_columns(t, v):
-                (blocks_b if is_input else blocks_a)[(v, w)] = _view(strips[v][:, cols])
-        return MappingProxyType(blocks_a), MappingProxyType(blocks_b)
-
-
-def _group_stacks(coeffs: np.ndarray, plan):
-    """Each shape group's (G, d, k) view of a coefficient vector in plan order."""
-    offset = 0
-    for group in plan:
-        size = math.prod(group.shape)
-        yield coeffs[offset : offset + size].reshape(group.shape)
-        offset += size
-
-
-def _node_strips(t: NetworkTopology, coeffs: np.ndarray) -> dict[str, np.ndarray]:
-    """Every state vertex's d-by-k coefficient rows, as views of ``coeffs``."""
-    plan = gather_plan(t)
-    return {v: stack[i] for group, stack in zip(plan, _group_stacks(coeffs, plan)) for i, v in enumerate(group.vertices)}
-
-
-def _strip_columns(t: NetworkTopology, v: str):
-    """``(w, is_input, cols)`` for each block of vertex v's strip, in local-data order."""
-    sub = local_subsystem(t, v)
-    blocks = [(v, False)] + [(w, False) for w in sub.state_parents] + [(e, True) for e in sub.input_parents]
-    offset = 0
-    for w, is_input in blocks:
-        yield w, is_input, slice(offset, offset + t.dims[w])
-        offset += t.dims[w]
-
-
-def _view(block: np.ndarray) -> np.ndarray:
-    block = block.view()
-    block.flags.writeable = False
-    return block
+    def blocks_b(self) -> Mapping[tuple[str, str], np.ndarray]:
+        """``blocks_b[(j, i)]`` couples input vertex i into state vertex j."""
+        inputs = set(self.topology.input_vertices)
+        views = _coefficient_views(self.topology, self.coeffs)
+        return MappingProxyType({(v, w): b for v, w, b in views if w in inputs})
 
 
 def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = DEFAULT_RCOND) -> NetworkModel:
@@ -154,9 +119,8 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     the model is still assembled. Each group writes its solution stack into
     its contiguous slice of the model's plan-order ``coeffs``.
     """
-    plan = gather_plan(t)
     coeffs = np.zeros(coefficient_support(t)[0].size)
-    stacks = dict(zip(plan, _group_stacks(coeffs, plan)))
+    stacks = dict(_group_stacks(t, coeffs))
     conditioning: dict[str, ConditioningRecord] = {}
     failures: dict[str, str] = {}
     for group, ok, kept, omega, y in _gathered(t, traj, failures):
@@ -286,24 +250,24 @@ def network_dmdc_reduced(
     failures: dict[str, str] = {}
     solved: dict[str, ReducedLinearModel] = {}
     for _, _, kept, omega, y in _gathered(t, traj, failures):
-        d = y.shape[1]
         for v, omega_j, y_j in zip(kept, omega, y):
             try:
-                solved[v] = _dmdc_reduced_model(omega_j[:d], y_j, omega_j[d:], input_rule, output_rule)[0]
+                solved[v] = _dmdc_reduced_model(omega_j, y_j, y.shape[1], input_rule, output_rule)[0]
             except NetdmdError as exc:
                 failures[v] = str(exc)
     u_hat = {v: solved[v].u_hat if v in solved else np.eye(t.dims[v]) for v in t.state_vertices}
-    coeffs = np.zeros(coefficient_support(t)[0].size)
-    strips = _node_strips(t, coeffs)
-    for v, node in solved.items():
-        u, d = u_hat[v], t.dims[v]
-        blocks = _strip_columns(t, v)
-        _, _, own = next(blocks)
-        strips[v][:, own] = u @ node.a_tilde @ u.T
-        for w, is_input, cols in blocks:
-            block = node.b_tilde[:, cols.start - d : cols.stop - d]
-            strips[v][:, cols] = u @ block if is_input else u @ (block @ u_hat[w]) @ u_hat[w].T
-    coeffs.flags.writeable = False
+    inputs = set(t.input_vertices)
+
+    def lifted(v, w, cols):
+        if v not in solved:
+            return np.zeros((t.dims[v], t.dims[w]))
+        u, node = u_hat[v], solved[v]
+        if w == v:
+            return u @ node.a_tilde @ u.T
+        block = node.b_tilde[:, cols.start - t.dims[v] : cols.stop - t.dims[v]]
+        return u @ block if w in inputs else u @ (block @ u_hat[w]) @ u_hat[w].T
+
+    coeffs = _write_coefficients(t, lifted)
     return NetworkModel(
         topology=t,
         coeffs=coeffs,
@@ -433,28 +397,22 @@ def network_model_from_dict(d: dict) -> NetworkModel:
     block raises :class:`DimensionMismatch`.
     """
     topology = topology_from_dict(d["topology"])
-    coeffs = np.zeros(coefficient_support(topology)[0].size)
-    strips = _node_strips(topology, coeffs)
+    inputs = set(topology.input_vertices)
     docs = {False: d["blocks_a"], True: d["blocks_b"]}
     read = {False: set(), True: set()}
-    for v in topology.state_vertices:
-        for w, is_input, cols in _strip_columns(topology, v):
-            key = f"{w}{BLOCK_KEY_SEP}{v}"
-            if key not in docs[is_input]:
-                raise DimensionMismatch(f"model has no block {key!r}")
-            try:
-                block = np.asarray(docs[is_input][key], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise DimensionMismatch(f"block {key!r} is not a matrix: {exc}") from exc
-            if block.shape != (topology.dims[v], topology.dims[w]):
-                raise DimensionMismatch(f"block {key!r} must be {(topology.dims[v], topology.dims[w])}, got {block.shape}")
-            strips[v][:, cols] = block
-            read[is_input].add(key)
+
+    def block(v, w, _):
+        key, is_input = f"{w}{BLOCK_KEY_SEP}{v}", w in inputs
+        if key not in docs[is_input]:
+            raise DimensionMismatch(f"model has no block {key!r}")
+        read[is_input].add(key)
+        return docs[is_input][key]
+
+    coeffs = _write_coefficients(topology, block)
     for is_input, doc in docs.items():
         extra = sorted(set(doc) - read[is_input])
         if extra:
             raise DimensionMismatch(f"blocks without an edge: {extra}")
-    coeffs.flags.writeable = False
     return NetworkModel(
         topology=topology,
         coeffs=coeffs,

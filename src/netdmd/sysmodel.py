@@ -1,99 +1,83 @@
 """Ground-truth linear network dynamics, simulation, and random generators.
 
 Systems and trajectories are immutable values; simulation is a pure function
-of (system, x0, inputs). A system stores its coefficient blocks read-only and
-derives its transition operator from them once, on first use: a sparse
-matrix over the stacked vector ``[x; u]`` held as coordinate (COO) arrays and
-applied with ``np.bincount``. Random generation goes through one PRNG
+of (system, x0, inputs). A system stores its coefficients once, as a
+read-only vector in its topology's coefficient order; with the topology's
+coefficient positions that vector is the transition operator, a sparse
+matrix over the stacked vector ``[x; u]`` in coordinate (COO) form, applied
+with ``np.bincount``. Random generation goes through one PRNG
 algorithm project-wide (PCG64 keyed by integer tuples) so that results are
 bit-stable regardless of execution order.
 """
 from __future__ import annotations
 
 import csv
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import BadConfig, DimensionMismatch, Divergence, RowRangeMismatch
-from .topology import NetworkTopology, _densify, coefficient_support, gather_plan, local_subsystem
+from .topology import (
+    NetworkTopology,
+    _coefficient_views,
+    _densify,
+    _write_coefficients,
+    coefficient_support,
+    local_subsystem,
+    topology_from_dict,
+    topology_to_dict,
+)
 
 #: Separator used in serialized edge-block keys ("src->dst" with an arrow).
 BLOCK_KEY_SEP = "→"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LinearNetworkSystem:
-    """A topology plus the coefficient blocks of each linear transition map.
+    """A topology plus the coefficients of its linear transition map.
 
-    ``self_blocks[v]`` is the square block coupling vertex ``v`` to itself;
-    ``edge_blocks[(w, v)]`` couples parent ``w`` (state or input) into ``v``.
-    Construction verifies block/edge consistency eagerly and stores read-only
-    copies of the blocks, so the transition operator derived from them cannot
-    go stale. The system is a value: do not rebind entries of the block dicts.
+    Built from ``self_blocks[v]``, the square block coupling vertex ``v`` to
+    itself, and ``edge_blocks[(w, v)]``, coupling parent ``w`` (state or
+    input) into ``v``. Construction checks the blocks against the topology
+    and copies them once into ``coeffs``, one read-only vector in the
+    topology's coefficient order (:func:`coefficient_support`), as a network
+    model stores its estimate. ``self_blocks`` and ``edge_blocks`` are
+    read-only views of ``coeffs``, vertex by vertex: its self block, then
+    its state parents' blocks, then its input parents'.
     """
 
     topology: NetworkTopology
-    self_blocks: dict[str, np.ndarray]
-    edge_blocks: dict[tuple[str, str], np.ndarray]
+    coeffs: np.ndarray
 
-    def __post_init__(self):
-        t = self.topology
-        self_blocks = {v: _frozen(b) for v, b in self.self_blocks.items()}
-        edge_blocks = {e: _frozen(b) for e, b in self.edge_blocks.items()}
+    def __init__(self, topology: NetworkTopology, self_blocks: dict, edge_blocks: dict):
+        t = topology
         for v in t.state_vertices:
             if v not in self_blocks:
                 raise BadConfig(f"state vertex {v!r} has no self block")
-            n = t.dims[v]
-            if self_blocks[v].shape != (n, n):
-                raise DimensionMismatch(f"self block of {v!r} must be {(n, n)}, got {self_blocks[v].shape}")
         extra = set(self_blocks) - set(t.state_vertices)
         if extra:
             raise BadConfig(f"self blocks for non-state vertices: {sorted(extra)}")
         edge_set = set(t.edges)
-        for (src, dst), block in edge_blocks.items():
+        for src, dst in edge_blocks:
             if (src, dst) not in edge_set:
                 raise BadConfig(f"block for non-edge {src}->{dst}")
-            want = (t.dims[dst], t.dims[src])
-            if block.shape != want:
-                raise DimensionMismatch(f"block for {src}->{dst} must be {want}, got {block.shape}")
         missing = edge_set - set(edge_blocks)
         if missing:
             raise BadConfig(f"edges without blocks: {sorted(missing)}")
-        object.__setattr__(self, "self_blocks", self_blocks)
-        object.__setattr__(self, "edge_blocks", edge_blocks)
+        coeffs = _write_coefficients(t, lambda v, w, _: self_blocks[v] if w == v else edge_blocks[(w, v)])
+        object.__setattr__(self, "topology", t)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @cached_property
-    def _operator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The transition map as COO arrays (rows, cols, vals) over ``[x; u]``.
+    def self_blocks(self) -> Mapping[str, np.ndarray]:
+        return MappingProxyType({v: b for v, w, b in _coefficient_views(self.topology, self.coeffs) if w == v})
 
-        Entries come in the topology's coefficient order
-        (:func:`coefficient_support`), one shape group of its gather plan at
-        a time. Row i's entries appear in the order ``step`` sums them: the
-        self block's row, then each state parent's block row, then each input
-        parent's, parents in declaration order.
-        """
-        t = self.topology
-        rows, cols, _ = coefficient_support(t)
-        vals = [np.zeros(0)]
-        for group in gather_plan(t):
-            g, d, k = group.shape
-            blocks = []
-            for v in group.vertices:
-                sub = local_subsystem(t, v)
-                blocks.append(self.self_blocks[v])
-                blocks.extend(self.edge_blocks[(w, v)] for w in sub.state_parents + sub.input_parents)
-            # The d-by-(G*k) strip of every block row side by side, regrouped into the (G, d, k) stack.
-            vals.append(np.concatenate(blocks, axis=1).reshape(d, g, k).transpose(1, 0, 2).reshape(-1))
-        return rows, cols, np.concatenate(vals)
-
-
-def _frozen(block) -> np.ndarray:
-    """A read-only float copy, so later writes by the caller cannot reach the system."""
-    out = np.array(block, dtype=float)
-    out.flags.writeable = False
-    return out
+    @cached_property
+    def edge_blocks(self) -> Mapping[tuple[str, str], np.ndarray]:
+        return MappingProxyType({(w, v): b for v, w, b in _coefficient_views(self.topology, self.coeffs) if w != v})
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +172,8 @@ def step(system: LinearNetworkSystem, x, u) -> np.ndarray:
         raise DimensionMismatch(f"state vector has {x.size} entries, topology needs {t.total_state_dim}")
     if u.size != t.total_input_dim:
         raise DimensionMismatch(f"input vector has {u.size} entries, topology needs {t.total_input_dim}")
-    return _apply(system._operator, np.concatenate([x, u]), x.size)
-
-
-def _apply(operator, xu: np.ndarray, n: int) -> np.ndarray:
-    rows, cols, vals = operator
-    return np.bincount(rows, weights=vals * xu[cols], minlength=n)
+    rows, cols, _ = coefficient_support(t)
+    return np.bincount(rows, weights=system.coeffs * np.concatenate([x, u])[cols], minlength=x.size)
 
 
 def simulate(system: LinearNetworkSystem, x0, inputs) -> TrajectoryData:
@@ -217,7 +197,7 @@ def simulate(system: LinearNetworkSystem, x0, inputs) -> TrajectoryData:
     n = t.total_state_dim
     if x0.size != n:
         raise DimensionMismatch(f"state vector has {x0.size} entries, topology needs {n}")
-    operator = system._operator
+    rows, cols, _ = coefficient_support(t)
     z = np.empty((n, m))
     y = np.empty((n, m))
     xu = np.empty(n + inputs.shape[0])
@@ -227,7 +207,7 @@ def simulate(system: LinearNetworkSystem, x0, inputs) -> TrajectoryData:
             z[:, k] = x
             xu[:n] = x
             xu[n:] = inputs[:, k]
-            x = _apply(operator, xu, n)
+            x = np.bincount(rows, weights=system.coeffs * xu[cols], minlength=n)
             y[:, k] = x
     finite = np.isfinite(y).all(axis=0)
     if not finite.all():
@@ -311,14 +291,11 @@ def gen_erdos_renyi(cfg: GeneratorConfig, rng: np.random.Generator | None = None
 
 def true_full_matrices(system: LinearNetworkSystem) -> tuple[np.ndarray, np.ndarray]:
     """Assembled ground-truth (A, B): the transition operator with exact zeros wherever there is no edge."""
-    vals = system._operator[2]
-    return _densify(system.topology, vals), _densify(system.topology, vals, inputs=True)
+    return _densify(system.topology, system.coeffs), _densify(system.topology, system.coeffs, inputs=True)
 
 
 def system_to_dict(system: LinearNetworkSystem) -> dict:
     """JSON-ready form: the topology plus all coefficient blocks."""
-    from .topology import topology_to_dict
-
     return {
         "topology": topology_to_dict(system.topology),
         "self_blocks": {v: block.tolist() for v, block in system.self_blocks.items()},
@@ -329,8 +306,6 @@ def system_to_dict(system: LinearNetworkSystem) -> dict:
 
 
 def system_from_dict(d: dict) -> LinearNetworkSystem:
-    from .topology import topology_from_dict
-
     topology = topology_from_dict(d["topology"])
     self_blocks = {v: np.asarray(block, dtype=float) for v, block in d["self_blocks"].items()}
     edge_blocks = {}

@@ -14,15 +14,21 @@ that, where each of the plan's coefficients sits on the first use of those,
 and its total state and input dimensions on their first use. Topologies are
 values: mutating one, ``dims`` included, after any of these is derived
 leaves it stale.
+
+Every system, solver and model goes through the gather plan, which is built
+only for a topology that :func:`validate` passes. Systems and models store
+their coefficients as one vector in plan order; only this module maps
+per-edge blocks to and from it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyNetwork, NetdmdError, UnknownVertex
+from .errors import BadConfig, DimensionMismatch, EmptyNetwork, NetdmdError, UnknownVertex
 
 
 @dataclass(frozen=True)
@@ -230,13 +236,16 @@ def gather_plan(t: NetworkTopology) -> tuple[ShapeGroup, ...]:
     """The topology's state vertices grouped by local shape (center dim, local dim).
 
     Groups appear in the order of their first vertex, and vertices keep
-    declaration order within a group. Derived once per topology; raises what
-    :func:`local_subsystem` raises for the first state vertex it fails on.
+    declaration order within a group. Derived once per topology; raises
+    :class:`BadConfig` naming the first violation :func:`validate` reports.
     """
     return t._gather_plan
 
 
 def _build_gather_plan(t: NetworkTopology) -> tuple[ShapeGroup, ...]:
+    violations = validate(t)
+    if violations:
+        raise BadConfig(f"invalid topology: {violations[0].message}")
     subs = [local_subsystem(t, v) for v in t.state_vertices]
     pos = {}
     offset = 0
@@ -284,6 +293,59 @@ def _densify(t: NetworkTopology, values: np.ndarray, inputs: bool = False) -> np
     out = np.zeros((n, t.total_input_dim if inputs else n))
     out[rows[part], cols[part] - (n if inputs else 0)] = values[part]
     return out
+
+
+def _group_stacks(t: NetworkTopology, coeffs: np.ndarray):
+    """``(group, stack)`` for each shape group of the plan: its (G, d, k) view of plan-order ``coeffs``."""
+    offset = 0
+    for group in gather_plan(t):
+        size = math.prod(group.shape)
+        yield group, coeffs[offset : offset + size].reshape(group.shape)
+        offset += size
+
+
+def _block_slots(t: NetworkTopology, coeffs: np.ndarray):
+    """``(v, w, cols, view)`` for every block of plan-order ``coeffs``: w couples into state vertex v.
+
+    Vertex by vertex, each vertex's own block (w == v) first, then its state
+    parents', then its input parents'. ``cols`` is the slice of w's columns
+    in v's local data, and ``view`` the block's view of ``coeffs``.
+    """
+    strips = {v: strip for group, stack in _group_stacks(t, coeffs) for v, strip in zip(group.vertices, stack)}
+    for v in t.state_vertices:
+        sub = local_subsystem(t, v)
+        offset = 0
+        for w in (v, *sub.state_parents, *sub.input_parents):
+            cols = slice(offset, offset + t.dims[w])
+            yield v, w, cols, strips[v][:, cols]
+            offset += t.dims[w]
+
+
+def _write_coefficients(t: NetworkTopology, block_of) -> np.ndarray:
+    """A new read-only plan-order coefficient vector, filled with ``block_of(v, w, cols)`` for each block.
+
+    Blocks are asked for in :func:`_block_slots`' order. One that is not a
+    (dims[v], dims[w]) matrix raises :class:`DimensionMismatch`.
+    """
+    coeffs = np.zeros(coefficient_support(t)[0].size)
+    for v, w, cols, slot in _block_slots(t, coeffs):
+        block = block_of(v, w, cols)
+        try:
+            block = np.asarray(block, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch(f"block for {w}->{v} is not a matrix: {exc}") from exc
+        if block.shape != slot.shape:
+            raise DimensionMismatch(f"block for {w}->{v} must be {slot.shape}, got {block.shape}")
+        slot[...] = block
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _coefficient_views(t: NetworkTopology, coeffs: np.ndarray):
+    """``(v, w, block)`` for every block of plan-order ``coeffs``, in :func:`_block_slots`' order, as read-only views."""
+    for v, w, _, block in _block_slots(t, coeffs):
+        block.flags.writeable = False
+        yield v, w, block
 
 
 def _index_array(rows) -> np.ndarray:

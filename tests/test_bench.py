@@ -254,6 +254,42 @@ def _same_float(x: float, y: float) -> bool:
     return x == y or (math.isnan(x) and math.isnan(y))
 
 
+#: The sweep configs checked in under configs/, each by file stem, as they must load.
+CHECKED_IN_CONFIGS = [
+    (
+        "circular_sweep",
+        SweepConfig(
+            generator=GeneratorConfig(Circular(50, 2), coeff_range=(-1.0, 1.0), input_range=(-10.0, 10.0)),
+            trials=20,
+            m_values=(3, 5, 10, 25, 50, 75),
+            algorithms=("dmdc", "network_dmdc"),
+            master_seed=2024,
+        ),
+    ),
+    (
+        "circular_reduced_sweep",
+        SweepConfig(
+            generator=GeneratorConfig(Circular(50, 2), coeff_range=(-1.0, 1.0), input_range=(-10.0, 10.0)),
+            trials=20,
+            m_values=(3, 5, 10, 25, 50, 75),
+            algorithms=("dmdc", "network_dmdc"),
+            master_seed=2024,
+            use_reduced=True,
+        ),
+    ),
+    (
+        "erdos_renyi_sweep",
+        SweepConfig(
+            generator=GeneratorConfig(ErdosRenyi(50, 0.05), coeff_range=(-1.0, 1.0)),
+            trials=20,
+            m_values=(4, 8, 16, 32, 50),
+            algorithms=("dmd", "network_dmdc"),
+            master_seed=77,
+        ),
+    ),
+]
+
+
 class TestSweepConfig:
     def test_validation(self):
         gen = GeneratorConfig(Circular(4, 2))
@@ -287,48 +323,14 @@ class TestSweepConfig:
         )
         assert sweep_config_from_dict(sweep_config_to_dict(cfg)) == cfg
 
-    @pytest.mark.parametrize(
-        "name, cfg",
-        [
-            (
-                "circular_sweep",
-                SweepConfig(
-                    generator=GeneratorConfig(Circular(50, 2), coeff_range=(-1.0, 1.0), input_range=(-10.0, 10.0)),
-                    trials=20,
-                    m_values=(3, 5, 10, 25, 50, 75),
-                    algorithms=("dmdc", "network_dmdc"),
-                    master_seed=2024,
-                ),
-            ),
-            (
-                "circular_reduced_sweep",
-                SweepConfig(
-                    generator=GeneratorConfig(Circular(50, 2), coeff_range=(-1.0, 1.0), input_range=(-10.0, 10.0)),
-                    trials=20,
-                    m_values=(3, 5, 10, 25, 50, 75),
-                    algorithms=("dmdc", "network_dmdc"),
-                    master_seed=2024,
-                    use_reduced=True,
-                ),
-            ),
-            (
-                "erdos_renyi_sweep",
-                SweepConfig(
-                    generator=GeneratorConfig(ErdosRenyi(50, 0.05), coeff_range=(-1.0, 1.0)),
-                    trials=20,
-                    m_values=(4, 8, 16, 32, 50),
-                    algorithms=("dmd", "network_dmdc"),
-                    master_seed=77,
-                ),
-            ),
-        ],
-        ids=["circular_sweep", "circular_reduced_sweep", "erdos_renyi_sweep"],
-    )
+    @pytest.mark.parametrize("name, cfg", CHECKED_IN_CONFIGS, ids=[name for name, _ in CHECKED_IN_CONFIGS])
     def test_checked_in_configs_load(self, name, cfg):
         # the configs replace the sweep scripts (these are the configs the scripts built by default),
         # plus the circular sweep through the reduced solvers
         path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
         assert sweep_config_from_dict(json.loads(path.read_text())) == cfg
+        # no config under configs/ goes unchecked
+        assert sorted(p.stem for p in path.parent.glob("*.json")) == sorted(name for name, _ in CHECKED_IN_CONFIGS)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,13 @@
 """The CLI's file readers under arbitrary and mutated input: every run exits 0, 1 or 2, never with a traceback.
 
 Numbers are drawn small, so a mutated document that still parses names a
-small network, sweep or trajectory and runs in milliseconds.
+small network, sweep or trajectory and runs in milliseconds. A topology
+that breaks an invariant of :func:`validate` (a duplicate edge, an id used
+for a state and an input vertex, a self edge, an edge into an input) exits 1.
 """
+import contextlib
 import copy
+import io
 import json
 import pathlib
 import tempfile
@@ -12,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdmd.cli import main
-from netdmd.sysmodel import Circular, GeneratorConfig, gen_circular, simulate, system_to_dict, write_trajectory_csv
+from netdmd.sysmodel import (
+    BLOCK_KEY_SEP,
+    Circular,
+    GeneratorConfig,
+    gen_circular,
+    simulate,
+    system_to_dict,
+    write_trajectory_csv,
+)
 from netdmd.topology import topology_to_dict
 
 SCALARS = (
@@ -136,3 +148,62 @@ def test_trajectory_csvs(data, algorithm):
     files = {"traj": "\n".join(lines) + "\n", "topology": json.dumps(TOPOLOGY_DOC)}
     argv = ["identify", "--trajectory", "{traj}", "--topology", "{topology}", "--algorithm", algorithm]
     assert _run(files, [*argv, "--out", "{out}"]) in (0, 1, 2)
+
+
+STRUCTURAL = st.sampled_from(["duplicate_edge", "state_id_as_input", "self_edge", "edge_into_input"])
+
+
+def _break_structure(data, doc, blocks=None):
+    """Apply one structural mutation to topology document ``doc``, and give every new edge a block in ``blocks``."""
+    states = [v["id"] for v in doc["state_vertices"]]
+    inputs = [e["id"] for e in doc["input_vertices"]]
+    kind = data.draw(STRUCTURAL)
+    if kind == "duplicate_edge":
+        edge = data.draw(st.sampled_from(doc["edges"]))
+        doc["edges"].insert(data.draw(st.integers(0, len(doc["edges"]))), list(edge))
+        return
+    if kind == "state_id_as_input":
+        old = data.draw(st.sampled_from([e for e in inputs if e not in states]))
+        new = data.draw(st.sampled_from(states))
+        doc["input_vertices"][inputs.index(old)]["id"] = new
+        doc["edges"] = [[new if end == old else end for end in edge] for edge in doc["edges"]]
+        if blocks is not None:
+            for key in list(blocks):
+                ends = [new if end == old else end for end in key.split(BLOCK_KEY_SEP)]
+                blocks[BLOCK_KEY_SEP.join(ends)] = blocks.pop(key)
+        return
+    src = data.draw(st.sampled_from(states))
+    dst = src if kind == "self_edge" else data.draw(st.sampled_from(inputs))
+    doc["edges"].append([src, dst])
+    if blocks is not None:
+        blocks[f"{src}{BLOCK_KEY_SEP}{dst}"] = [[0.5]]
+
+
+def _run_rejected(files, argv):
+    """``_run``'s exit code, and whether stderr names an invalid topology."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = _run(files, argv)
+    return code, "invalid topology" in err.getvalue()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_structurally_invalid_topology_files(data):
+    doc = copy.deepcopy(TOPOLOGY_DOC)
+    for _ in range(data.draw(st.integers(1, 2))):
+        _break_structure(data, doc)
+    files = {"topology": json.dumps(doc), "traj": TRAJECTORY_TEXT}
+    assert _run(files, ["validate", "--topology", "{topology}"]) == 1
+    identify = ["identify", "--trajectory", "{traj}", "--topology", "{topology}", "--algorithm", "network-dmdc"]
+    assert _run_rejected(files, [*identify, "--out", "{out}"]) == (1, True)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_structurally_invalid_system_files(data):
+    doc = copy.deepcopy(SYSTEM_DOC)
+    for _ in range(data.draw(st.integers(1, 2))):
+        _break_structure(data, doc["topology"], doc["edge_blocks"])
+    files = {"system": json.dumps(doc)}
+    assert _run_rejected(files, ["simulate", "--system", "{system}", "--steps", "3", "--out", "{out}"]) == (1, True)

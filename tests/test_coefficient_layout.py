@@ -91,7 +91,7 @@ def test_coefficient_vector_densifies_to_the_per_node_reference(system, m, seed,
 def test_coefficients_are_laid_out_like_the_system_operator():
     system = gen_circular(GeneratorConfig(Circular(12, 3), seed=2))
     model = network_dmdc_exact(system.topology, _trajectory(system, 8, 2))
-    truth = system._operator[2]
+    truth = system.coeffs
     assert model.coeffs.shape == truth.shape
     assert np.max(np.abs(model.coeffs - truth)) <= 1e-9
 
@@ -107,7 +107,7 @@ def test_coefficients_are_laid_out_like_the_system_operator():
 def test_network_error_matches_the_dense_formula(system, seed, block_rows, kind, scale):
     rng = np.random.default_rng(seed)
     truth_a, truth_b = (scale * x for x in true_full_matrices(system))
-    support = scale * system._operator[2]
+    support = scale * system.coeffs
     if kind == "random":
         coeffs = scale * rng.standard_normal(support.size)
         truth_a = scale * rng.standard_normal(truth_a.shape)
@@ -129,7 +129,7 @@ def test_network_error_matches_the_dense_formula(system, seed, block_rows, kind,
 
 def test_truth_mass_off_the_support_is_counted(two_node_system):
     truth_a, truth_b = true_full_matrices(two_node_system)
-    model = _model(two_node_system, two_node_system._operator[2])
+    model = _model(two_node_system, two_node_system.coeffs)
     assert model_error(model, truth_a, truth_b) == 0.0
     truth_a[1, 0] = 3.0  # v1 -> v2 is not an edge
     truth_b[0, 1] = 4.0  # nor is e2 -> v1
@@ -140,7 +140,7 @@ def test_truth_mass_off_the_support_is_counted(two_node_system):
 @pytest.mark.parametrize("where", ["coeffs", "truth_a_on_support", "truth_a_off_support", "truth_b_off_support"])
 def test_non_finite_network_differences_raise(two_node_system, bad, where):
     truth_a, truth_b = true_full_matrices(two_node_system)
-    coeffs = two_node_system._operator[2].copy()
+    coeffs = two_node_system.coeffs.copy()
     if where == "coeffs":
         coeffs[1] = bad
     elif where == "truth_a_on_support":
@@ -157,12 +157,12 @@ def test_finite_overflow_off_the_support_returns_inf(two_node_system):
     truth_a, truth_b = true_full_matrices(two_node_system)
     truth_a[1, 0] = 1e200
     with np.errstate(over="ignore"):
-        assert model_error(_model(two_node_system, two_node_system._operator[2]), truth_a, truth_b) == np.inf
+        assert model_error(_model(two_node_system, two_node_system.coeffs), truth_a, truth_b) == np.inf
 
 
 def test_overflowing_network_difference_raises(two_node_system):
     truth_a, truth_b = true_full_matrices(two_node_system)
-    coeffs = two_node_system._operator[2].copy()
+    coeffs = two_node_system.coeffs.copy()
     coeffs[0] = 1e308
     truth_a[0, 0] = -1e308
     with np.errstate(over="ignore"), pytest.raises(NonFiniteEntry):
@@ -175,7 +175,7 @@ def test_overflowing_network_difference_raises(two_node_system):
 )
 def test_network_error_rejects_mismatched_truths(two_node_system, truth_a, truth_b):
     with pytest.raises(DimensionMismatch):
-        model_error(_model(two_node_system, two_node_system._operator[2]), truth_a, truth_b)
+        model_error(_model(two_node_system, two_node_system.coeffs), truth_a, truth_b)
 
 
 def test_coefficient_vector_of_the_wrong_size_is_rejected(two_node_system):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import reference_gen_erdos_renyi, reference_operator_values, systems
+from helpers import reference_gen_erdos_renyi, reference_operator_values, rescan_local_subsystem, systems
 from netdmd.errors import BadConfig, DimensionMismatch, Divergence, RowRangeMismatch
 from netdmd.sysmodel import (
     Circular,
     ErdosRenyi,
     GeneratorConfig,
     LinearNetworkSystem,
+    _draw_blocks,
     derive_rng,
     gen_circular,
     gen_erdos_renyi,
@@ -169,7 +171,7 @@ class TestGenErdosRenyi:
         assert all(got.self_blocks[v].tobytes() == b.tobytes() for v, b in want.self_blocks.items())
         assert list(got.edge_blocks) == list(want.edge_blocks)
         assert all(got.edge_blocks[e].tobytes() == b.tobytes() for e, b in want.edge_blocks.items())
-        assert np.array_equal(got._operator[2], reference_operator_values(want))
+        assert np.array_equal(got.coeffs, reference_operator_values(want))
         # the caller's generator is left at the same position
         assert got_rng.random() == want_rng.random()
 
@@ -194,7 +196,39 @@ class TestGenErdosRenyi:
 @given(systems(max_dim=3))
 @settings(max_examples=80, deadline=None)
 def test_operator_values_match_the_per_vertex_reference(system):
-    assert np.array_equal(system._operator[2], reference_operator_values(system))
+    assert np.array_equal(system.coeffs, reference_operator_values(system))
+
+
+@given(systems(max_dim=3), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_system_stores_its_coefficients_once(system, seed):
+    t = system.topology
+    assert [f.name for f in dataclasses.fields(LinearNetworkSystem)] == ["topology", "coeffs"]
+    assert not system.coeffs.flags.writeable
+    blocks = [*system.self_blocks.values(), *system.edge_blocks.values()]
+    assert sum(b.size for b in blocks) == system.coeffs.size
+    for block in blocks:
+        assert np.shares_memory(block, system.coeffs)
+        assert not block.flags.writeable
+    # vertex by vertex, state parents then input parents, whatever the topology's edge order
+    order = [(v, rescan_local_subsystem(t, v)) for v in t.state_vertices]
+    assert list(system.self_blocks) == list(t.state_vertices)
+    assert list(system.edge_blocks) == [(w, v) for v, sub in order for w in sub.state_parents + sub.input_parents]
+    # which is the order _draw_blocks draws in
+    drawn = _draw_blocks(t, np.random.default_rng(seed), (-1.0, 1.0))
+    rng = np.random.default_rng(seed)
+    for v, sub in order:
+        assert drawn.self_blocks[v].tobytes() == rng.uniform(-1.0, 1.0, (t.dims[v], t.dims[v])).tobytes()
+        for w in sub.state_parents + sub.input_parents:
+            assert drawn.edge_blocks[(w, v)].tobytes() == rng.uniform(-1.0, 1.0, (t.dims[v], t.dims[w])).tobytes()
+    assert np.array_equal(system_from_dict(system_to_dict(system)).coeffs, system.coeffs)
+    # a later write to the caller's blocks cannot reach the system
+    own = {v: np.array(b) for v, b in system.self_blocks.items()}
+    edges = {e: np.array(b) for e, b in system.edge_blocks.items()}
+    rebuilt = LinearNetworkSystem(t, own, edges)
+    for block in [*own.values(), *edges.values()]:
+        block[...] = 7.0
+    assert np.array_equal(rebuilt.coeffs, system.coeffs)
 
 
 class TestTrueFullMatrices:

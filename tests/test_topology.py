@@ -1,12 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import topologies
-from netdmd.errors import EmptyNetwork, UnknownVertex
+from netdmd.errors import BadConfig, EmptyNetwork, UnknownVertex
 from netdmd.sysmodel import Circular, GeneratorConfig, gen_circular
 from netdmd.topology import (
     NetworkTopology,
+    gather_plan,
     local_subsystem,
     max_local_dim,
     topology_from_dict,
@@ -41,6 +44,24 @@ def test_assorted_violations():
     )
     codes = {v.code for v in validate(t)}
     assert codes == {"duplicate_id", "bad_dim", "unknown_dim", "self_edge", "unknown_vertex", "duplicate_edge"}
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        NetworkTopology(("v1", "v2"), (), (("v1", "v2"), ("v1", "v2")), {"v1": 1, "v2": 1}),
+        NetworkTopology(("v1", "v2"), ("v1",), (("v1", "v2"),), {"v1": 1, "v2": 1}),
+        NetworkTopology(("v1",), (), (("v1", "v1"),), {"v1": 1}),
+        NetworkTopology(("v1",), ("e1",), (("v1", "e1"),), {"v1": 1, "e1": 1}),
+        NetworkTopology(("v1",), (), (("ghost", "v1"),), {"v1": 1}),
+        NetworkTopology(("v1", "v2"), (), (("v1", "v2"),), {"v1": 1}),
+    ],
+    ids=["duplicate_edge", "state_id_as_input", "self_edge", "edge_into_input", "unknown_source", "missing_dim"],
+)
+def test_gather_plan_rejects_a_malformed_topology(t):
+    # every system, solver and model goes through the plan, so none is built on a graph validate flags
+    with pytest.raises(BadConfig, match=re.escape(f"invalid topology: {validate(t)[0].message}")):
+        gather_plan(t)
 
 
 class TestLocalSubsystem:
