@@ -40,6 +40,7 @@ from .sysmodel import (
     simulate,
     true_full_matrices,
 )
+from .topology import _json_value
 
 ALGORITHMS = ("dmd", "dmdc", "network_dmdc")
 
@@ -280,7 +281,7 @@ def truncation_to_dict(rule: TruncationRule) -> dict:
 def truncation_from_dict(d: dict) -> TruncationRule:
     kind = d["kind"]
     if kind == "fixed_rank":
-        return FixedRank(int(d["rank"]))
+        return FixedRank(_json_value(d["rank"], int))
     if kind == "relative_threshold":
         return RelativeThreshold(float(d["tau"]))
     if kind == "machine_default":
@@ -304,16 +305,18 @@ def generator_config_to_dict(cfg: GeneratorConfig) -> dict:
 def generator_config_from_dict(d: dict) -> GeneratorConfig:
     name = d["family"]
     if name == "circular":
-        family = Circular(n_states=int(d["n_states"]), input_period=int(d.get("input_period", 2)))
+        family = Circular(
+            n_states=_json_value(d["n_states"], int), input_period=_json_value(d.get("input_period", 2), int)
+        )
     elif name == "erdos_renyi":
-        family = ErdosRenyi(n=int(d["n"]), p=float(d["p"]))
+        family = ErdosRenyi(n=_json_value(d["n"], int), p=float(d["p"]))
     else:
         raise BadConfig(f"unknown generator family {name!r}")
     return GeneratorConfig(
         family=family,
         coeff_range=tuple(d.get("coeff_range", (-1.0, 1.0))),
         input_range=tuple(d.get("input_range", (-1.0, 1.0))),
-        seed=int(d.get("seed", 0)),
+        seed=_json_value(d.get("seed", 0), int),
     )
 
 
@@ -334,14 +337,14 @@ def sweep_config_to_dict(cfg: SweepConfig) -> dict:
 def sweep_config_from_dict(d: dict) -> SweepConfig:
     return SweepConfig(
         generator=generator_config_from_dict(d["generator"]),
-        trials=int(d["trials"]),
-        m_values=tuple(int(m) for m in d["m_values"]),
+        trials=_json_value(d["trials"], int),
+        m_values=tuple(_json_value(m, int) for m in d["m_values"]),
         algorithms=tuple(d.get("algorithms", ("dmdc", "network_dmdc"))),
         truncation=truncation_from_dict(d.get("truncation", {"kind": "machine_default"})),
         rcond=float(d.get("rcond", DEFAULT_RCOND)),
-        master_seed=int(d.get("master_seed", 0)),
+        master_seed=_json_value(d.get("master_seed", 0), int),
         initial_state_range=tuple(d.get("initial_state_range", (-1.0, 1.0))),
-        use_reduced=bool(d.get("use_reduced", False)),
+        use_reduced=_json_value(d.get("use_reduced", False), bool),
     )
 
 

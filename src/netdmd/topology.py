@@ -6,19 +6,18 @@ on itself is structural, not an edge, so self-loops are never stored and the
 diagonal coupling block is always estimated. Vertex declaration order fixes
 every downstream block ordering.
 
-Each topology derives its parent index (the ordered state and input parents
-and the local dimension of every state vertex) once, in one pass over the
-edges, on the first lookup, its gather plan (every vertex's positions in
-the stacked vector ``[x; u]``, grouped by local shape) on the first use of
-that, where each of the plan's coefficients sits on the first use of those,
-and its total state and input dimensions on their first use. Topologies are
-values: mutating one, ``dims`` included, after any of these is derived
-leaves it stale.
+Each topology derives one graph index on its first lookup: it runs
+:func:`validate` once, collects every state vertex's parents in one pass
+over the edges, and then builds each vertex's local subsystem (its parents
+and local dimension) and its row of the gather plan (its positions in the
+stacked vector ``[x; u]``, grouped by local shape) in one loop. A malformed
+topology has no index: every lookup raises the same :class:`BadConfig`,
+naming the first violation. Where each of the plan's coefficients sits is
+derived on first use, as are the total state and input dimensions. Topologies are values: mutating one, ``dims``
+included, after any of these is derived leaves it stale.
 
-Every system, solver and model goes through the gather plan, which is built
-only for a topology that :func:`validate` passes. Systems and models store
-their coefficients as one vector in plan order; only this module maps
-per-edge blocks to and from it.
+Systems and models store their coefficients as one vector in plan order;
+only this module maps per-edge blocks to and from it.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadConfig, DimensionMismatch, EmptyNetwork, NetdmdError, UnknownVertex
+from .errors import BadConfig, DimensionMismatch, EmptyNetwork, UnknownVertex
 
 
 @dataclass(frozen=True)
@@ -75,13 +74,9 @@ class NetworkTopology:
         return merged
 
     @cached_property
-    def _parent_index(self) -> dict[str, LocalSubsystem | NetdmdError | KeyError]:
-        """Every state vertex's :class:`LocalSubsystem`, or the error asking for it raises."""
-        return _build_parent_index(self)
-
-    @cached_property
-    def _gather_plan(self) -> tuple[ShapeGroup, ...]:
-        return _build_gather_plan(self)
+    def _graph(self) -> tuple[dict[str, LocalSubsystem], tuple[ShapeGroup, ...]]:
+        """Every state vertex's :class:`LocalSubsystem`, and the gather plan."""
+        return _build_graph(self)
 
     @cached_property
     def _coefficient_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,55 +176,45 @@ def validate(t: NetworkTopology) -> list[Violation]:
     return violations
 
 
-def _build_parent_index(t: NetworkTopology) -> dict[str, LocalSubsystem | NetdmdError | KeyError]:
-    """One pass over the edges, grouping in-edges by their state-vertex target.
-
-    A vertex with an undeclared edge source (the first one in edge order) or
-    a missing dimension maps to the error a lookup of it raises, so a
-    malformed graph fails only for the vertices it affects.
-    """
-    state_order = {w: i for i, w in enumerate(t.state_vertices)}
-    input_order = {e: i for i, e in enumerate(t.input_vertices)}
-    state_parents: dict[str, list[str]] = {v: [] for v in state_order}
-    input_parents: dict[str, list[str]] = {v: [] for v in state_order}
-    undeclared: dict[str, str] = {}
+def _build_graph(t: NetworkTopology) -> tuple[dict[str, LocalSubsystem], tuple[ShapeGroup, ...]]:
+    """Validate once, group the edges by target, then build each vertex's subsystem and plan row in one loop."""
+    violations = validate(t)
+    if violations:
+        raise BadConfig(f"invalid topology: {violations[0].message}")
+    order = t.state_vertices + t.input_vertices
+    rank = {w: i for i, w in enumerate(order)}
+    pos = _ranges(order, t.dims)
+    n = len(t.state_vertices)
+    parents: dict[str, list[str]] = {v: [] for v in t.state_vertices}
     for src, dst in t.edges:
-        if dst not in state_order:
-            continue
-        if src in state_order:
-            state_parents[dst].append(src)
-        elif src in input_order:
-            input_parents[dst].append(src)
-        else:
-            undeclared.setdefault(dst, src)
-    index: dict[str, LocalSubsystem | NetdmdError | KeyError] = {}
-    for v in state_order:
-        if v in undeclared:
-            index[v] = UnknownVertex(f"edge source {undeclared[v]!r} is not declared")
-            continue
-        sp = tuple(sorted(state_parents[v], key=state_order.__getitem__))
-        ip = tuple(sorted(input_parents[v], key=input_order.__getitem__))
-        try:
-            dim = t.dims[v] + sum(t.dims[w] for w in sp) + sum(t.dims[e] for e in ip)
-        except KeyError as exc:
-            index[v] = exc
-            continue
-        index[v] = LocalSubsystem(v, sp, ip, dim)
-    return index
+        parents[dst].append(src)
+    subs = {}
+    groups: dict[tuple[int, int], tuple[list, list, list]] = {}
+    for v, ps in parents.items():
+        ps.sort(key=rank.__getitem__)
+        n_state = sum(rank[w] < n for w in ps)
+        cols = [p for w in (v, *ps) for p in range(*pos[w])]
+        subs[v] = LocalSubsystem(v, tuple(ps[:n_state]), tuple(ps[n_state:]), len(cols))
+        vertices, plan_rows, plan_cols = groups.setdefault((t.dims[v], len(cols)), ([], [], []))
+        vertices.append(v)
+        plan_rows.append(range(*pos[v]))
+        plan_cols.append(cols)
+    plan = tuple(ShapeGroup(tuple(v), _index_array(rows), _index_array(cols)) for v, rows, cols in groups.values())
+    return subs, plan
 
 
 def local_subsystem(t: NetworkTopology, v: str) -> LocalSubsystem:
     """In-neighborhood of state vertex ``v``, split into state and input parents.
 
-    Reads the topology's parent index, so a lookup costs O(1) after the
-    first one on ``t``.
+    Reads the topology's graph index, so a lookup costs O(1) after the first
+    one on ``t``. Raises :class:`BadConfig` naming the first violation
+    :func:`validate` reports, and :class:`UnknownVertex` for a vertex that is
+    not a state vertex.
     """
-    entry = t._parent_index.get(v)
-    if entry is None:
+    sub = t._graph[0].get(v)
+    if sub is None:
         raise UnknownVertex(f"{v!r} is not a state vertex")
-    if isinstance(entry, Exception):
-        raise type(entry)(*entry.args)
-    return entry
+    return sub
 
 
 def gather_plan(t: NetworkTopology) -> tuple[ShapeGroup, ...]:
@@ -239,27 +224,7 @@ def gather_plan(t: NetworkTopology) -> tuple[ShapeGroup, ...]:
     declaration order within a group. Derived once per topology; raises
     :class:`BadConfig` naming the first violation :func:`validate` reports.
     """
-    return t._gather_plan
-
-
-def _build_gather_plan(t: NetworkTopology) -> tuple[ShapeGroup, ...]:
-    violations = validate(t)
-    if violations:
-        raise BadConfig(f"invalid topology: {violations[0].message}")
-    subs = [local_subsystem(t, v) for v in t.state_vertices]
-    pos = {}
-    offset = 0
-    for w in t.state_vertices + t.input_vertices:
-        pos[w] = range(offset, offset + t.dims[w])
-        offset += t.dims[w]
-    groups: dict[tuple[int, int], tuple[list, list, list]] = {}
-    for sub in subs:
-        v = sub.center
-        vertices, rows, cols = groups.setdefault((t.dims[v], sub.local_dim), ([], [], []))
-        vertices.append(v)
-        rows.append(pos[v])
-        cols.append([p for w in (v, *sub.state_parents, *sub.input_parents) for p in pos[w]])
-    return tuple(ShapeGroup(tuple(v), _index_array(rows), _index_array(cols)) for v, rows, cols in groups.values())
+    return t._graph[1]
 
 
 def coefficient_support(t: NetworkTopology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -355,10 +320,11 @@ def _index_array(rows) -> np.ndarray:
 
 
 def max_local_dim(t: NetworkTopology) -> int:
-    """Largest local-subsystem dimension over all state vertices."""
-    if not t.state_vertices:
+    """Largest local-subsystem dimension over all state vertices, read from the gather plan."""
+    plan = gather_plan(t)
+    if not plan:
         raise EmptyNetwork("topology has no state vertices")
-    return max(local_subsystem(t, v).local_dim for v in t.state_vertices)
+    return max(group.cols.shape[1] for group in plan)
 
 
 def topology_to_dict(t: NetworkTopology) -> dict:
@@ -371,21 +337,26 @@ def topology_to_dict(t: NetworkTopology) -> dict:
 
 
 def topology_from_dict(d: dict) -> NetworkTopology:
-    """Read :func:`topology_to_dict`'s form; a vertex id or edge end that is not a string raises TypeError."""
+    """Read :func:`topology_to_dict`'s form.
+
+    A vertex id or edge end that is not a string, or a dim that is not an
+    integer, raises TypeError.
+    """
     dims = {}
     states = []
     inputs = []
     for entry in d["state_vertices"]:
-        states.append(_vertex_id(entry["id"]))
-        dims[entry["id"]] = int(entry["dim"])
+        states.append(_json_value(entry["id"], str))
+        dims[entry["id"]] = _json_value(entry["dim"], int)
     for entry in d["input_vertices"]:
-        inputs.append(_vertex_id(entry["id"]))
-        dims[entry["id"]] = int(entry["dim"])
-    edges = tuple((_vertex_id(src), _vertex_id(dst)) for src, dst in d["edges"])
+        inputs.append(_json_value(entry["id"], str))
+        dims[entry["id"]] = _json_value(entry["dim"], int)
+    edges = tuple((_json_value(src, str), _json_value(dst, str)) for src, dst in d["edges"])
     return NetworkTopology(tuple(states), tuple(inputs), edges, dims)
 
 
-def _vertex_id(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"vertex ids are strings, got {value!r}")
+def _json_value(value, kind: type):
+    """``value`` if its type is exactly ``kind``, else TypeError: neither a bool nor a float passes as an int."""
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
     return value

@@ -4,8 +4,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_lift_reduced_network, reference_network_dmdc_reduced
+from helpers import reference_lift_reduced_network, reference_network_dmdc_reduced, systems
 from netdmd.errors import BadConfig
 from netdmd.bench import (
     CSV_COLUMNS,
@@ -20,6 +22,7 @@ from netdmd.bench import (
     sweep_config_from_dict,
     sweep_config_to_dict,
 )
+from netdmd.netdmdc import model_error, network_dmdc_exact
 from netdmd.numkernel import FixedRank, MachineDefault, RelativeThreshold, conditioning_record
 from netdmd.sysmodel import (
     Circular,
@@ -58,6 +61,20 @@ class TestRunTrial:
         system = LinearNetworkSystem(t, {"v1": [[0.3]], "v2": [[-0.8]]}, {})
         rows = run_trial(system, 1, ("network_dmdc",), derive_rng(2))
         assert rows[0].frobenius_error < 1e-12
+
+    @given(systems(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_network_row_on_vector_vertices_scores_the_exact_solve(self, system, m, seed):
+        (row,) = run_trial(system, m, ("network_dmdc",), np.random.default_rng(seed))
+        t = system.topology
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-1, 1, t.total_state_dim)
+        inputs = rng.uniform(-1, 1, (t.total_input_dim, m))
+        # blocks in [-1, 1] on at most 15 dims cannot overflow in 8 steps, so the simulation is finite
+        traj = simulate(system, x0, inputs)
+        want = model_error(network_dmdc_exact(t, traj), *true_full_matrices(system))
+        assert "failed" not in row.warnings
+        assert row.frobenius_error == want
 
     def test_trial_tag_and_warnings_fields(self, two_node_system):
         rows = run_trial(two_node_system, 3, ("dmd",), derive_rng(3), trial=7)

@@ -249,6 +249,12 @@ def test_malformed_json_is_validation_error(tmp_path):
 
 
 _ONE_VERTEX = {"state_vertices": [{"id": "v1", "dim": 1}], "input_vertices": [], "edges": []}
+_SWEEP = {
+    "generator": {"family": "circular", "n_states": 3, "input_period": 2, "seed": 0},
+    "trials": 1,
+    "m_values": [3],
+}
+_ER_GENERATOR = {"family": "erdos_renyi", "n": 4, "p": 0.5}
 
 
 @pytest.mark.parametrize(
@@ -261,8 +267,43 @@ _ONE_VERTEX = {"state_vertices": [{"id": "v1", "dim": 1}], "input_vertices": [],
         ("sweep", "--config", {"generator": [1], "trials": 1, "m_values": [3]}),
         ("sweep", "--config", {"generator": {"family": "circular", "n_states": 3}, "trials": 1, "m_values": 3}),
         ("simulate", "--system", {"topology": _ONE_VERTEX, "self_blocks": [1], "edge_blocks": {}}),
+        # fields that int() would truncate and bool() would read as true
+        ("validate", "--topology", {**_ONE_VERTEX, "state_vertices": [{"id": "v1", "dim": 1.7}]}),
+        ("validate", "--topology", {**_ONE_VERTEX, "state_vertices": [{"id": "v1", "dim": True}]}),
+        ("sweep", "--config", {**_SWEEP, "use_reduced": "false"}),
+        ("sweep", "--config", {**_SWEEP, "use_reduced": 0}),
+        ("sweep", "--config", {**_SWEEP, "trials": 2.5}),
+        ("sweep", "--config", {**_SWEEP, "trials": True}),
+        ("sweep", "--config", {**_SWEEP, "m_values": [3.9]}),
+        ("sweep", "--config", {**_SWEEP, "master_seed": 1.0}),
+        ("sweep", "--config", {**_SWEEP, "truncation": {"kind": "fixed_rank", "rank": 1.5}}),
+        ("sweep", "--config", {**_SWEEP, "generator": {**_SWEEP["generator"], "n_states": 5.9}}),
+        ("sweep", "--config", {**_SWEEP, "generator": {**_SWEEP["generator"], "input_period": 2.0}}),
+        ("sweep", "--config", {**_SWEEP, "generator": {**_SWEEP["generator"], "seed": True}}),
+        ("sweep", "--config", {**_SWEEP, "generator": {**_ER_GENERATOR, "n": 4.5}}),
     ],
-    ids=["vertex_not_an_object", "top_level_list", "dim_a_list", "edge_end_a_list", "generator_a_list", "m_values_a_number", "self_blocks_a_list"],
+    ids=[
+        "vertex_not_an_object",
+        "top_level_list",
+        "dim_a_list",
+        "edge_end_a_list",
+        "generator_a_list",
+        "m_values_a_number",
+        "self_blocks_a_list",
+        "dim_a_float",
+        "dim_a_bool",
+        "use_reduced_a_string",
+        "use_reduced_an_integer",
+        "trials_a_float",
+        "trials_a_bool",
+        "m_value_a_float",
+        "master_seed_a_float",
+        "rank_a_float",
+        "n_states_a_float",
+        "input_period_a_float",
+        "seed_a_bool",
+        "n_a_float",
+    ],
 )
 def test_field_of_the_wrong_type_is_validation_error(tmp_path, capsys, command, flag, doc):
     path = tmp_path / "doc.json"

@@ -59,9 +59,16 @@ def test_assorted_violations():
     ids=["duplicate_edge", "state_id_as_input", "self_edge", "edge_into_input", "unknown_source", "missing_dim"],
 )
 def test_gather_plan_rejects_a_malformed_topology(t):
-    # every system, solver and model goes through the plan, so none is built on a graph validate flags
-    with pytest.raises(BadConfig, match=re.escape(f"invalid topology: {validate(t)[0].message}")):
+    # every system, solver and model goes through the plan, so none is built on a graph validate flags;
+    # the per-vertex lookups read the same index and fail the same way, for every vertex
+    message = re.escape(f"invalid topology: {validate(t)[0].message}")
+    with pytest.raises(BadConfig, match=message):
         gather_plan(t)
+    with pytest.raises(BadConfig, match=message):
+        max_local_dim(t)
+    for v in t.state_vertices:
+        with pytest.raises(BadConfig, match=message):
+            local_subsystem(t, v)
 
 
 class TestLocalSubsystem:
