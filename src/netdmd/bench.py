@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, NetdmdError
+from .errors import BadConfig, NetdmdError, _json_value
 from .numkernel import (
     DEFAULT_RCOND,
-    ConditioningRecord,
     FixedRank,
     MachineDefault,
     RelativeThreshold,
@@ -34,13 +33,13 @@ from .sysmodel import (
     ErdosRenyi,
     GeneratorConfig,
     LinearNetworkSystem,
+    _check_range,
     derive_rng,
     gen_circular,
     gen_erdos_renyi,
     simulate,
     true_full_matrices,
 )
-from .topology import _json_value
 
 ALGORITHMS = ("dmd", "dmdc", "network_dmdc")
 
@@ -64,18 +63,19 @@ class SweepConfig:
     use_reduced: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
+        m_values = tuple(self.m_values)
+        integers = (isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in (self.trials, *m_values))
+        if not m_values or not all(integers) or min(self.trials, *m_values) < 1:
+            raise BadConfig(f"trials and a nonempty m_values must be integers >= 1, got {self.trials!r}, {m_values!r}")
+        if not (math.isfinite(self.rcond) and self.rcond >= 0):
+            raise BadConfig(f"rcond must be finite and >= 0, got {self.rcond!r}")
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "m_values", tuple(int(m) for m in m_values))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        if self.trials < 1:
-            raise BadConfig(f"trials must be >= 1, got {self.trials}")
-        if not self.m_values or any(m < 1 for m in self.m_values):
-            raise BadConfig(f"m_values must be nonempty with every entry >= 1, got {self.m_values}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if not self.algorithms or unknown:
             raise BadConfig(f"algorithms must be a nonempty subset of {ALGORITHMS}, got {self.algorithms}")
-        lo, hi = self.initial_state_range
-        if not lo <= hi:
-            raise BadConfig(f"initial_state_range is empty: ({lo}, {hi})")
+        _check_range("initial_state_range", self.initial_state_range)
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,12 @@ def mean_errors(rows) -> dict[tuple[int, str], float]:
     return {key: float(np.mean(vals)) if vals else math.nan for key, vals in sorted(sums.items())}
 
 
-def _worst_record(records: dict, rcond: float) -> ConditioningRecord:
-    """The per-node record with the smallest sigma ratio (degenerate if none)."""
-    if not records:
-        return ConditioningRecord(0.0, 0.0, rcond, True)
-    return min(records.values(), key=lambda rec: rec.ratio)
-
-
 def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
-    """Run one algorithm; returns (model to score, conditioning record, warnings list).
+    """Run one algorithm; returns (model to score, sigma ratio, warnings list).
 
     A network result is scored as the full-space :class:`NetworkModel` both
-    network solvers return; a whole-system result as the full-space
+    network solvers return, and its ratio is the smallest of its nodes'
+    (NaN if it has none); a whole-system result as the full-space
     :class:`ExactLinearModel` it lifts to.
     """
     t = system.topology
@@ -137,7 +131,7 @@ def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
         records = model.per_node_conditioning
         warnings = [f"ill_conditioned:{v}" for v, rec in sorted(records.items()) if rec.warning]
         warnings += [f"failed:{v}" for v in sorted(model.node_failures)]
-        return model, _worst_record(records, rcond), warnings
+        return model, min((rec.ratio for rec in records.values()), default=math.nan), warnings
     if algorithm == "dmdc":
         if use_reduced:
             model, _ = dmdc_reduced(traj.z, traj.y, traj.gamma, truncation, truncation)
@@ -153,7 +147,7 @@ def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
     warnings = ["ill_conditioned"] if model.conditioning.warning else []
     if algorithm == "dmd" and t.total_input_dim > 0:
         warnings.append("dmd_ignores_inputs")
-    return model, model.conditioning, warnings
+    return model, model.conditioning.ratio, warnings
 
 
 def run_trial(
@@ -180,8 +174,9 @@ def run_trial(
     Failures become rows, not exceptions. If the simulation or an algorithm
     raises a :class:`NetdmdError`, each affected row has a NaN error and
     sigma ratio and the tags ``failed`` and ``error:<type>``. A network row
-    with failed nodes (tagged ``failed:<vertex>``) also reports a NaN error,
-    since its zeroed blocks are not an estimate.
+    with failed nodes (tagged ``failed:<vertex>``) also reports a NaN error
+    and sigma ratio, since its zeroed blocks are not an estimate; the
+    ``ill_conditioned:<vertex>`` tags of its other nodes stay.
     """
     if m < 1:
         raise BadConfig(f"m must be >= 1, got {m}")
@@ -197,13 +192,13 @@ def run_trial(
     for algorithm in algorithms:
         start = time.perf_counter()
         try:
-            model, record, warnings = _identify(algorithm, system, traj, rcond, truncation, use_reduced)
+            model, ratio, warnings = _identify(algorithm, system, traj, rcond, truncation, use_reduced)
         except NetdmdError as exc:
             rows.append(_failed_row(trial, m, algorithm, time.perf_counter() - start, exc))
             continue
         wall = time.perf_counter() - start
         if any(tag.startswith("failed:") for tag in warnings):
-            error = math.nan
+            error = ratio = math.nan
         else:
             scores_inputs = isinstance(model, NetworkModel) or model.b is not None
             error = model_error(model, truth_a, truth_b if scores_inputs else None)
@@ -213,7 +208,7 @@ def run_trial(
                 m=m,
                 algorithm=algorithm,
                 frobenius_error=float(error),
-                cond_ratio=float(record.ratio),
+                cond_ratio=float(ratio),
                 wall_time_s=float(wall),
                 warnings=";".join(warnings),
             )
@@ -283,7 +278,7 @@ def truncation_from_dict(d: dict) -> TruncationRule:
     if kind == "fixed_rank":
         return FixedRank(_json_value(d["rank"], int))
     if kind == "relative_threshold":
-        return RelativeThreshold(float(d["tau"]))
+        return RelativeThreshold(_json_value(d["tau"], float))
     if kind == "machine_default":
         return MachineDefault()
     raise BadConfig(f"unknown truncation kind {kind!r}")
@@ -309,13 +304,13 @@ def generator_config_from_dict(d: dict) -> GeneratorConfig:
             n_states=_json_value(d["n_states"], int), input_period=_json_value(d.get("input_period", 2), int)
         )
     elif name == "erdos_renyi":
-        family = ErdosRenyi(n=_json_value(d["n"], int), p=float(d["p"]))
+        family = ErdosRenyi(n=_json_value(d["n"], int), p=_json_value(d["p"], float))
     else:
         raise BadConfig(f"unknown generator family {name!r}")
     return GeneratorConfig(
         family=family,
-        coeff_range=tuple(d.get("coeff_range", (-1.0, 1.0))),
-        input_range=tuple(d.get("input_range", (-1.0, 1.0))),
+        coeff_range=tuple(_json_value(x, float) for x in d.get("coeff_range", (-1.0, 1.0))),
+        input_range=tuple(_json_value(x, float) for x in d.get("input_range", (-1.0, 1.0))),
         seed=_json_value(d.get("seed", 0), int),
     )
 
@@ -341,9 +336,9 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
         m_values=tuple(_json_value(m, int) for m in d["m_values"]),
         algorithms=tuple(d.get("algorithms", ("dmdc", "network_dmdc"))),
         truncation=truncation_from_dict(d.get("truncation", {"kind": "machine_default"})),
-        rcond=float(d.get("rcond", DEFAULT_RCOND)),
+        rcond=_json_value(d.get("rcond", DEFAULT_RCOND), float),
         master_seed=_json_value(d.get("master_seed", 0), int),
-        initial_state_range=tuple(d.get("initial_state_range", (-1.0, 1.0))),
+        initial_state_range=tuple(_json_value(x, float) for x in d.get("initial_state_range", (-1.0, 1.0))),
         use_reduced=_json_value(d.get("use_reduced", False), bool),
     )
 
@@ -412,18 +407,7 @@ def export_result(result: SweepResult, format: str, path) -> None:
 def load_result_json(path) -> SweepResult:
     with open(path) as fh:
         doc = json.load(fh)
-    rows = tuple(
-        SweepRow(
-            trial=int(r["trial"]),
-            m=int(r["m"]),
-            algorithm=r["algorithm"],
-            frobenius_error=_float_or_nan(r["frobenius_error"]),
-            cond_ratio=_float_or_nan(r["cond_ratio"]),
-            wall_time_s=float(r["wall_time_s"]),
-            warnings=r["warnings"],
-        )
-        for r in doc["rows"]
-    )
+    rows = tuple(_row(r, _float_or_nan) for r in doc["rows"])
     means = {
         (int(entry["m"]), entry["algorithm"]): _float_or_nan(entry["mean_frobenius_error"])
         for entry in doc["aggregate"]["means"]
@@ -440,19 +424,20 @@ def _float_or_nan(x) -> float:
     return math.nan if x is None else float(x)
 
 
+def _row(r: dict, number) -> SweepRow:
+    """A row read back from its CSV or JSON record; ``number`` reads the error and sigma ratio."""
+    return SweepRow(
+        trial=int(r["trial"]),
+        m=int(r["m"]),
+        algorithm=r["algorithm"],
+        frobenius_error=number(r["frobenius_error"]),
+        cond_ratio=number(r["cond_ratio"]),
+        wall_time_s=float(r["wall_time_s"]),
+        warnings=r["warnings"],
+    )
+
+
 def load_result_csv(path) -> SweepResult:
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = tuple(
-            SweepRow(
-                trial=int(r["trial"]),
-                m=int(r["m"]),
-                algorithm=r["algorithm"],
-                frobenius_error=float(r["frobenius_error"]),
-                cond_ratio=float(r["cond_ratio"]),
-                wall_time_s=float(r["wall_time_s"]),
-                warnings=r["warnings"],
-            )
-            for r in reader
-        )
+        rows = tuple(_row(r, float) for r in csv.DictReader(fh))
     return SweepResult(rows=rows, means=mean_errors(rows), config=None)

@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (NetdmdError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (NetdmdError, ValueError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

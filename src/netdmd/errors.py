@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the typed read of a JSON field."""
 
 
 class NetdmdError(Exception):
@@ -43,3 +43,10 @@ class BadConfig(NetdmdError):
 
 class Divergence(NetdmdError):
     """A simulated trajectory overflowed to non-finite values."""
+
+
+def _json_value(value, kind: type):
+    """``value`` if its type is exactly ``kind`` (for float, an int too, read as a float; no bool), else TypeError."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise TypeError(f"expected a JSON {'number' if kind is float else kind.__name__}, got {value!r}")
+    return kind(value)

@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NetdmdError, RowRangeMismatch
+from .errors import BadConfig, ConvergenceFailure, DimensionMismatch, NetdmdError, RowRangeMismatch
 from .numkernel import (
     DEFAULT_RCOND,
     ConditioningRecord,
@@ -40,13 +40,16 @@ from .numkernel import (
     pinv_conditioning,
 )
 from .dmdcore import ExactLinearModel, ReducedLinearModel, _dmdc_reduced_model
-from .sysmodel import BLOCK_KEY_SEP, TrajectoryData
+from .sysmodel import TrajectoryData
 from .topology import (
     NetworkTopology,
     ShapeGroup,
+    _block_key,
     _coefficient_views,
     _densify,
     _group_stacks,
+    _read_blocks,
+    _split_block_key,
     _write_coefficients,
     coefficient_support,
     gather_plan,
@@ -129,12 +132,7 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
             (failures if isinstance(record, str) else conditioning)[v] = record
         stacks[group][ok] = solution
     coeffs.flags.writeable = False
-    return NetworkModel(
-        topology=t,
-        coeffs=coeffs,
-        per_node_conditioning={v: conditioning[v] for v in t.state_vertices if v in conditioning},
-        node_failures={v: failures[v] for v in t.state_vertices if v in failures},
-    )
+    return _network_model(t, coeffs, conditioning, failures)
 
 
 def _gathered(t: NetworkTopology, traj: TrajectoryData, failures: dict[str, str]):
@@ -267,13 +265,14 @@ def network_dmdc_reduced(
         block = node.b_tilde[:, cols.start - t.dims[v] : cols.stop - t.dims[v]]
         return u @ block if w in inputs else u @ (block @ u_hat[w]) @ u_hat[w].T
 
-    coeffs = _write_coefficients(t, lifted)
-    return NetworkModel(
-        topology=t,
-        coeffs=coeffs,
-        per_node_conditioning={v: solved[v].conditioning for v in t.state_vertices if v in solved},
-        node_failures={v: failures[v] for v in t.state_vertices if v in failures},
-    )
+    records = {v: node.conditioning for v, node in solved.items()}
+    return _network_model(t, _write_coefficients(t, lifted), records, failures)
+
+
+def _network_model(t: NetworkTopology, coeffs: np.ndarray, records: dict, failures: dict) -> NetworkModel:
+    """The model over plan-order ``coeffs``, with its nodes' records and failures in vertex order."""
+    records = {v: records[v] for v in t.state_vertices if v in records}
+    return NetworkModel(t, coeffs, records, {v: failures[v] for v in t.state_vertices if v in failures})
 
 
 #: Elements of :func:`model_error`'s difference buffer: 96 KiB of float64, which
@@ -369,19 +368,15 @@ def _difference_blocks(pairs, support=None):
 
 
 def network_model_to_dict(model: NetworkModel) -> dict:
-    """JSON-ready form; block keys are "src->dst" strings with an arrow.
+    """JSON-ready form; block keys are "src→dst" strings.
 
     The coefficients are written once, as the per-edge blocks; no assembled
     (n-by-n) matrix is written.
     """
-
-    def key(dst, src):
-        return f"{src}{BLOCK_KEY_SEP}{dst}"
-
     return {
         "topology": topology_to_dict(model.topology),
-        "blocks_a": {key(j, i): blk.tolist() for (j, i), blk in model.blocks_a.items()},
-        "blocks_b": {key(j, i): blk.tolist() for (j, i), blk in model.blocks_b.items()},
+        "blocks_a": {_block_key(i, j): blk.tolist() for (j, i), blk in model.blocks_a.items()},
+        "blocks_b": {_block_key(i, j): blk.tolist() for (j, i), blk in model.blocks_b.items()},
         "per_node_conditioning": {v: conditioning_to_dict(rec) for v, rec in model.per_node_conditioning.items()},
         "node_failures": dict(model.node_failures),
     }
@@ -393,26 +388,21 @@ def network_model_from_dict(d: dict) -> NetworkModel:
     The coefficients are read from ``blocks_a``/``blocks_b``, which hold one
     block per edge and one per state vertex. Documents that also carry
     ``assembled_a``/``assembled_b`` (as earlier versions wrote) load the
-    same; those entries are not read. A missing, unexpected or mis-shaped
-    block raises :class:`DimensionMismatch`.
+    same; those entries are not read. A mis-shaped block raises
+    :class:`DimensionMismatch`; a missing or unexpected block, or one under
+    the wrong map (``blocks_a`` holds the blocks from state vertices,
+    ``blocks_b`` those from inputs), raises :class:`BadConfig`.
     """
     topology = topology_from_dict(d["topology"])
+    blocks = {}
+    for name in ("blocks_a", "blocks_b"):
+        blocks.update((_split_block_key(key), block) for key, block in d[name].items())
+    coeffs = _read_blocks(topology, blocks)
     inputs = set(topology.input_vertices)
-    docs = {False: d["blocks_a"], True: d["blocks_b"]}
-    read = {False: set(), True: set()}
-
-    def block(v, w, _):
-        key, is_input = f"{w}{BLOCK_KEY_SEP}{v}", w in inputs
-        if key not in docs[is_input]:
-            raise DimensionMismatch(f"model has no block {key!r}")
-        read[is_input].add(key)
-        return docs[is_input][key]
-
-    coeffs = _write_coefficients(topology, block)
-    for is_input, doc in docs.items():
-        extra = sorted(set(doc) - read[is_input])
-        if extra:
-            raise DimensionMismatch(f"blocks without an edge: {extra}")
+    misplaced = [key for key in d["blocks_a"] if _split_block_key(key)[0] in inputs]
+    misplaced += [key for key in d["blocks_b"] if _split_block_key(key)[0] not in inputs]
+    if misplaced:
+        raise BadConfig(f"blocks_a is for state sources, blocks_b for inputs; misplaced: {sorted(misplaced)}")
     return NetworkModel(
         topology=topology,
         coeffs=coeffs,

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare
+from .errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare, _json_value
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -115,11 +115,12 @@ def conditioning_to_dict(rec: ConditioningRecord) -> dict:
 
 
 def conditioning_from_dict(d: dict) -> ConditioningRecord:
+    """Read :func:`conditioning_to_dict`'s form: three JSON numbers and a JSON boolean ``warning``, else TypeError."""
     return ConditioningRecord(
-        sigma_max=float(d["sigma_max"]),
-        sigma_min=float(d["sigma_min"]),
-        rcond_used=float(d["rcond_used"]),
-        warning=bool(d["warning"]),
+        sigma_max=_json_value(d["sigma_max"], float),
+        sigma_min=_json_value(d["sigma_min"], float),
+        rcond_used=_json_value(d["rcond_used"], float),
+        warning=_json_value(d["warning"], bool),
     )
 
 
@@ -175,7 +176,7 @@ def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
     :func:`conditioning_record` describes (for a stack, a list of G records),
     both read from the same singular values.
     """
-    if rcond < 0:
+    if not rcond >= 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
     a = np.asarray(m, dtype=np.float64)
     if a.ndim > 3:

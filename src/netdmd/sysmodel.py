@@ -12,6 +12,7 @@ bit-stable regardless of execution order.
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,18 +22,18 @@ import numpy as np
 
 from .errors import BadConfig, DimensionMismatch, Divergence, RowRangeMismatch
 from .topology import (
+    BLOCK_KEY_SEP,  # re-exported: the key separator of system and model JSON
     NetworkTopology,
+    _block_key,
     _coefficient_views,
     _densify,
+    _read_blocks,
+    _split_block_key,
     _write_coefficients,
     coefficient_support,
-    local_subsystem,
     topology_from_dict,
     topology_to_dict,
 )
-
-#: Separator used in serialized edge-block keys ("src->dst" with an arrow).
-BLOCK_KEY_SEP = "→"
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -42,9 +43,10 @@ class LinearNetworkSystem:
     Built from ``self_blocks[v]``, the square block coupling vertex ``v`` to
     itself, and ``edge_blocks[(w, v)]``, coupling parent ``w`` (state or
     input) into ``v``. Construction checks the blocks against the topology
-    and copies them once into ``coeffs``, one read-only vector in the
-    topology's coefficient order (:func:`coefficient_support`), as a network
-    model stores its estimate. ``self_blocks`` and ``edge_blocks`` are
+    (a missing or extra block is :class:`BadConfig`, a mis-shaped one
+    :class:`DimensionMismatch`) and copies them once into ``coeffs``, one
+    read-only vector in the topology's coefficient order
+    (:func:`coefficient_support`), as a network model stores its estimate. ``self_blocks`` and ``edge_blocks`` are
     read-only views of ``coeffs``, vertex by vertex: its self block, then
     its state parents' blocks, then its input parents'.
     """
@@ -53,23 +55,13 @@ class LinearNetworkSystem:
     coeffs: np.ndarray
 
     def __init__(self, topology: NetworkTopology, self_blocks: dict, edge_blocks: dict):
-        t = topology
-        for v in t.state_vertices:
-            if v not in self_blocks:
-                raise BadConfig(f"state vertex {v!r} has no self block")
-        extra = set(self_blocks) - set(t.state_vertices)
-        if extra:
-            raise BadConfig(f"self blocks for non-state vertices: {sorted(extra)}")
-        edge_set = set(t.edges)
-        for src, dst in edge_blocks:
-            if (src, dst) not in edge_set:
-                raise BadConfig(f"block for non-edge {src}->{dst}")
-        missing = edge_set - set(edge_blocks)
-        if missing:
-            raise BadConfig(f"edges without blocks: {sorted(missing)}")
-        coeffs = _write_coefficients(t, lambda v, w, _: self_blocks[v] if w == v else edge_blocks[(w, v)])
-        object.__setattr__(self, "topology", t)
-        object.__setattr__(self, "coeffs", coeffs)
+        blocks = {(v, v): block for v, block in self_blocks.items()}
+        blocks.update(edge_blocks)
+        coeffs = _read_blocks(topology, blocks)
+        loops = sorted(v for w, v in edge_blocks if w == v)
+        if loops:
+            raise BadConfig(f"self-dependence is a self block, not an edge block, for {loops}")
+        _fill(self, topology, coeffs)
 
     @cached_property
     def self_blocks(self) -> Mapping[str, np.ndarray]:
@@ -78,6 +70,13 @@ class LinearNetworkSystem:
     @cached_property
     def edge_blocks(self) -> Mapping[tuple[str, str], np.ndarray]:
         return MappingProxyType({(w, v): b for v, w, b in _coefficient_views(self.topology, self.coeffs) if w != v})
+
+
+def _fill(system: LinearNetworkSystem, topology: NetworkTopology, coeffs: np.ndarray) -> LinearNetworkSystem:
+    """``system`` with its two fields set: the topology and the read-only plan-order ``coeffs`` its writer made."""
+    object.__setattr__(system, "topology", topology)
+    object.__setattr__(system, "coeffs", coeffs)
+    return system
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +139,14 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, (lo, hi) in (("coeff_range", self.coeff_range), ("input_range", self.input_range)):
-            if not lo <= hi:
-                raise BadConfig(f"{name} is empty: ({lo}, {hi})")
+        _check_range("coeff_range", self.coeff_range)
+        _check_range("input_range", self.input_range)
+
+
+def _check_range(name: str, bounds) -> None:
+    """BadConfig unless ``bounds`` is a pair ``lo <= hi`` of finite width, as ``rng.uniform`` needs."""
+    if not (len(bounds) == 2 and bounds[0] <= bounds[1] and math.isfinite(bounds[1] - bounds[0])):
+        raise BadConfig(f"{name} must be a nonempty interval of finite width, got {bounds}")
 
 
 def derive_rng(*key: int) -> np.random.Generator:
@@ -224,22 +228,15 @@ def _read_only_trajectory(z, gamma, y, ranges) -> TrajectoryData:
 
 
 def _draw_blocks(topology: NetworkTopology, rng: np.random.Generator, coeff_range) -> LinearNetworkSystem:
-    """Draw every coefficient block i.i.d. uniform, in a fixed per-vertex order.
+    """Draw every coefficient block i.i.d. uniform, in the order the topology writes blocks.
 
-    Draw order is: for each state vertex in declaration order, the self block,
-    then each in-edge block with state parents before input parents. This
-    pins the stream layout so equal seeds give bit-identical systems.
+    That is vertex by vertex, its self block, then its state parents', then
+    its input parents'; equal seeds give bit-identical systems.
     """
     lo, hi = coeff_range
-    self_blocks = {}
-    edge_blocks = {}
-    for v in topology.state_vertices:
-        n = topology.dims[v]
-        self_blocks[v] = rng.uniform(lo, hi, size=(n, n))
-        sub = local_subsystem(topology, v)
-        for w in sub.state_parents + sub.input_parents:
-            edge_blocks[(w, v)] = rng.uniform(lo, hi, size=(n, topology.dims[w]))
-    return LinearNetworkSystem(topology, self_blocks, edge_blocks)
+    dims = topology.dims
+    coeffs = _write_coefficients(topology, lambda v, w, _: rng.uniform(lo, hi, size=(dims[v], dims[w])))
+    return _fill(object.__new__(LinearNetworkSystem), topology, coeffs)
 
 
 def gen_circular(cfg: GeneratorConfig, rng: np.random.Generator | None = None) -> LinearNetworkSystem:
@@ -299,20 +296,13 @@ def system_to_dict(system: LinearNetworkSystem) -> dict:
     return {
         "topology": topology_to_dict(system.topology),
         "self_blocks": {v: block.tolist() for v, block in system.self_blocks.items()},
-        "edge_blocks": {
-            f"{src}{BLOCK_KEY_SEP}{dst}": block.tolist() for (src, dst), block in system.edge_blocks.items()
-        },
+        "edge_blocks": {_block_key(src, dst): block.tolist() for (src, dst), block in system.edge_blocks.items()},
     }
 
 
 def system_from_dict(d: dict) -> LinearNetworkSystem:
-    topology = topology_from_dict(d["topology"])
-    self_blocks = {v: np.asarray(block, dtype=float) for v, block in d["self_blocks"].items()}
-    edge_blocks = {}
-    for key, block in d["edge_blocks"].items():
-        src, _, dst = key.partition(BLOCK_KEY_SEP)
-        edge_blocks[(src, dst)] = np.asarray(block, dtype=float)
-    return LinearNetworkSystem(topology, self_blocks, edge_blocks)
+    edge_blocks = {_split_block_key(key): block for key, block in d["edge_blocks"].items()}
+    return LinearNetworkSystem(topology_from_dict(d["topology"]), d["self_blocks"], edge_blocks)
 
 
 def write_trajectory_csv(traj: TrajectoryData, topology: NetworkTopology, path) -> None:

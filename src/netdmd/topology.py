@@ -11,13 +11,15 @@ Each topology derives one graph index on its first lookup: it runs
 over the edges, and then builds each vertex's local subsystem (its parents
 and local dimension) and its row of the gather plan (its positions in the
 stacked vector ``[x; u]``, grouped by local shape) in one loop. A malformed
-topology has no index: every lookup raises the same :class:`BadConfig`,
-naming the first violation. Where each of the plan's coefficients sits is
-derived on first use, as are the total state and input dimensions. Topologies are values: mutating one, ``dims``
-included, after any of these is derived leaves it stale.
+topology has no index: every lookup, total dimension and row range raises
+the same :class:`BadConfig`, naming the first violation. Where each of the
+plan's coefficients sits is derived on first use, as are the total state and
+input dimensions. Topologies are values: mutating one, ``dims`` included,
+after any of these is derived leaves it stale.
 
-Systems and models store their coefficients as one vector in plan order;
-only this module maps per-edge blocks to and from it.
+Systems and models store their coefficients as one vector in plan order.
+Only this module maps per-edge blocks to and from it: it fixes their order,
+checks a block map's keys and spells a block's JSON key.
 """
 from __future__ import annotations
 
@@ -27,7 +29,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadConfig, DimensionMismatch, EmptyNetwork, UnknownVertex
+from .errors import BadConfig, DimensionMismatch, EmptyNetwork, UnknownVertex, _json_value
+
+#: Separator of serialized block keys: ``"w→v"`` is the block coupling w into v.
+BLOCK_KEY_SEP = "→"
 
 
 @dataclass(frozen=True)
@@ -53,25 +58,31 @@ class NetworkTopology:
 
     @cached_property
     def total_state_dim(self) -> int:
-        return sum(self.dims[v] for v in self.state_vertices)
+        return sum(map(self._valid_dims.__getitem__, self.state_vertices))
 
     @cached_property
     def total_input_dim(self) -> int:
-        return sum(self.dims[e] for e in self.input_vertices)
+        return sum(map(self._valid_dims.__getitem__, self.input_vertices))
 
     def state_row_ranges(self) -> dict[str, tuple[int, int]]:
         """Half-open row interval of each state vertex in a stacked state vector."""
-        return _ranges(self.state_vertices, self.dims)
+        return _ranges(self.state_vertices, self._valid_dims)
 
     def input_row_ranges(self) -> dict[str, tuple[int, int]]:
         """Half-open row interval of each input vertex in a stacked input vector."""
-        return _ranges(self.input_vertices, self.dims)
+        return _ranges(self.input_vertices, self._valid_dims)
 
     def vertex_row_ranges(self) -> dict[str, tuple[int, int]]:
         """Both range maps merged; state ids index state rows, input ids input rows."""
         merged = self.state_row_ranges()
         merged.update(self.input_row_ranges())
         return merged
+
+    @cached_property
+    def _valid_dims(self) -> dict[str, int]:
+        """``dims``, once the graph index is built: a malformed topology raises its :class:`BadConfig` here."""
+        gather_plan(self)
+        return self.dims
 
     @cached_property
     def _graph(self) -> tuple[dict[str, LocalSubsystem], tuple[ShapeGroup, ...]]:
@@ -306,6 +317,30 @@ def _write_coefficients(t: NetworkTopology, block_of) -> np.ndarray:
     return coeffs
 
 
+def _read_blocks(t: NetworkTopology, blocks: dict) -> np.ndarray:
+    """:func:`_write_coefficients` of ``blocks[(w, v)]``, coupling w into state vertex v; (v, v) is v's own block.
+
+    After the topology's own check, keys other than one per state vertex and
+    one per edge raise :class:`BadConfig` naming the missing and extra ones.
+    """
+    gather_plan(t)
+    expected = {(v, v) for v in t.state_vertices}.union(t.edges)
+    missing, extra = expected - blocks.keys(), blocks.keys() - expected
+    if missing or extra:
+        missing, extra = (sorted(_block_key(w, v) for w, v in keys) for keys in (missing, extra))
+        raise BadConfig(f"blocks do not match the topology: missing {missing}, extra {extra}")
+    return _write_coefficients(t, lambda v, w, _: blocks[(w, v)])
+
+
+def _block_key(w: str, v: str) -> str:
+    return f"{w}{BLOCK_KEY_SEP}{v}"
+
+
+def _split_block_key(key: str) -> tuple[str, str]:
+    """``(w, v)`` of a :func:`_block_key`; a key without the separator reads as ``(key, "")``."""
+    return key.partition(BLOCK_KEY_SEP)[::2]
+
+
 def _coefficient_views(t: NetworkTopology, coeffs: np.ndarray):
     """``(v, w, block)`` for every block of plan-order ``coeffs``, in :func:`_block_slots`' order, as read-only views."""
     for v, w, _, block in _block_slots(t, coeffs):
@@ -342,21 +377,10 @@ def topology_from_dict(d: dict) -> NetworkTopology:
     A vertex id or edge end that is not a string, or a dim that is not an
     integer, raises TypeError.
     """
-    dims = {}
-    states = []
-    inputs = []
-    for entry in d["state_vertices"]:
-        states.append(_json_value(entry["id"], str))
-        dims[entry["id"]] = _json_value(entry["dim"], int)
-    for entry in d["input_vertices"]:
-        inputs.append(_json_value(entry["id"], str))
-        dims[entry["id"]] = _json_value(entry["dim"], int)
+    entries = [*d["state_vertices"], *d["input_vertices"]]
+    dims = {_json_value(entry["id"], str): _json_value(entry["dim"], int) for entry in entries}
+    states, inputs = (tuple(entry["id"] for entry in d[key]) for key in ("state_vertices", "input_vertices"))
     edges = tuple((_json_value(src, str), _json_value(dst, str)) for src, dst in d["edges"])
-    return NetworkTopology(tuple(states), tuple(inputs), edges, dims)
+    return NetworkTopology(states, inputs, edges, dims)
 
 
-def _json_value(value, kind: type):
-    """``value`` if its type is exactly ``kind``, else TypeError: neither a bool nor a float passes as an int."""
-    if type(value) is not kind:
-        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
-    return value

@@ -180,6 +180,8 @@ class TestFailedCells:
         # every node failed, so the zeroed blocks are not scored
         net = by_alg["network_dmdc"]
         assert math.isnan(net.frobenius_error)
+        # and no node has a record, so no sigma ratio is invented for the row
+        assert math.isnan(net.cond_ratio)
         assert net.warnings.split(";") == ["failed:v1", "failed:v2"]
 
     def test_mean_errors_skip_non_finite_rows(self):
@@ -316,6 +318,36 @@ class TestSweepConfig:
             SweepConfig(generator=gen, trials=1, m_values=())
         with pytest.raises(BadConfig):
             SweepConfig(generator=gen, trials=1, m_values=(1,), algorithms=("nope",))
+
+    def test_numbers_are_checked_for_python_callers_too(self):
+        gen = GeneratorConfig(Circular(4, 2))
+        for bad in (
+            {"trials": 2.5},
+            {"trials": True},
+            {"m_values": (3.9,)},
+            {"m_values": (3, True)},
+            {"rcond": math.nan},
+            {"rcond": math.inf},
+            {"rcond": -1e-3},
+            {"initial_state_range": (-math.inf, 0.0)},
+        ):
+            with pytest.raises(BadConfig):
+                SweepConfig(**{"generator": gen, "trials": 1, "m_values": (3,), **bad})
+        # numpy integers are integers
+        cfg = SweepConfig(generator=gen, trials=np.int64(2), m_values=(np.int32(3), 5))
+        assert (cfg.trials, cfg.m_values) == (2, (3, 5))
+        assert type(cfg.trials) is int and all(type(m) is int for m in cfg.m_values)
+        # rng.uniform cannot draw from an interval whose width overflows
+        with pytest.raises(BadConfig):
+            GeneratorConfig(Circular(4, 2), coeff_range=(-1e308, 1e308))
+
+    @pytest.mark.parametrize("bad", ["ab", [0.0], [0.0, 1.0, 2.0], [0.0, "1"], [False, 1.0]])
+    @pytest.mark.parametrize("field", ["coeff_range", "input_range", "initial_state_range"])
+    def test_ranges_must_be_two_numbers(self, field, bad):
+        doc = sweep_config_to_dict(SweepConfig(generator=GeneratorConfig(Circular(4, 2)), trials=1, m_values=(3,)))
+        (doc if field == "initial_state_range" else doc["generator"])[field] = bad
+        with pytest.raises((TypeError, BadConfig)):
+            sweep_config_from_dict(doc)
 
     def test_dict_round_trip(self):
         cfg = SweepConfig(

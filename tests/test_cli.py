@@ -281,6 +281,18 @@ _ER_GENERATOR = {"family": "erdos_renyi", "n": 4, "p": 0.5}
         ("sweep", "--config", {**_SWEEP, "generator": {**_SWEEP["generator"], "input_period": 2.0}}),
         ("sweep", "--config", {**_SWEEP, "generator": {**_SWEEP["generator"], "seed": True}}),
         ("sweep", "--config", {**_SWEEP, "generator": {**_ER_GENERATOR, "n": 4.5}}),
+        # number fields: no bool, no string, and ranges of exactly two numbers
+        ("sweep", "--config", {**_SWEEP, "generator": {**_ER_GENERATOR, "p": True}}),
+        ("sweep", "--config", {**_SWEEP, "generator": {**_ER_GENERATOR, "p": "0.5"}}),
+        ("sweep", "--config", {**_SWEEP, "rcond": "1e-3"}),
+        ("sweep", "--config", {**_SWEEP, "rcond": float("nan")}),
+        ("sweep", "--config", {**_SWEEP, "rcond": float("inf")}),
+        ("sweep", "--config", {**_SWEEP, "truncation": {"kind": "relative_threshold", "tau": "0.1"}}),
+        ("sweep", "--config", {**_SWEEP, "generator": {**_SWEEP["generator"], "coeff_range": "ab"}}),
+        ("sweep", "--config", {**_SWEEP, "generator": {**_SWEEP["generator"], "coeff_range": [-1.0, True]}}),
+        ("sweep", "--config", {**_SWEEP, "generator": {**_SWEEP["generator"], "input_range": [-1.0, 0.0, 1.0]}}),
+        ("sweep", "--config", {**_SWEEP, "initial_state_range": "ab"}),
+        ("sweep", "--config", {**_SWEEP, "initial_state_range": [float("-inf"), float("inf")]}),
     ],
     ids=[
         "vertex_not_an_object",
@@ -303,6 +315,17 @@ _ER_GENERATOR = {"family": "erdos_renyi", "n": 4, "p": 0.5}
         "input_period_a_float",
         "seed_a_bool",
         "n_a_float",
+        "p_a_bool",
+        "p_a_string",
+        "rcond_a_string",
+        "rcond_nan",
+        "rcond_infinite",
+        "tau_a_string",
+        "coeff_range_a_string",
+        "coeff_range_with_a_bool",
+        "input_range_of_three",
+        "initial_state_range_a_string",
+        "initial_state_range_infinite",
     ],
 )
 def test_field_of_the_wrong_type_is_validation_error(tmp_path, capsys, command, flag, doc):
@@ -310,4 +333,12 @@ def test_field_of_the_wrong_type_is_validation_error(tmp_path, capsys, command, 
     path.write_text(json.dumps(doc))
     extra = ["--steps", "3", "--out", str(tmp_path / "traj.csv")] if command == "simulate" else []
     assert main([command, flag, str(path), *extra]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_integer_too_large_for_a_number_field_is_validation_error(tmp_path, capsys):
+    # JSON integers have no size limit, and float() of this one overflows
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_SWEEP, "rcond": 10**400}))
+    assert main(["sweep", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,4 +1,5 @@
 """Network models stored as plan-order coefficient vectors, against dense oracles."""
+import re
 import tracemalloc
 from itertools import chain
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import build_local_data, reference_network_dmdc_exact, systems
 from netdmd import netdmdc
 from netdmd.dmdcore import dmdc_exact
-from netdmd.errors import DimensionMismatch, NonFiniteEntry
+from netdmd.errors import BadConfig, DimensionMismatch, NonFiniteEntry
 from netdmd.netdmdc import (
     NetworkModel,
     model_error,
@@ -19,6 +20,7 @@ from netdmd.netdmdc import (
     network_model_from_dict,
     network_model_to_dict,
 )
+from netdmd.numkernel import ConditioningRecord
 from netdmd.sysmodel import Circular, GeneratorConfig, TrajectoryData, gen_circular, simulate, true_full_matrices
 from netdmd.topology import local_subsystem
 
@@ -206,21 +208,55 @@ def test_model_json_with_assembled_matrices_still_loads(two_node_topology, two_n
 @pytest.mark.parametrize(
     "change",
     [
-        lambda doc: doc["blocks_a"].pop("v2→v1"),
-        lambda doc: doc["blocks_b"].pop("e2→v2"),
         lambda doc: doc["blocks_a"].update({"v2→v1": [[1.0, 2.0]]}),
         lambda doc: doc["blocks_b"].update({"e1→v1": [1.0]}),
         lambda doc: doc["blocks_a"].update({"v1→v1": [[1.0], [2.0, 3.0]]}),
-        lambda doc: doc["blocks_a"].update({"v1→v2": [[1.0]]}),
-        lambda doc: doc["blocks_b"].update({"e1→v2": [[1.0]]}),
     ],
-    ids=["missing_a", "missing_b", "wide", "flat", "ragged", "non_edge_a", "non_edge_b"],
+    ids=["wide", "flat", "ragged"],
 )
 def test_model_json_with_bad_blocks_is_a_dimension_error(two_node_topology, two_node_trajectory, change):
     doc = network_model_to_dict(network_dmdc_exact(two_node_topology, two_node_trajectory))
     change(doc)
     with pytest.raises(DimensionMismatch):
         network_model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "change, names",
+    [
+        (lambda doc: doc["blocks_a"].pop("v2→v1"), "missing ['v2→v1'], extra []"),
+        (lambda doc: doc["blocks_b"].pop("e2→v2"), "missing ['e2→v2'], extra []"),
+        (lambda doc: doc["blocks_a"].update({"v1→v2": [[1.0]]}), "missing [], extra ['v1→v2']"),
+        (lambda doc: doc["blocks_b"].update({"e1→v2": [[1.0]]}), "missing [], extra ['e1→v2']"),
+        (lambda doc: doc["blocks_a"].update({"v1v2": [[1.0]]}), "extra ['v1v2→']"),
+        (lambda doc: doc["blocks_a"].update({"e1→v1": doc["blocks_b"].pop("e1→v1")}), "misplaced: ['e1→v1']"),
+        (lambda doc: doc["blocks_b"].update({"v2→v1": doc["blocks_a"].pop("v2→v1")}), "misplaced: ['v2→v1']"),
+    ],
+    ids=["missing_a", "missing_b", "non_edge_a", "non_edge_b", "no_separator", "input_in_a", "state_in_b"],
+)
+def test_model_json_with_missing_or_extra_blocks_is_a_bad_config(two_node_topology, two_node_trajectory, change, names):
+    # the same check, and the same error, as a system built from the wrong blocks
+    doc = network_model_to_dict(network_dmdc_exact(two_node_topology, two_node_trajectory))
+    change(doc)
+    with pytest.raises(BadConfig, match=re.escape(names)):
+        network_model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("warning", "false"), ("warning", 0), ("sigma_max", "1.0"), ("sigma_min", True), ("rcond_used", "1e-12")],
+)
+def test_model_json_with_a_mistyped_conditioning_record_is_a_type_error(
+    two_node_topology, two_node_trajectory, field, value
+):
+    doc = network_model_to_dict(network_dmdc_exact(two_node_topology, two_node_trajectory))
+    doc["per_node_conditioning"]["v1"][field] = value
+    with pytest.raises(TypeError):
+        network_model_from_dict(doc)
+    # a JSON integer is a number
+    doc["per_node_conditioning"]["v1"] = {"sigma_max": 2, "sigma_min": 1, "rcond_used": 0, "warning": False}
+    record = network_model_from_dict(doc).per_node_conditioning["v1"]
+    assert record == ConditioningRecord(2.0, 1.0, 0.0, False) and type(record.sigma_max) is float
 
 
 def test_ten_thousand_vertex_ring_is_solved_in_coefficient_space():

@@ -250,6 +250,8 @@ class TestPinvConditioning:
             pinv_conditioning(np.zeros((1, 2, 2, 2)))
         with pytest.raises(ValueError):
             pinv_conditioning(np.eye(2), rcond=-1.0)
+        with pytest.raises(ValueError):
+            pinv_conditioning(np.eye(2), rcond=np.nan)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -379,3 +380,18 @@ class TestSystemValidation:
                     ("v1", "v2"): [[0.0]],
                 },
             )
+
+    def test_wrong_keys_name_the_missing_and_extra_blocks(self, two_node_topology):
+        edges = {("v2", "v1"): [[0.0]], ("e1", "v1"): [[0.0]]}
+        with pytest.raises(BadConfig, match=re.escape("missing ['e2→v2', 'v2→v2'], extra ['e1→e1', 'v1→v2']")):
+            LinearNetworkSystem(two_node_topology, {"v1": [[1.0]], "e1": [[1.0]]}, {**edges, ("v1", "v2"): [[0.0]]})
+        # self-dependence is the self block, never an edge block
+        with pytest.raises(BadConfig, match=re.escape("not an edge block, for ['v1']")):
+            LinearNetworkSystem(
+                two_node_topology, {"v2": [[1.0]]}, {**edges, ("e2", "v2"): [[0.0]], ("v1", "v1"): [[1.0]]}
+            )
+
+    def test_malformed_topology_is_reported_before_the_blocks(self):
+        t = NetworkTopology(("v1", "v2"), (), (("v1", "v2"), ("v1", "v2")), {"v1": 1, "v2": 1})
+        with pytest.raises(BadConfig, match="invalid topology: edge v1->v2 declared twice"):
+            LinearNetworkSystem(t, {"v1": [[1.0]]}, {("v2", "v1"): [[0.0]]})

@@ -69,6 +69,16 @@ def test_gather_plan_rejects_a_malformed_topology(t):
     for v in t.state_vertices:
         with pytest.raises(BadConfig, match=message):
             local_subsystem(t, v)
+    # so do the dimensions and row ranges read from it
+    for read in (
+        lambda: t.total_state_dim,
+        lambda: t.total_input_dim,
+        t.state_row_ranges,
+        t.input_row_ranges,
+        t.vertex_row_ranges,
+    ):
+        with pytest.raises(BadConfig, match=message):
+            read()
 
 
 class TestLocalSubsystem:
