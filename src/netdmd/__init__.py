@@ -80,6 +80,7 @@ from .dmdcore import (
 )
 from .netdmdc import (
     NetworkModel,
+    NodeConditioning,
     model_error,
     network_dmdc_exact,
     network_dmdc_reduced,

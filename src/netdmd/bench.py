@@ -119,7 +119,8 @@ def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
 
     A network result is scored as the full-space :class:`NetworkModel` both
     network solvers return, and its ratio is the smallest of its nodes'
-    (NaN if it has none); a whole-system result as the full-space
+    records' (NaN if it has none), read with the warned nodes from the
+    model's conditioning arrays; a whole-system result as the full-space
     :class:`ExactLinearModel` it lifts to.
     """
     t = system.topology
@@ -128,10 +129,12 @@ def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
             model = network_dmdc_reduced(t, traj, truncation, truncation)
         else:
             model = network_dmdc_exact(t, traj, rcond)
-        records = model.per_node_conditioning
-        warnings = [f"ill_conditioned:{v}" for v, rec in sorted(records.items()) if rec.warning]
+        c = model.conditioning
+        ratios = c.ratio[c.present]
+        warned = sorted(t.state_vertices[i] for i in np.flatnonzero(c.warning).tolist())
+        warnings = [f"ill_conditioned:{v}" for v in warned]
         warnings += [f"failed:{v}" for v in sorted(model.node_failures)]
-        return model, min((rec.ratio for rec in records.values()), default=math.nan), warnings
+        return model, float(ratios.min()) if ratios.size else math.nan, warnings
     if algorithm == "dmdc":
         if use_reduced:
             model, _ = dmdc_reduced(traj.z, traj.y, traj.gamma, truncation, truncation)
@@ -405,11 +408,17 @@ def export_result(result: SweepResult, format: str, path) -> None:
 
 
 def load_result_json(path) -> SweepResult:
+    """Read :func:`export_result`'s JSON.
+
+    ``trial`` and ``m`` must be JSON integers, ``wall_time_s`` a JSON number,
+    and each error, sigma ratio and mean a JSON number or null (read as NaN);
+    anything else raises TypeError.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    rows = tuple(_row(r, _float_or_nan) for r in doc["rows"])
+    rows = tuple(_row(r, _json_value, _float_or_nan) for r in doc["rows"])
     means = {
-        (int(entry["m"]), entry["algorithm"]): _float_or_nan(entry["mean_frobenius_error"])
+        (_json_value(entry["m"], int), entry["algorithm"]): _float_or_nan(entry["mean_frobenius_error"])
         for entry in doc["aggregate"]["means"]
     }
     config = sweep_config_from_dict(doc["config"]) if doc.get("config") else None
@@ -421,23 +430,28 @@ def _finite_or_null(x: float) -> float | None:
 
 
 def _float_or_nan(x) -> float:
-    return math.nan if x is None else float(x)
+    """A JSON number, or NaN for null."""
+    return math.nan if x is None else _json_value(x, float)
 
 
-def _row(r: dict, number) -> SweepRow:
-    """A row read back from its CSV or JSON record; ``number`` reads the error and sigma ratio."""
+def _row(r: dict, read, number_or_nan) -> SweepRow:
+    """A row read back from its CSV or JSON record.
+
+    ``read(value, kind)`` reads the trial, m and wall time as ``kind``, and
+    ``number_or_nan`` the error and sigma ratio.
+    """
     return SweepRow(
-        trial=int(r["trial"]),
-        m=int(r["m"]),
+        trial=read(r["trial"], int),
+        m=read(r["m"], int),
         algorithm=r["algorithm"],
-        frobenius_error=number(r["frobenius_error"]),
-        cond_ratio=number(r["cond_ratio"]),
-        wall_time_s=float(r["wall_time_s"]),
+        frobenius_error=number_or_nan(r["frobenius_error"]),
+        cond_ratio=number_or_nan(r["cond_ratio"]),
+        wall_time_s=read(r["wall_time_s"], float),
         warnings=r["warnings"],
     )
 
 
 def load_result_csv(path) -> SweepResult:
     with open(path, newline="") as fh:
-        rows = tuple(_row(r, float) for r in csv.DictReader(fh))
+        rows = tuple(_row(r, lambda text, kind: kind(text), float) for r in csv.DictReader(fh))
     return SweepResult(rows=rows, means=mean_errors(rows), config=None)

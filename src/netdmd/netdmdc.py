@@ -21,23 +21,24 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadConfig, ConvergenceFailure, DimensionMismatch, NetdmdError, RowRangeMismatch
+from .errors import BadConfig, ConvergenceFailure, DimensionMismatch, NetdmdError, RowRangeMismatch, UnknownVertex
 from .numkernel import (
     DEFAULT_RCOND,
     ConditioningRecord,
     MachineDefault,
     TruncationRule,
+    _ill_conditioned,
+    _pinv_stack,
     as_matrix,
     conditioning_from_dict,
     conditioning_to_dict,
-    pinv_conditioning,
 )
 from .dmdcore import ExactLinearModel, ReducedLinearModel, _dmdc_reduced_model
 from .sysmodel import TrajectoryData
@@ -45,6 +46,7 @@ from .topology import (
     NetworkTopology,
     ShapeGroup,
     _block_key,
+    _block_order,
     _coefficient_views,
     _densify,
     _group_stacks,
@@ -53,10 +55,62 @@ from .topology import (
     _write_coefficients,
     coefficient_support,
     gather_plan,
-    local_subsystem,
     topology_from_dict,
     topology_to_dict,
 )
+
+
+@dataclass(frozen=True, eq=False)
+class NodeConditioning:
+    """Every state vertex's conditioning record, as vertex-ordered arrays.
+
+    Entry i belongs to the topology's ``state_vertices[i]``: the fields of
+    its :class:`ConditioningRecord`. ``present[i]`` is False for a node
+    without a record, such as a failed one; its ``warning`` is then False
+    and its other entries mean nothing. The five arrays are 1-D and of one
+    length, ``present`` and ``warning`` bool and the others float, else
+    :class:`DimensionMismatch`; the constructor makes them read-only.
+    """
+
+    present: np.ndarray
+    sigma_max: np.ndarray
+    sigma_min: np.ndarray
+    rcond_used: np.ndarray
+    warning: np.ndarray
+
+    def __post_init__(self):
+        arrays = {field.name: getattr(self, field.name) for field in fields(self)}
+        kinds = {name: "b" if name in ("present", "warning") else "f" for name in arrays}
+        bad = [
+            f"{name} {a.dtype}{a.shape}"
+            for name, a in arrays.items()
+            if a.ndim != 1 or a.shape != self.present.shape or a.dtype.kind != kinds[name]
+        ]
+        if bad:
+            raise DimensionMismatch(f"conditioning needs 1-D arrays of one length, bool present/warning, float others; got {bad}")
+        for a in arrays.values():
+            a.flags.writeable = False
+
+    @property
+    def ratio(self) -> np.ndarray:
+        """Each node's ``ConditioningRecord.ratio``: sigma_min / sigma_max, or 0.0 where sigma_max is not > 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.sigma_max > 0, self.sigma_min / self.sigma_max, 0.0)
+
+
+def _node_conditioning(t: NetworkTopology, records: Mapping[str, ConditioningRecord]) -> NodeConditioning:
+    """The arrays of a map from state vertex to record; a key that is not a state vertex raises :class:`UnknownVertex`."""
+    index = {v: i for i, v in enumerate(t.state_vertices)}
+    unknown = records.keys() - index.keys()
+    if unknown:
+        raise UnknownVertex(f"conditioning records for vertices that are not state vertices: {sorted(unknown)}")
+    at = [index[v] for v in records]
+    present = np.zeros(len(index), dtype=bool)
+    present[at] = True
+    columns = [np.full(len(index), np.nan) for _ in range(3)] + [np.zeros(len(index), dtype=bool)]
+    for column, name in zip(columns, ("sigma_max", "sigma_min", "rcond_used", "warning")):
+        column[at] = [getattr(r, name) for r in records.values()]
+    return NodeConditioning(present, *columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,17 +129,32 @@ class NetworkModel:
     exact zeros at non-edges; each access allocates a new n-by-n (n-by-l)
     array. Nodes whose local regression failed appear in ``node_failures``
     with zero coefficients.
+
+    ``conditioning`` holds the nodes' conditioning records once, as
+    vertex-ordered arrays. ``per_node_conditioning`` is the map from state
+    vertex to :class:`ConditioningRecord`, read-only and in vertex order,
+    built from the arrays on first read.
     """
 
     topology: NetworkTopology
     coeffs: np.ndarray
-    per_node_conditioning: dict[str, ConditioningRecord]
+    conditioning: NodeConditioning
     node_failures: dict[str, str]
 
     def __post_init__(self):
         size = coefficient_support(self.topology)[0].size
         if self.coeffs.shape != (size,):
             raise DimensionMismatch(f"coeffs must have shape ({size},), got {self.coeffs.shape}")
+        n = len(self.topology.state_vertices)
+        if self.conditioning.present.shape != (n,):
+            raise DimensionMismatch(f"conditioning must have {n} entries, got {self.conditioning.present.shape}")
+
+    @cached_property
+    def per_node_conditioning(self) -> Mapping[str, ConditioningRecord]:
+        c = self.conditioning
+        columns = (c.present, c.sigma_max, c.sigma_min, c.rcond_used, c.warning)
+        rows = zip(self.topology.state_vertices, *(column.tolist() for column in columns))
+        return MappingProxyType({v: ConditioningRecord(*record) for v, present, *record in rows if present})
 
     @property
     def assembled_a(self) -> np.ndarray:
@@ -120,75 +189,87 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     does not converge, is recorded in ``node_failures`` with the message
     :func:`dmdc_exact` would raise and contributes zero blocks; the rest of
     the model is still assembled. Each group writes its solution stack into
-    its contiguous slice of the model's plan-order ``coeffs``.
+    its contiguous slice of the model's plan-order ``coeffs``, and its
+    nodes' singular-value extremes into the model's vertex-ordered
+    ``conditioning``; no per-node record is built.
     """
     coeffs = np.zeros(coefficient_support(t)[0].size)
     stacks = dict(_group_stacks(t, coeffs))
-    conditioning: dict[str, ConditioningRecord] = {}
+    sigma = np.full((2, len(t.state_vertices)), np.nan)
+    present = np.zeros(len(t.state_vertices), dtype=bool)
     failures: dict[str, str] = {}
-    for group, ok, kept, omega, y in _gathered(t, traj, failures):
-        solution, records = _solve_stack(omega, y, rcond)
-        for v, record in zip(kept, records):
-            (failures if isinstance(record, str) else conditioning)[v] = record
-        stacks[group][ok] = solution
+    for group, keep, omega, y in _gathered(t, traj, failures):
+        index = group.vertex_index[keep]
+        stacks[group][keep], sigma[:, index], failed = _solve_stack(omega, y, rcond)
+        present[index] = True
+        for i, message in failed.items():
+            present[index[i]] = False
+            failures[t.state_vertices[index[i]]] = message
     coeffs.flags.writeable = False
+    rcond_used = np.full(len(t.state_vertices), rcond, dtype=float)
+    conditioning = NodeConditioning(present, *sigma, rcond_used, _ill_conditioned(*sigma))
     return _network_model(t, coeffs, conditioning, failures)
 
 
 def _gathered(t: NetworkTopology, traj: TrajectoryData, failures: dict[str, str]):
     """Each shape group's local data as stacks, for the nodes whose data are finite.
 
-    Yields ``(group, ok, kept, omega, y)`` for every group of the gather plan
-    that keeps a node: ``ok`` masks the group's nodes whose z, y and gamma
-    parts are all finite, ``kept`` names them, and ``omega`` (G-by-k-by-m)
-    and ``y`` (G-by-d-by-m) stack their ``Omega_j = [Z_j; Gamma_j]`` and
-    ``Y_j``. Each other node gets, in ``failures``, the message
-    :func:`dmdc_exact` would raise for its data.
+    Yields ``(group, keep, omega, y)`` for every group of the gather plan
+    that keeps a node: ``keep`` selects the group's nodes whose z, y and
+    gamma parts are all finite (``slice(None)`` when that is all of them,
+    else a mask), and ``omega`` (G-by-k-by-m) and ``y`` (G-by-d-by-m) stack
+    their ``Omega_j = [Z_j; Gamma_j]`` and ``Y_j``. Each other node gets, in
+    ``failures``, the message :func:`dmdc_exact` would raise for its data.
     """
-    plan = gather_plan(t)
     source = _trajectory_rows(t, traj)
     data = np.vstack([traj.z, traj.gamma])
     not_finite = ~np.isfinite(data).all(axis=1)
     y_not_finite = ~np.isfinite(traj.y).all(axis=1)
-    for group in plan:
+    finite = not (not_finite.any() or y_not_finite.any())
+    for group in gather_plan(t):
         cols = source[group.cols]
         rows = source[group.rows]
+        if finite:
+            yield group, slice(None), data[cols], traj.y[rows]
+            continue
         ok = np.ones(len(group.vertices), dtype=bool)
         for i, message in _non_finite_nodes(group, not_finite[cols], y_not_finite[rows]):
             failures[group.vertices[i]] = message
             ok[i] = False
         if ok.any():
-            kept = [v for v, keep in zip(group.vertices, ok) if keep]
-            yield group, ok, kept, data[cols[ok]], traj.y[rows[ok]]
+            yield group, ok, data[cols[ok]], traj.y[rows[ok]]
 
 
 def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
-    """Row of ``[traj.z; traj.gamma]`` holding each position of ``[x; u]``.
+    """Row of ``[traj.z; traj.gamma]`` holding each position of ``[x; u]``, read-only.
 
     Raises :class:`RowRangeMismatch` for the first node, in vertex order,
     whose own or parent rows (checked in local-data order) are missing or
     mis-sized; a vertex that no node reads (an input without edges) may
-    lack rows.
+    lack rows. A trajectory in the topology's own layout (its
+    ``vertex_row_ranges``, and ``total_state_dim`` rows of z), as
+    :func:`simulate` makes, gets the identity map the topology derives once.
     """
     vertices = t.state_vertices + t.input_vertices
-    spans = [traj.vertex_row_ranges.get(w, (0, -1)) for w in vertices]
-    lo, hi = np.fromiter(chain.from_iterable(spans), dtype=np.intp).reshape(len(vertices), 2).T
+    spans = map(traj.vertex_row_ranges.get, vertices, repeat((0, -1)))
+    spans = np.fromiter(chain.from_iterable(spans), dtype=np.intp, count=2 * len(vertices)).reshape(-1, 2)
+    own_spans, identity = t._own_layout
+    if traj.z.shape[0] == t.total_state_dim and np.array_equal(spans, own_spans):
+        return identity
+    lo, hi = spans.T
     dim = np.fromiter(map(t.dims.__getitem__, vertices), dtype=np.intp, count=len(vertices))
     bad = hi - lo != dim
     lo[len(t.state_vertices) :] += traj.z.shape[0]
     source = np.repeat(lo - (np.cumsum(dim) - dim), dim) + np.arange(dim.sum())
     if bad.any():
         failing = {w for w, b in zip(vertices, bad) if b}
-        for v in t.state_vertices:
-            sub = local_subsystem(t, v)
-            for w in (v, *sub.state_parents, *sub.input_parents):
-                if w not in failing:
-                    continue
-                if w not in traj.vertex_row_ranges:
-                    raise RowRangeMismatch(f"trajectory has no rows for vertex {w!r}")
-                lo, hi = traj.vertex_row_ranges[w]
-                raise RowRangeMismatch(f"vertex {w!r} spans {hi - lo} trajectory rows but has dimension {t.dims[w]}")
+        for w in (w for _, w in _block_order(t) if w in failing):
+            if w not in traj.vertex_row_ranges:
+                raise RowRangeMismatch(f"trajectory has no rows for vertex {w!r}")
+            lo, hi = traj.vertex_row_ranges[w]
+            raise RowRangeMismatch(f"vertex {w!r} spans {hi - lo} trajectory rows but has dimension {t.dims[w]}")
         source[np.repeat(bad, dim)] = -1
+    source.flags.writeable = False
     return source
 
 
@@ -202,28 +283,30 @@ def _non_finite_nodes(group: ShapeGroup, bad_cols: np.ndarray, bad_rows: np.ndar
 
 
 def _solve_stack(omega: np.ndarray, y: np.ndarray, rcond: float):
-    """``y @ pinv(omega)`` for a stack, plus each node's record or failure message.
+    """``y @ pinv(omega)`` for a finite stack, each node's (sigma_max, sigma_min), and failures by node index.
 
     If the batched SVD does not converge, the stack is solved node by node so
-    that only the nodes that fail themselves get a message (and zero rows).
+    that only the nodes that fail themselves get a message (and zero rows,
+    and NaN extremes).
     """
     try:
-        pinv, records = pinv_conditioning(omega, rcond)
+        pinv, sigma_max, sigma_min = _pinv_stack(omega, rcond)
     except ConvergenceFailure:
         pass
     else:
-        return y @ pinv, records
+        return y @ pinv, (sigma_max, sigma_min), {}
     solution = np.zeros((y.shape[0], y.shape[1], omega.shape[1]))
-    records: list[ConditioningRecord | str] = []
+    sigma = np.full((2, omega.shape[0]), np.nan)
+    failed: dict[int, str] = {}
     for i in range(omega.shape[0]):
         try:
-            pinv, record = pinv_conditioning(omega[i], rcond)
+            pinv, sigma_max, sigma_min = _pinv_stack(omega[i : i + 1], rcond)
         except ConvergenceFailure as exc:
-            records.append(str(exc))
+            failed[i] = str(exc)
             continue
-        solution[i] = y[i] @ pinv
-        records.append(record)
-    return solution, records
+        solution[i] = y[i] @ pinv[0]
+        sigma[:, i] = sigma_max[0], sigma_min[0]
+    return solution, sigma, failed
 
 
 def network_dmdc_reduced(
@@ -247,7 +330,8 @@ def network_dmdc_reduced(
     """
     failures: dict[str, str] = {}
     solved: dict[str, ReducedLinearModel] = {}
-    for _, _, kept, omega, y in _gathered(t, traj, failures):
+    for group, keep, omega, y in _gathered(t, traj, failures):
+        kept = [t.state_vertices[i] for i in group.vertex_index[keep].tolist()]
         for v, omega_j, y_j in zip(kept, omega, y):
             try:
                 solved[v] = _dmdc_reduced_model(omega_j, y_j, y.shape[1], input_rule, output_rule)[0]
@@ -265,19 +349,21 @@ def network_dmdc_reduced(
         block = node.b_tilde[:, cols.start - t.dims[v] : cols.stop - t.dims[v]]
         return u @ block if w in inputs else u @ (block @ u_hat[w]) @ u_hat[w].T
 
-    records = {v: node.conditioning for v, node in solved.items()}
+    records = _node_conditioning(t, {v: node.conditioning for v, node in solved.items()})
     return _network_model(t, _write_coefficients(t, lifted), records, failures)
 
 
-def _network_model(t: NetworkTopology, coeffs: np.ndarray, records: dict, failures: dict) -> NetworkModel:
-    """The model over plan-order ``coeffs``, with its nodes' records and failures in vertex order."""
-    records = {v: records[v] for v in t.state_vertices if v in records}
-    return NetworkModel(t, coeffs, records, {v: failures[v] for v in t.state_vertices if v in failures})
+def _network_model(t: NetworkTopology, coeffs: np.ndarray, conditioning: NodeConditioning, failures: dict) -> NetworkModel:
+    """The model over plan-order ``coeffs``, with its nodes' conditioning and failures in vertex order."""
+    failures = {v: failures[v] for v in t.state_vertices if v in failures} if failures else {}
+    return NetworkModel(t, coeffs, conditioning, failures)
 
 
-#: Elements of :func:`model_error`'s difference buffer: 96 KiB of float64, which
-#: stays in cache and below glibc's default 128 KiB mmap threshold.
-_SCORE_BLOCK_ELEMENTS = 12 * 1024
+#: Elements of :func:`model_error`'s difference buffer, at most: 512 KiB of
+#: float64. A model of a few thousand states is then scored in a few dozen
+#: blocks rather than a few hundred, and the buffer still fits in a core's L2
+#: cache; a smaller matrix gets a buffer of its own size.
+_SCORE_BLOCK_ELEMENTS = 64 * 1024
 
 
 def model_error(model, truth_a, truth_b=None) -> float:
@@ -342,7 +428,7 @@ def _difference_blocks(pairs, support=None):
     """
     n = pairs[0][1].shape[0]
     width = sum(y.shape[1] for _, y in pairs)
-    height = max(1, _SCORE_BLOCK_ELEMENTS // max(width, 1))
+    height = max(1, min(n, _SCORE_BLOCK_ELEMENTS // max(width, 1)))
     buffer = np.empty((height, width))
     if support is not None:
         positions, values = support
@@ -403,9 +489,10 @@ def network_model_from_dict(d: dict) -> NetworkModel:
     misplaced += [key for key in d["blocks_b"] if _split_block_key(key)[0] not in inputs]
     if misplaced:
         raise BadConfig(f"blocks_a is for state sources, blocks_b for inputs; misplaced: {sorted(misplaced)}")
+    records = {v: conditioning_from_dict(rec) for v, rec in d["per_node_conditioning"].items()}
     return NetworkModel(
         topology=topology,
         coeffs=coeffs,
-        per_node_conditioning={v: conditioning_from_dict(rec) for v, rec in d["per_node_conditioning"].items()},
+        conditioning=_node_conditioning(topology, records),
         node_failures=dict(d["node_failures"]),
     )

@@ -176,8 +176,6 @@ def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
     :func:`conditioning_record` describes (for a stack, a list of G records),
     both read from the same singular values.
     """
-    if not rcond >= 0:
-        raise ValueError(f"rcond must be >= 0, got {rcond}")
     a = np.asarray(m, dtype=np.float64)
     if a.ndim > 3:
         raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {a.shape}")
@@ -187,20 +185,30 @@ def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
         raise NonFiniteEntry("matrix stack contains NaN or Inf entries")
     else:
         stack = a
-    g, k, n = stack.shape
-    if stack.size == 0:
-        pinv = np.zeros((g, n, k))
-        sigma = np.zeros((g, 1))
-    else:
-        u, sigma, vt = _svd(stack)
-        keep = (sigma >= rcond * sigma[:, :1]) & (sigma > 0.0)
-        s_inv = np.zeros_like(sigma)
-        s_inv[keep] = 1.0 / sigma[keep]
-        pinv = (np.swapaxes(vt, 1, 2) * s_inv[:, None, :]) @ np.swapaxes(u, 1, 2)
-    records = _records(sigma[:, 0], sigma[:, -1], rcond)
+    pinv, sigma_max, sigma_min = _pinv_stack(stack, rcond)
+    records = _records(sigma_max, sigma_min, rcond)
     if a.ndim < 3:
         return pinv[0], records[0]
     return pinv, records
+
+
+def _pinv_stack(stack: np.ndarray, rcond: float):
+    """:func:`pinv_conditioning`'s core for a finite G-by-k-by-n stack, which the caller has checked.
+
+    Returns the G pseudoinverses and each matrix's sigma_max and sigma_min
+    (0.0 for an empty matrix), all from one batched SVD.
+    """
+    if not rcond >= 0:
+        raise ValueError(f"rcond must be >= 0, got {rcond}")
+    g, k, n = stack.shape
+    if stack.size == 0:
+        return np.zeros((g, n, k)), np.zeros(g), np.zeros(g)
+    u, sigma, vt = _svd(stack)
+    keep = (sigma >= rcond * sigma[:, :1]) & (sigma > 0.0)
+    s_inv = np.zeros_like(sigma)
+    s_inv[keep] = 1.0 / sigma[keep]
+    pinv = (np.swapaxes(vt, 1, 2) * s_inv[:, None, :]) @ np.swapaxes(u, 1, 2)
+    return pinv, sigma[:, 0], sigma[:, -1]
 
 
 def _svd(a, compute_uv: bool = True):
@@ -270,10 +278,15 @@ def _record(sigma: np.ndarray, rcond: float) -> ConditioningRecord:
 
 
 def _records(sigma_max: np.ndarray, sigma_min: np.ndarray, rcond: float) -> list[ConditioningRecord]:
-    """One record per pair of singular-value extremes; an all-zero matrix always warns."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        warning = (sigma_max == 0.0) | (sigma_min / sigma_max < ILL_CONDITIONED_RATIO)
+    """One record per pair of singular-value extremes."""
+    warning = _ill_conditioned(sigma_max, sigma_min)
     return [
         ConditioningRecord(hi, lo, rcond, w)
         for hi, lo, w in zip(sigma_max.tolist(), sigma_min.tolist(), warning.tolist())
     ]
+
+
+def _ill_conditioned(sigma_max: np.ndarray, sigma_min: np.ndarray) -> np.ndarray:
+    """The records' ``warning`` flags: sigma_min/sigma_max below ILL_CONDITIONED_RATIO; an all-zero matrix always warns."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (sigma_max == 0.0) | (sigma_min / sigma_max < ILL_CONDITIONED_RATIO)

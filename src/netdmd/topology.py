@@ -93,6 +93,19 @@ class NetworkTopology:
     def _coefficient_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _build_coefficient_support(gather_plan(self), self.total_state_dim + self.total_input_dim)
 
+    @cached_property
+    def _own_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trajectory layout of :meth:`vertex_row_ranges`, read-only.
+
+        Each vertex's ``(lo, hi)`` row range, states then inputs in
+        declaration order (V-by-2), and the row of ``[z; gamma]`` holding
+        each position of ``[x; u]`` in a trajectory of that layout whose z
+        has ``total_state_dim`` rows: the identity.
+        """
+        ranges = self.vertex_row_ranges()
+        spans = _index_array([ranges[w] for w in self.state_vertices + self.input_vertices]).reshape(-1, 2)
+        return spans, _index_array(np.arange(self.total_state_dim + self.total_input_dim))
+
 
 def _ranges(vertices, dims):
     out = {}
@@ -127,12 +140,14 @@ class ShapeGroup:
     the stacked state vector x; row i of ``cols`` (G-by-k) holds the
     positions in ``[x; u]`` of its local data: the vertex itself, then its
     state parents, then its input parents, each in declaration order. Input
-    positions are offset by the total state dimension.
+    positions are offset by the total state dimension. ``vertex_index[i]``
+    is the position of ``vertices[i]`` in the topology's ``state_vertices``.
     """
 
     vertices: tuple[str, ...]
     rows: np.ndarray
     cols: np.ndarray
+    vertex_index: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -200,17 +215,21 @@ def _build_graph(t: NetworkTopology) -> tuple[dict[str, LocalSubsystem], tuple[S
     for src, dst in t.edges:
         parents[dst].append(src)
     subs = {}
-    groups: dict[tuple[int, int], tuple[list, list, list]] = {}
-    for v, ps in parents.items():
+    groups: dict[tuple[int, int], tuple[list, list, list, list]] = {}
+    for i, (v, ps) in enumerate(parents.items()):
         ps.sort(key=rank.__getitem__)
         n_state = sum(rank[w] < n for w in ps)
         cols = [p for w in (v, *ps) for p in range(*pos[w])]
         subs[v] = LocalSubsystem(v, tuple(ps[:n_state]), tuple(ps[n_state:]), len(cols))
-        vertices, plan_rows, plan_cols = groups.setdefault((t.dims[v], len(cols)), ([], [], []))
+        vertices, plan_rows, plan_cols, index = groups.setdefault((t.dims[v], len(cols)), ([], [], [], []))
         vertices.append(v)
         plan_rows.append(range(*pos[v]))
         plan_cols.append(cols)
-    plan = tuple(ShapeGroup(tuple(v), _index_array(rows), _index_array(cols)) for v, rows, cols in groups.values())
+        index.append(i)
+    plan = tuple(
+        ShapeGroup(tuple(v), _index_array(rows), _index_array(cols), _index_array(index))
+        for v, rows, cols, index in groups.values()
+    )
     return subs, plan
 
 
@@ -280,21 +299,31 @@ def _group_stacks(t: NetworkTopology, coeffs: np.ndarray):
         offset += size
 
 
-def _block_slots(t: NetworkTopology, coeffs: np.ndarray):
-    """``(v, w, cols, view)`` for every block of plan-order ``coeffs``: w couples into state vertex v.
+def _block_order(t: NetworkTopology):
+    """``(v, w)`` for every block, w coupling into state vertex v, in the one block order.
 
     Vertex by vertex, each vertex's own block (w == v) first, then its state
-    parents', then its input parents'. ``cols`` is the slice of w's columns
-    in v's local data, and ``view`` the block's view of ``coeffs``.
+    parents', then its input parents': the column order of v's local data.
     """
-    strips = {v: strip for group, stack in _group_stacks(t, coeffs) for v, strip in zip(group.vertices, stack)}
     for v in t.state_vertices:
         sub = local_subsystem(t, v)
-        offset = 0
         for w in (v, *sub.state_parents, *sub.input_parents):
-            cols = slice(offset, offset + t.dims[w])
-            yield v, w, cols, strips[v][:, cols]
-            offset += t.dims[w]
+            yield v, w
+
+
+def _block_slots(t: NetworkTopology, coeffs: np.ndarray):
+    """``(v, w, cols, view)`` for every block of plan-order ``coeffs``, in :func:`_block_order`.
+
+    ``cols`` is the slice of w's columns in v's local data, and ``view`` the
+    block's view of ``coeffs``.
+    """
+    strips = {v: strip for group, stack in _group_stacks(t, coeffs) for v, strip in zip(group.vertices, stack)}
+    for v, w in _block_order(t):
+        if w == v:
+            offset = 0
+        cols = slice(offset, offset + t.dims[w])
+        yield v, w, cols, strips[v][:, cols]
+        offset += t.dims[w]
 
 
 def _write_coefficients(t: NetworkTopology, block_of) -> np.ndarray:

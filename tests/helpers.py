@@ -239,11 +239,13 @@ def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond
                 raise
             failures[v] = str(exc)
             continue
-        a[lo:hi, lo:hi] = model.a
+        # the data sit at the trajectory's rows, the blocks at the topology's
+        rows_v = slice(*srows[v])
+        a[rows_v, rows_v] = model.a
         offset = 0
         for w, _, rows, target in parents:
             width = t.dims[w]
-            target[lo:hi, slice(*rows[w])] = model.b[:, offset : offset + width]
+            target[rows_v, slice(*rows[w])] = model.b[:, offset : offset + width]
             offset += width
     return a, b
 

@@ -17,11 +17,18 @@ from helpers import (
     topologies,
 )
 from netdmd import numkernel
-from netdmd.bench import generate_system
+from netdmd.bench import _identify, generate_system
 from netdmd.dmdcore import dmdc_exact
 from netdmd.errors import NetdmdError, RowRangeMismatch
-from netdmd.netdmdc import network_dmdc_exact, network_dmdc_reduced, network_model_to_dict
-from netdmd.numkernel import FixedRank, MachineDefault, RelativeThreshold, conditioning_record
+from netdmd.netdmdc import _trajectory_rows, network_dmdc_exact, network_dmdc_reduced, network_model_to_dict
+from netdmd.numkernel import (
+    DEFAULT_RCOND,
+    ConditioningRecord,
+    FixedRank,
+    MachineDefault,
+    RelativeThreshold,
+    conditioning_record,
+)
 from netdmd.sysmodel import (
     Circular,
     ErdosRenyi,
@@ -270,6 +277,85 @@ def test_trajectory_row_errors_match_the_per_node_gather(identify, system, data)
         with pytest.raises(RowRangeMismatch) as raised:
             identify(t, broken)
         assert str(raised.value) == want
+
+
+def _relaid(traj, t, data):
+    """The trajectory with each vertex's rows moved into a drawn order of the vertices, and its ranges to match."""
+    ranges, arrays = {}, {}
+    for vertices, names in ((t.state_vertices, ("z", "y")), (t.input_vertices, ("gamma",))):
+        order = data.draw(st.permutations(vertices))
+        offset = 0
+        for w in order:
+            lo, hi = traj.vertex_row_ranges[w]
+            ranges[w] = (offset, offset + hi - lo)
+            offset += hi - lo
+        for name in names:
+            rows = [getattr(traj, name)[slice(*traj.vertex_row_ranges[w])] for w in order]
+            arrays[name] = np.vstack(rows) if rows else getattr(traj, name)
+    return TrajectoryData(arrays["z"], arrays["gamma"], arrays["y"], ranges)
+
+
+def _solve_or_message(t, traj):
+    try:
+        return network_dmdc_exact(t, traj).coeffs.tolist()
+    except RowRangeMismatch as exc:
+        return str(exc)
+
+
+@given(systems(), st.integers(1, 8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_map_follows_the_trajectory_layout(system, m, data):
+    t = system.topology
+    traj = _trajectory(system, m, 0)
+    first = network_dmdc_exact(t, traj)
+    # the topology's own layout, in any dict, reads through the identity map the topology holds
+    same = TrajectoryData(traj.z, traj.gamma, traj.y, dict(traj.vertex_row_ranges))
+    assert _trajectory_rows(t, same) is _trajectory_rows(t, traj)
+    assert np.array_equal(_trajectory_rows(t, traj), np.arange(t.total_state_dim + t.total_input_dim))
+    relaid = _relaid(traj, t, data)
+    model = network_dmdc_exact(t, relaid)
+    a, b = reference_network_dmdc_exact(t, relaid)
+    assert _close(model.assembled_a, a) and _close(model.assembled_b, b)
+    # the same values gathered from other rows: the same solution, bit for bit
+    assert np.array_equal(model.coeffs, first.coeffs)
+    as_arrays = {w: np.array(r) for w, r in relaid.vertex_row_ranges.items()}
+    assert np.array_equal(network_dmdc_exact(t, TrajectoryData(relaid.z, relaid.gamma, relaid.y, as_arrays)).coeffs, first.coeffs)
+    # the own ranges with an unread trailing state row: every input row of [z; gamma] moves down by one
+    pad = np.zeros((1, m))
+    padded = TrajectoryData(np.vstack([traj.z, pad]), traj.gamma, np.vstack([traj.y, pad]), traj.vertex_row_ranges)
+    assert np.array_equal(network_dmdc_exact(t, padded).coeffs, first.coeffs)
+    w = data.draw(st.sampled_from(t.state_vertices + t.input_vertices))
+    lo, hi = relaid.vertex_row_ranges[w]
+    ranges = {**relaid.vertex_row_ranges, w: (lo, hi + data.draw(st.sampled_from([-1, 1])))}
+    broken = TrajectoryData(relaid.z, relaid.gamma, relaid.y, ranges)
+    fresh = NetworkTopology(t.state_vertices, t.input_vertices, t.edges, t.dims)
+    outcome = _solve_or_message(t, broken)
+    assert outcome == _solve_or_message(fresh, broken)
+    if w in t.state_vertices:
+        assert isinstance(outcome, str)
+    assert _solve_or_message(t, traj) == first.coeffs.tolist()
+
+
+def test_exact_solve_builds_no_conditioning_record_until_one_is_read(monkeypatch):
+    system = generate_system(GeneratorConfig(ErdosRenyi(2000, 2.5 / 2000)), derive_rng(1, 0))
+    t = system.topology
+    traj = _trajectory(system, 20, 1)
+    built = []
+    real_init = ConditioningRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConditioningRecord, "__init__", counting_init)
+    model = network_dmdc_exact(t, traj)
+    _identify("network_dmdc", system, traj, DEFAULT_RCOND, MachineDefault(), False)
+    assert built == []
+    records = model.per_node_conditioning
+    assert len(built) == len(records) == len(t.state_vertices)
+    assert model.per_node_conditioning is records
+    with pytest.raises(TypeError):
+        records["v0"] = records["v1"]
 
 
 def test_fresh_topologies_in_a_row_match_the_per_node_reference():

@@ -1,13 +1,15 @@
 import json
 import math
 import pathlib
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_lift_reduced_network, reference_network_dmdc_reduced, systems
+from helpers import reference_lift_reduced_network, reference_network_dmdc_reduced, systems, topologies
 from netdmd.errors import BadConfig
 from netdmd.bench import (
     CSV_COLUMNS,
@@ -21,6 +23,7 @@ from netdmd.bench import (
     run_trial,
     sweep_config_from_dict,
     sweep_config_to_dict,
+    _identify,
 )
 from netdmd.netdmdc import model_error, network_dmdc_exact
 from netdmd.numkernel import FixedRank, MachineDefault, RelativeThreshold, conditioning_record
@@ -29,6 +32,7 @@ from netdmd.sysmodel import (
     ErdosRenyi,
     GeneratorConfig,
     LinearNetworkSystem,
+    TrajectoryData,
     derive_rng,
     gen_circular,
     read_trajectory_csv,
@@ -156,6 +160,57 @@ class TestRunTrial:
         assert len(calls) == svds
         assert calls[0] == data.shape
         assert abs(row.cond_ratio - want) <= 1e-12
+
+
+#: State-vertex ids, assigned in a drawn order, whose string order ("V3" < "a9" < "b" < "v1" < "v10" <
+#: "v11" < "v2" < "v9") is not their declaration order.
+RELABELS = ("v10", "v2", "v1", "v11", "b", "a9", "V3", "v9")
+
+#: An entry of z equal to this makes every SVD that sees it fail to converge.
+SVD_MARKER = 12345.678
+_REAL_SVD = np.linalg.svd
+
+
+def _svd_failing_on_marker(a, *args, **kwargs):
+    if np.any(np.asarray(a) == SVD_MARKER):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return _REAL_SVD(a, *args, **kwargs)
+
+
+@given(topologies(), st.integers(1, 8), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_network_row_ratio_and_tags_match_the_records(topology, m, use_reduced, data):
+    names = dict(zip(topology.state_vertices, data.draw(st.permutations(RELABELS))))
+    t = NetworkTopology(
+        tuple(names[v] for v in topology.state_vertices),
+        topology.input_vertices,
+        tuple((names.get(s, s), names[d]) for s, d in topology.edges),
+        {names.get(v, v): dim for v, dim in topology.dims.items()},
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    z, y = rng.standard_normal((2, t.total_state_dim, m))
+    gamma = rng.standard_normal((t.total_input_dim, m))
+    data_rows = np.vstack([z, gamma])
+    for _ in range(data.draw(st.integers(0, 2))):
+        # a near-zero row or snapshot leaves the nodes that read it ill conditioned
+        if data.draw(st.booleans()):
+            data_rows[data.draw(st.integers(0, data_rows.shape[0] - 1))] *= 1e-13
+        else:
+            data_rows[:, data.draw(st.integers(0, m - 1))] *= 1e-13
+    z, gamma = data_rows[: t.total_state_dim], data_rows[t.total_state_dim :]
+    for value in data.draw(st.lists(st.sampled_from([np.nan, SVD_MARKER]), max_size=2)):
+        z[data.draw(st.integers(0, z.shape[0] - 1)), data.draw(st.integers(0, m - 1))] = value
+    traj = TrajectoryData(z, gamma, y, t.vertex_row_ranges())
+    with mock.patch.object(np.linalg, "svd", _svd_failing_on_marker):
+        model, ratio, warnings = _identify(
+            "network_dmdc", SimpleNamespace(topology=t), traj, 1e-12, MachineDefault(), use_reduced
+        )
+    records = model.per_node_conditioning
+    want = [f"ill_conditioned:{v}" for v, rec in sorted(records.items()) if rec.warning]
+    want += [f"failed:{v}" for v in sorted(model.node_failures)]
+    assert warnings == want
+    want_ratio = min((rec.ratio for rec in records.values()), default=math.nan)
+    assert ratio == want_ratio or (math.isnan(ratio) and math.isnan(want_ratio))
 
 
 class TestFailedCells:
@@ -508,3 +563,36 @@ class TestExport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(BadConfig):
             export_result(self._result(), "yaml", tmp_path / "x")
+
+    @pytest.mark.parametrize(
+        "entry, field, value",
+        [
+            ("rows", "m", 3.9),
+            ("rows", "trial", "2"),
+            ("rows", "frobenius_error", "0.5"),
+            ("rows", "cond_ratio", True),
+            ("rows", "wall_time_s", None),
+            ("means", "m", 3.9),
+        ],
+    )
+    def test_result_json_with_a_mistyped_field_is_a_type_error(self, tmp_path, entry, field, value):
+        cfg = SweepConfig(generator=GeneratorConfig(Circular(4, 2), seed=1), trials=1, m_values=(3,), master_seed=5)
+        path = tmp_path / "out.json"
+        export_result(run_sweep(cfg), "json", path)
+        doc = json.loads(path.read_text())
+        records = doc["rows"] if entry == "rows" else doc["aggregate"]["means"]
+        records[0][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TypeError):
+            load_result_json(path)
+
+    def test_result_csv_with_a_fractional_m_is_rejected(self, tmp_path):
+        cfg = SweepConfig(generator=GeneratorConfig(Circular(4, 2), seed=1), trials=1, m_values=(3,), master_seed=5)
+        path = tmp_path / "out.csv"
+        export_result(run_sweep(cfg), "csv", path)
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[CSV_COLUMNS.index("m")] = "3.9"
+        path.write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n")
+        with pytest.raises(ValueError):
+            load_result_csv(path)

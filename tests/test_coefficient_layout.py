@@ -15,6 +15,8 @@ from netdmd.dmdcore import dmdc_exact
 from netdmd.errors import BadConfig, DimensionMismatch, NonFiniteEntry
 from netdmd.netdmdc import (
     NetworkModel,
+    NodeConditioning,
+    _node_conditioning,
     model_error,
     network_dmdc_exact,
     network_model_from_dict,
@@ -55,7 +57,7 @@ def _error_with_block_rows(rows, model, truth_a, truth_b):
 
 
 def _model(system, coeffs):
-    return NetworkModel(system.topology, np.asarray(coeffs, dtype=float), {}, {})
+    return NetworkModel(system.topology, np.asarray(coeffs, dtype=float), _node_conditioning(system.topology, {}), {})
 
 
 @given(systems(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
@@ -183,6 +185,24 @@ def test_network_error_rejects_mismatched_truths(two_node_system, truth_a, truth
 def test_coefficient_vector_of_the_wrong_size_is_rejected(two_node_system):
     with pytest.raises(DimensionMismatch):
         _model(two_node_system, np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sigma_min", np.zeros(3)),  # one entry too many
+        ("rcond_used", np.zeros((2, 1))),  # not 1-D
+        ("warning", np.zeros(2)),  # float, not bool
+        ("present", np.ones(2, dtype=int)),  # int, not bool
+        ("sigma_max", np.zeros(2, dtype=bool)),  # bool, not float
+    ],
+)
+def test_node_conditioning_with_a_mis_sized_or_mistyped_array_is_rejected(field, value):
+    arrays = {"present": np.ones(2, dtype=bool), "warning": np.zeros(2, dtype=bool)}
+    arrays |= {name: np.ones(2) for name in ("sigma_max", "sigma_min", "rcond_used")}
+    NodeConditioning(**arrays)
+    with pytest.raises(DimensionMismatch, match=field):
+        NodeConditioning(**{**arrays, field: value})
 
 
 @given(systems(), st.integers(1, 6), st.integers(0, 2**32 - 1))
