@@ -28,7 +28,15 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadConfig, ConvergenceFailure, DimensionMismatch, NetdmdError, RowRangeMismatch, UnknownVertex
+from .errors import (
+    BadConfig,
+    ConvergenceFailure,
+    DimensionMismatch,
+    NetdmdError,
+    RowRangeMismatch,
+    UnknownVertex,
+    _json_value,
+)
 from .numkernel import (
     DEFAULT_RCOND,
     ConditioningRecord,
@@ -44,7 +52,6 @@ from .dmdcore import ExactLinearModel, ReducedLinearModel, _dmdc_reduced_model
 from .sysmodel import TrajectoryData
 from .topology import (
     NetworkTopology,
-    ShapeGroup,
     _block_key,
     _block_order,
     _coefficient_views,
@@ -128,7 +135,8 @@ class NetworkModel:
     through the plan's coefficient positions (:func:`coefficient_support`),
     exact zeros at non-edges; each access allocates a new n-by-n (n-by-l)
     array. Nodes whose local regression failed appear in ``node_failures``
-    with zero coefficients.
+    with zero coefficients; a key that is not a state vertex raises
+    :class:`UnknownVertex`.
 
     ``conditioning`` holds the nodes' conditioning records once, as
     vertex-ordered arrays. ``per_node_conditioning`` is the map from state
@@ -148,6 +156,9 @@ class NetworkModel:
         n = len(self.topology.state_vertices)
         if self.conditioning.present.shape != (n,):
             raise DimensionMismatch(f"conditioning must have {n} entries, got {self.conditioning.present.shape}")
+        unknown = self.node_failures.keys() - set(self.topology.state_vertices)
+        if unknown:
+            raise UnknownVertex(f"node failures for vertices that are not state vertices: {sorted(unknown)}")
 
     @cached_property
     def per_node_conditioning(self) -> Mapping[str, ConditioningRecord]:
@@ -198,9 +209,9 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     sigma = np.full((2, len(t.state_vertices)), np.nan)
     present = np.zeros(len(t.state_vertices), dtype=bool)
     failures: dict[str, str] = {}
-    for group, keep, omega, y in _gathered(t, traj, failures):
-        index = group.vertex_index[keep]
-        stacks[group][keep], sigma[:, index], failed = _solve_stack(omega, y, rcond)
+    for group, omega, y in _gathered(t, traj):
+        index = group.vertex_index
+        stacks[group][...], sigma[:, index], failed = _solve_stack(omega, y, rcond)
         present[index] = True
         for i, message in failed.items():
             present[index[i]] = False
@@ -211,97 +222,86 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     return _network_model(t, coeffs, conditioning, failures)
 
 
-def _gathered(t: NetworkTopology, traj: TrajectoryData, failures: dict[str, str]):
-    """Each shape group's local data as stacks, for the nodes whose data are finite.
+def _gathered(t: NetworkTopology, traj: TrajectoryData):
+    """``(group, omega, y)`` for every shape group of the gather plan.
 
-    Yields ``(group, keep, omega, y)`` for every group of the gather plan
-    that keeps a node: ``keep`` selects the group's nodes whose z, y and
-    gamma parts are all finite (``slice(None)`` when that is all of them,
-    else a mask), and ``omega`` (G-by-k-by-m) and ``y`` (G-by-d-by-m) stack
-    their ``Omega_j = [Z_j; Gamma_j]`` and ``Y_j``. Each other node gets, in
-    ``failures``, the message :func:`dmdc_exact` would raise for its data.
+    ``omega`` (G-by-k-by-m) and ``y`` (G-by-d-by-m) stack the group's
+    ``Omega_j = [Z_j; Gamma_j]`` and ``Y_j``, read through
+    :func:`_trajectory_rows`.
     """
     source = _trajectory_rows(t, traj)
     data = np.vstack([traj.z, traj.gamma])
-    not_finite = ~np.isfinite(data).all(axis=1)
-    y_not_finite = ~np.isfinite(traj.y).all(axis=1)
-    finite = not (not_finite.any() or y_not_finite.any())
     for group in gather_plan(t):
-        cols = source[group.cols]
-        rows = source[group.rows]
-        if finite:
-            yield group, slice(None), data[cols], traj.y[rows]
-            continue
-        ok = np.ones(len(group.vertices), dtype=bool)
-        for i, message in _non_finite_nodes(group, not_finite[cols], y_not_finite[rows]):
-            failures[group.vertices[i]] = message
-            ok[i] = False
-        if ok.any():
-            yield group, ok, data[cols[ok]], traj.y[rows[ok]]
+        yield group, data[source[group.cols]], traj.y[source[group.rows]]
 
 
 def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
     """Row of ``[traj.z; traj.gamma]`` holding each position of ``[x; u]``, read-only.
 
-    Raises :class:`RowRangeMismatch` for the first node, in vertex order,
-    whose own or parent rows (checked in local-data order) are missing or
-    mis-sized; a vertex that no node reads (an input without edges) may
-    lack rows. A trajectory in the topology's own layout (its
-    ``vertex_row_ranges``, and ``total_state_dim`` rows of z), as
-    :func:`simulate` makes, gets the identity map the topology derives once.
+    Raises :class:`RowRangeMismatch` for the first vertex, in
+    :func:`_block_order`, whose row range is missing or mis-sized, or does
+    not lie inside its array (z for a state vertex, gamma for an input). A
+    vertex that no node reads (an input without edges) may lack rows; its
+    positions map to -1.
     """
     vertices = t.state_vertices + t.input_vertices
+    n = len(t.state_vertices)
     spans = map(traj.vertex_row_ranges.get, vertices, repeat((0, -1)))
-    spans = np.fromiter(chain.from_iterable(spans), dtype=np.intp, count=2 * len(vertices)).reshape(-1, 2)
-    own_spans, identity = t._own_layout
-    if traj.z.shape[0] == t.total_state_dim and np.array_equal(spans, own_spans):
-        return identity
-    lo, hi = spans.T
-    dim = np.fromiter(map(t.dims.__getitem__, vertices), dtype=np.intp, count=len(vertices))
-    bad = hi - lo != dim
-    lo[len(t.state_vertices) :] += traj.z.shape[0]
+    lo, hi = np.fromiter(chain.from_iterable(spans), dtype=np.intp, count=2 * len(vertices)).reshape(-1, 2).T
+    dim = t._vertex_dims
+    height = np.repeat([traj.z.shape[0], traj.gamma.shape[0]], [n, len(vertices) - n])
+    bad = (hi - lo != dim) | (lo < 0) | (hi > height)
+    lo[n:] += traj.z.shape[0]
     source = np.repeat(lo - (np.cumsum(dim) - dim), dim) + np.arange(dim.sum())
     if bad.any():
-        failing = {w for w, b in zip(vertices, bad) if b}
+        failing = {w: i for i, (w, b) in enumerate(zip(vertices, bad)) if b}
         for w in (w for _, w in _block_order(t) if w in failing):
             if w not in traj.vertex_row_ranges:
                 raise RowRangeMismatch(f"trajectory has no rows for vertex {w!r}")
-            lo, hi = traj.vertex_row_ranges[w]
-            raise RowRangeMismatch(f"vertex {w!r} spans {hi - lo} trajectory rows but has dimension {t.dims[w]}")
+            w_lo, w_hi = traj.vertex_row_ranges[w]
+            if w_hi - w_lo != t.dims[w]:
+                raise RowRangeMismatch(f"vertex {w!r} spans {w_hi - w_lo} trajectory rows but has dimension {t.dims[w]}")
+            name = "z" if failing[w] < n else "gamma"
+            raise RowRangeMismatch(f"vertex {w!r} spans rows {w_lo} to {w_hi} of {name}, which has {height[failing[w]]}")
         source[np.repeat(bad, dim)] = -1
     source.flags.writeable = False
     return source
 
 
-def _non_finite_nodes(group: ShapeGroup, bad_cols: np.ndarray, bad_rows: np.ndarray):
-    """(index, message) of each node in the group whose z, y or gamma part is not finite."""
-    d = group.rows.shape[1]
-    parts = (("z", bad_cols[:, :d]), ("y", bad_rows), ("gamma", bad_cols[:, d:]))
-    for i in np.flatnonzero(bad_cols.any(axis=1) | bad_rows.any(axis=1)):
-        name = next(name for name, bad in parts if bad[i].any())
-        yield int(i), f"{name} contains NaN or Inf entries"
+def _finite(omega: np.ndarray, y: np.ndarray) -> bool:
+    """Whether a group's stacks hold only finite entries, so that no node of it can fail :func:`_check_node`."""
+    return bool(np.isfinite(omega).all() and np.isfinite(y).all())
+
+
+def _check_node(omega_j: np.ndarray, y_j: np.ndarray, d: int) -> None:
+    """Raise :class:`NonFiniteEntry` for a node's data as :func:`dmdc_exact` does: its z, then y, then gamma."""
+    for name, part in (("z", omega_j[:d]), ("y", y_j), ("gamma", omega_j[d:])):
+        as_matrix(part, name)
 
 
 def _solve_stack(omega: np.ndarray, y: np.ndarray, rcond: float):
-    """``y @ pinv(omega)`` for a finite stack, each node's (sigma_max, sigma_min), and failures by node index.
+    """``y @ pinv(omega)`` for a group's stacks, each node's (sigma_max, sigma_min), and failures by node index.
 
-    If the batched SVD does not converge, the stack is solved node by node so
-    that only the nodes that fail themselves get a message (and zero rows,
-    and NaN extremes).
+    Finite stacks are solved with one batched SVD. Stacks that are not
+    finite, or whose batched SVD does not converge, are solved node by node,
+    each node checked as :func:`dmdc_exact` checks it, so that only the nodes
+    that fail themselves get a message (and zero rows, and NaN extremes).
     """
-    try:
-        pinv, sigma_max, sigma_min = _pinv_stack(omega, rcond)
-    except ConvergenceFailure:
-        pass
-    else:
-        return y @ pinv, (sigma_max, sigma_min), {}
+    if _finite(omega, y):
+        try:
+            pinv, sigma_max, sigma_min = _pinv_stack(omega, rcond)
+        except ConvergenceFailure:
+            pass
+        else:
+            return y @ pinv, (sigma_max, sigma_min), {}
     solution = np.zeros((y.shape[0], y.shape[1], omega.shape[1]))
     sigma = np.full((2, omega.shape[0]), np.nan)
     failed: dict[int, str] = {}
     for i in range(omega.shape[0]):
         try:
+            _check_node(omega[i], y[i], y.shape[1])
             pinv, sigma_max, sigma_min = _pinv_stack(omega[i : i + 1], rcond)
-        except ConvergenceFailure as exc:
+        except NetdmdError as exc:
             failed[i] = str(exc)
             continue
         solution[i] = y[i] @ pinv[0]
@@ -320,7 +320,9 @@ def network_dmdc_reduced(
     Nodes are gathered a shape group at a time, as in
     :func:`network_dmdc_exact`, and each is identified by the model part of
     :func:`dmdc_reduced` (no eigendecomposition, no modes) on its slices of
-    the stacks; its record comes from that call's SVD of ``Omega_j``. Once
+    the stacks; its record comes from that call's SVD of ``Omega_j``. A node
+    whose data are not finite, or whose solve raises, is recorded in
+    ``node_failures`` with the message :func:`dmdc_reduced` would raise. Once
     every projector ``U = u_hat`` is known, node j's coefficient strip
     ``U_j a~_j U_j^T | U_j (b~_jw U_w) U_w^T ... | U_j b~_je ...`` is written
     edge by edge into its plan-order slice of ``coeffs``: the cross block is
@@ -330,10 +332,13 @@ def network_dmdc_reduced(
     """
     failures: dict[str, str] = {}
     solved: dict[str, ReducedLinearModel] = {}
-    for group, keep, omega, y in _gathered(t, traj, failures):
-        kept = [t.state_vertices[i] for i in group.vertex_index[keep].tolist()]
-        for v, omega_j, y_j in zip(kept, omega, y):
+    for group, omega, y in _gathered(t, traj):
+        finite = _finite(omega, y)
+        for i, omega_j, y_j in zip(group.vertex_index.tolist(), omega, y):
+            v = t.state_vertices[i]
             try:
+                if not finite:
+                    _check_node(omega_j, y_j, y.shape[1])
                 solved[v] = _dmdc_reduced_model(omega_j, y_j, y.shape[1], input_rule, output_rule)[0]
             except NetdmdError as exc:
                 failures[v] = str(exc)
@@ -477,7 +482,9 @@ def network_model_from_dict(d: dict) -> NetworkModel:
     same; those entries are not read. A mis-shaped block raises
     :class:`DimensionMismatch`; a missing or unexpected block, or one under
     the wrong map (``blocks_a`` holds the blocks from state vertices,
-    ``blocks_b`` those from inputs), raises :class:`BadConfig`.
+    ``blocks_b`` those from inputs), raises :class:`BadConfig`. A failure
+    message that is not a JSON string raises TypeError, and one for a vertex
+    that is not a state vertex :class:`UnknownVertex`.
     """
     topology = topology_from_dict(d["topology"])
     blocks = {}
@@ -494,5 +501,5 @@ def network_model_from_dict(d: dict) -> NetworkModel:
         topology=topology,
         coeffs=coeffs,
         conditioning=_node_conditioning(topology, records),
-        node_failures=dict(d["node_failures"]),
+        node_failures={v: _json_value(message, str) for v, message in d["node_failures"].items()},
     )

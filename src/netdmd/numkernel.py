@@ -167,33 +167,23 @@ def truncated_svd(m, rule: TruncationRule = MachineDefault()) -> SvdResult:
 
 
 def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
-    """Pseudoinverse and conditioning record of a matrix, or of a stack, from one SVD.
+    """Pseudoinverse and conditioning record of a matrix, from one SVD.
 
-    ``m`` is one k-by-n matrix or a G-by-k-by-n stack of them, which LAPACK
-    factors in one batched call. Returns the Moore-Penrose pseudoinverse
-    (n-by-k, or G-by-n-by-k), with singular values below
-    ``rcond * sigma_max`` treated as zero, and the record
-    :func:`conditioning_record` describes (for a stack, a list of G records),
-    both read from the same singular values.
+    Returns the Moore-Penrose pseudoinverse of the k-by-n matrix ``m``
+    (n-by-k), with singular values below ``rcond * sigma_max`` treated as
+    zero, and the record :func:`conditioning_record` describes, both read
+    from the same singular values. An array of more than two dimensions
+    raises :class:`DimensionMismatch`.
     """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim > 3:
-        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {a.shape}")
-    if a.ndim < 3:
-        stack = as_matrix(a)[None]
-    elif a.size and not np.all(np.isfinite(a)):
-        raise NonFiniteEntry("matrix stack contains NaN or Inf entries")
-    else:
-        stack = a
-    pinv, sigma_max, sigma_min = _pinv_stack(stack, rcond)
-    records = _records(sigma_max, sigma_min, rcond)
-    if a.ndim < 3:
-        return pinv[0], records[0]
-    return pinv, records
+    a = as_matrix(m)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
+    pinv, sigma_max, sigma_min = _pinv_stack(a[None], rcond)
+    return pinv[0], _record(np.concatenate([sigma_max, sigma_min]), rcond)
 
 
 def _pinv_stack(stack: np.ndarray, rcond: float):
-    """:func:`pinv_conditioning`'s core for a finite G-by-k-by-n stack, which the caller has checked.
+    """:func:`pinv_conditioning`'s core for a G-by-k-by-n stack, which the caller has checked is finite.
 
     Returns the G pseudoinverses and each matrix's sigma_max and sigma_min
     (0.0 for an empty matrix), all from one batched SVD.
@@ -273,17 +263,9 @@ def conditioning_record(m, rcond: float = DEFAULT_RCOND) -> ConditioningRecord:
 
 def _record(sigma: np.ndarray, rcond: float) -> ConditioningRecord:
     """The record of one matrix from its singular values, descending; an empty matrix has none."""
-    sigma = sigma if sigma.size else np.zeros(1)
-    return _records(sigma[:1], sigma[-1:], rcond)[0]
-
-
-def _records(sigma_max: np.ndarray, sigma_min: np.ndarray, rcond: float) -> list[ConditioningRecord]:
-    """One record per pair of singular-value extremes."""
-    warning = _ill_conditioned(sigma_max, sigma_min)
-    return [
-        ConditioningRecord(hi, lo, rcond, w)
-        for hi, lo, w in zip(sigma_max.tolist(), sigma_min.tolist(), warning.tolist())
-    ]
+    extremes = sigma[[0, -1]] if sigma.size else np.zeros(2)
+    sigma_max, sigma_min = extremes.tolist()
+    return ConditioningRecord(sigma_max, sigma_min, rcond, bool(_ill_conditioned(*extremes)))
 
 
 def _ill_conditioned(sigma_max: np.ndarray, sigma_min: np.ndarray) -> np.ndarray:

@@ -14,8 +14,9 @@ stacked vector ``[x; u]``, grouped by local shape) in one loop. A malformed
 topology has no index: every lookup, total dimension and row range raises
 the same :class:`BadConfig`, naming the first violation. Where each of the
 plan's coefficients sits is derived on first use, as are the total state and
-input dimensions. Topologies are values: mutating one, ``dims`` included,
-after any of these is derived leaves it stale.
+input dimensions and the array of every vertex's dimension. Topologies are
+values: mutating one, ``dims`` included, after any of these is derived leaves
+it stale.
 
 Systems and models store their coefficients as one vector in plan order.
 Only this module maps per-edge blocks to and from it: it fixes their order,
@@ -90,21 +91,13 @@ class NetworkTopology:
         return _build_graph(self)
 
     @cached_property
-    def _coefficient_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _build_coefficient_support(gather_plan(self), self.total_state_dim + self.total_input_dim)
+    def _vertex_dims(self) -> np.ndarray:
+        """Each vertex's dimension, read-only: state vertices, then inputs, in declaration order."""
+        return _index_array([self._valid_dims[w] for w in self.state_vertices + self.input_vertices])
 
     @cached_property
-    def _own_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """The trajectory layout of :meth:`vertex_row_ranges`, read-only.
-
-        Each vertex's ``(lo, hi)`` row range, states then inputs in
-        declaration order (V-by-2), and the row of ``[z; gamma]`` holding
-        each position of ``[x; u]`` in a trajectory of that layout whose z
-        has ``total_state_dim`` rows: the identity.
-        """
-        ranges = self.vertex_row_ranges()
-        spans = _index_array([ranges[w] for w in self.state_vertices + self.input_vertices]).reshape(-1, 2)
-        return spans, _index_array(np.arange(self.total_state_dim + self.total_input_dim))
+    def _coefficient_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _build_coefficient_support(gather_plan(self), self.total_state_dim + self.total_input_dim)
 
 
 def _ranges(vertices, dims):

@@ -115,8 +115,9 @@ def build_local_data(t: NetworkTopology, traj: TrajectoryData, v: str) -> LocalD
     """Reference per-node gather: slice one vertex's rows and stack its parents' rows as local controls.
 
     Checks the vertex's own rows and then each parent's, in local-data
-    order, raising :class:`RowRangeMismatch` for the first that is missing
-    or mis-sized.
+    order, raising :class:`RowRangeMismatch` for the first that is missing,
+    mis-sized or outside its array (z for a state vertex, gamma for an
+    input).
     """
     sub = rescan_local_subsystem(t, v)
     parents = sub.state_parents + sub.input_parents
@@ -127,6 +128,10 @@ def build_local_data(t: NetworkTopology, traj: TrajectoryData, v: str) -> LocalD
         lo, hi = ranges[w]
         if hi - lo != t.dims[w]:
             raise RowRangeMismatch(f"vertex {w!r} spans {hi - lo} trajectory rows but has dimension {t.dims[w]}")
+        name = "gamma" if w in sub.input_parents else "z"
+        rows = getattr(traj, name).shape[0]
+        if lo < 0 or hi > rows:
+            raise RowRangeMismatch(f"vertex {w!r} spans rows {lo} to {hi} of {name}, which has {rows}")
     pieces = [traj.z[slice(*ranges[w])] for w in sub.state_parents]
     pieces += [traj.gamma[slice(*ranges[e])] for e in sub.input_parents]
     parent_row_ranges = {}

@@ -16,7 +16,6 @@ from helpers import (
     systems,
     topologies,
 )
-from netdmd import numkernel
 from netdmd.bench import _identify, generate_system
 from netdmd.dmdcore import dmdc_exact
 from netdmd.errors import NetdmdError, RowRangeMismatch
@@ -143,6 +142,21 @@ def _star(leaves=3):
     return LinearNetworkSystem(t, blocks, {e: rng.uniform(-1, 1, (1, 1)) for e in t.edges})
 
 
+def _svd_spy(monkeypatch, marker=None):
+    """Record the shape of each SVD's input; one that holds ``marker`` does not converge."""
+    real_svd = np.linalg.svd
+    shapes = []
+
+    def svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        if marker is not None and np.any(np.asarray(a) == marker):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return shapes
+
+
 def test_non_converging_node_fails_alone(monkeypatch):
     system = _star()
     t = system.topology
@@ -151,19 +165,10 @@ def test_non_converging_node_fails_alone(monkeypatch):
     z = traj.z.copy()
     z[2, 0] = marker  # only v2's local data contain its own row
     traj = TrajectoryData(z, traj.gamma, traj.y, traj.vertex_row_ranges)
-    real_svd = np.linalg.svd
-    stacks = []
-
-    def svd(a, *args, **kwargs):
-        stacks.append(np.ndim(a))
-        if np.any(np.asarray(a) == marker):
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    shapes = _svd_spy(monkeypatch, marker)
     model = network_dmdc_exact(t, traj)
     assert model.node_failures == {"v2": "SVD did not converge"}
-    assert 3 in stacks
+    assert (3, 2, 4) in shapes
     assert not _strip(model, t, "v2").any()
     for v in ("v1", "v3"):
         ld = build_local_data(t, traj, v)
@@ -171,6 +176,48 @@ def test_non_converging_node_fails_alone(monkeypatch):
         assert _close(_strip(model, t, v), np.hstack([node.a, node.b]))
         assert model.per_node_conditioning[v] == node.conditioning
     assert set(model.per_node_conditioning) == {"v0", "v1", "v3"}
+
+
+def test_finite_groups_are_solved_with_one_batched_svd_each(monkeypatch):
+    system = _star()
+    traj = _trajectory(system, 4, 11)
+    shapes = _svd_spy(monkeypatch)
+    model = network_dmdc_exact(system.topology, traj)
+    assert model.node_failures == {}
+    # v0 alone, then the three leaves in one stack
+    assert shapes == [(1, 1, 4), (3, 2, 4)]
+
+
+@pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
+def test_nan_and_non_converging_nodes_of_one_group_fail_alone(monkeypatch, identify):
+    system = _star(4)
+    t = system.topology
+    traj = _trajectory(system, 5, 11)
+    marker = 12345.678
+    z = traj.z.copy()
+    z[1, 0] = np.nan  # v1's own row
+    z[2, 1] = marker  # v2's own row
+    traj = TrajectoryData(z, traj.gamma, traj.y, traj.vertex_row_ranges)
+    _svd_spy(monkeypatch, marker)
+    model = identify(t, traj)
+    if identify is network_dmdc_exact:
+        want = {}
+        for v in t.state_vertices:
+            ld = build_local_data(t, traj, v)
+            try:
+                node = dmdc_exact(ld.z_j, ld.y_j, ld.gamma_j)
+            except NetdmdError as exc:
+                want[v] = str(exc)
+                continue
+            assert _close(_strip(model, t, v), np.hstack([node.a, node.b]))
+            assert model.per_node_conditioning[v] == node.conditioning
+    else:
+        want = reference_network_dmdc_reduced(t, traj).node_failures
+    assert list(model.node_failures.items()) == list(want.items())
+    assert want == {"v1": "z contains NaN or Inf entries", "v2": "SVD did not converge"}
+    for v in want:
+        assert not _strip(model, t, v).any()
+    assert set(model.per_node_conditioning) == {"v0", "v3", "v4"}
 
 
 def test_blocks_are_read_only_views_of_the_coefficient_vector(two_node_topology, two_node_trajectory):
@@ -205,6 +252,21 @@ def test_unused_input_needs_no_trajectory_rows(two_node_system):
     model = network_dmdc_exact(wider, TrajectoryData(traj.z, np.vstack([traj.gamma, np.ones(3)]), traj.y, traj.vertex_row_ranges))
     assert model.assembled_b.shape == (2, 3)
     assert not model.assembled_b[:, 2].any()
+    # nor rows inside the trajectory
+    outside = {**traj.vertex_row_ranges, "e3": (5, 6)}
+    for identify in (network_dmdc_exact, network_dmdc_reduced):
+        model = identify(wider, TrajectoryData(traj.z, traj.gamma, traj.y, outside))
+        assert model.node_failures == {} and not model.assembled_b[:, 2].any()
+
+
+@pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
+@pytest.mark.parametrize("vertex, span", [("v2", (-1, 0)), ("v2", (5, 6)), ("e1", (-1, 0)), ("e1", (2, 3))])
+def test_row_ranges_outside_the_trajectory_raise(two_node_topology, two_node_trajectory, identify, vertex, span):
+    traj = two_node_trajectory
+    ranges = {**traj.vertex_row_ranges, vertex: span}
+    name = "z" if vertex == "v2" else "gamma"
+    with pytest.raises(RowRangeMismatch, match=f"vertex '{vertex}' spans rows {span[0]} to {span[1]} of {name}, which has 2"):
+        identify(two_node_topology, TrajectoryData(traj.z, traj.gamma, traj.y, ranges))
 
 
 @given(topologies())
@@ -257,11 +319,16 @@ def test_trajectory_row_errors_match_the_per_node_gather(identify, system, data)
     vertices = t.state_vertices + t.input_vertices
     for w in data.draw(st.lists(st.sampled_from(vertices), max_size=3, unique=True)):
         lo, hi = ranges[w]
-        change = data.draw(st.sampled_from(["drop", "shorter", "longer"]))
+        change = data.draw(st.sampled_from(["drop", "shorter", "longer", "negative start", "past the end"]))
         if change == "drop":
             del ranges[w]
-        else:
+        elif change in ("shorter", "longer"):
             ranges[w] = (lo, hi - 1 if change == "shorter" else hi + 1)
+        else:
+            # the right width, starting one row before w's array or ending one row past it
+            end = (traj.z if w in t.state_vertices else traj.gamma).shape[0] + 1
+            start = -1 if change == "negative start" else end - t.dims[w]
+            ranges[w] = (start, start + t.dims[w])
     broken = TrajectoryData(traj.z, traj.gamma, traj.y, ranges)
     want = None
     try:
@@ -308,9 +375,7 @@ def test_row_map_follows_the_trajectory_layout(system, m, data):
     t = system.topology
     traj = _trajectory(system, m, 0)
     first = network_dmdc_exact(t, traj)
-    # the topology's own layout, in any dict, reads through the identity map the topology holds
-    same = TrajectoryData(traj.z, traj.gamma, traj.y, dict(traj.vertex_row_ranges))
-    assert _trajectory_rows(t, same) is _trajectory_rows(t, traj)
+    # the topology's own layout reads through the identity map
     assert np.array_equal(_trajectory_rows(t, traj), np.arange(t.total_state_dim + t.total_input_dim))
     relaid = _relaid(traj, t, data)
     model = network_dmdc_exact(t, relaid)
@@ -485,14 +550,14 @@ def test_reduced_solve_builds_one_conditioning_record_per_node(monkeypatch):
     system = generate_system(GeneratorConfig(Circular(10, 2), seed=4), derive_rng(4))
     t = system.topology
     traj = _trajectory(system, 6, 4)
-    real_records = numkernel._records
-    calls = []
+    built = []
+    real_init = ConditioningRecord.__init__
 
-    def records(*args, **kwargs):
-        calls.append(args)
-        return real_records(*args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(numkernel, "_records", records)
+    monkeypatch.setattr(ConditioningRecord, "__init__", counting_init)
     model = network_dmdc_reduced(t, traj)
-    assert len(calls) == 10
+    assert len(built) == 10
     assert list(model.per_node_conditioning) == list(t.state_vertices)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import build_local_data, reference_network_dmdc_exact, systems
 from netdmd import netdmdc
 from netdmd.dmdcore import dmdc_exact
-from netdmd.errors import BadConfig, DimensionMismatch, NonFiniteEntry
+from netdmd.errors import BadConfig, DimensionMismatch, NonFiniteEntry, UnknownVertex
 from netdmd.netdmdc import (
     NetworkModel,
     NodeConditioning,
@@ -278,6 +278,19 @@ def test_model_json_with_a_mistyped_conditioning_record_is_a_type_error(
     doc["per_node_conditioning"]["v1"] = {"sigma_max": 2, "sigma_min": 1, "rcond_used": 0, "warning": False}
     record = network_model_from_dict(doc).per_node_conditioning["v1"]
     assert record == ConditioningRecord(2.0, 1.0, 0.0, False) and type(record.sigma_max) is float
+
+
+def test_model_json_with_made_up_node_failures_is_rejected(two_node_topology, two_node_trajectory):
+    doc = network_model_to_dict(network_dmdc_exact(two_node_topology, two_node_trajectory))
+    # a vertex that does not exist, an input vertex, and a message that is not a string
+    doc["node_failures"] = {"nope": "made up", "e1": 3}
+    with pytest.raises(TypeError):
+        network_model_from_dict(doc)
+    doc["node_failures"] = {"nope": "made up", "e1": "made up"}
+    with pytest.raises(UnknownVertex, match=re.escape("['e1', 'nope']")):
+        network_model_from_dict(doc)
+    doc["node_failures"] = {"v2": "made up"}
+    assert network_model_from_dict(doc).node_failures == {"v2": "made up"}
 
 
 def test_ten_thousand_vertex_ring_is_solved_in_coefficient_space():

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from netdmd.errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare
 from netdmd.numkernel import (
+    DEFAULT_RCOND,
     ConditioningRecord,
     FixedRank,
     MachineDefault,
@@ -12,6 +13,7 @@ from netdmd.numkernel import (
     conditioning_record,
     conditioning_to_dict,
     eig,
+    _pinv_stack,
     pinv_conditioning,
     truncated_svd,
 )
@@ -224,19 +226,21 @@ class TestPinvConditioning:
         stack = rng.uniform(-2, 2, size=(6, 3, 5))
         stack[2] = 0.0
         stack[4, 2] = stack[4, 0]  # rank deficient
-        pinv, records = pinv_conditioning(stack)
-        assert pinv.shape == (6, 5, 3) and len(records) == 6
-        assert not pinv[2].any() and records[2] == ConditioningRecord(0.0, 0.0, 1e-12, True)
-        for a, p, rec in zip(stack, pinv, records):
-            one, one_rec = pinv_conditioning(a)
-            assert np.array_equal(p, one) and rec == one_rec
+        pinv, sigma_max, sigma_min = _pinv_stack(stack, DEFAULT_RCOND)
+        assert pinv.shape == (6, 5, 3) and sigma_max.shape == sigma_min.shape == (6,)
+        assert not pinv[2].any() and sigma_max[2] == sigma_min[2] == 0.0
+        # the batched SVD factors each matrix on its own: the same values as one matrix at a time
+        for a, p, hi, lo in zip(stack, pinv, sigma_max.tolist(), sigma_min.tolist()):
+            one, rec = pinv_conditioning(a)
+            assert np.array_equal(p, one) and (hi, lo) == (rec.sigma_max, rec.sigma_min)
             assert np.array_equal(one, pseudoinverse(a))
             assert np.linalg.norm(one - np.linalg.pinv(a, rcond=1e-12)) <= 1e-10 * max(1.0, np.linalg.norm(one))
             want = conditioning_record(a)
             assert abs(rec.sigma_max - want.sigma_max) <= 1e-12 * max(want.sigma_max, 1.0)
             assert abs(rec.sigma_min - want.sigma_min) <= 1e-12 * max(want.sigma_max, 1.0)
             assert rec.warning == want.warning
-        assert records[4].warning
+        assert pinv_conditioning(stack[2])[1] == ConditioningRecord(0.0, 0.0, 1e-12, True)
+        assert pinv_conditioning(stack[4])[1].warning
 
     def test_empty_matrix(self):
         pinv, rec = pinv_conditioning(np.zeros((2, 0)))
@@ -248,6 +252,8 @@ class TestPinvConditioning:
             pinv_conditioning(np.full((2, 2, 2), np.nan))
         with pytest.raises(DimensionMismatch):
             pinv_conditioning(np.zeros((1, 2, 2, 2)))
+        with pytest.raises(DimensionMismatch):
+            pinv_conditioning(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             pinv_conditioning(np.eye(2), rcond=-1.0)
         with pytest.raises(ValueError):
@@ -260,9 +266,9 @@ class TestPinvConditioning:
         conditioning_record,
         lambda a: truncated_svd(a, MachineDefault()),
         pinv_conditioning,
-        lambda a: pinv_conditioning(np.stack([a, a])),
+        lambda a: _pinv_stack(np.stack([a, a]), DEFAULT_RCOND),
     ],
-    ids=["conditioning_record", "truncated_svd", "pinv_conditioning", "pinv_conditioning_stack"],
+    ids=["conditioning_record", "truncated_svd", "pinv_conditioning", "pinv_stack"],
 )
 def test_svd_non_convergence_is_typed(call, monkeypatch):
     def svd(*args, **kwargs):

@@ -1,12 +1,14 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import topologies
 from netdmd.errors import BadConfig, EmptyNetwork, UnknownVertex
-from netdmd.sysmodel import Circular, GeneratorConfig, gen_circular
+from netdmd.netdmdc import network_dmdc_exact, network_dmdc_reduced
+from netdmd.sysmodel import Circular, GeneratorConfig, TrajectoryData, gen_circular
 from netdmd.topology import (
     NetworkTopology,
     gather_plan,
@@ -79,6 +81,12 @@ def test_gather_plan_rejects_a_malformed_topology(t):
     ):
         with pytest.raises(BadConfig, match=message):
             read()
+    # and both network solvers, before they read a trajectory's rows
+    ranges = {w: (0, 1) for w in t.state_vertices + t.input_vertices}
+    traj = TrajectoryData(np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((2, 3)), ranges)
+    for identify in (network_dmdc_exact, network_dmdc_reduced):
+        with pytest.raises(BadConfig, match=message):
+            identify(t, traj)
 
 
 class TestLocalSubsystem:
