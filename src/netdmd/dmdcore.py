@@ -1,7 +1,8 @@
 """DMD and DMDc in exact (pseudoinverse) and reduced-order (two-SVD) forms.
 
 The exact variants solve the least-squares / minimum-norm problem
-``Y ~ A Z`` (or ``Y ~ A Z + B Gamma``) directly through the pseudoinverse.
+``Y ~ A Z`` (or ``Y ~ A Z + B Gamma``) as ``Y pinv(Omega)``, from one SVD of
+the data matrix and without forming the pseudoinverse.
 The reduced variants project through truncated SVDs of the input stack and
 of the successor matrix, returning a small model plus the dynamic modes it
 induces in the full space. All functions are pure; determinism comes from
@@ -19,11 +20,11 @@ from .numkernel import (
     ConditioningRecord,
     MachineDefault,
     TruncationRule,
+    _pinv_record,
     as_matrix,
     conditioning_from_dict,
     conditioning_to_dict,
     eig,
-    pinv_conditioning,
     truncated_svd,
 )
 
@@ -87,10 +88,11 @@ def _check_columns(*mats):
 def dmdc_exact(z, y, gamma=None, rcond: float = DEFAULT_RCOND) -> ExactLinearModel:
     """Minimum-norm solution of ``y ~ a z + b gamma``, or of ``y ~ a z`` (DMD) when gamma is None.
 
-    Stacks ``omega = [z; gamma]`` (just z for DMD), applies the
+    Stacks ``omega = [z; gamma]`` (just z for DMD), computes
+    ``y @ pinv(omega)`` from one SVD of omega's tall side without forming the
     pseudoinverse, and splits the result into the state part (first n
-    columns) and input part (last l); for DMD ``b`` is None. One SVD of
-    omega gives both the pseudoinverse and the conditioning record.
+    columns) and input part (last l); for DMD ``b`` is None. The same SVD
+    gives the conditioning record.
     """
     z = as_matrix(z, "z")
     y = as_matrix(y, "y")
@@ -99,8 +101,7 @@ def dmdc_exact(z, y, gamma=None, rcond: float = DEFAULT_RCOND) -> ExactLinearMod
     if z.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
     n = z.shape[0]
-    pinv, conditioning = pinv_conditioning(np.vstack([z, *gammas]), rcond)
-    g = y @ pinv
+    g, conditioning = _pinv_record(np.vstack([z, *gammas]), rcond, y)
     return ExactLinearModel(a=g[:, :n], b=g[:, n:] if gammas else None, conditioning=conditioning)
 
 

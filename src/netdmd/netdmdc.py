@@ -46,7 +46,6 @@ from .numkernel import (
     _pinv_stack,
     as_matrix,
     conditioning_from_dict,
-    conditioning_to_dict,
 )
 from .dmdcore import ExactLinearModel, ReducedLinearModel, _dmdc_reduced_model
 from .sysmodel import TrajectoryData
@@ -105,6 +104,16 @@ class NodeConditioning:
             return np.where(self.sigma_max > 0, self.sigma_min / self.sigma_max, 0.0)
 
 
+#: The fields of a :class:`ConditioningRecord`, in order: the arrays of :class:`NodeConditioning` besides ``present``, and the keys of :func:`conditioning_to_dict`.
+_RECORD_FIELDS = tuple(field.name for field in fields(ConditioningRecord))
+
+
+def _present_records(t: NetworkTopology, c: NodeConditioning):
+    """``(vertex, record fields as Python scalars)`` for every node with a record, in vertex order."""
+    rows = zip(t.state_vertices, *(getattr(c, name).tolist() for name in ("present", *_RECORD_FIELDS)))
+    return ((v, record) for v, present, *record in rows if present)
+
+
 def _node_conditioning(t: NetworkTopology, records: Mapping[str, ConditioningRecord]) -> NodeConditioning:
     """The arrays of a map from state vertex to record; a key that is not a state vertex raises :class:`UnknownVertex`."""
     index = {v: i for i, v in enumerate(t.state_vertices)}
@@ -115,7 +124,7 @@ def _node_conditioning(t: NetworkTopology, records: Mapping[str, ConditioningRec
     present = np.zeros(len(index), dtype=bool)
     present[at] = True
     columns = [np.full(len(index), np.nan) for _ in range(3)] + [np.zeros(len(index), dtype=bool)]
-    for column, name in zip(columns, ("sigma_max", "sigma_min", "rcond_used", "warning")):
+    for column, name in zip(columns, _RECORD_FIELDS):
         column[at] = [getattr(r, name) for r in records.values()]
     return NodeConditioning(present, *columns)
 
@@ -162,10 +171,8 @@ class NetworkModel:
 
     @cached_property
     def per_node_conditioning(self) -> Mapping[str, ConditioningRecord]:
-        c = self.conditioning
-        columns = (c.present, c.sigma_max, c.sigma_min, c.rcond_used, c.warning)
-        rows = zip(self.topology.state_vertices, *(column.tolist() for column in columns))
-        return MappingProxyType({v: ConditioningRecord(*record) for v, present, *record in rows if present})
+        records = _present_records(self.topology, self.conditioning)
+        return MappingProxyType({v: ConditioningRecord(*record) for v, record in records})
 
     @property
     def assembled_a(self) -> np.ndarray:
@@ -227,8 +234,18 @@ def _gathered(t: NetworkTopology, traj: TrajectoryData):
 
     ``omega`` (G-by-k-by-m) and ``y`` (G-by-d-by-m) stack the group's
     ``Omega_j = [Z_j; Gamma_j]`` and ``Y_j``, read through
-    :func:`_trajectory_rows`.
+    :func:`_trajectory_rows`. A trajectory whose arrays do not line up
+    raises :class:`DimensionMismatch` naming the array: z, gamma and y must
+    be matrices with z's column count, and y must have z's rows.
     """
+    for name, a in (("z", traj.z), ("gamma", traj.gamma), ("y", traj.y)):
+        if np.ndim(a) != 2:
+            raise DimensionMismatch(f"trajectory {name} must be a matrix, got shape {np.shape(a)}")
+    if traj.y.shape[0] != traj.z.shape[0]:
+        raise DimensionMismatch(f"trajectory y has {traj.y.shape[0]} rows but z has {traj.z.shape[0]}")
+    for name, a in (("gamma", traj.gamma), ("y", traj.y)):
+        if a.shape[1] != traj.z.shape[1]:
+            raise DimensionMismatch(f"trajectory {name} has {a.shape[1]} columns but z has {traj.z.shape[1]}")
     source = _trajectory_rows(t, traj)
     data = np.vstack([traj.z, traj.gamma])
     for group in gather_plan(t):
@@ -289,22 +306,21 @@ def _solve_stack(omega: np.ndarray, y: np.ndarray, rcond: float):
     """
     if _finite(omega, y):
         try:
-            pinv, sigma_max, sigma_min = _pinv_stack(omega, rcond)
+            solution, sigma_max, sigma_min = _pinv_stack(omega, rcond, y)
         except ConvergenceFailure:
             pass
         else:
-            return y @ pinv, (sigma_max, sigma_min), {}
+            return solution, (sigma_max, sigma_min), {}
     solution = np.zeros((y.shape[0], y.shape[1], omega.shape[1]))
     sigma = np.full((2, omega.shape[0]), np.nan)
     failed: dict[int, str] = {}
     for i in range(omega.shape[0]):
         try:
             _check_node(omega[i], y[i], y.shape[1])
-            pinv, sigma_max, sigma_min = _pinv_stack(omega[i : i + 1], rcond)
+            solution[i : i + 1], sigma_max, sigma_min = _pinv_stack(omega[i : i + 1], rcond, y[i : i + 1])
         except NetdmdError as exc:
             failed[i] = str(exc)
             continue
-        solution[i] = y[i] @ pinv[0]
         sigma[:, i] = sigma_max[0], sigma_min[0]
     return solution, sigma, failed
 
@@ -462,13 +478,16 @@ def network_model_to_dict(model: NetworkModel) -> dict:
     """JSON-ready form; block keys are "src→dst" strings.
 
     The coefficients are written once, as the per-edge blocks; no assembled
-    (n-by-n) matrix is written.
+    (n-by-n) matrix is written. ``per_node_conditioning`` holds
+    :func:`conditioning_to_dict`'s form of each record, written straight
+    from the model's conditioning arrays without building the records.
     """
+    records = _present_records(model.topology, model.conditioning)
     return {
         "topology": topology_to_dict(model.topology),
         "blocks_a": {_block_key(i, j): blk.tolist() for (j, i), blk in model.blocks_a.items()},
         "blocks_b": {_block_key(i, j): blk.tolist() for (j, i), blk in model.blocks_b.items()},
-        "per_node_conditioning": {v: conditioning_to_dict(rec) for v, rec in model.per_node_conditioning.items()},
+        "per_node_conditioning": {v: dict(zip(_RECORD_FIELDS, record)) for v, record in records},
         "node_failures": dict(model.node_failures),
     }
 

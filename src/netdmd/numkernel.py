@@ -178,27 +178,43 @@ def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
     a = as_matrix(m)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
-    pinv, sigma_max, sigma_min = _pinv_stack(a[None], rcond)
-    return pinv[0], _record(np.concatenate([sigma_max, sigma_min]), rcond)
+    return _pinv_record(a, rcond)
 
 
-def _pinv_stack(stack: np.ndarray, rcond: float):
-    """:func:`pinv_conditioning`'s core for a G-by-k-by-n stack, which the caller has checked is finite.
+def _pinv_record(omega: np.ndarray, rcond: float, y: np.ndarray | None = None):
+    """:func:`_pinv_stack` of one checked matrix, with omega's conditioning record from the same singular values."""
+    solution, sigma_max, sigma_min = _pinv_stack(omega[None], rcond, None if y is None else y[None])
+    return solution[0], _record(np.concatenate([sigma_max, sigma_min]), rcond)
 
-    Returns the G pseudoinverses and each matrix's sigma_max and sigma_min
-    (0.0 for an empty matrix), all from one batched SVD.
+
+def _pinv_stack(omega: np.ndarray, rcond: float, y: np.ndarray | None = None):
+    """``y @ pinv(omega)`` for every matrix of a stack, without forming a pseudoinverse.
+
+    ``omega`` is G-by-k-by-m and ``y`` G-by-d-by-m, both checked finite by
+    the caller; the result is G-by-d-by-k. With ``y=None`` it is the stack
+    of pseudoinverses itself, G-by-m-by-k. One batched SVD factors each
+    matrix's tall side, omega^T when k < m and omega otherwise, since
+    LAPACK's QR-first path for a tall matrix is cheaper than the LQ path
+    for a wide one. Writing that factorization as ``omega = Q S P^T``, the
+    result is ``((y P) S^-1) Q^T``: singular values below
+    ``rcond * sigma_max``, and zeros, get a zero in S^-1. Also returns each
+    matrix's sigma_max and sigma_min (0.0 for an empty matrix).
     """
     if not rcond >= 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
-    g, k, n = stack.shape
-    if stack.size == 0:
-        return np.zeros((g, n, k)), np.zeros(g), np.zeros(g)
-    u, sigma, vt = _svd(stack)
+    g, k, m = omega.shape
+    if omega.size == 0:
+        return np.zeros((g, m if y is None else y.shape[1], k)), np.zeros(g), np.zeros(g)
+    if k < m:
+        p, sigma, qt = _svd(np.swapaxes(omega, 1, 2))
+    else:
+        q, sigma, pt = _svd(omega)
+        p, qt = np.swapaxes(pt, 1, 2), np.swapaxes(q, 1, 2)
     keep = (sigma >= rcond * sigma[:, :1]) & (sigma > 0.0)
     s_inv = np.zeros_like(sigma)
     s_inv[keep] = 1.0 / sigma[keep]
-    pinv = (np.swapaxes(vt, 1, 2) * s_inv[:, None, :]) @ np.swapaxes(u, 1, 2)
-    return pinv, sigma[:, 0], sigma[:, -1]
+    scaled = (p if y is None else y @ p) * s_inv[:, None, :]
+    return scaled @ qt, sigma[:, 0], sigma[:, -1]
 
 
 def _svd(a, compute_uv: bool = True):

@@ -4,8 +4,9 @@ The oracles are the straightforward per-vertex forms of the package's
 indexed and vectorized code: a topology rescan per lookup, a per-vertex
 block loop per simulation step, a per-pair loop over one n-by-n draw for the
 Erdős–Rényi edges, a per-vertex block row for the transition operator's
-values, a per-node gather for both network DMDc solvers, and a lift of the
-reduced network model through one dense block-diagonal projector.
+values, a per-node gather for both network DMDc solvers, a lift of the
+reduced network model through one dense block-diagonal projector, and the
+exact solve through an explicit pseudoinverse of each matrix as given.
 """
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -341,3 +342,19 @@ def reference_lift_reduced_network(model) -> tuple[np.ndarray, np.ndarray]:
         ublk[lo:hi, offset : offset + r] = model.u_hat[v]
         offset += r
     return ublk @ model.assembled_a @ ublk.T, ublk @ model.assembled_b
+
+
+def reference_pinv_solve(omega: np.ndarray, y: np.ndarray | None, rcond: float):
+    """Reference ``y @ pinv(omega)`` for a G-by-k-by-m stack, forming each pseudoinverse.
+
+    Each matrix is factored as given, wide or tall, ``omega = U S V^T``; its
+    pseudoinverse ``(V^T)^T S^-1 U^T`` is built with the same rcond rule
+    (sigma >= rcond * sigma_max and sigma > 0), then applied to y (``y=None``
+    returns the pseudoinverses). Returns it with each matrix's sigma_max and
+    sigma_min.
+    """
+    u, sigma, vt = np.linalg.svd(omega, full_matrices=False)
+    keep = (sigma >= rcond * sigma[:, :1]) & (sigma > 0.0)
+    s_inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
+    pinv = (np.swapaxes(vt, 1, 2) * s_inv[:, None, :]) @ np.swapaxes(u, 1, 2)
+    return (pinv if y is None else y @ pinv), sigma[:, 0], sigma[:, -1]

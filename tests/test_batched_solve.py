@@ -1,5 +1,6 @@
 """Both network DMDc solvers and their shared gather plan against per-node oracles."""
 import gc
+import json
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from helpers import (
 )
 from netdmd.bench import _identify, generate_system
 from netdmd.dmdcore import dmdc_exact
-from netdmd.errors import NetdmdError, RowRangeMismatch
+from netdmd.errors import DimensionMismatch, NetdmdError, RowRangeMismatch
 from netdmd.netdmdc import _trajectory_rows, network_dmdc_exact, network_dmdc_reduced, network_model_to_dict
 from netdmd.numkernel import (
     DEFAULT_RCOND,
@@ -27,6 +28,7 @@ from netdmd.numkernel import (
     MachineDefault,
     RelativeThreshold,
     conditioning_record,
+    conditioning_to_dict,
 )
 from netdmd.sysmodel import (
     Circular,
@@ -133,10 +135,11 @@ def test_non_finite_data_fails_exactly_the_nodes_that_read_it(system, m, seed, d
     assert set(model.per_node_conditioning) == set(t.state_vertices) - set(want)
 
 
-def _star(leaves=3):
-    """v0 feeds every leaf; the leaves share one local shape and feed nothing."""
+def _star(leaves=3, inward=False):
+    """v0 feeds every leaf, or with ``inward`` every leaf feeds v0; the leaves share one local shape."""
     states = ("v0",) + tuple(f"v{i}" for i in range(1, leaves + 1))
-    t = NetworkTopology(states, (), tuple(("v0", v) for v in states[1:]), {v: 1 for v in states})
+    edges = tuple((v, "v0") if inward else ("v0", v) for v in states[1:])
+    t = NetworkTopology(states, (), edges, {v: 1 for v in states})
     rng = np.random.default_rng(5)
     blocks = {v: rng.uniform(-1, 1, (1, 1)) for v in states}
     return LinearNetworkSystem(t, blocks, {e: rng.uniform(-1, 1, (1, 1)) for e in t.edges})
@@ -168,7 +171,7 @@ def test_non_converging_node_fails_alone(monkeypatch):
     shapes = _svd_spy(monkeypatch, marker)
     model = network_dmdc_exact(t, traj)
     assert model.node_failures == {"v2": "SVD did not converge"}
-    assert (3, 2, 4) in shapes
+    assert (3, 4, 2) in shapes  # the leaves' 2-by-4 data, factored on their tall side
     assert not _strip(model, t, "v2").any()
     for v in ("v1", "v3"):
         ld = build_local_data(t, traj, v)
@@ -184,8 +187,13 @@ def test_finite_groups_are_solved_with_one_batched_svd_each(monkeypatch):
     shapes = _svd_spy(monkeypatch)
     model = network_dmdc_exact(system.topology, traj)
     assert model.node_failures == {}
-    # v0 alone, then the three leaves in one stack
-    assert shapes == [(1, 1, 4), (3, 2, 4)]
+    # v0 alone, then the three leaves in one stack, each wide matrix factored as its tall transpose
+    assert shapes == [(1, 4, 1), (3, 4, 2)]
+    # inward star at m = 2: v0 reads 4 rows (tall, factored as is), each leaf 1 row (wide, transposed)
+    inward = _star(inward=True)
+    shapes.clear()
+    network_dmdc_exact(inward.topology, _trajectory(inward, 2, 11))
+    assert shapes == [(1, 4, 2), (3, 2, 1)]
 
 
 @pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
@@ -267,6 +275,24 @@ def test_row_ranges_outside_the_trajectory_raise(two_node_topology, two_node_tra
     name = "z" if vertex == "v2" else "gamma"
     with pytest.raises(RowRangeMismatch, match=f"vertex '{vertex}' spans rows {span[0]} to {span[1]} of {name}, which has 2"):
         identify(two_node_topology, TrajectoryData(traj.z, traj.gamma, traj.y, ranges))
+
+
+@pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda z, gamma, y: (z, gamma, y[:1]), "y has 1 rows but z has 2"),
+        (lambda z, gamma, y: (z, gamma, np.hstack([y, y[:, :1]])), "y has 4 columns but z has 3"),
+        (lambda z, gamma, y: (z, np.hstack([gamma, gamma[:, :1]]), y), "gamma has 4 columns but z has 3"),
+        (lambda z, gamma, y: (z, gamma[0], y), r"gamma must be a matrix, got shape \(3,\)"),
+    ],
+    ids=["y_rows", "y_columns", "gamma_columns", "gamma_vector"],
+)
+def test_misaligned_trajectory_arrays_raise(two_node_topology, two_node_trajectory, identify, edit, message):
+    traj = two_node_trajectory
+    z, gamma, y = edit(traj.z, traj.gamma, traj.y)
+    with pytest.raises(DimensionMismatch, match=message):
+        identify(two_node_topology, TrajectoryData(z, gamma, y, traj.vertex_row_ranges))
 
 
 @given(topologies())
@@ -421,6 +447,29 @@ def test_exact_solve_builds_no_conditioning_record_until_one_is_read(monkeypatch
     assert model.per_node_conditioning is records
     with pytest.raises(TypeError):
         records["v0"] = records["v1"]
+
+
+@pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
+def test_model_json_writes_conditioning_from_the_arrays(monkeypatch, identify):
+    system = _star(4)
+    traj = _trajectory(system, 5, 11)
+    z = traj.z.copy()
+    z[1, 0] = np.nan  # v1 fails
+    z[3] = 0.0  # v3's data have a zero row, so its record warns
+    model = identify(system.topology, TrajectoryData(z, traj.gamma, traj.y, traj.vertex_row_ranges))
+    built = []
+    real_init = ConditioningRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConditioningRecord, "__init__", counting_init)
+    doc = network_model_to_dict(model)
+    assert built == []
+    records = {v: conditioning_to_dict(rec) for v, rec in model.per_node_conditioning.items()}
+    assert list(records) == ["v0", "v2", "v3", "v4"] and records["v3"]["warning"]
+    assert json.dumps(doc) == json.dumps({**doc, "per_node_conditioning": records})
 
 
 def test_fresh_topologies_in_a_row_match_the_per_node_reference():

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+
+from helpers import reference_pinv_solve
 
 from netdmd.errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare
 from netdmd.numkernel import (
@@ -242,6 +247,10 @@ class TestPinvConditioning:
         assert pinv_conditioning(stack[2])[1] == ConditioningRecord(0.0, 0.0, 1e-12, True)
         assert pinv_conditioning(stack[4])[1].warning
 
+    def test_singular_value_at_the_cutoff_is_kept(self):
+        for a in (np.diag([2.0, 1.0]), np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])):
+            assert np.array_equal(pinv_conditioning(a, rcond=0.5)[0], np.linalg.pinv(a))
+
     def test_empty_matrix(self):
         pinv, rec = pinv_conditioning(np.zeros((2, 0)))
         assert pinv.shape == (0, 2)
@@ -258,6 +267,63 @@ class TestPinvConditioning:
             pinv_conditioning(np.eye(2), rcond=-1.0)
         with pytest.raises(ValueError):
             pinv_conditioning(np.eye(2), rcond=np.nan)
+
+
+@st.composite
+def solve_stacks(draw):
+    """``(omega, y, rcond)``: G in 1..4 matrices, k and m in 1..8 (wide, tall, square), d in 1..3.
+
+    Each matrix is left as drawn, zeroed, or given repeated rows, so that
+    all-zero and rank-deficient matrices come up in most examples. Entries
+    are multiples of 0.1 in [-4, 4].
+    """
+    g, k, m, d = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    entries = st.integers(-40, 40).map(lambda i: i / 10)
+    omega = draw(arrays(np.float64, (g, k, m), elements=entries))
+    for a in omega:
+        kind = draw(st.sampled_from(["drawn", "zero", "repeated rows"]))
+        if kind == "zero":
+            a[...] = 0.0
+        elif kind == "repeated rows":
+            a[draw(st.lists(st.integers(0, k - 1), max_size=k))] = a[draw(st.integers(0, k - 1))]
+    y = draw(arrays(np.float64, (g, d, m), elements=entries))
+    return omega, y, draw(st.sampled_from([0.0, 1e-12, 0.5]))
+
+
+def _clear_of_the_cutoff(a: np.ndarray, rcond: float) -> bool:
+    """Whether rounding cannot change a matrix's solve much: every singular value kept is at least 1e-2 sigma_max, and every one is far from the cutoff."""
+    sigma = np.linalg.svd(a, compute_uv=False)
+    top = sigma[0]
+    if top == 0.0:
+        return True
+    cut = rcond * top
+    kept = sigma >= cut
+    return bool(np.all(sigma[kept] >= 1e-2 * top) and np.all(np.abs(sigma - cut) > 1e-6 * top) and np.all(sigma[~kept] <= 0.5 * cut))
+
+
+@given(solve_stacks())
+@settings(max_examples=200, deadline=None)
+def test_pinv_stack_matches_the_explicit_pseudoinverse(case):
+    omega, y, rcond = case
+    got, sigma_max, sigma_min = _pinv_stack(omega, rcond, y)
+    pinv = _pinv_stack(omega, rcond)[0]
+    want, want_max, want_min = reference_pinv_solve(omega, y, rcond)
+    want_pinv = reference_pinv_solve(omega, None, rcond)[0]
+    g, k, m = omega.shape
+    assert got.shape == (g, y.shape[1], k) and pinv.shape == (g, m, k)
+    # y=None is the solve of the identity
+    assert np.array_equal(pinv, _pinv_stack(omega, rcond, np.broadcast_to(np.eye(m), (g, m, m)))[0])
+    for i in range(g):
+        one, one_max, one_min = _pinv_stack(omega[i : i + 1], rcond, y[i : i + 1])
+        assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
+        assert np.array_equal(_pinv_stack(omega[i : i + 1], rcond)[0][0], pinv[i])
+        assert abs(sigma_max[i] - want_max[i]) <= 1e-12 * want_max[i]
+        assert abs(sigma_min[i] - want_min[i]) <= 1e-12 * want_max[i]
+        if _clear_of_the_cutoff(omega[i], rcond):
+            for reference in (want[i], y[i] @ np.linalg.pinv(omega[i], rcond=rcond)):
+                assert np.linalg.norm(got[i] - reference) <= 1e-12 * np.linalg.norm(reference)
+            for reference in (want_pinv[i], np.linalg.pinv(omega[i], rcond=rcond)):
+                assert np.linalg.norm(pinv[i] - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 @pytest.mark.parametrize(
