@@ -1,8 +1,9 @@
 """DMD and DMDc in exact (pseudoinverse) and reduced-order (two-SVD) forms.
 
 The exact variants solve the least-squares / minimum-norm problem
-``Y ~ A Z`` (or ``Y ~ A Z + B Gamma``) as ``Y pinv(Omega)``, from one SVD of
-the data matrix and without forming the pseudoinverse.
+``Y ~ A Z`` (or ``Y ~ A Z + B Gamma``) as ``Y pinv(Omega)``, from one QR of
+the data matrix and the singular values of its R factor, without forming
+the pseudoinverse.
 The reduced variants project through truncated SVDs of the input stack and
 of the successor matrix, returning a small model plus the dynamic modes it
 induces in the full space. All functions are pure; determinism comes from
@@ -89,10 +90,11 @@ def dmdc_exact(z, y, gamma=None, rcond: float = DEFAULT_RCOND) -> ExactLinearMod
     """Minimum-norm solution of ``y ~ a z + b gamma``, or of ``y ~ a z`` (DMD) when gamma is None.
 
     Stacks ``omega = [z; gamma]`` (just z for DMD), computes
-    ``y @ pinv(omega)`` from one SVD of omega's tall side without forming the
-    pseudoinverse, and splits the result into the state part (first n
-    columns) and input part (last l); for DMD ``b`` is None. The same SVD
-    gives the conditioning record.
+    ``y @ pinv(omega)`` from one Householder QR of omega's tall side without
+    forming the pseudoinverse, and splits the result into the state part
+    (first n columns) and input part (last l); for DMD ``b`` is None. The
+    singular values of the R factor give the rcond cut and the conditioning
+    record; singular vectors are computed only when the cut drops a value.
     """
     z = as_matrix(z, "z")
     y = as_matrix(y, "y")

@@ -4,8 +4,9 @@ Each state vertex is identified from its own rows of the trajectory plus the
 rows of its parents (states and inputs alike enter the local regression as
 controls). Node identifications are independent of one another, so both
 network solvers gather all nodes of one local shape into a stack: the exact
-solve factors the stack with one batched SVD; the reduced solve runs its two
-truncated SVDs per node on slices of the stacks.
+solve factors the stack with one batched QR and one batched values-only SVD
+of the R factors; the reduced solve runs its two truncated SVDs per node on
+slices of the stacks.
 
 The full-space network model stores only its coefficients, one flat vector
 in the topology's gather-plan order: group by group, each group's (G, d, k)
@@ -116,7 +117,7 @@ def _present_records(t: NetworkTopology, c: NodeConditioning):
 
 def _node_conditioning(t: NetworkTopology, records: Mapping[str, ConditioningRecord]) -> NodeConditioning:
     """The arrays of a map from state vertex to record; a key that is not a state vertex raises :class:`UnknownVertex`."""
-    index = {v: i for i, v in enumerate(t.state_vertices)}
+    index = t._state_index
     unknown = records.keys() - index.keys()
     if unknown:
         raise UnknownVertex(f"conditioning records for vertices that are not state vertices: {sorted(unknown)}")
@@ -165,7 +166,7 @@ class NetworkModel:
         n = len(self.topology.state_vertices)
         if self.conditioning.present.shape != (n,):
             raise DimensionMismatch(f"conditioning must have {n} entries, got {self.conditioning.present.shape}")
-        unknown = self.node_failures.keys() - set(self.topology.state_vertices)
+        unknown = self.node_failures.keys() - self.topology._state_index.keys()
         if unknown:
             raise UnknownVertex(f"node failures for vertices that are not state vertices: {sorted(unknown)}")
 
@@ -203,13 +204,14 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     Each node's solution is ``G_j = Y_j pinv(Omega_j)`` with
     ``Omega_j = [Z_j; Gamma_j]``, as :func:`dmdc_exact` computes it. Nodes are
     solved a shape group of the topology's gather plan at a time, with one
-    batched SVD per group. A node whose data are not finite, or whose SVD
-    does not converge, is recorded in ``node_failures`` with the message
-    :func:`dmdc_exact` would raise and contributes zero blocks; the rest of
-    the model is still assembled. Each group writes its solution stack into
-    its contiguous slice of the model's plan-order ``coeffs``, and its
-    nodes' singular-value extremes into the model's vertex-ordered
-    ``conditioning``; no per-node record is built.
+    batched QR per group and one values-only SVD of its R factors (singular
+    vectors only for the nodes the rcond rule truncates). A node whose data
+    are not finite, or whose factorization fails, is recorded in
+    ``node_failures`` with the message :func:`dmdc_exact` would raise and
+    contributes zero blocks; the rest of the model is still assembled. Each
+    group writes its solution stack into its contiguous slice of the model's
+    plan-order ``coeffs``, and its nodes' singular-value extremes into the
+    model's vertex-ordered ``conditioning``; no per-node record is built.
     """
     coeffs = np.zeros(coefficient_support(t)[0].size)
     stacks = dict(_group_stacks(t, coeffs))
@@ -299,10 +301,11 @@ def _check_node(omega_j: np.ndarray, y_j: np.ndarray, d: int) -> None:
 def _solve_stack(omega: np.ndarray, y: np.ndarray, rcond: float):
     """``y @ pinv(omega)`` for a group's stacks, each node's (sigma_max, sigma_min), and failures by node index.
 
-    Finite stacks are solved with one batched SVD. Stacks that are not
-    finite, or whose batched SVD does not converge, are solved node by node,
-    each node checked as :func:`dmdc_exact` checks it, so that only the nodes
-    that fail themselves get a message (and zero rows, and NaN extremes).
+    Finite stacks are solved with one batched QR and one batched SVD of the
+    R factors (:func:`_pinv_stack`). Stacks that are not finite, or whose
+    batched factorization fails, are solved node by node, each node checked
+    as :func:`dmdc_exact` checks it, so that only the nodes that fail
+    themselves get a message (and zero rows, and NaN extremes).
     """
     if _finite(omega, y):
         try:

@@ -167,13 +167,13 @@ def truncated_svd(m, rule: TruncationRule = MachineDefault()) -> SvdResult:
 
 
 def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
-    """Pseudoinverse and conditioning record of a matrix, from one SVD.
+    """Pseudoinverse and conditioning record of a matrix, from one QR and the singular values of its R.
 
     Returns the Moore-Penrose pseudoinverse of the k-by-n matrix ``m``
     (n-by-k), with singular values below ``rcond * sigma_max`` treated as
     zero, and the record :func:`conditioning_record` describes, both read
-    from the same singular values. An array of more than two dimensions
-    raises :class:`DimensionMismatch`.
+    from the same singular values (see :func:`_pinv_stack`). An array of
+    more than two dimensions raises :class:`DimensionMismatch`.
     """
     a = as_matrix(m)
     if a.ndim != 2:
@@ -182,7 +182,7 @@ def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
 
 
 def _pinv_record(omega: np.ndarray, rcond: float, y: np.ndarray | None = None):
-    """:func:`_pinv_stack` of one checked matrix, with omega's conditioning record from the same singular values."""
+    """:func:`_pinv_stack` of one checked matrix, with omega's conditioning record from the singular values its rcond cut read."""
     solution, sigma_max, sigma_min = _pinv_stack(omega[None], rcond, None if y is None else y[None])
     return solution[0], _record(np.concatenate([sigma_max, sigma_min]), rcond)
 
@@ -192,35 +192,68 @@ def _pinv_stack(omega: np.ndarray, rcond: float, y: np.ndarray | None = None):
 
     ``omega`` is G-by-k-by-m and ``y`` G-by-d-by-m, both checked finite by
     the caller; the result is G-by-d-by-k. With ``y=None`` it is the stack
-    of pseudoinverses itself, G-by-m-by-k. One batched SVD factors each
-    matrix's tall side, omega^T when k < m and omega otherwise, since
-    LAPACK's QR-first path for a tall matrix is cheaper than the LQ path
-    for a wide one. Writing that factorization as ``omega = Q S P^T``, the
-    result is ``((y P) S^-1) Q^T``: singular values below
-    ``rcond * sigma_max``, and zeros, get a zero in S^-1. Also returns each
-    matrix's sigma_max and sigma_min (0.0 for an empty matrix).
+    of pseudoinverses itself, G-by-m-by-k, the solve of the identity. One
+    batched Householder QR factors each matrix's tall side T, omega^T when
+    k < m and omega otherwise, as T = Q R, and one batched SVD of the R
+    factors, values only, gives the singular values that the rcond rule
+    and the returned sigma_max and sigma_min (0.0 for an empty matrix)
+    read. A matrix that keeps them all (sigma_min >= rcond * sigma_max and
+    sigma_min > 0) is the least-squares solve through R: ``(y Q) R^-T``
+    when k < m, ``(y R^-1) Q^T`` otherwise. Only a matrix the rule
+    truncates gets singular vectors, from an SVD of its R, and is solved
+    as ``((y P) S^-1) Q^T`` with ``omega = Q S P^T``: values below
+    ``rcond * sigma_max``, and zeros, get a zero in S^-1. Its sigma and
+    its cut both come from that SVD. Each matrix is factored and solved on
+    its own, so its result does not depend on the rest of the stack.
     """
     if not rcond >= 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
     g, k, m = omega.shape
+    if y is None:
+        y = np.broadcast_to(np.eye(m), (g, m, m))
     if omega.size == 0:
-        return np.zeros((g, m if y is None else y.shape[1], k)), np.zeros(g), np.zeros(g)
-    if k < m:
-        p, sigma, qt = _svd(np.swapaxes(omega, 1, 2))
-    else:
-        q, sigma, pt = _svd(omega)
-        p, qt = np.swapaxes(pt, 1, 2), np.swapaxes(q, 1, 2)
-    keep = (sigma >= rcond * sigma[:, :1]) & (sigma > 0.0)
-    s_inv = np.zeros_like(sigma)
-    s_inv[keep] = 1.0 / sigma[keep]
-    scaled = (p if y is None else y @ p) * s_inv[:, None, :]
-    return scaled @ qt, sigma[:, 0], sigma[:, -1]
+        return np.zeros((g, y.shape[1], k)), np.zeros(g), np.zeros(g)
+    wide = k < m
+    q, r = _linalg(np.linalg.qr, np.swapaxes(omega, 1, 2) if wide else omega)
+    sigma = _svd(r, compute_uv=False)
+    # sigma is descending, so a matrix keeps every value iff it keeps its smallest; an
+    # exact zero on R's diagonal leaves R singular to the solve, whatever sigma rounded to
+    full = (sigma[:, -1] >= rcond * sigma[:, 0]) & (sigma[:, -1] > 0.0) & np.diagonal(r, 0, 1, 2).all(axis=1)
+    cut = None if full.all() else np.flatnonzero(~full)
+    if cut is not None:
+        r_cut = r[cut]
+        r = r.copy()
+        r[cut] = np.eye(r.shape[1])  # a stand-in so the batched solve runs; its results are replaced below
+    if wide:  # omega^T = Q R, so y pinv(omega) = (y Q) R^-T
+        yq = y @ q
+        solution = np.swapaxes(_linalg(np.linalg.solve, r, np.swapaxes(yq, 1, 2)), 1, 2)
+    else:  # omega = Q R, so y pinv(omega) = (y R^-1) Q^T
+        solution = np.swapaxes(_linalg(np.linalg.solve, np.swapaxes(r, 1, 2), np.swapaxes(y, 1, 2)), 1, 2)
+        solution = solution @ np.swapaxes(q, 1, 2)
+    if cut is not None:
+        # R = U S V^T, so omega = V S (Q U)^T when k < m and (Q U) S V^T otherwise
+        u, s, vt = _svd(r_cut)
+        sigma[cut] = s
+        keep = (s >= rcond * s[:, :1]) & (s > 0.0)
+        s_inv = np.zeros_like(s)
+        s_inv[keep] = 1.0 / s[keep]
+        if wide:
+            y_p, qt = yq[cut] @ u, vt
+        else:
+            y_p, qt = y[cut] @ np.swapaxes(vt, 1, 2), np.swapaxes(q[cut] @ u, 1, 2)
+        solution[cut] = (y_p * s_inv[:, None, :]) @ qt
+    return solution, sigma[:, 0], sigma[:, -1]
 
 
 def _svd(a, compute_uv: bool = True):
     """Reduced SVD of a matrix or stack; LAPACK non-convergence becomes :class:`ConvergenceFailure`."""
+    return _linalg(np.linalg.svd, a, full_matrices=False, compute_uv=compute_uv)
+
+
+def _linalg(routine, *args, **kwargs):
+    """``routine(*args, **kwargs)``, a ``numpy.linalg`` call, with its LinAlgError raised as :class:`ConvergenceFailure`."""
     try:
-        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+        return routine(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
 

@@ -91,6 +91,11 @@ class NetworkTopology:
         return _build_graph(self)
 
     @cached_property
+    def _state_index(self) -> dict[str, int]:
+        """Each state vertex's position in ``state_vertices``."""
+        return {v: i for i, v in enumerate(self.state_vertices)}
+
+    @cached_property
     def _vertex_dims(self) -> np.ndarray:
         """Each vertex's dimension, read-only: state vertices, then inputs, in declaration order."""
         return _index_array([self._valid_dims[w] for w in self.state_vertices + self.input_vertices])

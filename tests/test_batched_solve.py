@@ -145,19 +145,28 @@ def _star(leaves=3, inward=False):
     return LinearNetworkSystem(t, blocks, {e: rng.uniform(-1, 1, (1, 1)) for e in t.edges})
 
 
-def _svd_spy(monkeypatch, marker=None):
-    """Record the shape of each SVD's input; one that holds ``marker`` does not converge."""
-    real_svd = np.linalg.svd
-    shapes = []
+def _factorization_spy(monkeypatch, marker=None):
+    """Record ``(routine, input shape)`` for each ``np.linalg.qr`` and ``np.linalg.svd`` call.
 
-    def svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        if marker is not None and np.any(np.asarray(a) == marker):
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return real_svd(a, *args, **kwargs)
+    A factorization whose input holds ``marker`` raises LAPACK's non-convergence
+    instead. The exact solve's data reach only its QR (its SVD sees the R
+    factors), the reduced solve's only its SVDs, so the marker fails the
+    first factorization of either.
+    """
+    calls = []
 
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    return shapes
+    def spy(name, real):
+        def routine(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            if marker is not None and np.any(np.asarray(a) == marker):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(a, *args, **kwargs)
+
+        return routine
+
+    monkeypatch.setattr(np.linalg, "qr", spy("qr", np.linalg.qr))
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    return calls
 
 
 def test_non_converging_node_fails_alone(monkeypatch):
@@ -168,10 +177,10 @@ def test_non_converging_node_fails_alone(monkeypatch):
     z = traj.z.copy()
     z[2, 0] = marker  # only v2's local data contain its own row
     traj = TrajectoryData(z, traj.gamma, traj.y, traj.vertex_row_ranges)
-    shapes = _svd_spy(monkeypatch, marker)
+    calls = _factorization_spy(monkeypatch, marker)
     model = network_dmdc_exact(t, traj)
     assert model.node_failures == {"v2": "SVD did not converge"}
-    assert (3, 4, 2) in shapes  # the leaves' 2-by-4 data, factored on their tall side
+    assert ("qr", (3, 4, 2)) in calls  # the leaves' 2-by-4 data, factored on their tall side
     assert not _strip(model, t, "v2").any()
     for v in ("v1", "v3"):
         ld = build_local_data(t, traj, v)
@@ -184,16 +193,17 @@ def test_non_converging_node_fails_alone(monkeypatch):
 def test_finite_groups_are_solved_with_one_batched_svd_each(monkeypatch):
     system = _star()
     traj = _trajectory(system, 4, 11)
-    shapes = _svd_spy(monkeypatch)
+    calls = _factorization_spy(monkeypatch)
     model = network_dmdc_exact(system.topology, traj)
     assert model.node_failures == {}
-    # v0 alone, then the three leaves in one stack, each wide matrix factored as its tall transpose
-    assert shapes == [(1, 4, 1), (3, 4, 2)]
+    # v0 alone, then the three leaves in one stack, each wide matrix factored as its tall transpose;
+    # each QR is followed by one values-only SVD of its R factors
+    assert calls == [("qr", (1, 4, 1)), ("svd", (1, 1, 1)), ("qr", (3, 4, 2)), ("svd", (3, 2, 2))]
     # inward star at m = 2: v0 reads 4 rows (tall, factored as is), each leaf 1 row (wide, transposed)
     inward = _star(inward=True)
-    shapes.clear()
+    calls.clear()
     network_dmdc_exact(inward.topology, _trajectory(inward, 2, 11))
-    assert shapes == [(1, 4, 2), (3, 2, 1)]
+    assert calls == [("qr", (1, 4, 2)), ("svd", (1, 2, 2)), ("qr", (3, 2, 1)), ("svd", (3, 1, 1))]
 
 
 @pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
@@ -206,7 +216,7 @@ def test_nan_and_non_converging_nodes_of_one_group_fail_alone(monkeypatch, ident
     z[1, 0] = np.nan  # v1's own row
     z[2, 1] = marker  # v2's own row
     traj = TrajectoryData(z, traj.gamma, traj.y, traj.vertex_row_ranges)
-    _svd_spy(monkeypatch, marker)
+    _factorization_spy(monkeypatch, marker)
     model = identify(t, traj)
     if identify is network_dmdc_exact:
         want = {}

@@ -251,6 +251,14 @@ class TestPinvConditioning:
         for a in (np.diag([2.0, 1.0]), np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])):
             assert np.array_equal(pinv_conditioning(a, rcond=0.5)[0], np.linalg.pinv(a))
 
+    def test_exactly_singular_r_is_solved_through_its_svd_at_rcond_zero(self):
+        # a zero column gives R an exact zero pivot, while rounding leaves sigma_min(R) ~ 5e-17 > 0
+        a = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
+        for m in (a, a.T):
+            pinv, rec = pinv_conditioning(m, rcond=0.0)
+            assert np.all(np.isfinite(pinv)) and 0.0 < rec.sigma_min < 1e-15 * rec.sigma_max
+            assert np.linalg.norm(pinv_conditioning(m)[0] - np.linalg.pinv(m)) <= 1e-14
+
     def test_empty_matrix(self):
         pinv, rec = pinv_conditioning(np.zeros((2, 0)))
         assert pinv.shape == (0, 2)
@@ -271,13 +279,14 @@ class TestPinvConditioning:
 
 @st.composite
 def solve_stacks(draw):
-    """``(omega, y, rcond)``: G in 1..4 matrices, k and m in 1..8 (wide, tall, square), d in 1..3.
+    """``(omega, y, rcond)``: G in 1..8 matrices, k and m in 1..8 (wide, tall, square), d in 1..3.
 
     Each matrix is left as drawn, zeroed, or given repeated rows, so that
-    all-zero and rank-deficient matrices come up in most examples. Entries
-    are multiples of 0.1 in [-4, 4].
+    all-zero and rank-deficient matrices come up in most examples, and most
+    stacks mix matrices the rcond rule truncates with matrices it does not.
+    Entries are multiples of 0.1 in [-4, 4].
     """
-    g, k, m, d = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    g, k, m, d = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
     entries = st.integers(-40, 40).map(lambda i: i / 10)
     omega = draw(arrays(np.float64, (g, k, m), elements=entries))
     for a in omega:
@@ -324,6 +333,59 @@ def test_pinv_stack_matches_the_explicit_pseudoinverse(case):
                 assert np.linalg.norm(got[i] - reference) <= 1e-12 * np.linalg.norm(reference)
             for reference in (want_pinv[i], np.linalg.pinv(omega[i], rcond=rcond)):
                 assert np.linalg.norm(pinv[i] - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def _svd_calls(monkeypatch):
+    """Record ``(input shape, compute_uv)`` of each ``np.linalg.svd`` call."""
+    real_svd = np.linalg.svd
+    calls = []
+
+    def svd(a, *args, compute_uv=True, **kwargs):
+        calls.append((np.shape(a), compute_uv))
+        return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+SOLVE_SHAPES = pytest.mark.parametrize("k, m", [(3, 7), (7, 3), (4, 4)], ids=["wide", "tall", "square"])
+
+
+@SOLVE_SHAPES
+def test_full_rank_stack_computes_no_singular_vectors(monkeypatch, k, m):
+    rng = np.random.default_rng(3)
+    omega, y = rng.uniform(-2, 2, (5, k, m)), rng.uniform(-2, 2, (5, 2, m))
+    calls = _svd_calls(monkeypatch)
+    got, sigma_max, sigma_min = _pinv_stack(omega, DEFAULT_RCOND, y)
+    # one values-only SVD, of the stack of R factors from the QR of each matrix's tall side
+    assert calls == [((5, min(k, m), min(k, m)), False)]
+    want, want_max, want_min = reference_pinv_solve(omega, y, DEFAULT_RCOND)
+    assert np.all(np.abs(sigma_max - want_max) <= 1e-12 * want_max)
+    assert np.all(np.abs(sigma_min - want_min) <= 1e-12 * want_max)
+    for one, reference in zip(got, want):
+        assert np.linalg.norm(one - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@SOLVE_SHAPES
+def test_only_a_truncated_matrix_gets_singular_vectors(monkeypatch, k, m):
+    rng = np.random.default_rng(4)
+    omega, y = rng.uniform(-2, 2, (5, k, m)), rng.uniform(-2, 2, (5, 2, m))
+    if k <= m:
+        omega[2, -1] = omega[2, 0]  # a repeated row: rank k - 1
+    else:
+        omega[2, :, -1] = omega[2, :, 0]  # a repeated column: rank m - 1
+    calls = _svd_calls(monkeypatch)
+    got, sigma_max, sigma_min = _pinv_stack(omega, DEFAULT_RCOND, y)
+    r = min(k, m)
+    assert calls == [((5, r, r), False), ((1, r, r), True)]
+    assert sigma_min[2] < DEFAULT_RCOND * sigma_max[2]
+    want = y[2] @ np.linalg.pinv(omega[2], rcond=DEFAULT_RCOND)
+    assert np.linalg.norm(got[2] - want) <= 1e-12 * np.linalg.norm(want)
+    for i in range(5):
+        calls.clear()
+        one, one_max, one_min = _pinv_stack(omega[i : i + 1], DEFAULT_RCOND, y[i : i + 1])
+        assert calls == [((1, r, r), False)] + [((1, r, r), True)] * (i == 2)
+        assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
 
 
 @pytest.mark.parametrize(
