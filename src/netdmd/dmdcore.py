@@ -92,9 +92,12 @@ def dmdc_exact(z, y, gamma=None, rcond: float = DEFAULT_RCOND) -> ExactLinearMod
     Stacks ``omega = [z; gamma]`` (just z for DMD), computes
     ``y @ pinv(omega)`` from one Householder QR of omega's tall side without
     forming the pseudoinverse, and splits the result into the state part
-    (first n columns) and input part (last l); for DMD ``b`` is None. The
-    singular values of the R factor give the rcond cut and the conditioning
-    record; singular vectors are computed only when the cut drops a value.
+    (first n columns) and input part (last l); for DMD ``b`` is None. With
+    more snapshots than rows in omega, the QR factors ``[omega^T | y^T]``
+    and forms no Q: ``(y Q)^T`` is read beside R in its R factor. R is
+    solved by block substitution, not an LU. The singular values of R give
+    the rcond cut and the conditioning record; singular vectors are
+    computed only when the cut drops a value (see :func:`_pinv_stack`).
     """
     z = as_matrix(z, "z")
     y = as_matrix(y, "y")

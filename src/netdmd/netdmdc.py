@@ -4,9 +4,12 @@ Each state vertex is identified from its own rows of the trajectory plus the
 rows of its parents (states and inputs alike enter the local regression as
 controls). Node identifications are independent of one another, so both
 network solvers gather all nodes of one local shape into a stack: the exact
-solve factors the stack with one batched QR and one batched values-only SVD
-of the R factors; the reduced solve runs its two truncated SVDs per node on
-slices of the stacks.
+solve factors the stack with one batched QR (R factor only, of
+``[Omega^T | Y^T]``, where a node has more snapshots than regressors, so
+that ``(Y Q)^T`` is read from R and no Q is formed) and one batched
+values-only SVD of the R factors, and solves R by block substitution; the
+reduced solve runs its two truncated SVDs per node on slices of the
+stacks.
 
 The full-space network model stores only its coefficients, one flat vector
 in the topology's gather-plan order: group by group, each group's (G, d, k)
@@ -205,13 +208,18 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     ``Omega_j = [Z_j; Gamma_j]``, as :func:`dmdc_exact` computes it. Nodes are
     solved a shape group of the topology's gather plan at a time, with one
     batched QR per group and one values-only SVD of its R factors (singular
-    vectors only for the nodes the rcond rule truncates). A node whose data
-    are not finite, or whose factorization fails, is recorded in
-    ``node_failures`` with the message :func:`dmdc_exact` would raise and
-    contributes zero blocks; the rest of the model is still assembled. Each
-    group writes its solution stack into its contiguous slice of the model's
-    plan-order ``coeffs``, and its nodes' singular-value extremes into the
-    model's vertex-ordered ``conditioning``; no per-node record is built.
+    vectors only for the nodes the rcond rule truncates). A group of wide
+    ``Omega_j`` is factored as ``[Omega_j^T | Y_j^T]``, R factor only, since
+    a node's own rows are part of its local data and ``Y_j`` has no more
+    rows than ``Omega_j``; ``(Y_j Q)^T`` is read beside R and no Q is
+    formed. R is solved by block substitution (:func:`_pinv_stack`). A
+    node whose data are not finite, or whose factorization fails, is
+    recorded in ``node_failures`` with the message :func:`dmdc_exact` would
+    raise and contributes zero blocks; the rest of the model is still
+    assembled. Each group writes its solution stack into its contiguous
+    slice of the model's plan-order ``coeffs``, and its nodes'
+    singular-value extremes into the model's vertex-ordered
+    ``conditioning``; no per-node record is built.
     """
     coeffs = np.zeros(coefficient_support(t)[0].size)
     stacks = dict(_group_stacks(t, coeffs))
@@ -395,14 +403,15 @@ def model_error(model, truth_a, truth_b=None) -> float:
 
     Accepts a :class:`NetworkModel` or :class:`ExactLinearModel`. The input
     part is skipped when both the model and the truth lack one (None or zero
-    columns); a one-sided input operator is a dimension error. The squared
-    differences are summed a few rows at a time through one small buffer, so
-    no n-by-n temporary is made. A network model is read only at its
-    coefficients: each block of rows holds the truth's entries, negated,
-    and the block's share of ``coeffs`` is added at its positions, so the
-    truth's mass off the support is counted in full without densifying the
-    model. A NaN or Inf difference raises :class:`NonFiniteEntry`; finite
-    differences whose squares overflow give inf.
+    columns); a one-sided input operator, or a truth B that is not a
+    matrix, is a dimension error. The squared differences are summed a few
+    rows at a time through one small buffer, so no n-by-n temporary is
+    made. A network model is read only at its coefficients: each block of
+    rows holds the truth's entries, negated, and the block's share of
+    ``coeffs`` is added at its positions, so the truth's mass off the
+    support is counted in full without densifying the model. A NaN or Inf
+    difference raises :class:`NonFiniteEntry`; finite differences whose
+    squares overflow give inf.
     """
     if isinstance(model, NetworkModel):
         n = model.topology.total_state_dim
@@ -418,11 +427,15 @@ def model_error(model, truth_a, truth_b=None) -> float:
         raise DimensionMismatch(f"A is {a_shape} but truth is {truth_a.shape}")
     truths = [truth_a]
     b_width = 0 if b_shape is None else b_shape[1]
-    truth_width = 0 if truth_b is None else np.asarray(truth_b).shape[1]
+    truth_width = 0
+    if truth_b is not None:
+        truth_b = np.asarray(truth_b, dtype=float)
+        if truth_b.ndim != 2:
+            raise DimensionMismatch(f"truth B must be a matrix, got shape {truth_b.shape}")
+        truth_width = truth_b.shape[1]
     if b_width != truth_width:
         raise DimensionMismatch(f"B has {b_width} columns but truth has {truth_width}")
     if b_width:
-        truth_b = np.asarray(truth_b, dtype=float)
         if b_shape != truth_b.shape:
             raise DimensionMismatch(f"B is {b_shape} but truth is {truth_b.shape}")
         truths.append(truth_b)

@@ -125,13 +125,17 @@ def conditioning_from_dict(d: dict) -> ConditioningRecord:
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting NaN/Inf entries."""
+    """Coerce to a 2-D float64 array; a scalar or 1-D input becomes one row.
+
+    A NaN or Inf entry raises :class:`NonFiniteEntry`, and then an array of
+    more than two dimensions :class:`DimensionMismatch`.
+    """
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        a = np.atleast_2d(a)
     if a.size and not np.all(np.isfinite(a)):
         raise NonFiniteEntry(f"{name} contains NaN or Inf entries")
-    return a
+    if a.ndim > 2:
+        raise DimensionMismatch(f"{name} must be a matrix, got shape {a.shape}")
+    return np.atleast_2d(a)
 
 
 def truncated_svd(m, rule: TruncationRule = MachineDefault()) -> SvdResult:
@@ -173,12 +177,9 @@ def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
     (n-by-k), with singular values below ``rcond * sigma_max`` treated as
     zero, and the record :func:`conditioning_record` describes, both read
     from the same singular values (see :func:`_pinv_stack`). An array of
-    more than two dimensions raises :class:`DimensionMismatch`.
+    more than two dimensions raises :class:`DimensionMismatch` (:func:`as_matrix`).
     """
-    a = as_matrix(m)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
-    return _pinv_record(a, rcond)
+    return _pinv_record(as_matrix(m), rcond)
 
 
 def _pinv_record(omega: np.ndarray, rcond: float, y: np.ndarray | None = None):
@@ -199,22 +200,36 @@ def _pinv_stack(omega: np.ndarray, rcond: float, y: np.ndarray | None = None):
     and the returned sigma_max and sigma_min (0.0 for an empty matrix)
     read. A matrix that keeps them all (sigma_min >= rcond * sigma_max and
     sigma_min > 0) is the least-squares solve through R: ``(y Q) R^-T``
-    when k < m, ``(y R^-1) Q^T`` otherwise. Only a matrix the rule
-    truncates gets singular vectors, from an SVD of its R, and is solved
-    as ``((y P) S^-1) Q^T`` with ``omega = Q S P^T``: values below
-    ``rcond * sigma_max``, and zeros, get a zero in S^-1. Its sigma and
-    its cut both come from that SVD. Each matrix is factored and solved on
-    its own, so its result does not depend on the rest of the stack.
+    when k < m, ``(y R^-1) Q^T`` otherwise, by block substitution
+    (:func:`_solve_triangular`). When k < m and y has at most k rows, Q is
+    never formed: the QR, mode "r", factors ``[omega^T | y^T]``, whose R
+    holds R in its leading k-by-k block and ``(y Q)^T`` beside it. Only a
+    matrix the rule truncates gets singular vectors, from an SVD of its R,
+    and is solved as ``((y P) S^-1) Q^T`` with ``omega = Q S P^T``: values
+    below ``rcond * sigma_max``, and zeros, get a zero in S^-1. Its sigma
+    and its cut both come from that SVD. Each matrix is factored and
+    solved on its own, so its result does not depend on the rest of the
+    stack.
     """
     if not rcond >= 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
     g, k, m = omega.shape
     if y is None:
         y = np.broadcast_to(np.eye(m), (g, m, m))
+    d = y.shape[1]
     if omega.size == 0:
-        return np.zeros((g, y.shape[1], k)), np.zeros(g), np.zeros(g)
+        return np.zeros((g, d, k)), np.zeros(g), np.zeros(g)
     wide = k < m
-    q, r = _linalg(np.linalg.qr, np.swapaxes(omega, 1, 2) if wide else omega)
+    if wide and d <= k:
+        # [omega^T | y^T] = Q [R | Q^T y^T], so R and (y Q)^T are blocks of one R factor;
+        # with d <= k its QR costs no more than omega^T's alone, and no Q is formed. [omega; y]
+        # is [omega^T | y^T] in column-major order, the order LAPACK reads
+        r_augmented = _linalg(np.linalg.qr, np.swapaxes(np.concatenate([omega, y], axis=1), 1, 2), mode="r")
+        r, yq_t = r_augmented[:, :k, :k], r_augmented[:, :k, k:]
+    else:
+        q, r = _linalg(np.linalg.qr, np.swapaxes(omega, 1, 2) if wide else omega)
+        if wide:
+            yq_t = np.swapaxes(y @ q, 1, 2)
     sigma = _svd(r, compute_uv=False)
     # sigma is descending, so a matrix keeps every value iff it keeps its smallest; an
     # exact zero on R's diagonal leaves R singular to the solve, whatever sigma rounded to
@@ -225,10 +240,9 @@ def _pinv_stack(omega: np.ndarray, rcond: float, y: np.ndarray | None = None):
         r = r.copy()
         r[cut] = np.eye(r.shape[1])  # a stand-in so the batched solve runs; its results are replaced below
     if wide:  # omega^T = Q R, so y pinv(omega) = (y Q) R^-T
-        yq = y @ q
-        solution = np.swapaxes(_linalg(np.linalg.solve, r, np.swapaxes(yq, 1, 2)), 1, 2)
+        solution = np.swapaxes(_solve_triangular(r, yq_t), 1, 2)
     else:  # omega = Q R, so y pinv(omega) = (y R^-1) Q^T
-        solution = np.swapaxes(_linalg(np.linalg.solve, np.swapaxes(r, 1, 2), np.swapaxes(y, 1, 2)), 1, 2)
+        solution = np.swapaxes(_solve_triangular(r, np.swapaxes(y, 1, 2), transpose=True), 1, 2)
         solution = solution @ np.swapaxes(q, 1, 2)
     if cut is not None:
         # R = U S V^T, so omega = V S (Q U)^T when k < m and (Q U) S V^T otherwise
@@ -238,11 +252,40 @@ def _pinv_stack(omega: np.ndarray, rcond: float, y: np.ndarray | None = None):
         s_inv = np.zeros_like(s)
         s_inv[keep] = 1.0 / s[keep]
         if wide:
-            y_p, qt = yq[cut] @ u, vt
+            y_p, qt = np.swapaxes(yq_t[cut], 1, 2) @ u, vt
         else:
             y_p, qt = y[cut] @ np.swapaxes(vt, 1, 2), np.swapaxes(q[cut] @ u, 1, 2)
         solution[cut] = (y_p * s_inv[:, None, :]) @ qt
     return solution, sigma[:, 0], sigma[:, -1]
+
+
+#: Rows of R that each step of :func:`_solve_triangular` solves.
+_TRIANGULAR_BLOCK = 64
+
+
+def _solve_triangular(r: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``R^-1 b``, or ``R^-T b`` with ``transpose``, for a stack of upper triangular R (G-by-k-by-k) and b (G-by-k-by-p).
+
+    numpy has no triangular solve, and ``np.linalg.solve`` with all of R
+    would first run a pivoted LU of it, 2k^3/3 flops that substitution does
+    not need. So R is solved _TRIANGULAR_BLOCK rows at a time, bottom up
+    (top down for R^T): one matmul subtracts the rows already solved, and
+    one batched ``np.linalg.solve`` with the block's diagonal block of R
+    solves the rest. A stack with k <= _TRIANGULAR_BLOCK is one solve with
+    all of R.
+    """
+    k = r.shape[1]
+    a = np.swapaxes(r, 1, 2) if transpose else r
+    if k <= _TRIANGULAR_BLOCK:
+        return _linalg(np.linalg.solve, a, b)
+    x = np.empty(b.shape)
+    starts = range(0, k, _TRIANGULAR_BLOCK)
+    for lo in starts if transpose else reversed(starts):
+        hi = min(lo + _TRIANGULAR_BLOCK, k)
+        done = slice(0, lo) if transpose else slice(hi, k)
+        rhs = b[:, lo:hi] - a[:, lo:hi, done] @ x[:, done]
+        x[:, lo:hi] = _linalg(np.linalg.solve, a[:, lo:hi, lo:hi], rhs)
+    return x
 
 
 def _svd(a, compute_uv: bool = True):

@@ -52,6 +52,22 @@ class TestDmdExact:
             dmdc_exact(np.eye(2), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda a, m: dmdc_exact(a, m), "z"),
+        (lambda a, m: dmdc_exact(m, a), "y"),
+        (lambda a, m: dmdc_exact(m, m, a), "gamma"),
+        (lambda a, m: dmd_reduced(a, m), "z"),
+        (lambda a, m: dmdc_reduced(m, m, a), "gamma"),
+    ],
+    ids=["dmdc_exact z", "dmdc_exact y", "dmdc_exact gamma", "dmd_reduced", "dmdc_reduced"],
+)
+def test_data_of_more_than_two_dimensions_are_rejected(call, name):
+    with pytest.raises(DimensionMismatch, match=f"^{name} must be a matrix"):
+        call(np.ones((2, 2, 2)), np.ones((2, 2)))
+
+
 class TestDmdcExact:
     def test_worked_node1(self):
         model = dmdc_exact(**NODE1)

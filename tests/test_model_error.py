@@ -95,3 +95,10 @@ def test_one_sided_or_mismatched_input_part_raises(b, truth_b):
 def test_mismatched_input_rows_raise():
     with pytest.raises(DimensionMismatch):
         model_error(_model(np.eye(3), np.ones((3, 1))), np.eye(3), np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("truth_b", [np.ones(3), np.ones((3, 1, 1))], ids=["vector", "3-D"])
+def test_truth_input_part_that_is_not_a_matrix_raises(truth_b):
+    # a 1-D truth B once raised a bare IndexError reading its column count
+    with pytest.raises(DimensionMismatch, match="truth B must be a matrix"):
+        model_error(_model(np.eye(3), np.ones((3, 1))), np.eye(3), truth_b)

@@ -19,6 +19,9 @@ from netdmd.numkernel import (
     conditioning_to_dict,
     eig,
     _pinv_stack,
+    _solve_triangular,
+    _TRIANGULAR_BLOCK,
+    as_matrix,
     pinv_conditioning,
     truncated_svd,
 )
@@ -277,6 +280,65 @@ class TestPinvConditioning:
             pinv_conditioning(np.eye(2), rcond=np.nan)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [as_matrix, lambda a: truncated_svd(a, FixedRank(4)), conditioning_record, eig, pinv_conditioning],
+    ids=["as_matrix", "truncated_svd", "conditioning_record", "eig", "pinv_conditioning"],
+)
+def test_arrays_of_more_than_two_dimensions_are_rejected(call):
+    # a (2, 2, 2) array once reached LAPACK as a stack: truncation_rank 4, or an untyped ValueError
+    with pytest.raises(DimensionMismatch, match=r"must be a matrix, got shape \(2, 2, 2\)"):
+        call(np.ones((2, 2, 2)))
+    # a scalar or a vector is still one row
+    assert as_matrix(3.0).shape == (1, 1) and as_matrix([1.0, 2.0]).shape == (1, 2)
+
+
+def _upper_triangular_stack(g: int, k: int, seed: int) -> np.ndarray:
+    """G well-conditioned k-by-k R factors, from the QR of random tall matrices."""
+    return np.linalg.qr(np.random.default_rng(seed).uniform(-1, 1, (g, k + 3, k)), mode="r")
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("transpose", [False, True], ids=["R", "R^T"])
+def test_block_triangular_solve_matches_the_lu_solve(k, transpose):
+    r = _upper_triangular_stack(3, k, k)
+    b = np.random.default_rng(k + 1).uniform(-1, 1, (3, k, 5))
+    a = np.swapaxes(r, 1, 2) if transpose else r
+    got, want = _solve_triangular(r, b, transpose), np.linalg.solve(a, b)
+    if k <= _TRIANGULAR_BLOCK:
+        assert np.array_equal(got, want)  # one solve with all of R
+    for one, reference in zip(got, want):
+        assert np.linalg.norm(one - reference) <= 1e-13 * np.linalg.norm(reference)
+    # each matrix of the stack is solved on its own
+    for i in range(3):
+        assert np.array_equal(_solve_triangular(r[i : i + 1], b[i : i + 1], transpose)[0], got[i])
+
+
+@pytest.mark.parametrize(
+    "k, m", [(63, 70), (64, 70), (65, 70), (130, 140), (70, 63), (140, 130)], ids=lambda v: str(v)
+)
+@pytest.mark.parametrize("d", [2, 5])
+def test_pinv_stack_across_triangular_blocks(k, m, d):
+    rng = np.random.default_rng(k * m + d)
+    omega, y = rng.uniform(-1, 1, (3, k, m)), rng.uniform(-1, 1, (3, d, m))
+    if k <= m:
+        omega[1, -1] = omega[1, 0]  # a repeated row: the rcond rule cuts one value
+    else:
+        omega[1, :, -1] = omega[1, :, 0]  # a repeated column
+    got, sigma_max, sigma_min = _pinv_stack(omega, DEFAULT_RCOND, y)
+    pinv = _pinv_stack(omega, DEFAULT_RCOND)[0]
+    want, want_max, want_min = reference_pinv_solve(omega, y, DEFAULT_RCOND)
+    assert sigma_min[1] < DEFAULT_RCOND * sigma_max[1]
+    for i in range(3):
+        assert abs(sigma_max[i] - want_max[i]) <= 1e-12 * want_max[i]
+        assert abs(sigma_min[i] - want_min[i]) <= 1e-12 * want_max[i]
+        assert np.linalg.norm(got[i] - want[i]) <= 1e-12 * np.linalg.norm(want[i])
+        reference = np.linalg.pinv(omega[i], rcond=DEFAULT_RCOND)
+        assert np.linalg.norm(pinv[i] - reference) <= 1e-12 * np.linalg.norm(reference)
+        one, one_max, one_min = _pinv_stack(omega[i : i + 1], DEFAULT_RCOND, y[i : i + 1])
+        assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
+
+
 @st.composite
 def solve_stacks(draw):
     """``(omega, y, rcond)``: G in 1..8 matrices, k and m in 1..8 (wide, tall, square), d in 1..3.
@@ -386,6 +448,34 @@ def test_only_a_truncated_matrix_gets_singular_vectors(monkeypatch, k, m):
         one, one_max, one_min = _pinv_stack(omega[i : i + 1], DEFAULT_RCOND, y[i : i + 1])
         assert calls == [((1, r, r), False)] + [((1, r, r), True)] * (i == 2)
         assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
+
+
+def _qr_calls(monkeypatch):
+    """Record ``(input shape, mode)`` of each ``np.linalg.qr`` call."""
+    real_qr = np.linalg.qr
+    calls = []
+
+    def qr(a, mode="reduced"):
+        calls.append((np.shape(a), mode))
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    return calls
+
+
+def test_wide_stack_with_y_forms_no_q(monkeypatch):
+    rng = np.random.default_rng(5)
+    omega, y = rng.uniform(-2, 2, (4, 6, 9)), rng.uniform(-2, 2, (4, 2, 9))
+    calls = _qr_calls(monkeypatch)
+    got = _pinv_stack(omega, DEFAULT_RCOND, y)[0]
+    # one R-only QR of [omega^T | y^T], G by m by k + d
+    assert calls == [((4, 9, 8), "r")]
+    want = reference_pinv_solve(omega, y, DEFAULT_RCOND)[0]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # without a y (the identity has m > k rows), the pseudoinverse keeps Q: no m-by-(k + m) factorization
+    calls.clear()
+    pinv_conditioning(rng.uniform(-2, 2, (3, 50)))
+    assert calls == [((1, 50, 3), "reduced")]
 
 
 @pytest.mark.parametrize(
