@@ -89,11 +89,12 @@ def _check_columns(*mats):
 def dmdc_exact(z, y, gamma=None, rcond: float = DEFAULT_RCOND) -> ExactLinearModel:
     """Minimum-norm solution of ``y ~ a z + b gamma``, or of ``y ~ a z`` (DMD) when gamma is None.
 
-    Stacks ``omega = [z; gamma]`` (just z for DMD), computes
-    ``y @ pinv(omega)`` from one Householder QR of omega's tall side without
-    forming the pseudoinverse, and splits the result into the state part
-    (first n columns) and input part (last l); for DMD ``b`` is None. With
-    more snapshots than rows in omega, the QR factors ``[omega^T | y^T]``
+    Gathers ``[omega; y]``, ``omega = [z; gamma]`` (just z for DMD), into
+    one array, computes ``y @ pinv(omega)`` from one Householder QR of
+    omega's tall side without forming the pseudoinverse, and splits the
+    result into the state part (first n columns) and input part (last l);
+    for DMD ``b`` is None. With more snapshots than rows in omega, the QR
+    factors that array as it is, ``[omega^T | y^T]`` in column-major order,
     and forms no Q: ``(y Q)^T`` is read beside R in its R factor. R is
     solved by block substitution, not an LU. The singular values of R give
     the rcond cut and the conditioning record; singular vectors are
@@ -106,7 +107,8 @@ def dmdc_exact(z, y, gamma=None, rcond: float = DEFAULT_RCOND) -> ExactLinearMod
     if z.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
     n = z.shape[0]
-    g, conditioning = _pinv_record(np.vstack([z, *gammas]), rcond, y)
+    data = np.concatenate([z, *gammas, y])
+    g, conditioning = _pinv_record(data, data.shape[0] - n, rcond)
     return ExactLinearModel(a=g[:, :n], b=g[:, n:] if gammas else None, conditioning=conditioning)
 
 

@@ -208,15 +208,16 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     ``Omega_j = [Z_j; Gamma_j]``, as :func:`dmdc_exact` computes it. Nodes are
     solved a shape group of the topology's gather plan at a time, with one
     batched QR per group and one values-only SVD of its R factors (singular
-    vectors only for the nodes the rcond rule truncates). A group of wide
-    ``Omega_j`` is factored as ``[Omega_j^T | Y_j^T]``, R factor only, since
-    a node's own rows are part of its local data and ``Y_j`` has no more
-    rows than ``Omega_j``; ``(Y_j Q)^T`` is read beside R and no Q is
-    formed. R is solved by block substitution (:func:`_pinv_stack`). A
-    node whose data are not finite, or whose factorization fails, is
-    recorded in ``node_failures`` with the message :func:`dmdc_exact` would
-    raise and contributes zero blocks; the rest of the model is still
-    assembled. Each group writes its solution stack into its contiguous
+    vectors only for the nodes the rcond rule truncates), on the group's
+    one gathered ``[Omega_j; Y_j]`` stack (:func:`_gathered`). A group of
+    wide ``Omega_j`` is factored as that stack, ``[Omega_j^T | Y_j^T]`` in
+    column-major order, R factor only, since a node's own rows are part of
+    its local data and ``Y_j`` has no more rows than ``Omega_j``;
+    ``(Y_j Q)^T`` is read beside R and no Q is formed. R is solved by block
+    substitution (:func:`_pinv_stack`). A node whose data are not finite,
+    or whose factorization fails, is recorded in ``node_failures`` with the
+    message :func:`dmdc_exact` would raise and contributes zero blocks; the
+    rest of the model is still assembled. Each group writes its solution stack into its contiguous
     slice of the model's plan-order ``coeffs``, and its nodes'
     singular-value extremes into the model's vertex-ordered
     ``conditioning``; no per-node record is built.
@@ -226,9 +227,9 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     sigma = np.full((2, len(t.state_vertices)), np.nan)
     present = np.zeros(len(t.state_vertices), dtype=bool)
     failures: dict[str, str] = {}
-    for group, omega, y in _gathered(t, traj):
+    for group, data in _gathered(t, traj):
         index = group.vertex_index
-        stacks[group][...], sigma[:, index], failed = _solve_stack(omega, y, rcond)
+        stacks[group][...], sigma[:, index], failed = _solve_stack(data, group.shape[2], rcond)
         present[index] = True
         for i, message in failed.items():
             present[index[i]] = False
@@ -240,13 +241,14 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
 
 
 def _gathered(t: NetworkTopology, traj: TrajectoryData):
-    """``(group, omega, y)`` for every shape group of the gather plan.
+    """``(group, data)`` for every shape group of the gather plan.
 
-    ``omega`` (G-by-k-by-m) and ``y`` (G-by-d-by-m) stack the group's
-    ``Omega_j = [Z_j; Gamma_j]`` and ``Y_j``, read through
-    :func:`_trajectory_rows`. A trajectory whose arrays do not line up
-    raises :class:`DimensionMismatch` naming the array: z, gamma and y must
-    be matrices with z's column count, and y must have z's rows.
+    ``data`` (G-by-(k + d)-by-m) stacks the group's ``[Omega_j; Y_j]``,
+    with ``Omega_j = [Z_j; Gamma_j]``, in one fancy index over
+    ``[traj.z; traj.gamma; traj.y]`` through :func:`_trajectory_rows`. A
+    trajectory whose arrays do not line up raises :class:`DimensionMismatch`
+    naming the array: z, gamma and y must be matrices with z's column
+    count, and y must have z's rows.
     """
     for name, a in (("z", traj.z), ("gamma", traj.gamma), ("y", traj.y)):
         if np.ndim(a) != 2:
@@ -257,9 +259,10 @@ def _gathered(t: NetworkTopology, traj: TrajectoryData):
         if a.shape[1] != traj.z.shape[1]:
             raise DimensionMismatch(f"trajectory {name} has {a.shape[1]} columns but z has {traj.z.shape[1]}")
     source = _trajectory_rows(t, traj)
-    data = np.vstack([traj.z, traj.gamma])
+    trajectory = np.concatenate([traj.z, traj.gamma, traj.y])
+    y_rows = source + (traj.z.shape[0] + traj.gamma.shape[0])  # a state position's row of y follows its row of z
     for group in gather_plan(t):
-        yield group, data[source[group.cols]], traj.y[source[group.rows]]
+        yield group, trajectory[np.concatenate([source[group.cols], y_rows[group.rows]], axis=1)]
 
 
 def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
@@ -295,40 +298,36 @@ def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
     return source
 
 
-def _finite(omega: np.ndarray, y: np.ndarray) -> bool:
-    """Whether a group's stacks hold only finite entries, so that no node of it can fail :func:`_check_node`."""
-    return bool(np.isfinite(omega).all() and np.isfinite(y).all())
-
-
-def _check_node(omega_j: np.ndarray, y_j: np.ndarray, d: int) -> None:
-    """Raise :class:`NonFiniteEntry` for a node's data as :func:`dmdc_exact` does: its z, then y, then gamma."""
-    for name, part in (("z", omega_j[:d]), ("y", y_j), ("gamma", omega_j[d:])):
+def _check_node(data_j: np.ndarray, k: int) -> None:
+    """Raise :class:`NonFiniteEntry` for a node's ``[Omega_j; Y_j]`` as :func:`dmdc_exact` does: its z, then y, then gamma."""
+    d = data_j.shape[0] - k
+    for name, part in (("z", data_j[:d]), ("y", data_j[k:]), ("gamma", data_j[d:k])):
         as_matrix(part, name)
 
 
-def _solve_stack(omega: np.ndarray, y: np.ndarray, rcond: float):
-    """``y @ pinv(omega)`` for a group's stacks, each node's (sigma_max, sigma_min), and failures by node index.
+def _solve_stack(data: np.ndarray, k: int, rcond: float):
+    """``Y_j @ pinv(Omega_j)`` for a group's ``[Omega_j; Y_j]`` stack, each node's (sigma_max, sigma_min), and failures by node index.
 
-    Finite stacks are solved with one batched QR and one batched SVD of the
-    R factors (:func:`_pinv_stack`). Stacks that are not finite, or whose
-    batched factorization fails, are solved node by node, each node checked
+    A finite stack is solved with one batched QR and one batched SVD of the
+    R factors (:func:`_pinv_stack`). A stack that is not finite, or whose
+    batched factorization fails, is solved node by node, each node checked
     as :func:`dmdc_exact` checks it, so that only the nodes that fail
     themselves get a message (and zero rows, and NaN extremes).
     """
-    if _finite(omega, y):
+    if np.isfinite(data).all():
         try:
-            solution, sigma_max, sigma_min = _pinv_stack(omega, rcond, y)
+            solution, sigma_max, sigma_min = _pinv_stack(data, k, rcond)
         except ConvergenceFailure:
             pass
         else:
             return solution, (sigma_max, sigma_min), {}
-    solution = np.zeros((y.shape[0], y.shape[1], omega.shape[1]))
-    sigma = np.full((2, omega.shape[0]), np.nan)
+    solution = np.zeros((data.shape[0], data.shape[1] - k, k))
+    sigma = np.full((2, data.shape[0]), np.nan)
     failed: dict[int, str] = {}
-    for i in range(omega.shape[0]):
+    for i in range(data.shape[0]):
         try:
-            _check_node(omega[i], y[i], y.shape[1])
-            solution[i : i + 1], sigma_max, sigma_min = _pinv_stack(omega[i : i + 1], rcond, y[i : i + 1])
+            _check_node(data[i], k)
+            solution[i : i + 1], sigma_max, sigma_min = _pinv_stack(data[i : i + 1], k, rcond)
         except NetdmdError as exc:
             failed[i] = str(exc)
             continue
@@ -359,14 +358,15 @@ def network_dmdc_reduced(
     """
     failures: dict[str, str] = {}
     solved: dict[str, ReducedLinearModel] = {}
-    for group, omega, y in _gathered(t, traj):
-        finite = _finite(omega, y)
-        for i, omega_j, y_j in zip(group.vertex_index.tolist(), omega, y):
+    for group, data in _gathered(t, traj):
+        _, d, k = group.shape
+        finite = np.isfinite(data).all()
+        for i, data_j in zip(group.vertex_index.tolist(), data):
             v = t.state_vertices[i]
             try:
                 if not finite:
-                    _check_node(omega_j, y_j, y.shape[1])
-                solved[v] = _dmdc_reduced_model(omega_j, y_j, y.shape[1], input_rule, output_rule)[0]
+                    _check_node(data_j, k)
+                solved[v] = _dmdc_reduced_model(data_j[:k], data_j[k:], d, input_rule, output_rule)[0]
             except NetdmdError as exc:
                 failures[v] = str(exc)
     u_hat = {v: solved[v].u_hat if v in solved else np.eye(t.dims[v]) for v in t.state_vertices}

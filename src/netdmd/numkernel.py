@@ -176,55 +176,59 @@ def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
     Returns the Moore-Penrose pseudoinverse of the k-by-n matrix ``m``
     (n-by-k), with singular values below ``rcond * sigma_max`` treated as
     zero, and the record :func:`conditioning_record` describes, both read
-    from the same singular values (see :func:`_pinv_stack`). An array of
-    more than two dimensions raises :class:`DimensionMismatch` (:func:`as_matrix`).
+    from the same singular values (see :func:`_pinv_stack`). The
+    pseudoinverse is the solve of an identity with min(k, n) rows: of the
+    tall side's, as ``pinv(m^T)^T`` when k < n. An array of more than two
+    dimensions raises :class:`DimensionMismatch` (:func:`as_matrix`).
     """
-    return _pinv_record(as_matrix(m), rcond)
+    a = as_matrix(m)
+    wide = a.shape[0] < a.shape[1]
+    tall = a.T if wide else a
+    pinv, record = _pinv_record(np.concatenate([tall, np.eye(tall.shape[1])]), tall.shape[0], rcond)
+    return pinv.T if wide else pinv, record
 
 
-def _pinv_record(omega: np.ndarray, rcond: float, y: np.ndarray | None = None):
-    """:func:`_pinv_stack` of one checked matrix, with omega's conditioning record from the singular values its rcond cut read."""
-    solution, sigma_max, sigma_min = _pinv_stack(omega[None], rcond, None if y is None else y[None])
+def _pinv_record(data: np.ndarray, k: int, rcond: float):
+    """:func:`_pinv_stack` of one checked ``[omega; y]``, with omega's conditioning record from the singular values its rcond cut read."""
+    solution, sigma_max, sigma_min = _pinv_stack(data[None], k, rcond)
     return solution[0], _record(np.concatenate([sigma_max, sigma_min]), rcond)
 
 
-def _pinv_stack(omega: np.ndarray, rcond: float, y: np.ndarray | None = None):
+def _pinv_stack(data: np.ndarray, k: int, rcond: float):
     """``y @ pinv(omega)`` for every matrix of a stack, without forming a pseudoinverse.
 
-    ``omega`` is G-by-k-by-m and ``y`` G-by-d-by-m, both checked finite by
-    the caller; the result is G-by-d-by-k. With ``y=None`` it is the stack
-    of pseudoinverses itself, G-by-m-by-k, the solve of the identity. One
-    batched Householder QR factors each matrix's tall side T, omega^T when
-    k < m and omega otherwise, as T = Q R, and one batched SVD of the R
-    factors, values only, gives the singular values that the rcond rule
-    and the returned sigma_max and sigma_min (0.0 for an empty matrix)
-    read. A matrix that keeps them all (sigma_min >= rcond * sigma_max and
-    sigma_min > 0) is the least-squares solve through R: ``(y Q) R^-T``
-    when k < m, ``(y R^-1) Q^T`` otherwise, by block substitution
-    (:func:`_solve_triangular`). When k < m and y has at most k rows, Q is
-    never formed: the QR, mode "r", factors ``[omega^T | y^T]``, whose R
-    holds R in its leading k-by-k block and ``(y Q)^T`` beside it. Only a
-    matrix the rule truncates gets singular vectors, from an SVD of its R,
-    and is solved as ``((y P) S^-1) Q^T`` with ``omega = Q S P^T``: values
-    below ``rcond * sigma_max``, and zeros, get a zero in S^-1. Its sigma
-    and its cut both come from that SVD. Each matrix is factored and
-    solved on its own, so its result does not depend on the rest of the
-    stack.
+    ``data`` is G-by-(k + d)-by-m, each matrix ``[omega; y]`` stacked by
+    rows: its first k rows are omega and the other d rows y, checked finite
+    by the caller; the result is G-by-d-by-k. Omega and y are read as views
+    of ``data``. One batched Householder QR factors each omega's tall side
+    T, omega^T when k < m and omega otherwise, as T = Q R, and one batched
+    SVD of the R factors, values only, gives the singular values that the
+    rcond rule and the returned sigma_max and sigma_min (0.0 for an empty
+    matrix) read. A matrix that keeps them all (sigma_min >= rcond *
+    sigma_max and sigma_min > 0) is the least-squares solve through R:
+    ``(y Q) R^-T`` when k < m, ``(y R^-1) Q^T`` otherwise, by block
+    substitution (:func:`_solve_triangular`). When k < m and d <= k, Q is
+    never formed: ``data`` in column-major order is ``[omega^T | y^T]``, and
+    the QR, mode "r", factors it as it is, its R holding R in its leading
+    k-by-k block and ``(y Q)^T`` beside it. Only a matrix the rule truncates
+    gets singular vectors, from an SVD of its R, and is solved as
+    ``((y P) S^-1) Q^T`` with ``omega = Q S P^T``: values below
+    ``rcond * sigma_max``, and zeros, get a zero in S^-1. Its sigma and its
+    cut both come from that SVD. Each matrix is factored and solved on its
+    own, so its result does not depend on the rest of the stack.
     """
     if not rcond >= 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
-    g, k, m = omega.shape
-    if y is None:
-        y = np.broadcast_to(np.eye(m), (g, m, m))
-    d = y.shape[1]
+    omega, y = data[:, :k], data[:, k:]
+    g, d, m = y.shape
     if omega.size == 0:
         return np.zeros((g, d, k)), np.zeros(g), np.zeros(g)
     wide = k < m
     if wide and d <= k:
         # [omega^T | y^T] = Q [R | Q^T y^T], so R and (y Q)^T are blocks of one R factor;
-        # with d <= k its QR costs no more than omega^T's alone, and no Q is formed. [omega; y]
+        # with d <= k its QR costs no more than omega^T's alone, and no Q is formed. data
         # is [omega^T | y^T] in column-major order, the order LAPACK reads
-        r_augmented = _linalg(np.linalg.qr, np.swapaxes(np.concatenate([omega, y], axis=1), 1, 2), mode="r")
+        r_augmented = _linalg(np.linalg.qr, np.swapaxes(data, 1, 2), mode="r")
         r, yq_t = r_augmented[:, :k, :k], r_augmented[:, :k, k:]
     else:
         q, r = _linalg(np.linalg.qr, np.swapaxes(omega, 1, 2) if wide else omega)

@@ -180,7 +180,7 @@ def test_non_converging_node_fails_alone(monkeypatch):
     calls = _factorization_spy(monkeypatch, marker)
     model = network_dmdc_exact(t, traj)
     assert model.node_failures == {"v2": "SVD did not converge"}
-    assert ("qr", (3, 4, 3)) in calls  # the leaves' 2-by-4 data and 1-by-4 y, factored as [Omega^T | Y^T]
+    assert ("qr", (3, 4, 3)) in calls  # the leaves' gathered 2-by-4 Omega and 1-by-4 y, factored as [Omega^T | Y^T]
     assert not _strip(model, t, "v2").any()
     for v in ("v1", "v3"):
         ld = build_local_data(t, traj, v)
@@ -197,8 +197,8 @@ def test_finite_groups_are_solved_with_one_batched_svd_each(monkeypatch):
     model = network_dmdc_exact(system.topology, traj)
     assert model.node_failures == {}
     # v0 alone, then the three leaves in one stack, each wide matrix factored as its tall transpose
-    # with Y^T beside it, [Omega^T | Y^T] (G by m by k + d); each QR is followed by one
-    # values-only SVD of the stack's k-by-k R factors
+    # with Y^T beside it, [Omega^T | Y^T] (G by m by k + d): the group's gathered [Omega; Y] stack
+    # itself; each QR is followed by one values-only SVD of the stack's k-by-k R factors
     assert calls == [("qr", (1, 4, 2)), ("svd", (1, 1, 1)), ("qr", (3, 4, 3)), ("svd", (3, 2, 2))]
     # inward star at m = 2: v0 reads 4 rows (tall, factored as is), each leaf 1 row (wide, transposed)
     inward = _star(inward=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -114,6 +116,21 @@ class TestDmdcExact:
             truth = np.hstack([a0, b0])
             got = np.hstack([model.a, model.b])
             assert np.linalg.norm(got - truth) <= 1e-8 * np.linalg.norm(truth)
+
+    def test_wide_solve_holds_at_most_three_copies_of_the_data(self):
+        # [z; gamma; y] is gathered once and factored as it is: no [z; gamma] copy and no second
+        # concatenation beside the gathered array, qr's own copy and its R factor
+        rng = np.random.default_rng(12)
+        n, l, m = 300, 150, 600
+        z, gamma, y = rng.uniform(-1, 1, (n, m)), rng.uniform(-1, 1, (l, m)), rng.uniform(-1, 1, (n, m))
+        tracemalloc.start()
+        try:
+            model = dmdc_exact(z, y, gamma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.a.shape == (n, n) and model.b.shape == (n, l)
+        assert peak <= 3.3 * (n + l + n) * m * 8
 
 
 class TestDmdcReduced:

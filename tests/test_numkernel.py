@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,13 +230,27 @@ class TestConditioningRecord:
         assert rec.ratio == pytest.approx(1e-12)
 
 
+def _solve(omega: np.ndarray, y: np.ndarray, rcond: float):
+    """``_pinv_stack`` of the one gathered array ``[omega; y]``: ``y @ pinv(omega)`` and each matrix's sigma extremes."""
+    return _pinv_stack(np.concatenate([omega, y], axis=1), omega.shape[1], rcond)
+
+
+def _stack_pinv(omega: np.ndarray, rcond: float):
+    """The pseudoinverses of a stack, as :func:`pinv_conditioning` computes each: the solve of the identity with min(k, m) rows, ``pinv(omega^T)^T`` when k < m."""
+    g, k, m = omega.shape
+    wide = k < m
+    tall, r = (np.swapaxes(omega, 1, 2) if wide else omega), min(k, m)
+    pinv, sigma_max, sigma_min = _solve(tall, np.broadcast_to(np.eye(r), (g, r, r)), rcond)
+    return np.swapaxes(pinv, 1, 2) if wide else pinv, sigma_max, sigma_min
+
+
 class TestPinvConditioning:
     def test_stack_matches_each_matrix(self):
         rng = np.random.default_rng(8)
         stack = rng.uniform(-2, 2, size=(6, 3, 5))
         stack[2] = 0.0
         stack[4, 2] = stack[4, 0]  # rank deficient
-        pinv, sigma_max, sigma_min = _pinv_stack(stack, DEFAULT_RCOND)
+        pinv, sigma_max, sigma_min = _stack_pinv(stack, DEFAULT_RCOND)
         assert pinv.shape == (6, 5, 3) and sigma_max.shape == sigma_min.shape == (6,)
         assert not pinv[2].any() and sigma_max[2] == sigma_min[2] == 0.0
         # the batched SVD factors each matrix on its own: the same values as one matrix at a time
@@ -261,6 +277,23 @@ class TestPinvConditioning:
             pinv, rec = pinv_conditioning(m, rcond=0.0)
             assert np.all(np.isfinite(pinv)) and 0.0 < rec.sigma_min < 1e-15 * rec.sigma_max
             assert np.linalg.norm(pinv_conditioning(m)[0] - np.linalg.pinv(m)) <= 1e-14
+
+    def test_wide_matrix_solves_an_identity_of_its_short_side(self):
+        # the pseudoinverse of a k-by-m matrix, k < m, is pinv(omega^T)^T: an m-by-m identity
+        # would take 3.2 GB here for a 0.48 MB result
+        a = np.random.default_rng(9).uniform(-1, 1, (3, 20_000))
+        tracemalloc.start()
+        try:
+            pinv, rec = pinv_conditioning(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        want = np.linalg.pinv(a)
+        assert pinv.shape == (20_000, 3) and np.linalg.norm(pinv - want) <= 1e-12 * np.linalg.norm(want)
+        record = conditioning_record(a)
+        assert abs(rec.sigma_max - record.sigma_max) <= 1e-13 * record.sigma_max
+        assert abs(rec.sigma_min - record.sigma_min) <= 1e-13 * record.sigma_min
 
     def test_empty_matrix(self):
         pinv, rec = pinv_conditioning(np.zeros((2, 0)))
@@ -325,8 +358,8 @@ def test_pinv_stack_across_triangular_blocks(k, m, d):
         omega[1, -1] = omega[1, 0]  # a repeated row: the rcond rule cuts one value
     else:
         omega[1, :, -1] = omega[1, :, 0]  # a repeated column
-    got, sigma_max, sigma_min = _pinv_stack(omega, DEFAULT_RCOND, y)
-    pinv = _pinv_stack(omega, DEFAULT_RCOND)[0]
+    got, sigma_max, sigma_min = _solve(omega, y, DEFAULT_RCOND)
+    pinv = _stack_pinv(omega, DEFAULT_RCOND)[0]
     want, want_max, want_min = reference_pinv_solve(omega, y, DEFAULT_RCOND)
     assert sigma_min[1] < DEFAULT_RCOND * sigma_max[1]
     for i in range(3):
@@ -335,7 +368,7 @@ def test_pinv_stack_across_triangular_blocks(k, m, d):
         assert np.linalg.norm(got[i] - want[i]) <= 1e-12 * np.linalg.norm(want[i])
         reference = np.linalg.pinv(omega[i], rcond=DEFAULT_RCOND)
         assert np.linalg.norm(pinv[i] - reference) <= 1e-12 * np.linalg.norm(reference)
-        one, one_max, one_min = _pinv_stack(omega[i : i + 1], DEFAULT_RCOND, y[i : i + 1])
+        one, one_max, one_min = _solve(omega[i : i + 1], y[i : i + 1], DEFAULT_RCOND)
         assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
 
 
@@ -376,18 +409,18 @@ def _clear_of_the_cutoff(a: np.ndarray, rcond: float) -> bool:
 @settings(max_examples=200, deadline=None)
 def test_pinv_stack_matches_the_explicit_pseudoinverse(case):
     omega, y, rcond = case
-    got, sigma_max, sigma_min = _pinv_stack(omega, rcond, y)
-    pinv = _pinv_stack(omega, rcond)[0]
+    got, sigma_max, sigma_min = _solve(omega, y, rcond)
+    pinv = _stack_pinv(omega, rcond)[0]
     want, want_max, want_min = reference_pinv_solve(omega, y, rcond)
     want_pinv = reference_pinv_solve(omega, None, rcond)[0]
     g, k, m = omega.shape
     assert got.shape == (g, y.shape[1], k) and pinv.shape == (g, m, k)
-    # y=None is the solve of the identity
-    assert np.array_equal(pinv, _pinv_stack(omega, rcond, np.broadcast_to(np.eye(m), (g, m, m)))[0])
     for i in range(g):
-        one, one_max, one_min = _pinv_stack(omega[i : i + 1], rcond, y[i : i + 1])
+        one, one_max, one_min = _solve(omega[i : i + 1], y[i : i + 1], rcond)
         assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
-        assert np.array_equal(_pinv_stack(omega[i : i + 1], rcond)[0][0], pinv[i])
+        assert np.array_equal(_stack_pinv(omega[i : i + 1], rcond)[0][0], pinv[i])
+        # the pseudoinverse is the solve of the identity through the tall side
+        assert np.array_equal(pinv_conditioning(omega[i], rcond)[0], pinv[i])
         assert abs(sigma_max[i] - want_max[i]) <= 1e-12 * want_max[i]
         assert abs(sigma_min[i] - want_min[i]) <= 1e-12 * want_max[i]
         if _clear_of_the_cutoff(omega[i], rcond):
@@ -418,7 +451,7 @@ def test_full_rank_stack_computes_no_singular_vectors(monkeypatch, k, m):
     rng = np.random.default_rng(3)
     omega, y = rng.uniform(-2, 2, (5, k, m)), rng.uniform(-2, 2, (5, 2, m))
     calls = _svd_calls(monkeypatch)
-    got, sigma_max, sigma_min = _pinv_stack(omega, DEFAULT_RCOND, y)
+    got, sigma_max, sigma_min = _solve(omega, y, DEFAULT_RCOND)
     # one values-only SVD, of the stack of R factors from the QR of each matrix's tall side
     assert calls == [((5, min(k, m), min(k, m)), False)]
     want, want_max, want_min = reference_pinv_solve(omega, y, DEFAULT_RCOND)
@@ -437,7 +470,7 @@ def test_only_a_truncated_matrix_gets_singular_vectors(monkeypatch, k, m):
     else:
         omega[2, :, -1] = omega[2, :, 0]  # a repeated column: rank m - 1
     calls = _svd_calls(monkeypatch)
-    got, sigma_max, sigma_min = _pinv_stack(omega, DEFAULT_RCOND, y)
+    got, sigma_max, sigma_min = _solve(omega, y, DEFAULT_RCOND)
     r = min(k, m)
     assert calls == [((5, r, r), False), ((1, r, r), True)]
     assert sigma_min[2] < DEFAULT_RCOND * sigma_max[2]
@@ -445,7 +478,7 @@ def test_only_a_truncated_matrix_gets_singular_vectors(monkeypatch, k, m):
     assert np.linalg.norm(got[2] - want) <= 1e-12 * np.linalg.norm(want)
     for i in range(5):
         calls.clear()
-        one, one_max, one_min = _pinv_stack(omega[i : i + 1], DEFAULT_RCOND, y[i : i + 1])
+        one, one_max, one_min = _solve(omega[i : i + 1], y[i : i + 1], DEFAULT_RCOND)
         assert calls == [((1, r, r), False)] + [((1, r, r), True)] * (i == 2)
         assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
 
@@ -467,12 +500,13 @@ def test_wide_stack_with_y_forms_no_q(monkeypatch):
     rng = np.random.default_rng(5)
     omega, y = rng.uniform(-2, 2, (4, 6, 9)), rng.uniform(-2, 2, (4, 2, 9))
     calls = _qr_calls(monkeypatch)
-    got = _pinv_stack(omega, DEFAULT_RCOND, y)[0]
-    # one R-only QR of [omega^T | y^T], G by m by k + d
+    got = _solve(omega, y, DEFAULT_RCOND)[0]
+    # one R-only QR of [omega^T | y^T], G by m by k + d: the gathered [omega; y] in column-major order
     assert calls == [((4, 9, 8), "r")]
     want = reference_pinv_solve(omega, y, DEFAULT_RCOND)[0]
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    # without a y (the identity has m > k rows), the pseudoinverse keeps Q: no m-by-(k + m) factorization
+    # the pseudoinverse solves the identity with min(k, m) rows through omega's tall side, keeping Q:
+    # no m-by-(k + m) factorization
     calls.clear()
     pinv_conditioning(rng.uniform(-2, 2, (3, 50)))
     assert calls == [((1, 50, 3), "reduced")]
@@ -484,7 +518,7 @@ def test_wide_stack_with_y_forms_no_q(monkeypatch):
         conditioning_record,
         lambda a: truncated_svd(a, MachineDefault()),
         pinv_conditioning,
-        lambda a: _pinv_stack(np.stack([a, a]), DEFAULT_RCOND),
+        lambda a: _stack_pinv(np.stack([a, a]), DEFAULT_RCOND),
     ],
     ids=["conditioning_record", "truncated_svd", "pinv_conditioning", "pinv_stack"],
 )
