@@ -80,32 +80,33 @@ class DynamicModes:
     n_zero_excluded: int = 0
 
 
-def _check_columns(*mats):
-    cols = {m.shape[1] for m in mats}
-    if len(cols) > 1:
+def _check_regression(z, y, *gammas):
+    """The data of the regression ``y ~ a z (+ b gamma)`` as float matrices: z, y and each gamma.
+
+    Each is read by :func:`as_matrix` in that order, so the first NaN or Inf
+    entry is named by its argument; then the column counts must agree and y
+    must have z's rows, else :class:`DimensionMismatch`.
+    """
+    z, y = as_matrix(z, "z"), as_matrix(y, "y")
+    gammas = [as_matrix(gamma, "gamma") for gamma in gammas]
+    mats = (z, y, *gammas)
+    if len({m.shape[1] for m in mats}) > 1:
         raise DimensionMismatch(f"column counts differ: {[m.shape for m in mats]}")
+    if z.shape[0] != y.shape[0]:
+        raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
+    return z, y, gammas
 
 
 def dmdc_exact(z, y, gamma=None, rcond: float = DEFAULT_RCOND) -> ExactLinearModel:
     """Minimum-norm solution of ``y ~ a z + b gamma``, or of ``y ~ a z`` (DMD) when gamma is None.
 
-    Gathers ``[omega; y]``, ``omega = [z; gamma]`` (just z for DMD), into
-    one array, computes ``y @ pinv(omega)`` from one Householder QR of
-    omega's tall side without forming the pseudoinverse, and splits the
-    result into the state part (first n columns) and input part (last l);
-    for DMD ``b`` is None. With more snapshots than rows in omega, the QR
-    factors that array as it is, ``[omega^T | y^T]`` in column-major order,
-    and forms no Q: ``(y Q)^T`` is read beside R in its R factor. R is
-    solved by block substitution, not an LU. The singular values of R give
-    the rcond cut and the conditioning record; singular vectors are
-    computed only when the cut drops a value (see :func:`_pinv_stack`).
+    Checks the data with :func:`_check_regression`, gathers ``[omega; y]``,
+    ``omega = [z; gamma]`` (just z for DMD), into one array and solves
+    ``y @ pinv(omega)`` from it without forming the pseudoinverse, by the
+    QR that :func:`_pinv_stack` describes. The result splits into the state
+    part (first n columns) and the input part (last l); for DMD ``b`` is None.
     """
-    z = as_matrix(z, "z")
-    y = as_matrix(y, "y")
-    gammas = [] if gamma is None else [as_matrix(gamma, "gamma")]
-    _check_columns(z, y, *gammas)
-    if z.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
+    z, y, gammas = _check_regression(z, y, *(() if gamma is None else (gamma,)))
     n = z.shape[0]
     data = np.concatenate([z, *gammas, y])
     g, conditioning = _pinv_record(data, data.shape[0] - n, rcond)
@@ -127,9 +128,7 @@ def dmd_reduced(z, y, rule: TruncationRule = MachineDefault()) -> tuple[ReducedL
     and each eigenpair (w, lam) of it, lam nonzero, lifts to the full-space
     mode ``phi = lam^-1 y v s^-1 w``.
     """
-    z = as_matrix(z, "z")
-    y = as_matrix(y, "y")
-    _check_columns(z, y)
+    z, y, _ = _check_regression(z, y)
     if not np.any(z) or not np.any(y):
         raise AllZeroMatrix("dmd_reduced needs nonzero z and y")
     svd = truncated_svd(z, rule)
@@ -167,13 +166,8 @@ def dmdc_reduced(
     ``b_tilde = u_hat.T y v s^-1 u2.T``; (4) the eigendecomposition of
     ``a_tilde``; (5) full-space modes ``y v s^-1 u1.T u_hat w``.
     """
-    z = as_matrix(z, "z")
-    y = as_matrix(y, "y")
-    gamma = as_matrix(gamma, "gamma")
-    _check_columns(z, y, gamma)
-    if z.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
-    model, core, state_map = _dmdc_reduced_model(np.vstack([z, gamma]), y, z.shape[0], input_rule, output_rule)
+    z, y, gammas = _check_regression(z, y, gamma)
+    model, core, state_map = _dmdc_reduced_model(np.vstack([z, *gammas]), y, z.shape[0], input_rule, output_rule)
     eigres = eig(model.a_tilde)
     raw_modes = (core @ state_map).astype(complex) @ eigres.vectors
     values, modes, dropped = _filter_zero_modes(eigres.values, raw_modes)

@@ -4,12 +4,9 @@ Each state vertex is identified from its own rows of the trajectory plus the
 rows of its parents (states and inputs alike enter the local regression as
 controls). Node identifications are independent of one another, so both
 network solvers gather all nodes of one local shape into a stack: the exact
-solve factors the stack with one batched QR (R factor only, of
-``[Omega^T | Y^T]``, where a node has more snapshots than regressors, so
-that ``(Y Q)^T`` is read from R and no Q is formed) and one batched
-values-only SVD of the R factors, and solves R by block substitution; the
-reduced solve runs its two truncated SVDs per node on slices of the
-stacks.
+solve factors each stack with the one batched QR that
+:func:`netdmd.numkernel._pinv_stack` describes; the reduced solve runs its
+two truncated SVDs per node on slices of the stacks.
 
 The full-space network model stores only its coefficients, one flat vector
 in the topology's gather-plan order: group by group, each group's (G, d, k)
@@ -51,7 +48,7 @@ from .numkernel import (
     as_matrix,
     conditioning_from_dict,
 )
-from .dmdcore import ExactLinearModel, ReducedLinearModel, _dmdc_reduced_model
+from .dmdcore import ExactLinearModel, ReducedLinearModel, _check_regression, _dmdc_reduced_model, dmdc_exact
 from .sysmodel import TrajectoryData
 from .topology import (
     NetworkTopology,
@@ -206,19 +203,15 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
 
     Each node's solution is ``G_j = Y_j pinv(Omega_j)`` with
     ``Omega_j = [Z_j; Gamma_j]``, as :func:`dmdc_exact` computes it. Nodes are
-    solved a shape group of the topology's gather plan at a time, with one
-    batched QR per group and one values-only SVD of its R factors (singular
-    vectors only for the nodes the rcond rule truncates), on the group's
-    one gathered ``[Omega_j; Y_j]`` stack (:func:`_gathered`). A group of
-    wide ``Omega_j`` is factored as that stack, ``[Omega_j^T | Y_j^T]`` in
-    column-major order, R factor only, since a node's own rows are part of
-    its local data and ``Y_j`` has no more rows than ``Omega_j``;
-    ``(Y_j Q)^T`` is read beside R and no Q is formed. R is solved by block
-    substitution (:func:`_pinv_stack`). A node whose data are not finite,
-    or whose factorization fails, is recorded in ``node_failures`` with the
-    message :func:`dmdc_exact` would raise and contributes zero blocks; the
-    rest of the model is still assembled. Each group writes its solution stack into its contiguous
-    slice of the model's plan-order ``coeffs``, and its nodes'
+    solved a shape group of the topology's gather plan at a time, on the
+    group's one gathered ``[Omega_j; Y_j]`` stack (:func:`_gathered`), by
+    the batched QR that :func:`_pinv_stack` describes. A group that the
+    batch cannot solve falls back to :func:`dmdc_exact` itself, node by
+    node (:func:`_solve_stack`): a node whose data are not finite, or whose
+    factorization fails, is recorded in ``node_failures`` with the message
+    :func:`dmdc_exact` raised and contributes zero blocks; the rest of the
+    model is still assembled. Each group writes its solution stack into its
+    contiguous slice of the model's plan-order ``coeffs``, and its nodes'
     singular-value extremes into the model's vertex-ordered
     ``conditioning``; no per-node record is built.
     """
@@ -298,21 +291,15 @@ def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
     return source
 
 
-def _check_node(data_j: np.ndarray, k: int) -> None:
-    """Raise :class:`NonFiniteEntry` for a node's ``[Omega_j; Y_j]`` as :func:`dmdc_exact` does: its z, then y, then gamma."""
-    d = data_j.shape[0] - k
-    for name, part in (("z", data_j[:d]), ("y", data_j[k:]), ("gamma", data_j[d:k])):
-        as_matrix(part, name)
-
-
 def _solve_stack(data: np.ndarray, k: int, rcond: float):
     """``Y_j @ pinv(Omega_j)`` for a group's ``[Omega_j; Y_j]`` stack, each node's (sigma_max, sigma_min), and failures by node index.
 
     A finite stack is solved with one batched QR and one batched SVD of the
     R factors (:func:`_pinv_stack`). A stack that is not finite, or whose
-    batched factorization fails, is solved node by node, each node checked
-    as :func:`dmdc_exact` checks it, so that only the nodes that fail
-    themselves get a message (and zero rows, and NaN extremes).
+    batched factorization fails, is solved by :func:`dmdc_exact` itself,
+    node by node, on views of each node's z, gamma and y, so that only the
+    nodes that fail themselves get a message, :func:`dmdc_exact`'s (and
+    zero rows, and NaN extremes).
     """
     if np.isfinite(data).all():
         try:
@@ -321,17 +308,18 @@ def _solve_stack(data: np.ndarray, k: int, rcond: float):
             pass
         else:
             return solution, (sigma_max, sigma_min), {}
-    solution = np.zeros((data.shape[0], data.shape[1] - k, k))
+    d = data.shape[1] - k
+    solution = np.zeros((data.shape[0], d, k))
     sigma = np.full((2, data.shape[0]), np.nan)
     failed: dict[int, str] = {}
-    for i in range(data.shape[0]):
+    for i, data_j in enumerate(data):
         try:
-            _check_node(data[i], k)
-            solution[i : i + 1], sigma_max, sigma_min = _pinv_stack(data[i : i + 1], k, rcond)
+            model = dmdc_exact(data_j[:d], data_j[k:], data_j[d:k], rcond)
         except NetdmdError as exc:
             failed[i] = str(exc)
             continue
-        sigma[:, i] = sigma_max[0], sigma_min[0]
+        solution[i, :, :d], solution[i, :, d:] = model.a, model.b
+        sigma[:, i] = model.conditioning.sigma_max, model.conditioning.sigma_min
     return solution, sigma, failed
 
 
@@ -348,7 +336,9 @@ def network_dmdc_reduced(
     :func:`dmdc_reduced` (no eigendecomposition, no modes) on its slices of
     the stacks; its record comes from that call's SVD of ``Omega_j``. A node
     whose data are not finite, or whose solve raises, is recorded in
-    ``node_failures`` with the message :func:`dmdc_reduced` would raise. Once
+    ``node_failures`` with the message :func:`dmdc_reduced` would raise; its
+    data check (:func:`_check_regression`) runs only on the nodes of a group
+    that is not finite. Once
     every projector ``U = u_hat`` is known, node j's coefficient strip
     ``U_j a~_j U_j^T | U_j (b~_jw U_w) U_w^T ... | U_j b~_je ...`` is written
     edge by edge into its plan-order slice of ``coeffs``: the cross block is
@@ -365,7 +355,7 @@ def network_dmdc_reduced(
             v = t.state_vertices[i]
             try:
                 if not finite:
-                    _check_node(data_j, k)
+                    _check_regression(data_j[:d], data_j[k:], data_j[d:k])
                 solved[v] = _dmdc_reduced_model(data_j[:k], data_j[k:], d, input_rule, output_rule)[0]
             except NetdmdError as exc:
                 failures[v] = str(exc)

@@ -127,9 +127,12 @@ def conditioning_from_dict(d: dict) -> ConditioningRecord:
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array; a scalar or 1-D input becomes one row.
 
-    A NaN or Inf entry raises :class:`NonFiniteEntry`, and then an array of
+    None raises :class:`DimensionMismatch` (numpy would read it as a NaN),
+    then a NaN or Inf entry :class:`NonFiniteEntry`, and then an array of
     more than two dimensions :class:`DimensionMismatch`.
     """
+    if m is None:
+        raise DimensionMismatch(f"{name} must be a matrix, got None")
     a = np.asarray(m, dtype=np.float64)
     if a.size and not np.all(np.isfinite(a)):
         raise NonFiniteEntry(f"{name} contains NaN or Inf entries")
@@ -207,15 +210,16 @@ def _pinv_stack(data: np.ndarray, k: int, rcond: float):
     matrix) read. A matrix that keeps them all (sigma_min >= rcond *
     sigma_max and sigma_min > 0) is the least-squares solve through R:
     ``(y Q) R^-T`` when k < m, ``(y R^-1) Q^T`` otherwise, by block
-    substitution (:func:`_solve_triangular`). When k < m and d <= k, Q is
-    never formed: ``data`` in column-major order is ``[omega^T | y^T]``, and
-    the QR, mode "r", factors it as it is, its R holding R in its leading
-    k-by-k block and ``(y Q)^T`` beside it. Only a matrix the rule truncates
-    gets singular vectors, from an SVD of its R, and is solved as
-    ``((y P) S^-1) Q^T`` with ``omega = Q S P^T``: values below
-    ``rcond * sigma_max``, and zeros, get a zero in S^-1. Its sigma and its
-    cut both come from that SVD. Each matrix is factored and solved on its
-    own, so its result does not depend on the rest of the stack.
+    substitution (:func:`_solve_triangular`). When k < m, Q is never
+    formed: ``data`` in column-major order is ``[omega^T | y^T]``, and the
+    QR, mode "r", factors it as it is, its R holding R in its leading
+    k-by-k block and ``(y Q)^T`` beside it, whatever d is; Q is formed only
+    when k >= m. Only a matrix the rule truncates gets singular vectors,
+    from an SVD of its R, and is solved as ``((y P) S^-1) Q^T`` with
+    ``omega = Q S P^T``: values below ``rcond * sigma_max``, and zeros, get
+    a zero in S^-1. Its sigma and its cut both come from that SVD. Each
+    matrix is factored and solved on its own, so its result does not
+    depend on the rest of the stack.
     """
     if not rcond >= 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
@@ -224,16 +228,13 @@ def _pinv_stack(data: np.ndarray, k: int, rcond: float):
     if omega.size == 0:
         return np.zeros((g, d, k)), np.zeros(g), np.zeros(g)
     wide = k < m
-    if wide and d <= k:
-        # [omega^T | y^T] = Q [R | Q^T y^T], so R and (y Q)^T are blocks of one R factor;
-        # with d <= k its QR costs no more than omega^T's alone, and no Q is formed. data
-        # is [omega^T | y^T] in column-major order, the order LAPACK reads
+    if wide:
+        # [omega^T | y^T] = Q [R | Q^T y^T], so R and (y Q)^T are blocks of one R factor and
+        # no Q is formed. data is [omega^T | y^T] in column-major order, the order LAPACK reads
         r_augmented = _linalg(np.linalg.qr, np.swapaxes(data, 1, 2), mode="r")
         r, yq_t = r_augmented[:, :k, :k], r_augmented[:, :k, k:]
     else:
-        q, r = _linalg(np.linalg.qr, np.swapaxes(omega, 1, 2) if wide else omega)
-        if wide:
-            yq_t = np.swapaxes(y @ q, 1, 2)
+        q, r = _linalg(np.linalg.qr, omega)
     sigma = _svd(r, compute_uv=False)
     # sigma is descending, so a matrix keeps every value iff it keeps its smallest; an
     # exact zero on R's diagonal leaves R singular to the solve, whatever sigma rounded to

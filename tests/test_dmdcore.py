@@ -70,6 +70,26 @@ def test_data_of_more_than_two_dimensions_are_rejected(call, name):
         call(np.ones((2, 2, 2)), np.ones((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [dmdc_exact, dmd_reduced, lambda z, y: dmdc_reduced(z, y, np.ones((1, 5)))],
+    ids=["dmdc_exact", "dmd_reduced", "dmdc_reduced"],
+)
+def test_y_needs_the_rows_of_z(call):
+    # dmd_reduced checked columns only, and a 4-row y met numpy's matmul error
+    rng = np.random.default_rng(3)
+    with pytest.raises(DimensionMismatch, match=r"^z has 3 rows but y has 4$"):
+        call(rng.uniform(-1, 1, (3, 5)), rng.uniform(-1, 1, (4, 5)))
+
+
+def test_a_missing_gamma_is_not_a_nan():
+    # None once read as a 0-d NaN, so dmdc_reduced reported non-finite gamma entries
+    z = np.random.default_rng(4).uniform(-1, 1, (2, 6))
+    with pytest.raises(DimensionMismatch, match=r"^gamma must be a matrix, got None$"):
+        dmdc_reduced(z, z, None)
+    assert dmdc_exact(z, z, None).b is None  # plain DMD
+
+
 class TestDmdcExact:
     def test_worked_node1(self):
         model = dmdc_exact(**NODE1)

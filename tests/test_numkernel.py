@@ -326,6 +326,12 @@ def test_arrays_of_more_than_two_dimensions_are_rejected(call):
     assert as_matrix(3.0).shape == (1, 1) and as_matrix([1.0, 2.0]).shape == (1, 2)
 
 
+def test_none_is_rejected_before_the_nan_check():
+    # np.asarray(None, dtype=float) is a 0-d NaN, which read as "contains NaN or Inf entries"
+    with pytest.raises(DimensionMismatch, match=r"^gamma must be a matrix, got None$"):
+        as_matrix(None, "gamma")
+
+
 def _upper_triangular_stack(g: int, k: int, seed: int) -> np.ndarray:
     """G well-conditioned k-by-k R factors, from the QR of random tall matrices."""
     return np.linalg.qr(np.random.default_rng(seed).uniform(-1, 1, (g, k + 3, k)), mode="r")
@@ -510,6 +516,13 @@ def test_wide_stack_with_y_forms_no_q(monkeypatch):
     calls.clear()
     pinv_conditioning(rng.uniform(-2, 2, (3, 50)))
     assert calls == [((1, 50, 3), "reduced")]
+    # y with more rows than omega (d > k) is read from the same one R factor
+    omega, y = rng.uniform(-2, 2, (4, 2, 9)), rng.uniform(-2, 2, (4, 3, 9))
+    calls.clear()
+    got = _solve(omega, y, DEFAULT_RCOND)[0]
+    assert calls == [((4, 9, 5), "r")]
+    want = reference_pinv_solve(omega, y, DEFAULT_RCOND)[0]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize(
