@@ -40,6 +40,7 @@ from .sysmodel import (
     simulate,
     true_full_matrices,
 )
+from .topology import gather_plan
 
 ALGORITHMS = ("dmd", "dmdc", "network_dmdc")
 
@@ -133,6 +134,8 @@ def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
         ratios = c.ratio[c.present]
         warned = sorted(t.state_vertices[i] for i in np.flatnonzero(c.warning).tolist())
         warnings = [f"ill_conditioned:{v}" for v in warned]
+        under = sorted(i for g in gather_plan(t) if g.shape[2] > traj.z.shape[1] for i in g.vertex_index.tolist())
+        warnings += [f"underdetermined:{t.state_vertices[i]}" for i in under]
         warnings += [f"failed:{v}" for v in sorted(model.node_failures)]
         return model, float(ratios.min()) if ratios.size else math.nan, warnings
     if algorithm == "dmdc":
@@ -179,7 +182,8 @@ def run_trial(
     sigma ratio and the tags ``failed`` and ``error:<type>``. A network row
     with failed nodes (tagged ``failed:<vertex>``) also reports a NaN error
     and sigma ratio, since its zeroed blocks are not an estimate; the
-    ``ill_conditioned:<vertex>`` tags of its other nodes stay.
+    ``ill_conditioned:<vertex>`` tags of its other nodes stay. A node whose
+    local dimension exceeds m is tagged ``underdetermined:<vertex>``.
     """
     if m < 1:
         raise BadConfig(f"m must be >= 1, got {m}")

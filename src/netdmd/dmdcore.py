@@ -80,12 +80,13 @@ class DynamicModes:
     n_zero_excluded: int = 0
 
 
-def _check_regression(z, y, *gammas):
+def _check_regression(z, y, *gammas, nonzero: bool = False):
     """The data of the regression ``y ~ a z (+ b gamma)`` as float matrices: z, y and each gamma.
 
     Each is read by :func:`as_matrix` in that order, so the first NaN or Inf
     entry is named by its argument; then the column counts must agree and y
-    must have z's rows, else :class:`DimensionMismatch`.
+    must have z's rows, else :class:`DimensionMismatch`. With ``nonzero``,
+    an all-zero ``[z; gamma]`` or y raises :class:`AllZeroMatrix`.
     """
     z, y = as_matrix(z, "z"), as_matrix(y, "y")
     gammas = [as_matrix(gamma, "gamma") for gamma in gammas]
@@ -94,6 +95,8 @@ def _check_regression(z, y, *gammas):
         raise DimensionMismatch(f"column counts differ: {[m.shape for m in mats]}")
     if z.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
+    if nonzero and not (y.any() and any(m.any() for m in (z, *gammas))):
+        raise AllZeroMatrix("dmdc_reduced needs nonzero [z; gamma] and y")
     return z, y, gammas
 
 
@@ -166,28 +169,10 @@ def dmdc_reduced(
     ``b_tilde = u_hat.T y v s^-1 u2.T``; (4) the eigendecomposition of
     ``a_tilde``; (5) full-space modes ``y v s^-1 u1.T u_hat w``.
     """
-    z, y, gammas = _check_regression(z, y, gamma)
-    model, core, state_map = _dmdc_reduced_model(np.vstack([z, *gammas]), y, z.shape[0], input_rule, output_rule)
-    eigres = eig(model.a_tilde)
-    raw_modes = (core @ state_map).astype(complex) @ eigres.vectors
-    values, modes, dropped = _filter_zero_modes(eigres.values, raw_modes)
-    return model, DynamicModes(values, modes, source="reduced", n_zero_excluded=dropped)
-
-
-def _dmdc_reduced_model(omega, y, n: int, input_rule: TruncationRule, output_rule: TruncationRule):
-    """Steps (1) to (3) of :func:`dmdc_reduced` on checked data, without the modes.
-
-    ``omega = [z; gamma]`` and ``y`` are finite float matrices with equal
-    column counts, and the first n rows of omega are z. Returns the model and
-    the two factors of the modes' full-space map, ``core = y v s^-1`` and
-    ``state_map = u1.T u_hat``.
-    """
-    if not np.any(omega) or not np.any(y):
-        raise AllZeroMatrix("dmdc_reduced needs nonzero [z; gamma] and y")
-    svd_in = truncated_svd(omega, input_rule)
+    z, y, gammas = _check_regression(z, y, gamma, nonzero=True)
+    svd_in = truncated_svd(np.vstack([z, *gammas]), input_rule)
     svd_out = truncated_svd(y, output_rule)
-    u1 = svd_in.u[:n, :]
-    u2 = svd_in.u[n:, :]
+    u1, u2 = svd_in.u[: z.shape[0]], svd_in.u[z.shape[0] :]
     u_hat = svd_out.u
     core = (y @ svd_in.v) / svd_in.sigma
     state_map = u1.T @ u_hat
@@ -199,7 +184,10 @@ def _dmdc_reduced_model(omega, y, n: int, input_rule: TruncationRule, output_rul
         r=svd_out.truncation_rank,
         conditioning=svd_in.conditioning,
     )
-    return model, core, state_map
+    eigres = eig(model.a_tilde)
+    raw_modes = (core @ state_map).astype(complex) @ eigres.vectors
+    values, modes, dropped = _filter_zero_modes(eigres.values, raw_modes)
+    return model, DynamicModes(values, modes, source="reduced", n_zero_excluded=dropped)
 
 
 def dmd_modes(model: ExactLinearModel) -> DynamicModes:

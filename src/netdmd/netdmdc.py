@@ -3,27 +3,28 @@
 Each state vertex is identified from its own rows of the trajectory plus the
 rows of its parents (states and inputs alike enter the local regression as
 controls). Node identifications are independent of one another, so both
-network solvers gather all nodes of one local shape into a stack: the exact
-solve factors each stack with the one batched QR that
-:func:`netdmd.numkernel._pinv_stack` describes; the reduced solve runs its
-two truncated SVDs per node on slices of the stacks.
+network solvers gather all nodes of one local shape into a stack and factor
+it with the one batched QR that :func:`netdmd.numkernel._pinv_stack`
+describes: the exact solve cuts singular values at its rcond, the reduced
+solve where its truncation rule does.
 
 The full-space network model stores only its coefficients, one flat vector
 in the topology's gather-plan order: group by group, each group's (G, d, k)
 solution stack, the layout of ``LinearNetworkSystem.coeffs``. Its blocks are
 views of that vector, and its dense A and B, exact zeros wherever the
 topology has no edge, are built on request; scoring reads the coefficients
-and the truth, never a dense model. Both solvers write that model directly:
-the reduced solve lifts each node's reduced blocks through the projectors,
-edge by edge, into the same layout. The layout itself is known only to
+and the truth, never a dense model. Both solvers write that model directly;
+the reduced solve then multiplies the strips that read a vector vertex
+through its output projector. The layout itself is known only to
 :mod:`netdmd.topology`.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from types import MappingProxyType
 
@@ -44,11 +45,14 @@ from .numkernel import (
     MachineDefault,
     TruncationRule,
     _ill_conditioned,
+    _kept,
     _pinv_stack,
+    _rule_cut,
+    _svd,
     as_matrix,
     conditioning_from_dict,
 )
-from .dmdcore import ExactLinearModel, ReducedLinearModel, _check_regression, _dmdc_reduced_model, dmdc_exact
+from .dmdcore import ExactLinearModel, _check_regression
 from .sysmodel import TrajectoryData
 from .topology import (
     NetworkTopology,
@@ -59,7 +63,6 @@ from .topology import (
     _group_stacks,
     _read_blocks,
     _split_block_key,
-    _write_coefficients,
     coefficient_support,
     gather_plan,
     topology_from_dict,
@@ -205,32 +208,44 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = 
     ``Omega_j = [Z_j; Gamma_j]``, as :func:`dmdc_exact` computes it. Nodes are
     solved a shape group of the topology's gather plan at a time, on the
     group's one gathered ``[Omega_j; Y_j]`` stack (:func:`_gathered`), by
-    the batched QR that :func:`_pinv_stack` describes. A group that the
-    batch cannot solve falls back to :func:`dmdc_exact` itself, node by
-    node (:func:`_solve_stack`): a node whose data are not finite, or whose
+    the batched QR that :func:`_pinv_stack` describes, with ``rcond`` as the
+    cut (:func:`_solve_groups`). A node whose data are not finite, or whose
     factorization fails, is recorded in ``node_failures`` with the message
-    :func:`dmdc_exact` raised and contributes zero blocks; the rest of the
+    :func:`dmdc_exact` raises and contributes zero blocks; the rest of the
     model is still assembled. Each group writes its solution stack into its
     contiguous slice of the model's plan-order ``coeffs``, and its nodes'
     singular-value extremes into the model's vertex-ordered
     ``conditioning``; no per-node record is built.
     """
+    return _network_model(t, *_solve_groups(t, traj, lambda shape: (rcond, None)), rcond)
+
+
+def _solve_groups(t: NetworkTopology, traj: TrajectoryData, cut, nonzero: bool = False):
+    """Plan-order coefficients of every node's ``Y_j pinv_p(Omega_j)``, its (sigma_max, sigma_min), and failures by vertex index.
+
+    ``pinv_p`` keeps what :func:`_pinv_stack` keeps under ``cut(shape)``, its
+    ``(rcond, rank)`` for a group's k-by-m Omegas. A group that is not finite,
+    whose batch fails, or (with ``nonzero``) with an all-zero Omega_j or Y_j is
+    solved node by node, :func:`_check_regression` then the kernel alone: only
+    a node that fails fails, with :func:`dmdc_exact`'s (:func:`dmdc_reduced`'s) message.
+    """
     coeffs = np.zeros(coefficient_support(t)[0].size)
-    stacks = dict(_group_stacks(t, coeffs))
     sigma = np.full((2, len(t.state_vertices)), np.nan)
-    present = np.zeros(len(t.state_vertices), dtype=bool)
-    failures: dict[str, str] = {}
-    for group, data in _gathered(t, traj):
-        index = group.vertex_index
-        stacks[group][...], sigma[:, index], failed = _solve_stack(data, group.shape[2], rcond)
-        present[index] = True
-        for i, message in failed.items():
-            present[index[i]] = False
-            failures[t.state_vertices[index[i]]] = message
-    coeffs.flags.writeable = False
-    rcond_used = np.full(len(t.state_vertices), rcond, dtype=float)
-    conditioning = NodeConditioning(present, *sigma, rcond_used, _ill_conditioned(*sigma))
-    return _network_model(t, coeffs, conditioning, failures)
+    failures: dict[int, str] = {}
+    for (group, data), (_, solution) in zip(_gathered(t, traj), _group_stacks(t, coeffs)):
+        (_, d, k), index = group.shape, group.vertex_index
+        rcond, rank = cut((k, data.shape[2]))
+        if np.isfinite(data).all() and (not nonzero or (data[:, :k].any(axis=(1, 2)) & data[:, k:].any(axis=(1, 2))).all()):
+            with suppress(ConvergenceFailure):  # else node by node, below
+                solution[...], sigma[0, index], sigma[1, index] = _pinv_stack(data, k, rcond, rank)
+                continue
+        for j, (i, data_j) in enumerate(zip(index.tolist(), data)):
+            try:
+                _check_regression(data_j[:d], data_j[k:], data_j[d:k], nonzero=nonzero)
+                solution[j : j + 1], sigma[0, i : i + 1], sigma[1, i : i + 1] = _pinv_stack(data_j[None], k, rcond, rank)
+            except NetdmdError as exc:
+                failures[i] = str(exc)
+    return coeffs, sigma, failures
 
 
 def _gathered(t: NetworkTopology, traj: TrajectoryData):
@@ -291,38 +306,6 @@ def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
     return source
 
 
-def _solve_stack(data: np.ndarray, k: int, rcond: float):
-    """``Y_j @ pinv(Omega_j)`` for a group's ``[Omega_j; Y_j]`` stack, each node's (sigma_max, sigma_min), and failures by node index.
-
-    A finite stack is solved with one batched QR and one batched SVD of the
-    R factors (:func:`_pinv_stack`). A stack that is not finite, or whose
-    batched factorization fails, is solved by :func:`dmdc_exact` itself,
-    node by node, on views of each node's z, gamma and y, so that only the
-    nodes that fail themselves get a message, :func:`dmdc_exact`'s (and
-    zero rows, and NaN extremes).
-    """
-    if np.isfinite(data).all():
-        try:
-            solution, sigma_max, sigma_min = _pinv_stack(data, k, rcond)
-        except ConvergenceFailure:
-            pass
-        else:
-            return solution, (sigma_max, sigma_min), {}
-    d = data.shape[1] - k
-    solution = np.zeros((data.shape[0], d, k))
-    sigma = np.full((2, data.shape[0]), np.nan)
-    failed: dict[int, str] = {}
-    for i, data_j in enumerate(data):
-        try:
-            model = dmdc_exact(data_j[:d], data_j[k:], data_j[d:k], rcond)
-        except NetdmdError as exc:
-            failed[i] = str(exc)
-            continue
-        solution[i, :, :d], solution[i, :, d:] = model.a, model.b
-        sigma[:, i] = model.conditioning.sigma_max, model.conditioning.sigma_min
-    return solution, sigma, failed
-
-
 def network_dmdc_reduced(
     t: NetworkTopology,
     traj: TrajectoryData,
@@ -331,54 +314,68 @@ def network_dmdc_reduced(
 ) -> NetworkModel:
     """Per-node reduced DMDc, lifted into the full-space network model.
 
-    Nodes are gathered a shape group at a time, as in
-    :func:`network_dmdc_exact`, and each is identified by the model part of
-    :func:`dmdc_reduced` (no eigendecomposition, no modes) on its slices of
-    the stacks; its record comes from that call's SVD of ``Omega_j``. A node
-    whose data are not finite, or whose solve raises, is recorded in
-    ``node_failures`` with the message :func:`dmdc_reduced` would raise; its
-    data check (:func:`_check_regression`) runs only on the nodes of a group
-    that is not finite. Once
-    every projector ``U = u_hat`` is known, node j's coefficient strip
-    ``U_j a~_j U_j^T | U_j (b~_jw U_w) U_w^T ... | U_j b~_je ...`` is written
-    edge by edge into its plan-order slice of ``coeffs``: the cross block is
-    first rewritten into the parent's reduced coordinates, then lifted. A
-    failed node keeps zero coefficients, and the identity as its projector
-    where it is a parent of a solved node.
+    Node j's reduced model (:func:`dmdc_reduced`'s ``a~_j``, ``b~_j``)
+    lifts to the strip ``P_j G_j diag(P_j, P_w, ..., I, ...)`` over its
+    local data. ``G_j = Y_j pinv_p(Omega_j)``, with the p singular values
+    ``input_rule`` keeps, is the exact solve with the rule as its cut
+    (:func:`_rule_cut`); ``P = u_hat u_hat^T`` projects onto a vertex's
+    leading left singular vectors of Y under ``output_rule``
+    (:func:`_project`). A failed node keeps zero coefficients, and the
+    identity as its P. Records come from the solve's singular values of
+    Omega_j, at ``DEFAULT_RCOND`` as :func:`dmdc_reduced`'s do.
     """
-    failures: dict[str, str] = {}
-    solved: dict[str, ReducedLinearModel] = {}
-    for group, data in _gathered(t, traj):
-        _, d, k = group.shape
-        finite = np.isfinite(data).all()
-        for i, data_j in zip(group.vertex_index.tolist(), data):
-            v = t.state_vertices[i]
-            try:
-                if not finite:
-                    _check_regression(data_j[:d], data_j[k:], data_j[d:k])
-                solved[v] = _dmdc_reduced_model(data_j[:k], data_j[k:], d, input_rule, output_rule)[0]
-            except NetdmdError as exc:
-                failures[v] = str(exc)
-    u_hat = {v: solved[v].u_hat if v in solved else np.eye(t.dims[v]) for v in t.state_vertices}
-    inputs = set(t.input_vertices)
-
-    def lifted(v, w, cols):
-        if v not in solved:
-            return np.zeros((t.dims[v], t.dims[w]))
-        u, node = u_hat[v], solved[v]
-        if w == v:
-            return u @ node.a_tilde @ u.T
-        block = node.b_tilde[:, cols.start - t.dims[v] : cols.stop - t.dims[v]]
-        return u @ block if w in inputs else u @ (block @ u_hat[w]) @ u_hat[w].T
-
-    records = _node_conditioning(t, {v: node.conditioning for v, node in solved.items()})
-    return _network_model(t, _write_coefficients(t, lifted), records, failures)
+    coeffs, sigma, failures = _solve_groups(t, traj, partial(_rule_cut, input_rule), nonzero=True)
+    _project(t, traj, coeffs, failures, output_rule)
+    return _network_model(t, coeffs, sigma, failures, DEFAULT_RCOND)
 
 
-def _network_model(t: NetworkTopology, coeffs: np.ndarray, conditioning: NodeConditioning, failures: dict) -> NetworkModel:
-    """The model over plan-order ``coeffs``, with its nodes' conditioning and failures in vertex order."""
-    failures = {v: failures[v] for v in t.state_vertices if v in failures} if failures else {}
-    return NetworkModel(t, coeffs, conditioning, failures)
+def _project(t: NetworkTopology, traj: TrajectoryData, coeffs: np.ndarray, failures: dict, rule: TruncationRule):
+    """Multiply each solved strip of plan-order ``coeffs`` by its projectors, in place.
+
+    ``P`` is the identity for an input, a failed node and a vertex whose ``rule``
+    keeps all dims of its Y (so for a scalar vertex); others come from one batched
+    SVD of a group's Ys, per node if it fails (a node whose own fails fails). Each
+    strip that reads one becomes ``P_j strip M``, M holding its vertices' Ps.
+    """
+    dims = t._vertex_dims
+    start = np.repeat(np.cumsum(dims) - dims, dims)  # first position in [x; u] of each position's vertex
+    proj = np.eye(dims.max(initial=1))[np.arange(start.size) - start]  # each position's row of its vertex's P
+    lifted = np.zeros(start.size, dtype=bool)
+    source = _trajectory_rows(t, traj)
+    for group in gather_plan(t):
+        d, solved = group.shape[1], np.flatnonzero(~np.isin(group.vertex_index, list(failures)))
+        if d == 1 or solved.size == 0:
+            continue
+        y = traj.y[source[group.rows[solved]]]
+        try:
+            u, s, _ = _svd(y)
+        except ConvergenceFailure:  # per node: a node whose SVD fails keeps s = 0, and so the identity
+            u, s = np.zeros((len(y), d, min(y.shape[1:]))), np.zeros((len(y), min(y.shape[1:])))
+            for i, y_i in enumerate(y):
+                try:
+                    u[i], s[i], _ = _svd(y_i)
+                except ConvergenceFailure as exc:
+                    failures[int(group.vertex_index[solved[i]])] = str(exc)
+        keep = _kept(s, *_rule_cut(rule, y.shape[1:]))
+        cut = (keep.sum(axis=1) < d) & (s[:, 0] > 0)
+        rows, u = group.rows[solved[cut]], u[cut] * keep[cut][:, None, :]
+        proj[rows[:, :, None], np.arange(d)] = u @ np.swapaxes(u, 1, 2)
+        lifted[rows] = True
+    for group, stack in _group_stacks(t, coeffs):
+        at = np.flatnonzero(lifted[group.cols].any(axis=1))
+        cols, first = group.cols[at], start[group.cols[at]]
+        block = np.where(first[:, :, None] == first[:, None, :], proj[cols[:, :, None], cols[:, None, :] - first[:, None, :]], 0.0)
+        stack[at] = proj[group.rows[at], : group.shape[1]] @ stack[at] @ block
+        stack[np.isin(group.vertex_index, list(failures))] = 0.0
+
+
+def _network_model(t: NetworkTopology, coeffs: np.ndarray, sigma: np.ndarray, failures: dict, rcond_used: float) -> NetworkModel:
+    """The read-only model over plan-order ``coeffs``, with each node's (sigma_max, sigma_min) and failures by vertex index; a failed node has no record."""
+    present = np.ones(len(t.state_vertices), dtype=bool)
+    present[list(failures)] = False
+    coeffs.flags.writeable = False
+    conditioning = NodeConditioning(present, *sigma, np.full(present.size, float(rcond_used)), _ill_conditioned(*sigma) & present)
+    return NetworkModel(t, coeffs, conditioning, {t.state_vertices[i]: failures[i] for i in sorted(failures)})
 
 
 #: Elements of :func:`model_error`'s difference buffer, at most: 512 KiB of

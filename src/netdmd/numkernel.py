@@ -6,6 +6,7 @@ complex spectra, which are always returned as explicit complex arrays.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -147,20 +148,15 @@ def truncated_svd(m, rule: TruncationRule = MachineDefault()) -> SvdResult:
     ``FixedRank(r)`` keeps ``min(r, min(rows, cols))`` values, dropping any
     trailing exact zeros so that ``diag(sigma)`` stays invertible.
     ``RelativeThreshold(tau)`` keeps the values ``>= tau * sigma_max`` and
-    ``MachineDefault`` uses ``tau = max(rows, cols) * eps``; both reject an
-    all-zero input since the relative cutoff is then undefined.
+    ``MachineDefault`` uses ``tau = max(rows, cols) * eps`` (:func:`_kept`
+    under :func:`_rule_cut`); both reject an all-zero input since the
+    relative cutoff is then undefined.
     """
     a = as_matrix(m)
     if isinstance(rule, (RelativeThreshold, MachineDefault)) and not np.any(a):
         raise AllZeroMatrix("relative truncation is undefined for an all-zero matrix")
     u, s, vt = _svd(a)
-    if isinstance(rule, FixedRank):
-        k = min(rule.rank, s.size)
-        while k > 0 and s[k - 1] == 0.0:
-            k -= 1
-    else:
-        tau = rule.tau if isinstance(rule, RelativeThreshold) else max(a.shape) * EPS
-        k = int(np.count_nonzero(s >= tau * s[0]))
+    k = int(np.count_nonzero(_kept(s, *_rule_cut(rule, a.shape))))
     total = float(np.sum(s**2))
     discarded = float(np.sum(s[k:] ** 2)) / total if total > 0 else 0.0
     return SvdResult(
@@ -171,6 +167,21 @@ def truncated_svd(m, rule: TruncationRule = MachineDefault()) -> SvdResult:
         discarded_energy=discarded,
         _all_sigma=s,
     )
+
+
+def _rule_cut(rule: TruncationRule, shape) -> tuple[float, int | None]:
+    """``rule`` as the ``(rcond, rank)`` of :func:`_kept` for a matrix of ``shape``: a relative cut, or for ``FixedRank(r)`` none and at most r values."""
+    if isinstance(rule, FixedRank):
+        return 0.0, rule.rank
+    return (rule.tau if isinstance(rule, RelativeThreshold) else max(shape) * EPS), None
+
+
+def _kept(sigma: np.ndarray, rcond: float, rank: int | None = None) -> np.ndarray:
+    """Which singular values a truncation keeps, along the last axis (descending): sigma >= rcond * sigma_max and sigma > 0, at most the first ``rank``."""
+    keep = (sigma >= rcond * sigma[..., :1]) & (sigma > 0.0)
+    if rank is not None:
+        keep[..., rank:] = False
+    return keep
 
 
 def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
@@ -197,7 +208,7 @@ def _pinv_record(data: np.ndarray, k: int, rcond: float):
     return solution[0], _record(np.concatenate([sigma_max, sigma_min]), rcond)
 
 
-def _pinv_stack(data: np.ndarray, k: int, rcond: float):
+def _pinv_stack(data: np.ndarray, k: int, rcond: float, rank: int | None = None):
     """``y @ pinv(omega)`` for every matrix of a stack, without forming a pseudoinverse.
 
     ``data`` is G-by-(k + d)-by-m, each matrix ``[omega; y]`` stacked by
@@ -206,20 +217,20 @@ def _pinv_stack(data: np.ndarray, k: int, rcond: float):
     of ``data``. One batched Householder QR factors each omega's tall side
     T, omega^T when k < m and omega otherwise, as T = Q R, and one batched
     SVD of the R factors, values only, gives the singular values that the
-    rcond rule and the returned sigma_max and sigma_min (0.0 for an empty
-    matrix) read. A matrix that keeps them all (sigma_min >= rcond *
-    sigma_max and sigma_min > 0) is the least-squares solve through R:
-    ``(y Q) R^-T`` when k < m, ``(y R^-1) Q^T`` otherwise, by block
-    substitution (:func:`_solve_triangular`). When k < m, Q is never
-    formed: ``data`` in column-major order is ``[omega^T | y^T]``, and the
-    QR, mode "r", factors it as it is, its R holding R in its leading
+    keep rule (:func:`_kept`: sigma >= rcond * sigma_max, sigma > 0, at most
+    ``rank`` of them) and the returned sigma_max and sigma_min (0.0 for an
+    empty matrix) read. A matrix that keeps them all is the least-squares
+    solve through R: ``(y Q) R^-T`` when k < m, ``(y R^-1) Q^T`` otherwise,
+    by block substitution (:func:`_solve_triangular`). When k < m, Q is
+    never formed: ``data`` in column-major order is ``[omega^T | y^T]``, and
+    the QR, mode "r", factors it as it is, its R holding R in its leading
     k-by-k block and ``(y Q)^T`` beside it, whatever d is; Q is formed only
-    when k >= m. Only a matrix the rule truncates gets singular vectors,
-    from an SVD of its R, and is solved as ``((y P) S^-1) Q^T`` with
-    ``omega = Q S P^T``: values below ``rcond * sigma_max``, and zeros, get
-    a zero in S^-1. Its sigma and its cut both come from that SVD. Each
-    matrix is factored and solved on its own, so its result does not
-    depend on the rest of the stack.
+    when k >= m. Only a matrix the rule truncates, or whose pivoted LU of
+    R^T rounds a pivot to zero, gets singular vectors, from an SVD of its R,
+    and is solved as ``((y P) S^-1) Q^T`` with ``omega = Q S P^T``: the
+    values the rule drops get a zero in S^-1; its sigma and its cut both
+    come from that SVD. Each matrix is factored and solved on its own, so
+    its result does not depend on the rest of the stack.
     """
     if not rcond >= 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
@@ -236,26 +247,25 @@ def _pinv_stack(data: np.ndarray, k: int, rcond: float):
     else:
         q, r = _linalg(np.linalg.qr, omega)
     sigma = _svd(r, compute_uv=False)
-    # sigma is descending, so a matrix keeps every value iff it keeps its smallest; an
-    # exact zero on R's diagonal leaves R singular to the solve, whatever sigma rounded to
-    full = (sigma[:, -1] >= rcond * sigma[:, 0]) & (sigma[:, -1] > 0.0) & np.diagonal(r, 0, 1, 2).all(axis=1)
-    cut = None if full.all() else np.flatnonzero(~full)
-    if cut is not None:
-        r_cut = r[cut]
-        r = r.copy()
-        r[cut] = np.eye(r.shape[1])  # a stand-in so the batched solve runs; its results are replaced below
-    if wide:  # omega^T = Q R, so y pinv(omega) = (y Q) R^-T
-        solution = np.swapaxes(_solve_triangular(r, yq_t), 1, 2)
-    else:  # omega = Q R, so y pinv(omega) = (y R^-1) Q^T
-        solution = np.swapaxes(_solve_triangular(r, np.swapaxes(y, 1, 2), transpose=True), 1, 2)
-        solution = solution @ np.swapaxes(q, 1, 2)
-    if cut is not None:
+    # the rule keeps a prefix of sigma; an exact zero on R's diagonal leaves R singular, whatever sigma says
+    full = _kept(sigma, rcond, rank)[:, -1] & np.diagonal(r, 0, 1, 2).all(axis=1)
+    r_full = r if full.all() else np.where(full[:, None, None], r, np.eye(r.shape[1]))  # stand-ins so the batch runs; replaced below
+    # omega^T = Q R when k < m, so y pinv(omega) = (y Q) R^-T; otherwise omega = Q R, and y pinv(omega) = (y R^-1) Q^T
+    rhs = yq_t if wide else np.swapaxes(y, 1, 2)
+    try:
+        x = _solve_triangular(r_full, rhs, transpose=not wide)
+    except ConvergenceFailure:  # the LU's pivoting can round a pivot of a nearly singular R^T to zero: such a matrix is cut
+        x, solvable, full[:] = np.zeros(rhs.shape), full.copy(), False
+        for i in np.flatnonzero(solvable):
+            with suppress(ConvergenceFailure):
+                x[i], full[i] = _solve_triangular(r_full[i : i + 1], rhs[i : i + 1], transpose=not wide)[0], True
+    solution = np.swapaxes(x, 1, 2) if wide else np.swapaxes(x, 1, 2) @ np.swapaxes(q, 1, 2)
+    cut = np.flatnonzero(~full)
+    if cut.size:
         # R = U S V^T, so omega = V S (Q U)^T when k < m and (Q U) S V^T otherwise
-        u, s, vt = _svd(r_cut)
+        u, s, vt = _svd(r[cut])
         sigma[cut] = s
-        keep = (s >= rcond * s[:, :1]) & (s > 0.0)
-        s_inv = np.zeros_like(s)
-        s_inv[keep] = 1.0 / s[keep]
+        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=_kept(s, rcond, rank))
         if wide:
             y_p, qt = np.swapaxes(yq_t[cut], 1, 2) @ u, vt
         else:

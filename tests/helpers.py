@@ -344,17 +344,19 @@ def reference_lift_reduced_network(model) -> tuple[np.ndarray, np.ndarray]:
     return ublk @ model.assembled_a @ ublk.T, ublk @ model.assembled_b
 
 
-def reference_pinv_solve(omega: np.ndarray, y: np.ndarray | None, rcond: float):
+def reference_pinv_solve(omega: np.ndarray, y: np.ndarray | None, rcond: float, rank: int | None = None):
     """Reference ``y @ pinv(omega)`` for a G-by-k-by-m stack, forming each pseudoinverse.
 
     Each matrix is factored as given, wide or tall, ``omega = U S V^T``; its
-    pseudoinverse ``(V^T)^T S^-1 U^T`` is built with the same rcond rule
-    (sigma >= rcond * sigma_max and sigma > 0), then applied to y (``y=None``
-    returns the pseudoinverses). Returns it with each matrix's sigma_max and
-    sigma_min.
+    pseudoinverse ``(V^T)^T S^-1 U^T`` is built with the same rule
+    (sigma >= rcond * sigma_max and sigma > 0, and with ``rank`` only the
+    first ``rank`` of those), then applied to y (``y=None`` returns the
+    pseudoinverses). Returns it with each matrix's sigma_max and sigma_min.
     """
     u, sigma, vt = np.linalg.svd(omega, full_matrices=False)
     keep = (sigma >= rcond * sigma[:, :1]) & (sigma > 0.0)
+    if rank is not None:
+        keep[:, rank:] = False
     s_inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
     pinv = (np.swapaxes(vt, 1, 2) * s_inv[:, None, :]) @ np.swapaxes(u, 1, 2)
     return (pinv if y is None else y @ pinv), sigma[:, 0], sigma[:, -1]

@@ -149,9 +149,8 @@ def _factorization_spy(monkeypatch, marker=None):
     """Record ``(routine, input shape)`` for each ``np.linalg.qr`` and ``np.linalg.svd`` call.
 
     A factorization whose input holds ``marker`` raises LAPACK's non-convergence
-    instead. The exact solve's data reach only its QR (its SVD sees the R
-    factors), the reduced solve's only its SVDs, so the marker fails the
-    first factorization of either.
+    instead. Both network solves' data reach only their QR (their SVD sees the
+    R factors), so the marker fails the first factorization of either.
     """
     calls = []
 
@@ -531,6 +530,25 @@ def _edge_lift(t, reference):
     return np.concatenate(strips)
 
 
+def _assert_reduced_matches(model, want, got, ref):
+    """The reduced solve against the per-node reference: failures in order, the same present and warned
+    nodes, sigma extremes within 1e-12 sigma_max, and ``got`` within rounding of ``ref``.
+
+    The solve reads each node's singular values from the R factor of its gathered data, not from an SVD
+    of Omega_j, and skips the projector where the output rule keeps every dimension, so the two agree to
+    rounding, scaled by the worst-conditioned node's sigma ratio.
+    """
+    assert list(model.node_failures.items()) == list(want.node_failures.items())
+    assert list(model.per_node_conditioning) == list(want.per_node_conditioning)
+    for v, rec in want.per_node_conditioning.items():
+        node = model.per_node_conditioning[v]
+        assert abs(node.sigma_max - rec.sigma_max) <= 1e-12 * rec.sigma_max
+        assert abs(node.sigma_min - rec.sigma_min) <= 1e-12 * rec.sigma_max
+        assert (node.warning, node.rcond_used) == (rec.warning, rec.rcond_used)
+    ratio = min((rec.ratio for rec in want.per_node_conditioning.values()), default=1.0)
+    assert np.linalg.norm(got - ref) * ratio <= 1e-10 * np.linalg.norm(ref)
+
+
 @given(systems(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from(RULE_PAIRS), st.data())
 @settings(max_examples=120, deadline=None)
 def test_reduced_solve_matches_per_node_reference(system, m, seed, rules, data):
@@ -538,16 +556,7 @@ def test_reduced_solve_matches_per_node_reference(system, m, seed, rules, data):
     traj = _maybe_one_nan(_trajectory(system, m, seed), data)
     model = network_dmdc_reduced(t, traj, *rules)
     want = reference_network_dmdc_reduced(t, traj, *rules)
-    # the same per-node arithmetic and the same lift products on the same values: bit-identical, not just close
-    assert np.array_equal(model.coeffs, _edge_lift(t, want))
-    assert list(model.node_failures.items()) == list(want.node_failures.items())
-    assert list(model.per_node_conditioning) == list(want.per_node_conditioning)
-    for v, ref in want.per_node_conditioning.items():
-        got = model.per_node_conditioning[v]
-        # the record is read from the solve's SVD of Omega_j, the reference's from an SVD without vectors
-        assert abs(got.sigma_max - ref.sigma_max) <= 1e-12 * ref.sigma_max
-        assert abs(got.sigma_min - ref.sigma_min) <= 1e-12 * ref.sigma_max
-        assert (got.warning, got.rcond_used) == (ref.warning, ref.rcond_used)
+    _assert_reduced_matches(model, want, model.coeffs, _edge_lift(t, want))
 
 
 @given(systems(), st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from(RULE_PAIRS), st.data())
@@ -558,14 +567,9 @@ def test_lift_matches_the_dense_projector_reference(system, m, seed, rules, data
     model = network_dmdc_reduced(t, traj, *rules)
     reduced = reference_network_dmdc_reduced(t, traj, *rules)
     a, b = reference_lift_reduced_network(reduced)
-    if all(u.shape == (1, 1) for u in reduced.u_hat.values()):
-        # every product is a sign flip: the same values whatever the summation order
-        assert np.array_equal(model.assembled_a, a) and np.array_equal(model.assembled_b, b)
-    else:
-        assert _close(model.assembled_a, a, 1e-14) and _close(model.assembled_b, b, 1e-14)
+    _assert_reduced_matches(model, reduced, np.hstack([model.assembled_a, model.assembled_b]), np.hstack([a, b]))
     for v in reduced.node_failures:
         assert not _strip(model, t, v).any()
-    assert list(model.node_failures.items()) == list(reduced.node_failures.items())
 
 
 def test_lift_of_a_two_thousand_vertex_ring_forms_only_the_edges():
@@ -584,29 +588,29 @@ def test_lift_of_a_two_thousand_vertex_ring_forms_only_the_edges():
     assert peak < 8 * 2**20
 
 
-def test_reduced_solve_runs_two_svds_per_node_and_no_per_node_gather(monkeypatch):
+def test_reduced_solve_runs_one_batched_qr_per_shape_group(monkeypatch):
     system = generate_system(GeneratorConfig(Circular(10, 2), seed=4), derive_rng(4))
     t = system.topology
     traj = _trajectory(system, 6, 4)
-    real_svd = np.linalg.svd
-    calls = []
-
-    def svd(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return real_svd(*args, **kwargs)
 
     def no_eig(*args, **kwargs):
         raise AssertionError("eigendecomposition computed for modes the network model discards")
 
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    calls = _factorization_spy(monkeypatch)
     monkeypatch.setattr(np.linalg, "eig", no_eig)
     model = network_dmdc_reduced(t, traj)
-    assert len(calls) == 20
+    # the exact solve's kernel: one QR of each group's gathered [Omega^T | Y^T] stack, then one
+    # values-only SVD of its R factors; no SVD sees a node's own data, and scalar vertices need no projector
+    want = []
+    for group in gather_plan(t):
+        g, d, k = group.shape
+        want += [("qr", (g, 6, k + d)), ("svd", (g, k, k))]
+    assert calls == want
     assert model.node_failures == {}
     assert list(model.per_node_conditioning) == list(t.state_vertices)
 
 
-def test_reduced_solve_builds_one_conditioning_record_per_node(monkeypatch):
+def test_reduced_solve_builds_no_conditioning_record(monkeypatch):
     system = generate_system(GeneratorConfig(Circular(10, 2), seed=4), derive_rng(4))
     t = system.topology
     traj = _trajectory(system, 6, 4)
@@ -619,5 +623,71 @@ def test_reduced_solve_builds_one_conditioning_record_per_node(monkeypatch):
 
     monkeypatch.setattr(ConditioningRecord, "__init__", counting_init)
     model = network_dmdc_reduced(t, traj)
-    assert len(built) == 10
+    assert built == []
     assert list(model.per_node_conditioning) == list(t.state_vertices)
+    assert len(built) == 10
+
+
+@pytest.mark.parametrize(
+    "family, m", [(ErdosRenyi(2000, 2.5 / 2000), 20), (Circular(50, 2), 10)], ids=["erdos_renyi", "ring"]
+)
+def test_reduced_solve_is_the_exact_solve_where_no_cut_drops_a_value(family, m):
+    system = generate_system(GeneratorConfig(family), derive_rng(1, 0))
+    t = system.topology
+    traj = _trajectory(system, m, 1)
+    exact = network_dmdc_exact(t, traj)
+    reduced = network_dmdc_reduced(t, traj)
+    # scalar vertices have identity projectors, and every node keeps all its singular values under both
+    # cuts, the exact solve's rcond and MachineDefault's max(k, m) eps: one kernel, the same arithmetic
+    assert set(t.dims.values()) == {1}
+    assert exact.conditioning.ratio.min() > max(DEFAULT_RCOND, max(max_local_dim(t), m) * np.finfo(float).eps)
+    assert np.array_equal(reduced.coeffs, exact.coeffs)
+    for name in ("present", "sigma_max", "sigma_min", "rcond_used", "warning"):
+        assert np.array_equal(getattr(reduced.conditioning, name), getattr(exact.conditioning, name)), name
+    assert reduced.node_failures == exact.node_failures == {}
+
+
+def test_a_node_whose_output_svd_fails_fails_alone(monkeypatch):
+    states = ("v0", "v1", "v2")
+    edges = (("v0", "v1"), ("v1", "v2"), ("v2", "v0"), ("e0", "v0"))
+    t = NetworkTopology(states, ("e0",), edges, {"v0": 2, "v1": 2, "v2": 2, "e0": 1})
+    rng = np.random.default_rng(8)
+    system = LinearNetworkSystem(
+        t, {v: rng.uniform(-0.3, 0.3, (2, 2)) for v in states}, {(w, v): rng.uniform(-0.3, 0.3, (2, t.dims[w])) for w, v in edges}
+    )
+    traj = _trajectory(system, 12, 8)
+    marker = 12345.678
+    y = traj.y.copy()
+    y[2, 5] = marker  # a row of v1's own Y, which no Omega reads
+    traj = TrajectoryData(traj.z, traj.gamma, y, traj.vertex_row_ranges)
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        if np.any(np.asarray(a) == marker):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    rules = (MachineDefault(), FixedRank(1))  # every projector is a rank-1 cut of the identity
+    model = network_dmdc_reduced(t, traj, *rules)
+    want = reference_network_dmdc_reduced(t, traj, *rules)
+    assert want.node_failures == {"v1": "SVD did not converge"}
+    _assert_reduced_matches(model, want, model.coeffs, _edge_lift(t, want))
+    assert not _strip(model, t, "v1").any()
+    assert not model.conditioning.present[1] and not model.conditioning.warning[1]
+
+
+def test_all_zero_data_fail_a_reduced_node_alone():
+    system = _star(3)
+    t = system.topology
+    traj = _trajectory(system, 5, 11)
+    z, y = traj.z.copy(), traj.y.copy()
+    z[0] = 0.0  # v0 has no parents, so its Omega_j is all zero; the leaves read it beside their own rows
+    y[2] = 0.0  # v2's Y_j is all zero; v1 and v3 share its shape group
+    traj = TrajectoryData(z, traj.gamma, y, traj.vertex_row_ranges)
+    model = network_dmdc_reduced(t, traj)
+    want = reference_network_dmdc_reduced(t, traj)
+    message = "dmdc_reduced needs nonzero [z; gamma] and y"
+    assert want.node_failures == {"v0": message, "v2": message}
+    _assert_reduced_matches(model, want, model.coeffs, _edge_lift(t, want))
+    assert network_dmdc_exact(t, traj).node_failures == {}  # the exact solve has no relative cut to define

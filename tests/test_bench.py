@@ -9,13 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_lift_reduced_network, reference_network_dmdc_reduced, systems, topologies
+from helpers import (
+    reference_lift_reduced_network,
+    reference_network_dmdc_reduced,
+    rescan_local_subsystem,
+    systems,
+    topologies,
+)
 from netdmd.errors import BadConfig
 from netdmd.bench import (
     CSV_COLUMNS,
     SweepConfig,
     SweepResult,
     export_result,
+    generate_system,
     load_result_csv,
     load_result_json,
     mean_errors,
@@ -207,6 +214,7 @@ def test_network_row_ratio_and_tags_match_the_records(topology, m, use_reduced, 
         )
     records = model.per_node_conditioning
     want = [f"ill_conditioned:{v}" for v, rec in sorted(records.items()) if rec.warning]
+    want += [f"underdetermined:{v}" for v in t.state_vertices if rescan_local_subsystem(t, v).local_dim > m]
     want += [f"failed:{v}" for v in sorted(model.node_failures)]
     assert warnings == want
     want_ratio = min((rec.ratio for rec in records.values()), default=math.nan)
@@ -435,6 +443,25 @@ class TestSweepConfig:
         assert sweep_config_from_dict(json.loads(path.read_text())) == cfg
         # no config under configs/ goes unchecked
         assert sorted(p.stem for p in path.parent.glob("*.json")) == sorted(name for name, _ in CHECKED_IN_CONFIGS)
+
+
+def test_underdetermined_network_rows_are_tagged():
+    results = {name: run_sweep(cfg) for name, cfg in CHECKED_IN_CONFIGS}
+    rows = [r for r in results["erdos_renyi_sweep"].rows if r.algorithm == "network_dmdc"]
+    tagged = {(r.trial, r.m) for r in rows if "underdetermined:" in r.warnings}
+    # every trial at m = 4, and the three trials at m = 8 with a node of local dimension 9 or more
+    assert tagged == {(trial, 4) for trial in range(20)} | {(1, 8), (6, 8), (10, 8)}
+    # a network row that misses the truth by 1e-6 or more says why
+    assert all(r.warnings for r in rows if not r.frobenius_error < 1e-6)
+    cfg = dict(CHECKED_IN_CONFIGS)["erdos_renyi_sweep"]
+    for r in rows:
+        t = generate_system(cfg.generator, derive_rng(cfg.master_seed, r.trial, 0)).topology
+        short = [v for v in t.state_vertices if rescan_local_subsystem(t, v).local_dim > r.m]
+        assert [tag for tag in r.warnings.split(";") if tag.startswith("underdetermined:")] == [
+            f"underdetermined:{v}" for v in short
+        ]
+    for name in ("circular_sweep", "circular_reduced_sweep"):
+        assert not any("underdetermined" in r.warnings for r in results[name].rows)
 
 
 @pytest.fixture(scope="module")

@@ -96,6 +96,32 @@ class TestTruncatedSvd:
             assert err <= bound + 1e-12
 
 
+def _rank_by_definition(a, rule):
+    """The values ``rule`` keeps of ``a``'s, counted as each rule's definition reads."""
+    s = np.linalg.svd(a, compute_uv=False)
+    if isinstance(rule, FixedRank):
+        k = min(rule.rank, s.size)
+        while k > 0 and s[k - 1] == 0.0:
+            k -= 1
+        return k
+    tau = rule.tau if isinstance(rule, RelativeThreshold) else max(a.shape) * np.finfo(float).eps
+    return int(np.count_nonzero(s >= tau * s[0]))
+
+
+def test_truncation_rank_follows_each_rule():
+    # the cases above, random matrices up to 8-by-8, and some of those with a repeated row
+    rng = np.random.default_rng(11)
+    cases = [np.eye(2), np.diag([3.0, 1e-16]), STACK_3X3, np.zeros((2, 3))]
+    cases += [rng.uniform(-5, 5, size=rng.integers(1, 9, size=2)) for _ in range(100)]
+    cases += [np.vstack([a, a[:1]]) for a in cases[4:20]]  # one value near zero
+    rules = [MachineDefault(), RelativeThreshold(1e-3), RelativeThreshold(1e-10), FixedRank(1), FixedRank(2), FixedRank(5)]
+    for a in cases:
+        for rule in rules:
+            if not a.any() and not isinstance(rule, FixedRank):
+                continue
+            assert truncated_svd(a, rule).truncation_rank == _rank_by_definition(a, rule), (a, rule)
+
+
 def pseudoinverse(m):
     """The pseudoinverse alone, as ``pinv_conditioning`` returns it."""
     return pinv_conditioning(m)[0]
@@ -434,6 +460,51 @@ def test_pinv_stack_matches_the_explicit_pseudoinverse(case):
                 assert np.linalg.norm(got[i] - reference) <= 1e-12 * np.linalg.norm(reference)
             for reference in (want_pinv[i], np.linalg.pinv(omega[i], rcond=rcond)):
                 assert np.linalg.norm(pinv[i] - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("k, m", [(3, 7), (7, 3), (4, 4), (1, 5)], ids=["wide", "tall", "square", "one row"])
+@pytest.mark.parametrize("rank", [1, 2, 3, 8])
+def test_pinv_stack_rank_cap_matches_the_explicit_pseudoinverse(k, m, rank):
+    rng = np.random.default_rng(10 * k + rank)
+    omega, y = rng.uniform(-2, 2, (5, k, m)), rng.uniform(-2, 2, (5, 2, m))
+    omega[4] = 0.0  # keeps no value under any cap
+    data = np.concatenate([omega, y], axis=1)
+    got, sigma_max, sigma_min = _pinv_stack(data, k, 0.0, rank=rank)
+    want, want_max, want_min = reference_pinv_solve(omega, y, 0.0, rank=rank)
+    for i in range(5):
+        assert np.linalg.norm(got[i] - want[i]) <= 1e-12 * np.linalg.norm(want[i])
+        assert abs(sigma_max[i] - want_max[i]) <= 1e-12 * want_max[i]
+        assert abs(sigma_min[i] - want_min[i]) <= 1e-12 * want_max[i]
+    assert not got[4].any()
+    if rank >= min(k, m):  # a cap that drops nothing is the uncapped solve, bit for bit
+        assert np.array_equal(got, _pinv_stack(data, k, 0.0)[0])
+
+
+def test_a_pivot_rounded_to_zero_sends_its_matrix_to_the_svd_path():
+    # three equal rows leave this matrix rank 5, with two singular values near 1e-16 that rcond 0 keeps. Its
+    # tall side is omega itself (8-by-7 here), solved through R^T, and the pivoted LU of that nearly singular
+    # R^T rounds a pivot to exactly zero, a LinAlgError
+    a = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3, -2.1],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3, -2.1],
+            [1.3, 1.5, 0.5, 1.2, 3.9, 3.2, 0.0, -2.8],
+            [3.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3, -2.1],
+            [0.0, 3.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, -1.8, 0.0, 0.0, 0.0, -2.1, 0.0, 1.6],
+        ]
+    )
+    rng = np.random.default_rng(2)
+    omega, y = np.stack([a.T, rng.uniform(-2, 2, (8, 7))]), rng.uniform(-2, 2, (2, 3, 7))
+    got, sigma_max, sigma_min = _solve(omega, y, 0.0)
+    assert np.isfinite(got).all() and sigma_min[0] < 1e-15 * sigma_max[0]
+    for i in range(2):  # each matrix as if alone: the other is solved through R, this one through its SVD
+        one, one_max, one_min = _solve(omega[i : i + 1], y[i : i + 1], 0.0)
+        assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
+    want = reference_pinv_solve(omega[1:], y[1:], 0.0)[0][0]
+    assert np.linalg.norm(got[1] - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.isfinite(pinv_conditioning(a, 0.0)[0]).all()
 
 
 def _svd_calls(monkeypatch):
