@@ -1,13 +1,14 @@
-"""DMD and DMDc in exact (pseudoinverse) and reduced-order (two-SVD) forms.
+"""DMD and DMDc in exact (pseudoinverse) and reduced-order forms.
 
 The exact variants solve the least-squares / minimum-norm problem
 ``Y ~ A Z`` (or ``Y ~ A Z + B Gamma``) as ``Y pinv(Omega)``, from one QR of
 the data matrix and the singular values of its R factor, without forming
 the pseudoinverse.
-The reduced variants project through truncated SVDs of the input stack and
-of the successor matrix, returning a small model plus the dynamic modes it
-induces in the full space. All functions are pure; determinism comes from
-the fixed eigenvalue ordering in :mod:`netdmd.numkernel`.
+Reduced DMDc is that solve with its input truncation rule as the cut,
+projected onto y's leading left singular vectors; reduced DMD projects
+through one truncated SVD of z. Both return a small model plus the dynamic
+modes it induces in the full space. All functions are pure; determinism
+comes from the fixed eigenvalue ordering in :mod:`netdmd.numkernel`.
 """
 from __future__ import annotations
 
@@ -21,7 +22,11 @@ from .numkernel import (
     ConditioningRecord,
     MachineDefault,
     TruncationRule,
-    _pinv_record,
+    _kept,
+    _pinv_stack,
+    _record,
+    _rule_cut,
+    _svd,
     as_matrix,
     conditioning_from_dict,
     conditioning_to_dict,
@@ -53,9 +58,10 @@ class ReducedLinearModel:
 
     ``u_hat`` (n-by-r, orthonormal columns) projects full states down and
     lifts reduced states back up. ``p`` is the input-stack truncation rank,
-    ``r`` the output truncation rank. ``conditioning`` describes the data
-    matrix of the input-stack SVD (``[z; gamma]``, or z for DMD), read from
-    that SVD's singular values.
+    the number of singular values of the data matrix (``[z; gamma]``, or z
+    for DMD) that the input rule keeps, and ``r`` the output truncation
+    rank. ``conditioning`` describes that data matrix, read from the same
+    singular values.
     """
 
     a_tilde: np.ndarray
@@ -112,8 +118,8 @@ def dmdc_exact(z, y, gamma=None, rcond: float = DEFAULT_RCOND) -> ExactLinearMod
     z, y, gammas = _check_regression(z, y, *(() if gamma is None else (gamma,)))
     n = z.shape[0]
     data = np.concatenate([z, *gammas, y])
-    g, conditioning = _pinv_record(data, data.shape[0] - n, rcond)
-    return ExactLinearModel(a=g[:, :n], b=g[:, n:] if gammas else None, conditioning=conditioning)
+    (g,), (sigma,) = _pinv_stack(data[None], data.shape[0] - n, rcond)
+    return ExactLinearModel(a=g[:, :n], b=g[:, n:] if gammas else None, conditioning=_record(sigma, rcond))
 
 
 def _filter_zero_modes(values: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -160,32 +166,33 @@ def dmdc_reduced(
     input_rule: TruncationRule = MachineDefault(),
     output_rule: TruncationRule = MachineDefault(),
 ) -> tuple[ReducedLinearModel, DynamicModes]:
-    """Reduced-order DMDc via two truncated SVDs.
+    """Reduced-order DMDc: the exact solve with ``input_rule`` as its cut, then y's projector.
 
-    Step by step: (1) truncated SVD of the stack ``omega = [z; gamma]`` at
-    rank p, splitting its left factor into state rows ``u1`` and input rows
-    ``u2``; (2) truncated SVD of y at rank r giving the output projector
-    ``u_hat``; (3) ``a_tilde = u_hat.T y v s^-1 u1.T u_hat`` and
-    ``b_tilde = u_hat.T y v s^-1 u2.T``; (4) the eigendecomposition of
-    ``a_tilde``; (5) full-space modes ``y v s^-1 u1.T u_hat w``.
+    ``[g_a g_b] = y @ pinv_p([z; gamma])`` is :func:`dmdc_exact`'s solve,
+    keeping the p singular values ``input_rule`` keeps (:func:`_rule_cut`),
+    and ``u_hat`` holds y's leading r left singular vectors under
+    ``output_rule``: ``a_tilde = u_hat.T g_a u_hat``, ``b_tilde = u_hat.T g_b``
+    and the modes are ``g_a u_hat w`` for each eigenvector w of ``a_tilde``.
+    The record is ``[z; gamma]``'s, from the solve's values, at DEFAULT_RCOND.
     """
     z, y, gammas = _check_regression(z, y, gamma, nonzero=True)
-    svd_in = truncated_svd(np.vstack([z, *gammas]), input_rule)
-    svd_out = truncated_svd(y, output_rule)
-    u1, u2 = svd_in.u[: z.shape[0]], svd_in.u[z.shape[0] :]
-    u_hat = svd_out.u
-    core = (y @ svd_in.v) / svd_in.sigma
-    state_map = u1.T @ u_hat
+    n, k = z.shape[0], z.shape[0] + sum(len(gamma) for gamma in gammas)
+    data = np.concatenate([z, *gammas, y])
+    rcond, rank = _rule_cut(input_rule, (k, data.shape[1]))
+    (g,), (sigma,) = _pinv_stack(data[None], k, rcond, rank)
+    u, s, _ = _svd(y)
+    u_hat = u[:, : np.count_nonzero(_kept(s, *_rule_cut(output_rule, y.shape)))]
+    state_map = g[:, :n] @ u_hat
     model = ReducedLinearModel(
-        a_tilde=u_hat.T @ core @ state_map,
-        b_tilde=u_hat.T @ core @ u2.T,
+        a_tilde=u_hat.T @ state_map,
+        b_tilde=u_hat.T @ g[:, n:],
         u_hat=u_hat,
-        p=svd_in.truncation_rank,
-        r=svd_out.truncation_rank,
-        conditioning=svd_in.conditioning,
+        p=int(np.count_nonzero(_kept(sigma, rcond, rank))),
+        r=u_hat.shape[1],
+        conditioning=_record(sigma, DEFAULT_RCOND),
     )
     eigres = eig(model.a_tilde)
-    raw_modes = (core @ state_map).astype(complex) @ eigres.vectors
+    raw_modes = state_map.astype(complex) @ eigres.vectors
     values, modes, dropped = _filter_zero_modes(eigres.values, raw_modes)
     return model, DynamicModes(values, modes, source="reduced", n_zero_excluded=dropped)
 

@@ -237,12 +237,14 @@ def _solve_groups(t: NetworkTopology, traj: TrajectoryData, cut, nonzero: bool =
         rcond, rank = cut((k, data.shape[2]))
         if np.isfinite(data).all() and (not nonzero or (data[:, :k].any(axis=(1, 2)) & data[:, k:].any(axis=(1, 2))).all()):
             with suppress(ConvergenceFailure):  # else node by node, below
-                solution[...], sigma[0, index], sigma[1, index] = _pinv_stack(data, k, rcond, rank)
+                solution[...], s = _pinv_stack(data, k, rcond, rank)
+                sigma[:, index] = s[:, [0, -1]].T
                 continue
         for j, (i, data_j) in enumerate(zip(index.tolist(), data)):
             try:
                 _check_regression(data_j[:d], data_j[k:], data_j[d:k], nonzero=nonzero)
-                solution[j : j + 1], sigma[0, i : i + 1], sigma[1, i : i + 1] = _pinv_stack(data_j[None], k, rcond, rank)
+                solution[j : j + 1], s = _pinv_stack(data_j[None], k, rcond, rank)
+                sigma[:, i] = s[0, [0, -1]]
             except NetdmdError as exc:
                 failures[i] = str(exc)
     return coeffs, sigma, failures
@@ -314,15 +316,15 @@ def network_dmdc_reduced(
 ) -> NetworkModel:
     """Per-node reduced DMDc, lifted into the full-space network model.
 
-    Node j's reduced model (:func:`dmdc_reduced`'s ``a~_j``, ``b~_j``)
-    lifts to the strip ``P_j G_j diag(P_j, P_w, ..., I, ...)`` over its
-    local data. ``G_j = Y_j pinv_p(Omega_j)``, with the p singular values
-    ``input_rule`` keeps, is the exact solve with the rule as its cut
-    (:func:`_rule_cut`); ``P = u_hat u_hat^T`` projects onto a vertex's
-    leading left singular vectors of Y under ``output_rule``
-    (:func:`_project`). A failed node keeps zero coefficients, and the
-    identity as its P. Records come from the solve's singular values of
-    Omega_j, at ``DEFAULT_RCOND`` as :func:`dmdc_reduced`'s do.
+    Node j's reduced model is :func:`dmdc_reduced` on its local data, by the
+    same steps, and lifts to the strip ``P_j G_j diag(P_j, P_w, ..., I, ...)``.
+    ``G_j = Y_j pinv_p(Omega_j)``, with the p singular values ``input_rule``
+    keeps, is the exact solve with the rule as its cut (:func:`_rule_cut`);
+    ``P = u_hat u_hat^T`` projects onto a vertex's leading left singular
+    vectors of Y under ``output_rule`` (:func:`_project`). A failed node
+    keeps zero coefficients, and the identity as its P. Records come from
+    the solve's singular values of Omega_j, at ``DEFAULT_RCOND`` as
+    :func:`dmdc_reduced`'s do.
     """
     coeffs, sigma, failures = _solve_groups(t, traj, partial(_rule_cut, input_rule), nonzero=True)
     _project(t, traj, coeffs, failures, output_rule)

@@ -198,14 +198,8 @@ def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
     a = as_matrix(m)
     wide = a.shape[0] < a.shape[1]
     tall = a.T if wide else a
-    pinv, record = _pinv_record(np.concatenate([tall, np.eye(tall.shape[1])]), tall.shape[0], rcond)
-    return pinv.T if wide else pinv, record
-
-
-def _pinv_record(data: np.ndarray, k: int, rcond: float):
-    """:func:`_pinv_stack` of one checked ``[omega; y]``, with omega's conditioning record from the singular values its rcond cut read."""
-    solution, sigma_max, sigma_min = _pinv_stack(data[None], k, rcond)
-    return solution[0], _record(np.concatenate([sigma_max, sigma_min]), rcond)
+    (pinv,), (sigma,) = _pinv_stack(np.concatenate([tall, np.eye(tall.shape[1])])[None], tall.shape[0], rcond)
+    return pinv.T if wide else pinv, _record(sigma, rcond)
 
 
 def _pinv_stack(data: np.ndarray, k: int, rcond: float, rank: int | None = None):
@@ -218,8 +212,8 @@ def _pinv_stack(data: np.ndarray, k: int, rcond: float, rank: int | None = None)
     T, omega^T when k < m and omega otherwise, as T = Q R, and one batched
     SVD of the R factors, values only, gives the singular values that the
     keep rule (:func:`_kept`: sigma >= rcond * sigma_max, sigma > 0, at most
-    ``rank`` of them) and the returned sigma_max and sigma_min (0.0 for an
-    empty matrix) read. A matrix that keeps them all is the least-squares
+    ``rank`` of them) reads, returned G-by-min(k, m), descending (one 0.0
+    for an empty matrix). A matrix that keeps them all is the least-squares
     solve through R: ``(y Q) R^-T`` when k < m, ``(y R^-1) Q^T`` otherwise,
     by block substitution (:func:`_solve_triangular`). When k < m, Q is
     never formed: ``data`` in column-major order is ``[omega^T | y^T]``, and
@@ -237,7 +231,7 @@ def _pinv_stack(data: np.ndarray, k: int, rcond: float, rank: int | None = None)
     omega, y = data[:, :k], data[:, k:]
     g, d, m = y.shape
     if omega.size == 0:
-        return np.zeros((g, d, k)), np.zeros(g), np.zeros(g)
+        return np.zeros((g, d, k)), np.zeros((g, 1))
     wide = k < m
     if wide:
         # [omega^T | y^T] = Q [R | Q^T y^T], so R and (y Q)^T are blocks of one R factor and
@@ -271,7 +265,7 @@ def _pinv_stack(data: np.ndarray, k: int, rcond: float, rank: int | None = None)
         else:
             y_p, qt = y[cut] @ np.swapaxes(vt, 1, 2), np.swapaxes(q[cut] @ u, 1, 2)
         solution[cut] = (y_p * s_inv[:, None, :]) @ qt
-    return solution, sigma[:, 0], sigma[:, -1]
+    return solution, sigma
 
 
 #: Rows of R that each step of :func:`_solve_triangular` solves.

@@ -235,7 +235,7 @@ def _draw_blocks(topology: NetworkTopology, rng: np.random.Generator, coeff_rang
     """
     lo, hi = coeff_range
     dims = topology.dims
-    coeffs = _write_coefficients(topology, lambda v, w, _: rng.uniform(lo, hi, size=(dims[v], dims[w])))
+    coeffs = _write_coefficients(topology, lambda v, w: rng.uniform(lo, hi, size=(dims[v], dims[w])))
     return _fill(object.__new__(LinearNetworkSystem), topology, coeffs)
 
 

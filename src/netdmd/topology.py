@@ -310,29 +310,24 @@ def _block_order(t: NetworkTopology):
 
 
 def _block_slots(t: NetworkTopology, coeffs: np.ndarray):
-    """``(v, w, cols, view)`` for every block of plan-order ``coeffs``, in :func:`_block_order`.
-
-    ``cols`` is the slice of w's columns in v's local data, and ``view`` the
-    block's view of ``coeffs``.
-    """
+    """``(v, w, view)`` for every block of plan-order ``coeffs``, in :func:`_block_order`: ``view`` is the block's view of ``coeffs``, w's columns of v's strip."""
     strips = {v: strip for group, stack in _group_stacks(t, coeffs) for v, strip in zip(group.vertices, stack)}
     for v, w in _block_order(t):
         if w == v:
             offset = 0
-        cols = slice(offset, offset + t.dims[w])
-        yield v, w, cols, strips[v][:, cols]
+        yield v, w, strips[v][:, offset : offset + t.dims[w]]
         offset += t.dims[w]
 
 
 def _write_coefficients(t: NetworkTopology, block_of) -> np.ndarray:
-    """A new read-only plan-order coefficient vector, filled with ``block_of(v, w, cols)`` for each block.
+    """A new read-only plan-order coefficient vector, filled with ``block_of(v, w)`` for each block.
 
     Blocks are asked for in :func:`_block_slots`' order. One that is not a
     (dims[v], dims[w]) matrix raises :class:`DimensionMismatch`.
     """
     coeffs = np.zeros(coefficient_support(t)[0].size)
-    for v, w, cols, slot in _block_slots(t, coeffs):
-        block = block_of(v, w, cols)
+    for v, w, slot in _block_slots(t, coeffs):
+        block = block_of(v, w)
         try:
             block = np.asarray(block, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -356,7 +351,7 @@ def _read_blocks(t: NetworkTopology, blocks: dict) -> np.ndarray:
     if missing or extra:
         missing, extra = (sorted(_block_key(w, v) for w, v in keys) for keys in (missing, extra))
         raise BadConfig(f"blocks do not match the topology: missing {missing}, extra {extra}")
-    return _write_coefficients(t, lambda v, w, _: blocks[(w, v)])
+    return _write_coefficients(t, lambda v, w: blocks[(w, v)])
 
 
 def _block_key(w: str, v: str) -> str:
@@ -370,7 +365,7 @@ def _split_block_key(key: str) -> tuple[str, str]:
 
 def _coefficient_views(t: NetworkTopology, coeffs: np.ndarray):
     """``(v, w, block)`` for every block of plan-order ``coeffs``, in :func:`_block_slots`' order, as read-only views."""
-    for v, w, _, block in _block_slots(t, coeffs):
+    for v, w, block in _block_slots(t, coeffs):
         block.flags.writeable = False
         yield v, w, block
 

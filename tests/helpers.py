@@ -5,18 +5,28 @@ indexed and vectorized code: a topology rescan per lookup, a per-vertex
 block loop per simulation step, a per-pair loop over one n-by-n draw for the
 Erdős–Rényi edges, a per-vertex block row for the transition operator's
 values, a per-node gather for both network DMDc solvers, a lift of the
-reduced network model through one dense block-diagonal projector, and the
-exact solve through an explicit pseudoinverse of each matrix as given.
+reduced network model through one dense block-diagonal projector, the
+exact solve through an explicit pseudoinverse of each matrix as given, and
+reduced DMDc through two truncated SVDs.
 """
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
-from netdmd.dmdcore import dmdc_exact, dmdc_reduced
+from netdmd.dmdcore import ReducedLinearModel, _check_regression, dmdc_exact
 from netdmd.errors import DimensionMismatch, NetdmdError, RowRangeMismatch, UnknownVertex
-from netdmd.numkernel import DEFAULT_RCOND, ConditioningRecord, MachineDefault, TruncationRule, conditioning_record
+from netdmd.numkernel import (
+    DEFAULT_RCOND,
+    ConditioningRecord,
+    MachineDefault,
+    TruncationRule,
+    conditioning_record,
+    truncated_svd,
+)
 from netdmd.sysmodel import (
     ErdosRenyi,
     GeneratorConfig,
@@ -256,6 +266,36 @@ def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond
     return a, b
 
 
+def reference_dmdc_reduced(
+    z,
+    y,
+    gamma,
+    input_rule: TruncationRule = MachineDefault(),
+    output_rule: TruncationRule = MachineDefault(),
+) -> ReducedLinearModel:
+    """Reference reduced DMDc through two truncated SVDs, the package's former ``dmdc_reduced``.
+
+    After ``dmdc_reduced``'s data check: a truncated SVD of ``omega = [z; gamma]``
+    at rank p, its left factor split into state rows ``u1`` and input rows
+    ``u2``; a truncated SVD of y at rank r giving ``u_hat``; then
+    ``a_tilde = u_hat.T y v s^-1 u1.T u_hat`` and ``b_tilde = u_hat.T y v s^-1 u2.T``.
+    """
+    z, y, gammas = _check_regression(z, y, gamma, nonzero=True)
+    svd_in = truncated_svd(np.vstack([z, *gammas]), input_rule)
+    svd_out = truncated_svd(y, output_rule)
+    u1, u2 = svd_in.u[: z.shape[0]], svd_in.u[z.shape[0] :]
+    u_hat = svd_out.u
+    core = (y @ svd_in.v) / svd_in.sigma
+    return ReducedLinearModel(
+        a_tilde=u_hat.T @ core @ (u1.T @ u_hat),
+        b_tilde=u_hat.T @ core @ u2.T,
+        u_hat=u_hat,
+        p=svd_in.truncation_rank,
+        r=svd_out.truncation_rank,
+        conditioning=svd_in.conditioning,
+    )
+
+
 def reference_network_dmdc_reduced(
     t: NetworkTopology,
     traj: TrajectoryData,
@@ -264,9 +304,10 @@ def reference_network_dmdc_reduced(
 ) -> SimpleNamespace:
     """Reference reduced network model: gather, solve and record each node on its own.
 
-    The per-node loop is the package's former ``network_dmdc_reduced``, which
-    also ran a third SVD per node for its record and kept the blocks next to
-    the assembled matrices; the result carries the same fields.
+    The per-node loop is the package's former ``network_dmdc_reduced``, with
+    :func:`reference_dmdc_reduced` as its node solve. It also ran a third SVD
+    per node for its record and kept the blocks next to the assembled
+    matrices; the result carries the same fields.
     """
     u_hat: dict[str, np.ndarray] = {}
     diag: dict[str, np.ndarray] = {}
@@ -278,7 +319,7 @@ def reference_network_dmdc_reduced(
     for v in t.state_vertices:
         ld = build_local_data(t, traj, v)
         try:
-            model, _ = dmdc_reduced(ld.z_j, ld.y_j, ld.gamma_j, input_rule, output_rule)
+            model = reference_dmdc_reduced(ld.z_j, ld.y_j, ld.gamma_j, input_rule, output_rule)
         except NetdmdError as exc:
             failures[v] = str(exc)
             u_hat[v] = np.eye(t.dims[v])
@@ -360,3 +401,28 @@ def reference_pinv_solve(omega: np.ndarray, y: np.ndarray | None, rcond: float, 
     s_inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
     pinv = (np.swapaxes(vt, 1, 2) * s_inv[:, None, :]) @ np.swapaxes(u, 1, 2)
     return (pinv if y is None else y @ pinv), sigma[:, 0], sigma[:, -1]
+
+
+#: An entry equal to this makes every SVD and QR that sees it fail (:func:`factorizations_failing_on_marker`).
+MARKER = 12345.678
+
+
+@contextmanager
+def factorizations_failing_on_marker():
+    """Patch ``np.linalg.svd`` and ``np.linalg.qr`` to raise LinAlgError on any input that holds MARKER.
+
+    Both, since node data reach LAPACK through a QR first and only R factors
+    and output projectors through an SVD: a solve whose data hold the marker
+    fails, and only such a solve.
+    """
+
+    def failing(routine):
+        def call(a, *args, **kwargs):
+            if np.any(np.asarray(a) == MARKER):
+                raise np.linalg.LinAlgError(f"{routine.__name__} did not converge")
+            return routine(a, *args, **kwargs)
+
+        return call
+
+    with mock.patch.object(np.linalg, "svd", failing(np.linalg.svd)), mock.patch.object(np.linalg, "qr", failing(np.linalg.qr)):
+        yield

@@ -1,8 +1,8 @@
 import json
 import math
 import pathlib
+from itertools import chain
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    MARKER,
+    factorizations_failing_on_marker,
     reference_lift_reduced_network,
     reference_network_dmdc_reduced,
     rescan_local_subsystem,
@@ -155,34 +157,33 @@ class TestRunTrial:
         traj = simulate(two_node_system, x0, rng.uniform(-1.0, 1.0, size=(t.total_input_dim, 10)))
         data = np.vstack([traj.z, traj.gamma]) if algorithm == "dmdc" else traj.z
         want = conditioning_record(data).ratio
-        real_svd = np.linalg.svd
+        real_svd, real_qr = np.linalg.svd, np.linalg.qr
         calls = []
 
-        def svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real_svd(*args, **kwargs)
+        def svd(a, *args, compute_uv=True, **kwargs):
+            calls.append(("svd", np.shape(a), compute_uv))
+            return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+        def qr(a, mode="reduced"):
+            calls.append(("qr", np.shape(a), mode))
+            return real_qr(a, mode=mode)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "qr", qr)
         (row,) = run_trial(two_node_system, 10, (algorithm,), derive_rng(5), use_reduced=True)
-        assert len(calls) == svds
-        assert calls[0] == data.shape
+        (k, m), n = data.shape, traj.z.shape[0]
+        if algorithm == "dmdc":
+            # the exact solve's R-only QR of [omega^T | y^T], the values of its k-by-k R, then y's projector
+            assert calls == [("qr", (1, m, k + n), "r"), ("svd", (1, k, k), False), ("svd", (n, m), True)]
+        else:
+            assert calls == [("svd", data.shape, True)]  # one SVD of z
+        assert sum(call[0] == "svd" for call in calls) == svds
         assert abs(row.cond_ratio - want) <= 1e-12
 
 
 #: State-vertex ids, assigned in a drawn order, whose string order ("V3" < "a9" < "b" < "v1" < "v10" <
 #: "v11" < "v2" < "v9") is not their declaration order.
 RELABELS = ("v10", "v2", "v1", "v11", "b", "a9", "V3", "v9")
-
-#: An entry of z equal to this makes every SVD that sees it fail to converge.
-SVD_MARKER = 12345.678
-_REAL_SVD = np.linalg.svd
-
-
-def _svd_failing_on_marker(a, *args, **kwargs):
-    if np.any(np.asarray(a) == SVD_MARKER):
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return _REAL_SVD(a, *args, **kwargs)
-
 
 @given(topologies(), st.integers(1, 8), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
@@ -205,10 +206,10 @@ def test_network_row_ratio_and_tags_match_the_records(topology, m, use_reduced, 
         else:
             data_rows[:, data.draw(st.integers(0, m - 1))] *= 1e-13
     z, gamma = data_rows[: t.total_state_dim], data_rows[t.total_state_dim :]
-    for value in data.draw(st.lists(st.sampled_from([np.nan, SVD_MARKER]), max_size=2)):
+    for value in data.draw(st.lists(st.sampled_from([np.nan, MARKER]), max_size=2)):
         z[data.draw(st.integers(0, z.shape[0] - 1)), data.draw(st.integers(0, m - 1))] = value
     traj = TrajectoryData(z, gamma, y, t.vertex_row_ranges())
-    with mock.patch.object(np.linalg, "svd", _svd_failing_on_marker):
+    with factorizations_failing_on_marker():
         model, ratio, warnings = _identify(
             "network_dmdc", SimpleNamespace(topology=t), traj, 1e-12, MachineDefault(), use_reduced
         )
@@ -219,6 +220,31 @@ def test_network_row_ratio_and_tags_match_the_records(topology, m, use_reduced, 
     assert warnings == want
     want_ratio = min((rec.ratio for rec in records.values()), default=math.nan)
     assert ratio == want_ratio or (math.isnan(ratio) and math.isnan(want_ratio))
+
+
+@pytest.mark.parametrize("use_reduced", [False, True], ids=["exact", "reduced"])
+@pytest.mark.parametrize("marked, readers", [("v1", ["v1", "v2"]), ("v3", ["v2", "v3"])])
+def test_a_marker_fails_exactly_the_nodes_that_read_it(use_reduced, marked, readers):
+    # local dims 4 (v1), 6 (v2) and 6 (v3) from 5 snapshots: v1's QR factors [omega^T | y^T], v2's and v3's omega
+    t = NetworkTopology(
+        ("v1", "v2", "v3"),
+        ("e1",),
+        (("v1", "v2"), ("v3", "v2"), ("v2", "v3"), ("e1", "v1"), ("e1", "v3")),
+        {"v1": 2, "v2": 3, "v3": 1, "e1": 2},
+    )
+    rng = np.random.default_rng(4)
+    z, y = rng.standard_normal((2, t.total_state_dim, 5))
+    ranges = t.vertex_row_ranges()
+    z[ranges[marked][0], 2] = MARKER
+    traj = TrajectoryData(z, rng.standard_normal((t.total_input_dim, 5)), y, ranges)
+    with factorizations_failing_on_marker():
+        model, _, warnings = _identify("network_dmdc", SimpleNamespace(topology=t), traj, 1e-12, MachineDefault(), use_reduced)
+    assert sorted(model.node_failures) == readers
+    assert set(model.node_failures.values()) == {"qr did not converge"}
+    assert warnings[-2:] == [f"failed:{v}" for v in readers]
+    # a failed node contributes zero blocks, and the node that does not read the marker is solved
+    for (v, _), block in chain(model.blocks_a.items(), model.blocks_b.items()):
+        assert block.any() != (v in readers)
 
 
 class TestFailedCells:

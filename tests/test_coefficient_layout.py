@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_local_data, reference_network_dmdc_exact, systems
+from helpers import MARKER, build_local_data, factorizations_failing_on_marker, reference_network_dmdc_exact, systems
 from netdmd import netdmdc
 from netdmd.dmdcore import dmdc_exact
 from netdmd.errors import BadConfig, DimensionMismatch, NonFiniteEntry, UnknownVertex
@@ -25,17 +25,6 @@ from netdmd.netdmdc import (
 from netdmd.numkernel import ConditioningRecord
 from netdmd.sysmodel import Circular, GeneratorConfig, TrajectoryData, gen_circular, simulate, true_full_matrices
 from netdmd.topology import local_subsystem
-
-#: A z entry equal to this makes every SVD that sees it fail to converge.
-MARKER = 12345.678
-_REAL_SVD = np.linalg.svd
-
-
-def _svd_failing_on_marker(a, *args, **kwargs):
-    if np.any(np.asarray(a) == MARKER):
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return _REAL_SVD(a, *args, **kwargs)
-
 
 def _trajectory(system, m, seed):
     t = system.topology
@@ -73,7 +62,7 @@ def test_coefficient_vector_densifies_to_the_per_node_reference(system, m, seed,
         arrays["z"][data.draw(st.integers(0, t.total_state_dim - 1)), data.draw(st.integers(0, m - 1))] = MARKER
     traj = TrajectoryData(arrays["z"], arrays["gamma"], arrays["y"], clean.vertex_row_ranges)
     failures = {}
-    with mock.patch.object(np.linalg, "svd", _svd_failing_on_marker):
+    with factorizations_failing_on_marker():
         model = network_dmdc_exact(t, traj)
         a, b = reference_network_dmdc_exact(t, traj, failures=failures)
     # the same per-node arithmetic on the same values: bit-identical, not just close

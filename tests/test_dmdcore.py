@@ -2,12 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from helpers import build_local_data
+from helpers import build_local_data, reference_dmdc_reduced
 
 from netdmd.errors import AllZeroMatrix, DimensionMismatch
-from netdmd.numkernel import FixedRank, MachineDefault, eig
+from netdmd.netdmdc import network_dmdc_reduced
+from netdmd.numkernel import EPS, FixedRank, MachineDefault, RelativeThreshold, _rule_cut, eig
+from netdmd.topology import NetworkTopology
 from netdmd.dmdcore import (
     dmd_modes,
     dmd_reduced,
@@ -18,7 +23,7 @@ from netdmd.dmdcore import (
     model_to_dict,
     predict,
 )
-from netdmd.sysmodel import Circular, GeneratorConfig, derive_rng, gen_circular, simulate
+from netdmd.sysmodel import Circular, GeneratorConfig, TrajectoryData, derive_rng, gen_circular, simulate
 
 NODE1 = {
     "z": np.array([[2.0, 0.1, -1.63]]),
@@ -188,6 +193,14 @@ class TestDmdcReduced:
             assert reduced.u_hat.shape == (1, 1)
             assert abs(abs(reduced.u_hat[0, 0]) - 1.0) <= 1e-12
 
+    def test_machine_default_cuts_at_the_shape_of_omega(self):
+        # sigma 5e-15 lies between 2 eps, the cut for the 2-by-2 R the solve factors, and 100 eps, the cut for
+        # the 2-by-100 omega: MachineDefault drops it
+        rng = np.random.default_rng(0)
+        omega = np.diag([1.0, 5e-15]) @ np.linalg.qr(rng.standard_normal((100, 2)))[0].T
+        z, y, gamma = omega[:1], rng.standard_normal((1, 100)), omega[1:]
+        assert dmdc_reduced(z, y, gamma)[0].p == reference_dmdc_reduced(z, y, gamma).p == 1
+
     def test_projectors_orthonormal(self):
         # each node of a ring of two-dimensional vertices, on its own local data
         system = gen_circular(GeneratorConfig(Circular(8, 2), seed=3))
@@ -198,6 +211,84 @@ class TestDmdcReduced:
             ld = build_local_data(t, traj, v)
             u = dmdc_reduced(ld.z_j, ld.y_j, ld.gamma_j)[0].u_hat
             assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-10
+
+
+RULES = st.sampled_from(
+    [MachineDefault(), RelativeThreshold(1e-3), RelativeThreshold(0.1), RelativeThreshold(0.5), FixedRank(1), FixedRank(2), FixedRank(4)]
+)
+
+
+@st.composite
+def reduced_regressions(draw):
+    """``(z, y, gamma, input_rule, output_rule)``: n in 1..4 states, l in 0..3 inputs, m in 1..8 snapshots.
+
+    ``[z; gamma]`` and y are each left as drawn, given repeated rows or
+    zeroed, so that rank-deficient and all-zero data come up often. Entries
+    are multiples of 0.1 in [-4, 4].
+    """
+    n, l, m = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 8))
+    entries = st.integers(-40, 40).map(lambda i: i / 10)
+    omega, y = draw(arrays(np.float64, (n + l, m), elements=entries)), draw(arrays(np.float64, (n, m), elements=entries))
+    for a in (omega, y):
+        kind = draw(st.sampled_from(["drawn", "repeated rows", "zero"]))
+        if kind == "zero":
+            a[...] = 0.0
+        elif kind == "repeated rows":
+            a[draw(st.lists(st.integers(0, len(a) - 1), max_size=len(a)))] = a[draw(st.integers(0, len(a) - 1))]
+    return omega[:n], y, omega[n:], draw(RULES), draw(RULES)
+
+
+def _clear_of_the_cut(sigma: np.ndarray, rule, shape) -> bool:
+    """Whether no singular value the rule may keep lies within 1e-12 sigma_max of its cut, so rounding cannot move the rank."""
+    rcond, rank = _rule_cut(rule, shape)
+    return not np.any(np.abs(sigma[:rank] - rcond * sigma[0]) <= 1e-12 * sigma[0])
+
+
+@given(reduced_regressions())
+@settings(max_examples=300, deadline=None)
+def test_dmdc_reduced_matches_the_two_svd_reference(case):
+    z, y, gamma, input_rule, output_rule = case
+    omega = np.vstack([z, gamma])
+    if not (omega.any() and y.any()):
+        for solve in (dmdc_reduced, reference_dmdc_reduced):
+            with pytest.raises(AllZeroMatrix):
+                solve(z, y, gamma, input_rule, output_rule)
+        return
+    got, _ = dmdc_reduced(z, y, gamma, input_rule, output_rule)
+    want = reference_dmdc_reduced(z, y, gamma, input_rule, output_rule)
+    sigma, sigma_y = np.linalg.svd(omega, compute_uv=False), np.linalg.svd(y, compute_uv=False)
+    top = sigma[0]
+    assert abs(got.conditioning.sigma_max - want.conditioning.sigma_max) <= 1e-12 * top
+    assert abs(got.conditioning.sigma_min - want.conditioning.sigma_min) <= 1e-12 * top
+    assert got.conditioning.rcond_used == want.conditioning.rcond_used
+    if _clear_of_the_cut(sigma_y, output_rule, y.shape):
+        assert got.r == want.r
+    if not (_clear_of_the_cut(sigma, input_rule, omega.shape) and got.r == want.r):
+        return
+    assert got.p == want.p
+    # y pinv_p(omega) moves by about eps |y| / sigma_p times the kept sigma ratio, and times sigma_max over
+    # the gap to the first value dropped (0 when none is)
+    p = got.p
+    gap = sigma[p - 1] - (sigma[p] if p < sigma.size else 0.0)
+    tol = 1e3 * EPS * np.linalg.norm(y) / sigma[p - 1] * (top / sigma[p - 1] + top / gap)
+    (a, b), (a_ref, b_ref) = lift_reduced(got), lift_reduced(want)
+    assert np.linalg.norm(np.hstack([a - a_ref, b - b_ref])) <= tol
+
+
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 10), st.integers(0, 2**32 - 1), RULES, st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_one_vertex_network_is_the_whole_system_reduced_solve(n, l, m, seed, input_rule, rank):
+    # one state vertex of dim n read by one input vertex: the node's local data are the whole system's,
+    # so the network's projected strip P G diag(P, I) is the lift of dmdc_reduced, here with r < n
+    t = NetworkTopology(("v1",), ("e1",), (("e1", "v1"),), {"v1": n, "e1": l})
+    rng = np.random.default_rng(seed)
+    z, y, gamma = rng.standard_normal((n, m)), rng.standard_normal((n, m)), rng.standard_normal((l, m))
+    output_rule = FixedRank(min(rank, n - 1))
+    model = network_dmdc_reduced(t, TrajectoryData(z, gamma, y, t.vertex_row_ranges()), input_rule, output_rule)
+    a, b = lift_reduced(dmdc_reduced(z, y, gamma, input_rule, output_rule)[0])
+    want = np.hstack([a, b])
+    assert model.node_failures == {}
+    assert np.linalg.norm(np.hstack([model.assembled_a, model.assembled_b]) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestDmdReduced:

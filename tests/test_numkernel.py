@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -12,6 +12,7 @@ from helpers import reference_pinv_solve
 from netdmd.errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare
 from netdmd.numkernel import (
     DEFAULT_RCOND,
+    EPS,
     ConditioningRecord,
     FixedRank,
     MachineDefault,
@@ -258,7 +259,8 @@ class TestConditioningRecord:
 
 def _solve(omega: np.ndarray, y: np.ndarray, rcond: float):
     """``_pinv_stack`` of the one gathered array ``[omega; y]``: ``y @ pinv(omega)`` and each matrix's sigma extremes."""
-    return _pinv_stack(np.concatenate([omega, y], axis=1), omega.shape[1], rcond)
+    solution, sigma = _pinv_stack(np.concatenate([omega, y], axis=1), omega.shape[1], rcond)
+    return solution, sigma[:, 0], sigma[:, -1]
 
 
 def _stack_pinv(omega: np.ndarray, rcond: float):
@@ -437,7 +439,15 @@ def _clear_of_the_cutoff(a: np.ndarray, rcond: float) -> bool:
     return bool(np.all(sigma[kept] >= 1e-2 * top) and np.all(np.abs(sigma - cut) > 1e-6 * top) and np.all(sigma[~kept] <= 0.5 * cut))
 
 
+def _cancelling_case():
+    """Matrix 1 of five: y pinv(omega) is exactly zero, [4, 0.1] [0.1, -4]^T / 16.01, but not in rounding."""
+    omega, y = np.zeros((5, 1, 2)), np.zeros((5, 1, 2))
+    omega[1], y[1] = [0.1, -4.0], [4.0, 0.1]
+    return omega, y, 0.0
+
+
 @given(solve_stacks())
+@example(_cancelling_case())
 @settings(max_examples=200, deadline=None)
 def test_pinv_stack_matches_the_explicit_pseudoinverse(case):
     omega, y, rcond = case
@@ -447,6 +457,10 @@ def test_pinv_stack_matches_the_explicit_pseudoinverse(case):
     want_pinv = reference_pinv_solve(omega, None, rcond)[0]
     g, k, m = omega.shape
     assert got.shape == (g, y.shape[1], k) and pinv.shape == (g, m, k)
+    # every singular value of each omega, descending, not only the extremes
+    sigma = _pinv_stack(np.concatenate([omega, y], axis=1), k, rcond)[1]
+    want_sigma = np.linalg.svd(omega, compute_uv=False)
+    assert sigma.shape == want_sigma.shape and np.all(np.abs(sigma - want_sigma) <= 1e-12 * want_sigma[:, :1])
     for i in range(g):
         one, one_max, one_min = _solve(omega[i : i + 1], y[i : i + 1], rcond)
         assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
@@ -456,8 +470,10 @@ def test_pinv_stack_matches_the_explicit_pseudoinverse(case):
         assert abs(sigma_max[i] - want_max[i]) <= 1e-12 * want_max[i]
         assert abs(sigma_min[i] - want_min[i]) <= 1e-12 * want_max[i]
         if _clear_of_the_cutoff(omega[i], rcond):
+            # a solution that is zero by cancellation is zero only up to rounding: a few eps of |y| |pinv(omega)|
+            floor = 4 * EPS * np.linalg.norm(y[i]) * np.linalg.norm(want_pinv[i])
             for reference in (want[i], y[i] @ np.linalg.pinv(omega[i], rcond=rcond)):
-                assert np.linalg.norm(got[i] - reference) <= 1e-12 * np.linalg.norm(reference)
+                assert np.linalg.norm(got[i] - reference) <= 1e-12 * np.linalg.norm(reference) + floor
             for reference in (want_pinv[i], np.linalg.pinv(omega[i], rcond=rcond)):
                 assert np.linalg.norm(pinv[i] - reference) <= 1e-12 * np.linalg.norm(reference)
 
@@ -469,7 +485,8 @@ def test_pinv_stack_rank_cap_matches_the_explicit_pseudoinverse(k, m, rank):
     omega, y = rng.uniform(-2, 2, (5, k, m)), rng.uniform(-2, 2, (5, 2, m))
     omega[4] = 0.0  # keeps no value under any cap
     data = np.concatenate([omega, y], axis=1)
-    got, sigma_max, sigma_min = _pinv_stack(data, k, 0.0, rank=rank)
+    got, sigma = _pinv_stack(data, k, 0.0, rank=rank)
+    sigma_max, sigma_min = sigma[:, 0], sigma[:, -1]
     want, want_max, want_min = reference_pinv_solve(omega, y, 0.0, rank=rank)
     for i in range(5):
         assert np.linalg.norm(got[i] - want[i]) <= 1e-12 * np.linalg.norm(want[i])
