@@ -26,14 +26,12 @@ from .numkernel import (
     FixedRank,
     MachineDefault,
     RelativeThreshold,
-    SvdResult,
     TruncationRule,
     conditioning_from_dict,
     conditioning_record,
     conditioning_to_dict,
     eig,
     pinv_conditioning,
-    truncated_svd,
 )
 from .topology import (
     LocalSubsystem,

@@ -5,10 +5,12 @@ The exact variants solve the least-squares / minimum-norm problem
 the data matrix and the singular values of its R factor, without forming
 the pseudoinverse.
 Reduced DMDc is that solve with its input truncation rule as the cut,
-projected onto y's leading left singular vectors; reduced DMD projects
-through one truncated SVD of z. Both return a small model plus the dynamic
-modes it induces in the full space. All functions are pure; determinism
-comes from the fixed eigenvalue ordering in :mod:`netdmd.numkernel`.
+projected onto y's leading left singular vectors; reduced DMD projects onto
+z's leading left singular vectors, from one SVD of z cut by its rule. Both
+read a rule's cut the same way (``_kept`` under ``_rule_cut``) and return a
+small model plus the dynamic modes it induces in the full space. All
+functions are pure; determinism comes from the fixed eigenvalue ordering in
+:mod:`netdmd.numkernel`.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ from .numkernel import (
     conditioning_from_dict,
     conditioning_to_dict,
     eig,
-    truncated_svd,
 )
 
 #: Eigenvalues with modulus below this fraction of the largest are dropped
@@ -131,30 +132,31 @@ def _filter_zero_modes(values: np.ndarray, modes: np.ndarray) -> tuple[np.ndarra
 
 
 def dmd_reduced(z, y, rule: TruncationRule = MachineDefault()) -> tuple[ReducedLinearModel, DynamicModes]:
-    """Reduced-order DMD through a single truncated SVD of z.
+    """Reduced-order DMD through one SVD of z, cut by ``rule``.
 
-    With ``z ~ u s v.T``, the reduced operator is ``a_tilde = u.T y v s^-1``
-    and each eigenpair (w, lam) of it, lam nonzero, lifts to the full-space
-    mode ``phi = lam^-1 y v s^-1 w``.
+    With ``z = u s v.T`` and p the singular values ``rule`` keeps
+    (:func:`_rule_cut`), ``u_hat`` holds u's first p columns, the reduced
+    operator is ``a_tilde = u_hat.T y v_p s_p^-1`` and each eigenpair (w, lam)
+    of it, lam nonzero, lifts to the full-space mode
+    ``phi = lam^-1 y v_p s_p^-1 w``. The record is z's, from the same
+    singular values, at DEFAULT_RCOND.
     """
     z, y, _ = _check_regression(z, y)
     if not np.any(z) or not np.any(y):
         raise AllZeroMatrix("dmd_reduced needs nonzero z and y")
-    svd = truncated_svd(z, rule)
-    core = (y @ svd.v) / svd.sigma
-    a_tilde = svd.u.T @ core
+    u, s, vt = _svd(z)
+    p = int(np.count_nonzero(_kept(s, *_rule_cut(rule, z.shape))))
+    # contiguous copies, not views: how BLAS rounds the products below depends on their operands' layout
+    u_hat = u[:, :p].copy()
+    core = (y @ vt[:p].T.copy()) / s[:p]
+    a_tilde = u_hat.T @ core
     eigres = eig(a_tilde)
     raw_modes = core.astype(complex) @ eigres.vectors
     with np.errstate(divide="ignore", invalid="ignore"):
         raw_modes = np.where(eigres.values != 0, raw_modes / eigres.values, raw_modes)
     values, modes, dropped = _filter_zero_modes(eigres.values, raw_modes)
     model = ReducedLinearModel(
-        a_tilde=a_tilde,
-        b_tilde=None,
-        u_hat=svd.u,
-        p=svd.truncation_rank,
-        r=svd.truncation_rank,
-        conditioning=svd.conditioning,
+        a_tilde=a_tilde, b_tilde=None, u_hat=u_hat, p=p, r=p, conditioning=_record(s, DEFAULT_RCOND)
     )
     return model, DynamicModes(values, modes, source="reduced", n_zero_excluded=dropped)
 

@@ -7,12 +7,11 @@ complex spectra, which are always returned as explicit complex arrays.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare, _json_value
+from .errors import ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare, _json_value
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -25,11 +24,13 @@ ILL_CONDITIONED_RATIO = 1e-10
 
 @dataclass(frozen=True)
 class FixedRank:
-    """Keep at most ``rank`` singular values (capped at min(rows, cols))."""
+    """Keep at most ``rank`` singular values (capped at min(rows, cols)); ``rank`` is an integer >= 1, not a bool."""
 
     rank: int
 
     def __post_init__(self):
+        if isinstance(self.rank, bool) or not isinstance(self.rank, (int, np.integer)):
+            raise ValueError(f"rank must be an integer, got {self.rank!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
 
@@ -51,30 +52,6 @@ class MachineDefault:
 
 
 TruncationRule = FixedRank | RelativeThreshold | MachineDefault
-
-
-@dataclass(frozen=True, eq=False)
-class SvdResult:
-    """Truncated singular value decomposition ``input ~ u @ diag(sigma) @ v.T``.
-
-    ``u`` is n-by-p, ``sigma`` the p retained singular values (descending),
-    ``v`` is m-by-p. ``discarded_energy`` is the squared-singular-value mass
-    dropped by truncation, as a fraction of the total. ``conditioning`` is
-    :func:`conditioning_record`'s record of the input at ``DEFAULT_RCOND``,
-    read from the same (untruncated) singular values on first access, so a
-    caller that never reads it never builds it.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-    truncation_rank: int
-    discarded_energy: float
-    _all_sigma: np.ndarray = field(repr=False)
-
-    @cached_property
-    def conditioning(self) -> ConditioningRecord:
-        return _record(self._all_sigma, DEFAULT_RCOND)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,33 +117,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if a.ndim > 2:
         raise DimensionMismatch(f"{name} must be a matrix, got shape {a.shape}")
     return np.atleast_2d(a)
-
-
-def truncated_svd(m, rule: TruncationRule = MachineDefault()) -> SvdResult:
-    """Reduced SVD truncated according to ``rule``.
-
-    ``FixedRank(r)`` keeps ``min(r, min(rows, cols))`` values, dropping any
-    trailing exact zeros so that ``diag(sigma)`` stays invertible.
-    ``RelativeThreshold(tau)`` keeps the values ``>= tau * sigma_max`` and
-    ``MachineDefault`` uses ``tau = max(rows, cols) * eps`` (:func:`_kept`
-    under :func:`_rule_cut`); both reject an all-zero input since the
-    relative cutoff is then undefined.
-    """
-    a = as_matrix(m)
-    if isinstance(rule, (RelativeThreshold, MachineDefault)) and not np.any(a):
-        raise AllZeroMatrix("relative truncation is undefined for an all-zero matrix")
-    u, s, vt = _svd(a)
-    k = int(np.count_nonzero(_kept(s, *_rule_cut(rule, a.shape))))
-    total = float(np.sum(s**2))
-    discarded = float(np.sum(s[k:] ** 2)) / total if total > 0 else 0.0
-    return SvdResult(
-        u=u[:, :k].copy(),
-        sigma=s[:k].copy(),
-        v=vt[:k, :].T.copy(),
-        truncation_rank=k,
-        discarded_energy=discarded,
-        _all_sigma=s,
-    )
 
 
 def _rule_cut(rule: TruncationRule, shape) -> tuple[float, int | None]:
@@ -322,10 +272,7 @@ def eig(m) -> EigResult:
         raise NotSquare(f"eig requires a square matrix, got {a.shape}")
     if a.size == 0:
         return EigResult(np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex))
-    try:
-        values, vectors = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    values, vectors = _linalg(np.linalg.eig, a)
     values = values.astype(np.complex128, copy=False)
     vectors = vectors.astype(np.complex128, copy=False)
     order = np.lexsort((-values.imag, -values.real, -np.abs(values)))

@@ -7,7 +7,8 @@ Erdős–Rényi edges, a per-vertex block row for the transition operator's
 values, a per-node gather for both network DMDc solvers, a lift of the
 reduced network model through one dense block-diagonal projector, the
 exact solve through an explicit pseudoinverse of each matrix as given, and
-reduced DMDc through two truncated SVDs.
+reduced DMD and DMDc through numpy's SVD, each cut at the rank its rule's
+definition gives.
 """
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -18,14 +19,22 @@ import numpy as np
 from hypothesis import strategies as st
 
 from netdmd.dmdcore import ReducedLinearModel, _check_regression, dmdc_exact
-from netdmd.errors import DimensionMismatch, NetdmdError, RowRangeMismatch, UnknownVertex
+from netdmd.errors import (
+    AllZeroMatrix,
+    ConvergenceFailure,
+    DimensionMismatch,
+    NetdmdError,
+    RowRangeMismatch,
+    UnknownVertex,
+)
 from netdmd.numkernel import (
     DEFAULT_RCOND,
     ConditioningRecord,
+    FixedRank,
     MachineDefault,
+    RelativeThreshold,
     TruncationRule,
     conditioning_record,
-    truncated_svd,
 )
 from netdmd.sysmodel import (
     ErdosRenyi,
@@ -266,6 +275,49 @@ def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond
     return a, b
 
 
+def rank_by_definition(sigma: np.ndarray, rule: TruncationRule, shape) -> int:
+    """How many of a matrix's singular values ``rule`` keeps, counted as each rule's definition reads.
+
+    ``sigma`` holds the values of a matrix of ``shape``, descending.
+    ``FixedRank(r)`` keeps the first min(r, len(sigma)) values but any
+    trailing exact zeros; ``RelativeThreshold(tau)`` the values
+    ``>= tau * sigma_max``, and ``MachineDefault`` those with
+    ``tau = max(shape) * eps``, which for an all-zero matrix is undefined.
+    """
+    if isinstance(rule, FixedRank):
+        k = min(rule.rank, sigma.size)
+        while k > 0 and sigma[k - 1] == 0.0:
+            k -= 1
+        return k
+    tau = rule.tau if isinstance(rule, RelativeThreshold) else max(shape) * np.finfo(float).eps
+    return int(np.count_nonzero(sigma >= tau * sigma[0]))
+
+
+def reference_svd(a: np.ndarray):
+    """``np.linalg.svd(a, full_matrices=False)``, with LAPACK's LinAlgError raised as :class:`ConvergenceFailure`."""
+    try:
+        return np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def reference_dmd_reduced(z, y, rule: TruncationRule = MachineDefault()) -> ReducedLinearModel:
+    """Reference reduced DMD: one SVD of z, cut at :func:`rank_by_definition`'s p.
+
+    After ``dmd_reduced``'s data checks: with ``z = u s v.T`` and ``u_hat``
+    u's first p columns, ``a_tilde = u_hat.T y v_p s_p^-1``; the record is
+    :func:`conditioning_record`'s of z.
+    """
+    z, y, _ = _check_regression(z, y)
+    if not (z.any() and y.any()):
+        raise AllZeroMatrix("dmd_reduced needs nonzero z and y")
+    u, s, vt = reference_svd(z)
+    p = rank_by_definition(s, rule, z.shape)
+    u_hat = u[:, :p]
+    a_tilde = u_hat.T @ ((y @ vt[:p].T) / s[:p])
+    return ReducedLinearModel(a_tilde, None, u_hat, p, p, conditioning_record(z))
+
+
 def reference_dmdc_reduced(
     z,
     y,
@@ -273,26 +325,29 @@ def reference_dmdc_reduced(
     input_rule: TruncationRule = MachineDefault(),
     output_rule: TruncationRule = MachineDefault(),
 ) -> ReducedLinearModel:
-    """Reference reduced DMDc through two truncated SVDs, the package's former ``dmdc_reduced``.
+    """Reference reduced DMDc through two SVDs, each cut at :func:`rank_by_definition`'s rank.
 
-    After ``dmdc_reduced``'s data check: a truncated SVD of ``omega = [z; gamma]``
-    at rank p, its left factor split into state rows ``u1`` and input rows
-    ``u2``; a truncated SVD of y at rank r giving ``u_hat``; then
+    After ``dmdc_reduced``'s data check: an SVD of ``omega = [z; gamma]``
+    cut at rank p, its left factor split into state rows ``u1`` and input
+    rows ``u2``; an SVD of y cut at rank r giving ``u_hat``; then
     ``a_tilde = u_hat.T y v s^-1 u1.T u_hat`` and ``b_tilde = u_hat.T y v s^-1 u2.T``.
+    The record is :func:`conditioning_record`'s of omega.
     """
     z, y, gammas = _check_regression(z, y, gamma, nonzero=True)
-    svd_in = truncated_svd(np.vstack([z, *gammas]), input_rule)
-    svd_out = truncated_svd(y, output_rule)
-    u1, u2 = svd_in.u[: z.shape[0]], svd_in.u[z.shape[0] :]
-    u_hat = svd_out.u
-    core = (y @ svd_in.v) / svd_in.sigma
+    omega = np.vstack([z, *gammas])
+    u, s, vt = reference_svd(omega)
+    u_y, s_y, _ = reference_svd(y)
+    p, r = rank_by_definition(s, input_rule, omega.shape), rank_by_definition(s_y, output_rule, y.shape)
+    u1, u2 = u[: z.shape[0], :p], u[z.shape[0] :, :p]
+    u_hat = u_y[:, :r]
+    core = (y @ vt[:p].T) / s[:p]
     return ReducedLinearModel(
         a_tilde=u_hat.T @ core @ (u1.T @ u_hat),
         b_tilde=u_hat.T @ core @ u2.T,
         u_hat=u_hat,
-        p=svd_in.truncation_rank,
-        r=svd_out.truncation_rank,
-        conditioning=svd_in.conditioning,
+        p=p,
+        r=r,
+        conditioning=conditioning_record(omega),
     )
 
 

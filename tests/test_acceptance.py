@@ -13,7 +13,7 @@ from netdmd.bench import (
     run_sweep,
     run_trial,
 )
-from netdmd.numkernel import FixedRank, MachineDefault, pinv_conditioning, truncated_svd
+from netdmd.numkernel import FixedRank, MachineDefault, _kept, _rule_cut, _svd, pinv_conditioning
 from netdmd.dmdcore import dmd_modes, dmdc_exact, dmdc_reduced, predict
 from netdmd.netdmdc import model_error, network_dmdc_exact
 from netdmd.sysmodel import (
@@ -134,17 +134,20 @@ def test_criterion_5_property_suite(tmp_path):
         penrose_ok &= np.linalg.norm(ap - ap.T) <= 1e-8 * max(1.0, np.linalg.norm(ap))
         penrose_ok &= np.linalg.norm(pa - pa.T) <= 1e-8 * max(1.0, np.linalg.norm(pa))
 
-    # SVD orthonormality and reconstruction with the 1e-10 floor
+    # SVD orthonormality and reconstruction with the 1e-10 floor: the library SVD the reduced solvers use,
+    # cut as they cut it
     svd_ok = True
     for _ in range(50):
         rows, cols = rng.integers(1, 9, size=2)
         a = rng.uniform(-3, 3, size=(rows, cols))
-        res = truncated_svd(a, MachineDefault())
-        k = res.truncation_rank
-        svd_ok &= np.max(np.abs(res.u.T @ res.u - np.eye(k))) <= 1e-10
-        svd_ok &= np.max(np.abs(res.v.T @ res.v - np.eye(k))) <= 1e-10
-        err = np.linalg.norm(res.u @ np.diag(res.sigma) @ res.v.T - a)
-        svd_ok &= err <= (np.sqrt(res.discarded_energy) + 1e-10) * np.linalg.norm(a)
+        u, s, vt = _svd(a)
+        k = int(np.count_nonzero(_kept(s, *_rule_cut(MachineDefault(), a.shape))))
+        u, v = u[:, :k], vt[:k].T
+        svd_ok &= np.max(np.abs(u.T @ u - np.eye(k))) <= 1e-10
+        svd_ok &= np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-10
+        err = np.linalg.norm(u @ np.diag(s[:k]) @ v.T - a)
+        discarded = float(np.sum(s[k:] ** 2)) / float(np.sum(s**2))
+        svd_ok &= err <= (np.sqrt(discarded) + 1e-10) * np.linalg.norm(a)
 
     # structural zeros are exact on an identified sparse network
     from netdmd.sysmodel import gen_erdos_renyi

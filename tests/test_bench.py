@@ -395,6 +395,17 @@ CHECKED_IN_CONFIGS = [
             master_seed=77,
         ),
     ),
+    (
+        "erdos_renyi_reduced_sweep",
+        SweepConfig(
+            generator=GeneratorConfig(ErdosRenyi(50, 0.05), coeff_range=(-1.0, 1.0)),
+            trials=20,
+            m_values=(4, 8, 16, 32, 50),
+            algorithms=("dmd", "network_dmdc"),
+            master_seed=77,
+            use_reduced=True,
+        ),
+    ),
 ]
 
 
@@ -464,7 +475,7 @@ class TestSweepConfig:
     @pytest.mark.parametrize("name, cfg", CHECKED_IN_CONFIGS, ids=[name for name, _ in CHECKED_IN_CONFIGS])
     def test_checked_in_configs_load(self, name, cfg):
         # the configs replace the sweep scripts (these are the configs the scripts built by default),
-        # plus the circular sweep through the reduced solvers
+        # plus the circular and Erdos-Renyi sweeps through the reduced solvers
         path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
         assert sweep_config_from_dict(json.loads(path.read_text())) == cfg
         # no config under configs/ goes unchecked
@@ -488,6 +499,11 @@ def test_underdetermined_network_rows_are_tagged():
         ]
     for name in ("circular_sweep", "circular_reduced_sweep"):
         assert not any("underdetermined" in r.warnings for r in results[name].rows)
+    # the reduced sweep solves the same graphs and trajectories: the same nodes are tagged, and a wrong row says why
+    reduced = [r for r in results["erdos_renyi_reduced_sweep"].rows if r.algorithm == "network_dmdc"]
+    underdetermined = [[tag for tag in r.warnings.split(";") if tag.startswith("underdetermined:")] for r in reduced]
+    assert underdetermined == [[tag for tag in r.warnings.split(";") if tag.startswith("underdetermined:")] for r in rows]
+    assert all(r.warnings for r in reduced if not r.frobenius_error < 1e-6)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from helpers import build_local_data, reference_dmdc_reduced
+from helpers import build_local_data, reference_dmd_reduced, reference_dmdc_reduced
 
 from netdmd.errors import AllZeroMatrix, DimensionMismatch
 from netdmd.netdmdc import network_dmdc_reduced
@@ -289,6 +289,56 @@ def test_one_vertex_network_is_the_whole_system_reduced_solve(n, l, m, seed, inp
     want = np.hstack([a, b])
     assert model.node_failures == {}
     assert np.linalg.norm(np.hstack([model.assembled_a, model.assembled_b]) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@st.composite
+def reduced_autonomous_regressions(draw):
+    """``(z, y, rule)``: n in 1..5 states, m in 1..8 snapshots, entries multiples of 0.1 in [-4, 4].
+
+    z is left as drawn, given repeated rows, zero columns or zeroed, and y
+    is drawn or zeroed, so that rank-deficient and all-zero data come up often.
+    """
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    entries = st.integers(-40, 40).map(lambda i: i / 10)
+    z, y = draw(arrays(np.float64, (n, m), elements=entries)), draw(arrays(np.float64, (n, m), elements=entries))
+    kind = draw(st.sampled_from(["drawn", "repeated rows", "zero columns", "zero"]))
+    if kind == "zero":
+        z[...] = 0.0
+    elif kind == "repeated rows":
+        z[draw(st.lists(st.integers(0, n - 1), max_size=n))] = z[draw(st.integers(0, n - 1))]
+    elif kind == "zero columns":
+        z[:, draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m))] = 0.0
+    if draw(st.integers(0, 3)) == 0:
+        y[...] = 0.0
+    return z, y, draw(RULES)
+
+
+@given(reduced_autonomous_regressions())
+@settings(max_examples=300, deadline=None)
+def test_dmd_reduced_matches_the_one_svd_reference(case):
+    z, y, rule = case
+    if not (z.any() and y.any()):
+        for solve in (dmd_reduced, reference_dmd_reduced):
+            with pytest.raises(AllZeroMatrix, match="^dmd_reduced needs nonzero z and y$"):
+                solve(z, y, rule)
+        return
+    got, _ = dmd_reduced(z, y, rule)
+    want = reference_dmd_reduced(z, y, rule)
+    sigma = np.linalg.svd(z, compute_uv=False)
+    top = sigma[0]
+    assert abs(got.conditioning.sigma_max - want.conditioning.sigma_max) <= 1e-12 * top
+    assert abs(got.conditioning.sigma_min - want.conditioning.sigma_min) <= 1e-12 * top
+    assert got.conditioning.rcond_used == want.conditioning.rcond_used
+    assert got.r == got.p and want.r == want.p
+    if not _clear_of_the_cut(sigma, rule, z.shape):
+        return
+    assert got.p == want.p
+    # the lift u_p u_p.T y v_p s_p^-1 u_p.T moves by about eps |y| / sigma_p times the kept sigma ratio, and
+    # times sigma_max over the gap to the first value dropped (0 when none is)
+    p = got.p
+    gap = sigma[p - 1] - (sigma[p] if p < sigma.size else 0.0)
+    tol = 1e3 * EPS * np.linalg.norm(y) / sigma[p - 1] * (top / sigma[p - 1] + top / gap)
+    assert np.linalg.norm(lift_reduced(got)[0] - lift_reduced(want)[0]) <= tol
 
 
 class TestDmdReduced:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from helpers import reference_pinv_solve
+from helpers import rank_by_definition, reference_pinv_solve
 
 from netdmd.errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare
 from netdmd.numkernel import (
@@ -21,51 +21,62 @@ from netdmd.numkernel import (
     conditioning_record,
     conditioning_to_dict,
     eig,
+    _kept,
     _pinv_stack,
+    _rule_cut,
     _solve_triangular,
+    _svd,
     _TRIANGULAR_BLOCK,
     as_matrix,
     pinv_conditioning,
-    truncated_svd,
 )
-from netdmd.dmdcore import ExactLinearModel
+from netdmd.dmdcore import ExactLinearModel, dmd_reduced, lift_reduced
 from netdmd.netdmdc import model_error
 
 # 3x3 stacked data matrix from the two-node worked example: [Z1; Gamma1]
 STACK_3X3 = np.array([[2.0, 0.1, -1.63], [5.0, 4.3, 3.54], [0.2, 0.4, 0.8]])
 
 
+def _kept_count(a, rule):
+    """How many of ``a``'s singular values ``rule`` keeps, as the reduced solvers read it: :func:`_kept` under :func:`_rule_cut`."""
+    return int(np.count_nonzero(_kept(_svd(a)[1], *_rule_cut(rule, a.shape))))
+
+
 class TestTruncatedSvd:
+    """The truncation rules, read from the library SVD the reduced solvers use, and dmd_reduced's cut SVD of z."""
+
     def test_identity_machine_default(self):
-        res = truncated_svd(np.eye(2), MachineDefault())
-        assert res.truncation_rank == 2
-        assert_allclose(res.sigma, [1.0, 1.0])
-        assert res.discarded_energy == 0.0
+        assert _kept_count(np.eye(2), MachineDefault()) == 2
+        model, _ = dmd_reduced(np.eye(2), np.eye(2), MachineDefault())
+        assert model.p == 2
+        assert (model.conditioning.sigma_max, model.conditioning.sigma_min) == (1.0, 1.0)
 
     def test_relative_threshold_discards_tiny(self):
-        res = truncated_svd(np.diag([3.0, 1e-16]), RelativeThreshold(1e-10))
-        assert res.truncation_rank == 1
-        assert_allclose(res.sigma, [3.0])
+        assert _kept_count(np.diag([3.0, 1e-16]), RelativeThreshold(1e-10)) == 1
+        model, _ = dmd_reduced(np.diag([3.0, 1e-16]), np.eye(2), RelativeThreshold(1e-10))
+        assert model.p == 1
+        assert_allclose([model.conditioning.sigma_max, model.conditioning.sigma_min], [3.0, 1e-16])
 
     def test_full_rank_reconstruction(self):
-        res = truncated_svd(STACK_3X3, MachineDefault())
-        assert res.truncation_rank == 3
-        rebuilt = res.u @ np.diag(res.sigma) @ res.v.T
-        assert np.linalg.norm(rebuilt - STACK_3X3) <= 1e-12
+        # with y = z and every value kept, a_tilde = u.T z v s^-1 is the identity and u_hat is square
+        assert _kept_count(STACK_3X3, MachineDefault()) == 3
+        model, _ = dmd_reduced(STACK_3X3, STACK_3X3, MachineDefault())
+        assert model.p == 3
+        assert np.linalg.norm(model.a_tilde - np.eye(3)) <= 1e-12
+        assert np.linalg.norm(lift_reduced(model)[0] @ STACK_3X3 - STACK_3X3) <= 1e-12
 
     def test_all_zero_rejected_for_relative_rules(self):
-        with pytest.raises(AllZeroMatrix):
-            truncated_svd(np.zeros((2, 2)), MachineDefault())
-        with pytest.raises(AllZeroMatrix):
-            truncated_svd(np.zeros((2, 2)), RelativeThreshold(0.5))
+        # a relative cut is undefined for an all-zero z; dmd_reduced rejects one under any rule
+        for rule in (MachineDefault(), RelativeThreshold(0.5), FixedRank(1)):
+            with pytest.raises(AllZeroMatrix):
+                dmd_reduced(np.zeros((2, 2)), np.eye(2), rule)
 
     def test_fixed_rank_caps_and_drops_exact_zeros(self):
-        res = truncated_svd(np.eye(2), FixedRank(5))
-        assert res.truncation_rank == 2
-        res = truncated_svd(np.zeros((2, 3)), FixedRank(2))
-        assert res.truncation_rank == 0
-        assert res.sigma.size == 0
-        assert res.discarded_energy == 0.0
+        assert _kept_count(np.eye(2), FixedRank(5)) == 2
+        assert _kept_count(np.zeros((2, 3)), FixedRank(2)) == 0
+        assert _kept_count(np.diag([2.0, 0.0]), FixedRank(2)) == 1
+        model, _ = dmd_reduced(np.diag([2.0, 0.0]), np.eye(2), FixedRank(5))
+        assert model.p == 1 and model.u_hat.shape == (2, 1)
 
     def test_rule_validation(self):
         with pytest.raises(ValueError):
@@ -77,9 +88,10 @@ class TestTruncatedSvd:
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteEntry):
-            truncated_svd(np.array([[np.nan, 1.0]]), MachineDefault())
+            dmd_reduced(np.array([[np.nan, 1.0]]), np.ones((1, 2)), MachineDefault())
 
     def test_random_orthonormality_and_reconstruction(self):
+        # with y = z the lifted model is u_hat u_hat.T, which leaves exactly the discarded energy of z
         rng = np.random.default_rng(11)
         for _ in range(100):
             rows, cols = rng.integers(1, 9, size=2)
@@ -87,26 +99,26 @@ class TestTruncatedSvd:
             rule = [MachineDefault(), RelativeThreshold(1e-3), FixedRank(int(rng.integers(1, 9)))][
                 int(rng.integers(0, 3))
             ]
-            res = truncated_svd(a, rule)
-            k = res.truncation_rank
-            assert np.max(np.abs(res.u.T @ res.u - np.eye(k))) <= 1e-10
-            assert np.max(np.abs(res.v.T @ res.v - np.eye(k))) <= 1e-10
-            assert np.all(np.diff(res.sigma) <= 0) and np.all(res.sigma >= 0)
-            err = np.linalg.norm(res.u @ np.diag(res.sigma) @ res.v.T - a)
-            bound = (np.sqrt(res.discarded_energy) + 1e-10) * np.linalg.norm(a)
+            model, _ = dmd_reduced(a, a, rule)
+            k = model.p
+            assert model.r == k == model.u_hat.shape[1] <= min(rows, cols)
+            assert np.max(np.abs(model.u_hat.T @ model.u_hat - np.eye(k))) <= 1e-10
+            assert model.conditioning.sigma_max >= model.conditioning.sigma_min >= 0
+            s = np.linalg.svd(a, compute_uv=False)
+            discarded = float(np.sum(s[k:] ** 2) / np.sum(s**2))
+            err = np.linalg.norm(lift_reduced(model)[0] @ a - a)
+            bound = (np.sqrt(discarded) + 1e-10) * np.linalg.norm(a)
             assert err <= bound + 1e-12
 
 
-def _rank_by_definition(a, rule):
-    """The values ``rule`` keeps of ``a``'s, counted as each rule's definition reads."""
-    s = np.linalg.svd(a, compute_uv=False)
-    if isinstance(rule, FixedRank):
-        k = min(rule.rank, s.size)
-        while k > 0 and s[k - 1] == 0.0:
-            k -= 1
-        return k
-    tau = rule.tau if isinstance(rule, RelativeThreshold) else max(a.shape) * np.finfo(float).eps
-    return int(np.count_nonzero(s >= tau * s[0]))
+def test_fixed_rank_must_be_an_integer():
+    # FixedRank(2.5) once built and failed in the solver with "slice indices must be integers"; True read as rank 1
+    for rank in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            FixedRank(rank)
+    assert FixedRank(np.int64(2)).rank == 2
+    z = np.random.default_rng(5).uniform(-1, 1, (3, 6))
+    assert dmd_reduced(z, z, FixedRank(np.int64(2)))[0].p == 2
 
 
 def test_truncation_rank_follows_each_rule():
@@ -117,10 +129,11 @@ def test_truncation_rank_follows_each_rule():
     cases += [np.vstack([a, a[:1]]) for a in cases[4:20]]  # one value near zero
     rules = [MachineDefault(), RelativeThreshold(1e-3), RelativeThreshold(1e-10), FixedRank(1), FixedRank(2), FixedRank(5)]
     for a in cases:
+        sigma = np.linalg.svd(a, compute_uv=False)
         for rule in rules:
             if not a.any() and not isinstance(rule, FixedRank):
                 continue
-            assert truncated_svd(a, rule).truncation_rank == _rank_by_definition(a, rule), (a, rule)
+            assert _kept_count(a, rule) == rank_by_definition(sigma, rule, a.shape), (a, rule)
 
 
 def pseudoinverse(m):
@@ -343,8 +356,8 @@ class TestPinvConditioning:
 
 @pytest.mark.parametrize(
     "call",
-    [as_matrix, lambda a: truncated_svd(a, FixedRank(4)), conditioning_record, eig, pinv_conditioning],
-    ids=["as_matrix", "truncated_svd", "conditioning_record", "eig", "pinv_conditioning"],
+    [as_matrix, lambda a: dmd_reduced(a, a), conditioning_record, eig, pinv_conditioning],
+    ids=["as_matrix", "dmd_reduced", "conditioning_record", "eig", "pinv_conditioning"],
 )
 def test_arrays_of_more_than_two_dimensions_are_rejected(call):
     # a (2, 2, 2) array once reached LAPACK as a stack: truncation_rank 4, or an untyped ValueError
@@ -617,17 +630,22 @@ def test_wide_stack_with_y_forms_no_q(monkeypatch):
     "call",
     [
         conditioning_record,
-        lambda a: truncated_svd(a, MachineDefault()),
+        lambda a: dmd_reduced(a, a),
         pinv_conditioning,
         lambda a: _stack_pinv(np.stack([a, a]), DEFAULT_RCOND),
+        eig,
     ],
-    ids=["conditioning_record", "truncated_svd", "pinv_conditioning", "pinv_stack"],
+    ids=["conditioning_record", "dmd_reduced", "pinv_conditioning", "pinv_stack", "eig"],
 )
 def test_svd_non_convergence_is_typed(call, monkeypatch):
-    def svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def fail(message):
+        def routine(*args, **kwargs):
+            raise np.linalg.LinAlgError(message)
 
-    monkeypatch.setattr(np.linalg, "svd", svd)
+        return routine
+
+    monkeypatch.setattr(np.linalg, "svd", fail("SVD did not converge"))
+    monkeypatch.setattr(np.linalg, "eig", fail("Eigenvalues did not converge"))
     with pytest.raises(ConvergenceFailure, match="did not converge"):
         call(STACK_3X3)
 
