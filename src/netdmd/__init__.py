@@ -20,7 +20,7 @@ from .errors import (
     UnknownVertex,
 )
 from .numkernel import (
-    DEFAULT_RCOND,
+    EXACT_RULE,
     ConditioningRecord,
     EigResult,
     FixedRank,
@@ -31,7 +31,6 @@ from .numkernel import (
     conditioning_record,
     conditioning_to_dict,
     eig,
-    pinv_conditioning,
 )
 from .topology import (
     LocalSubsystem,

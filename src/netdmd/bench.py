@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadConfig, NetdmdError, _json_value
-from .numkernel import (
-    DEFAULT_RCOND,
-    FixedRank,
-    MachineDefault,
-    RelativeThreshold,
-    TruncationRule,
-)
+from .numkernel import EXACT_RULE, FixedRank, MachineDefault, RelativeThreshold, TruncationRule
 from .dmdcore import ExactLinearModel, dmd_reduced, dmdc_exact, dmdc_reduced, lift_reduced
 from .netdmdc import NetworkModel, model_error, network_dmdc_exact, network_dmdc_reduced
 from .sysmodel import (
@@ -51,14 +45,13 @@ CSV_COLUMNS = ("trial", "m", "algorithm", "frobenius_error", "cond_ratio", "wall
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything needed to reproduce a sweep bit-for-bit."""
+    """Everything needed to reproduce a sweep bit-for-bit; a ``truncation`` of None becomes the path's default rule."""
 
     generator: GeneratorConfig
     trials: int
     m_values: tuple[int, ...]
     algorithms: tuple[str, ...] = ("dmdc", "network_dmdc")
-    truncation: TruncationRule = MachineDefault()
-    rcond: float = DEFAULT_RCOND
+    truncation: TruncationRule | None = None
     master_seed: int = 0
     initial_state_range: tuple[float, float] = (-1.0, 1.0)
     use_reduced: bool = False
@@ -68,8 +61,10 @@ class SweepConfig:
         integers = (isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in (self.trials, *m_values))
         if not m_values or not all(integers) or min(self.trials, *m_values) < 1:
             raise BadConfig(f"trials and a nonempty m_values must be integers >= 1, got {self.trials!r}, {m_values!r}")
-        if not (math.isfinite(self.rcond) and self.rcond >= 0):
-            raise BadConfig(f"rcond must be finite and >= 0, got {self.rcond!r}")
+        if self.truncation is None:
+            object.__setattr__(self, "truncation", _default_rule(self.use_reduced))
+        elif not isinstance(self.truncation, TruncationRule):
+            raise BadConfig(f"truncation must be a FixedRank, RelativeThreshold or MachineDefault rule, got {self.truncation!r}")
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "m_values", tuple(int(m) for m in m_values))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
@@ -115,8 +110,13 @@ def mean_errors(rows) -> dict[tuple[int, str], float]:
     return {key: float(np.mean(vals)) if vals else math.nan for key, vals in sorted(sums.items())}
 
 
-def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
-    """Run one algorithm; returns (model to score, sigma ratio, warnings list).
+def _default_rule(use_reduced: bool) -> TruncationRule:
+    """The rule a sweep cuts by when it names none: ``EXACT_RULE`` for the exact solvers, ``MachineDefault`` for the reduced."""
+    return MachineDefault() if use_reduced else EXACT_RULE
+
+
+def _identify(algorithm, system, traj, rule, use_reduced):
+    """Run one algorithm, cut by ``rule``; returns (model to score, sigma ratio, warnings list).
 
     A network result is scored as the full-space :class:`NetworkModel` both
     network solvers return, and its ratio is the smallest of its nodes'
@@ -126,10 +126,7 @@ def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
     """
     t = system.topology
     if algorithm == "network_dmdc":
-        if use_reduced:
-            model = network_dmdc_reduced(t, traj, truncation, truncation)
-        else:
-            model = network_dmdc_exact(t, traj, rcond)
+        model = network_dmdc_reduced(t, traj, rule, rule) if use_reduced else network_dmdc_exact(t, traj, rule)
         c = model.conditioning
         ratios = c.ratio[c.present]
         warned = sorted(t.state_vertices[i] for i in np.flatnonzero(c.warning).tolist())
@@ -139,12 +136,9 @@ def _identify(algorithm, system, traj, rcond, truncation, use_reduced):
         warnings += [f"failed:{v}" for v in sorted(model.node_failures)]
         return model, float(ratios.min()) if ratios.size else math.nan, warnings
     if algorithm == "dmdc":
-        if use_reduced:
-            model, _ = dmdc_reduced(traj.z, traj.y, traj.gamma, truncation, truncation)
-        else:
-            model = dmdc_exact(traj.z, traj.y, traj.gamma, rcond)
+        model = dmdc_reduced(traj.z, traj.y, traj.gamma, rule, rule)[0] if use_reduced else dmdc_exact(traj.z, traj.y, traj.gamma, rule)
     elif algorithm == "dmd":
-        model = dmd_reduced(traj.z, traj.y, truncation)[0] if use_reduced else dmdc_exact(traj.z, traj.y, rcond=rcond)
+        model = dmd_reduced(traj.z, traj.y, rule)[0] if use_reduced else dmdc_exact(traj.z, traj.y, rule=rule)
     else:
         raise BadConfig(f"unknown algorithm {algorithm!r}")
     if use_reduced:
@@ -161,8 +155,7 @@ def run_trial(
     m: int,
     algorithms,
     rng: np.random.Generator,
-    rcond: float = DEFAULT_RCOND,
-    truncation: TruncationRule = MachineDefault(),
+    truncation: TruncationRule | None = None,
     initial_state_range: tuple[float, float] = (-1.0, 1.0),
     input_range: tuple[float, float] = (-1.0, 1.0),
     trial: int = 0,
@@ -173,7 +166,8 @@ def run_trial(
     The state starts uniform in ``initial_state_range`` and each input entry
     is drawn i.i.d. uniform from ``input_range``. All algorithms consume the
     same trajectory, which :func:`simulate` returns read-only; the error is
-    measured against the system's true assembled matrices. A plain DMD run
+    measured against the system's true assembled matrices. Every algorithm
+    cuts by ``truncation``, by default its path's rule. A plain DMD run
     on a driven system scores its state operator only and is tagged
     ``dmd_ignores_inputs``.
 
@@ -195,11 +189,12 @@ def run_trial(
     except NetdmdError as exc:
         return [_failed_row(trial, m, algorithm, 0.0, exc) for algorithm in algorithms]
     truth_a, truth_b = true_full_matrices(system)
+    rule = _default_rule(use_reduced) if truncation is None else truncation
     rows = []
     for algorithm in algorithms:
         start = time.perf_counter()
         try:
-            model, ratio, warnings = _identify(algorithm, system, traj, rcond, truncation, use_reduced)
+            model, ratio, warnings = _identify(algorithm, system, traj, rule, use_reduced)
         except NetdmdError as exc:
             rows.append(_failed_row(trial, m, algorithm, time.perf_counter() - start, exc))
             continue
@@ -261,7 +256,6 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                     m,
                     cfg.algorithms,
                     derive_rng(cfg.master_seed, trial, m),
-                    rcond=cfg.rcond,
                     truncation=cfg.truncation,
                     initial_state_range=cfg.initial_state_range,
                     input_range=cfg.generator.input_range,
@@ -329,7 +323,6 @@ def sweep_config_to_dict(cfg: SweepConfig) -> dict:
         "m_values": list(cfg.m_values),
         "algorithms": list(cfg.algorithms),
         "truncation": truncation_to_dict(cfg.truncation),
-        "rcond": cfg.rcond,
         "master_seed": cfg.master_seed,
         "initial_state_range": list(cfg.initial_state_range),
         "use_reduced": cfg.use_reduced,
@@ -337,16 +330,21 @@ def sweep_config_to_dict(cfg: SweepConfig) -> dict:
 
 
 def sweep_config_from_dict(d: dict) -> SweepConfig:
+    """Read :func:`sweep_config_to_dict`'s form; a legacy ``"rcond"`` is ``RelativeThreshold(rcond)``, an exact sweep's rule over any ``"truncation"``."""
+    use_reduced = _json_value(d.get("use_reduced", False), bool)
+    truncation = truncation_from_dict(d["truncation"]) if "truncation" in d else None
+    if "rcond" in d:
+        legacy = RelativeThreshold(_json_value(d["rcond"], float))
+        truncation = truncation if use_reduced else legacy
     return SweepConfig(
         generator=generator_config_from_dict(d["generator"]),
         trials=_json_value(d["trials"], int),
         m_values=tuple(_json_value(m, int) for m in d["m_values"]),
         algorithms=tuple(d.get("algorithms", ("dmdc", "network_dmdc"))),
-        truncation=truncation_from_dict(d.get("truncation", {"kind": "machine_default"})),
-        rcond=_json_value(d.get("rcond", DEFAULT_RCOND), float),
+        truncation=truncation,
         master_seed=_json_value(d.get("master_seed", 0), int),
         initial_state_range=tuple(_json_value(x, float) for x in d.get("initial_state_range", (-1.0, 1.0))),
-        use_reduced=_json_value(d.get("use_reduced", False), bool),
+        use_reduced=use_reduced,
     )
 
 

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import BadConfig, NetdmdError
-from .numkernel import DEFAULT_RCOND
+from .numkernel import EXACT_RULE, RelativeThreshold
 from .bench import (
     export_result,
     generate_system,
@@ -109,12 +109,13 @@ def _cmd_identify(args) -> int:
     topology = _read_document(args.topology, topology_from_dict)
     traj = read_trajectory_csv(args.trajectory)
     algorithm = args.algorithm.replace("-", "_")
+    rule = RelativeThreshold(args.rcond)
     if algorithm == "network_dmdc":
-        model = network_dmdc_exact(topology, traj, rcond=args.rcond)
+        model = network_dmdc_exact(topology, traj, rule)
         _dump_json(network_model_to_dict(model), args.out)
         return 0
     gamma = traj.gamma if algorithm == "dmdc" else None
-    model = dmdc_exact(traj.z, traj.y, gamma, rcond=args.rcond)
+    model = dmdc_exact(traj.z, traj.y, gamma, rule)
     _dump_json(model_to_dict(model), args.out)
     return 0
 
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--trajectory", required=True, help="trajectory CSV file")
     ident.add_argument("--topology", required=True, help="topology JSON file")
     ident.add_argument("--algorithm", choices=("dmd", "dmdc", "network-dmdc"), required=True)
-    ident.add_argument("--rcond", type=float, default=DEFAULT_RCOND)
+    ident.add_argument("--rcond", type=float, default=EXACT_RULE.tau, help="relative cut in (0, 1): RelativeThreshold(RCOND)")
     ident.add_argument("--out", "-o", default=None, help="model JSON path (default: stdout)")
     ident.set_defaults(func=_cmd_identify)
 

@@ -6,8 +6,10 @@ the data matrix and the singular values of its R factor, without forming
 the pseudoinverse.
 Reduced DMDc is that solve with its input truncation rule as the cut,
 projected onto y's leading left singular vectors; reduced DMD projects onto
-z's leading left singular vectors, from one SVD of z cut by its rule. Both
-read a rule's cut the same way (``_kept`` under ``_rule_cut``) and return a
+z's leading left singular vectors, from one SVD of z cut by its rule. Every
+solver takes a truncation rule and reads its cut one way (``_kept`` under
+``_rule_cut``): the exact ones default to ``EXACT_RULE``, a relative cut of
+1e-12, the reduced ones to ``MachineDefault``. The reduced forms return a
 small model plus the dynamic modes it induces in the full space. All
 functions are pure; determinism comes from the fixed eigenvalue ordering in
 :mod:`netdmd.numkernel`.
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import AllZeroMatrix, DimensionMismatch
 from .numkernel import (
-    DEFAULT_RCOND,
+    EXACT_RULE,
     ConditioningRecord,
     MachineDefault,
     TruncationRule,
@@ -107,19 +109,22 @@ def _check_regression(z, y, *gammas, nonzero: bool = False):
     return z, y, gammas
 
 
-def dmdc_exact(z, y, gamma=None, rcond: float = DEFAULT_RCOND) -> ExactLinearModel:
+def dmdc_exact(z, y, gamma=None, rule: TruncationRule = EXACT_RULE) -> ExactLinearModel:
     """Minimum-norm solution of ``y ~ a z + b gamma``, or of ``y ~ a z`` (DMD) when gamma is None.
 
     Checks the data with :func:`_check_regression`, gathers ``[omega; y]``,
     ``omega = [z; gamma]`` (just z for DMD), into one array and solves
     ``y @ pinv(omega)`` from it without forming the pseudoinverse, by the
-    QR that :func:`_pinv_stack` describes. The result splits into the state
-    part (first n columns) and the input part (last l); for DMD ``b`` is None.
+    QR that :func:`_pinv_stack` describes, keeping the singular values
+    ``rule`` keeps (:func:`_rule_cut`). The result splits into the state
+    part (first n columns) and the input part (last l); for DMD ``b`` is
+    None. The record's ``rcond_used`` is the rule's relative cut.
     """
     z, y, gammas = _check_regression(z, y, *(() if gamma is None else (gamma,)))
-    n = z.shape[0]
-    data = np.concatenate([z, *gammas, y])
-    (g,), (sigma,) = _pinv_stack(data[None], data.shape[0] - n, rcond)
+    n, data = z.shape[0], np.concatenate([z, *gammas, y])
+    k = data.shape[0] - n
+    rcond, rank = _rule_cut(rule, (k, data.shape[1]))
+    (g,), (sigma,) = _pinv_stack(data[None], k, rcond, rank)
     return ExactLinearModel(a=g[:, :n], b=g[:, n:] if gammas else None, conditioning=_record(sigma, rcond))
 
 
@@ -139,13 +144,14 @@ def dmd_reduced(z, y, rule: TruncationRule = MachineDefault()) -> tuple[ReducedL
     operator is ``a_tilde = u_hat.T y v_p s_p^-1`` and each eigenpair (w, lam)
     of it, lam nonzero, lifts to the full-space mode
     ``phi = lam^-1 y v_p s_p^-1 w``. The record is z's, from the same
-    singular values, at DEFAULT_RCOND.
+    singular values, with the rule's relative cut as ``rcond_used``.
     """
     z, y, _ = _check_regression(z, y)
     if not np.any(z) or not np.any(y):
         raise AllZeroMatrix("dmd_reduced needs nonzero z and y")
     u, s, vt = _svd(z)
-    p = int(np.count_nonzero(_kept(s, *_rule_cut(rule, z.shape))))
+    rcond, rank = _rule_cut(rule, z.shape)
+    p = int(np.count_nonzero(_kept(s, rcond, rank)))
     # contiguous copies, not views: how BLAS rounds the products below depends on their operands' layout
     u_hat = u[:, :p].copy()
     core = (y @ vt[:p].T.copy()) / s[:p]
@@ -155,9 +161,7 @@ def dmd_reduced(z, y, rule: TruncationRule = MachineDefault()) -> tuple[ReducedL
     with np.errstate(divide="ignore", invalid="ignore"):
         raw_modes = np.where(eigres.values != 0, raw_modes / eigres.values, raw_modes)
     values, modes, dropped = _filter_zero_modes(eigres.values, raw_modes)
-    model = ReducedLinearModel(
-        a_tilde=a_tilde, b_tilde=None, u_hat=u_hat, p=p, r=p, conditioning=_record(s, DEFAULT_RCOND)
-    )
+    model = ReducedLinearModel(a_tilde=a_tilde, b_tilde=None, u_hat=u_hat, p=p, r=p, conditioning=_record(s, rcond))
     return model, DynamicModes(values, modes, source="reduced", n_zero_excluded=dropped)
 
 
@@ -175,7 +179,8 @@ def dmdc_reduced(
     and ``u_hat`` holds y's leading r left singular vectors under
     ``output_rule``: ``a_tilde = u_hat.T g_a u_hat``, ``b_tilde = u_hat.T g_b``
     and the modes are ``g_a u_hat w`` for each eigenvector w of ``a_tilde``.
-    The record is ``[z; gamma]``'s, from the solve's values, at DEFAULT_RCOND.
+    The record is ``[z; gamma]``'s, from the solve's values, with the input
+    rule's relative cut as ``rcond_used``.
     """
     z, y, gammas = _check_regression(z, y, gamma, nonzero=True)
     n, k = z.shape[0], z.shape[0] + sum(len(gamma) for gamma in gammas)
@@ -191,7 +196,7 @@ def dmdc_reduced(
         u_hat=u_hat,
         p=int(np.count_nonzero(_kept(sigma, rcond, rank))),
         r=u_hat.shape[1],
-        conditioning=_record(sigma, DEFAULT_RCOND),
+        conditioning=_record(sigma, rcond),
     )
     eigres = eig(model.a_tilde)
     raw_modes = state_map.astype(complex) @ eigres.vectors

@@ -5,8 +5,7 @@ rows of its parents (states and inputs alike enter the local regression as
 controls). Node identifications are independent of one another, so both
 network solvers gather all nodes of one local shape into a stack and factor
 it with the one batched QR that :func:`netdmd.numkernel._pinv_stack`
-describes: the exact solve cuts singular values at its rcond, the reduced
-solve where its truncation rule does.
+describes, cutting singular values where the solver's truncation rule does.
 
 The full-space network model stores only its coefficients, one flat vector
 in the topology's gather-plan order: group by group, each group's (G, d, k)
@@ -24,7 +23,7 @@ import math
 from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, repeat
 from types import MappingProxyType
 
@@ -40,7 +39,7 @@ from .errors import (
     _json_value,
 )
 from .numkernel import (
-    DEFAULT_RCOND,
+    EXACT_RULE,
     ConditioningRecord,
     MachineDefault,
     TruncationRule,
@@ -201,53 +200,55 @@ class NetworkModel:
         return MappingProxyType({(v, w): b for v, w, b in views if w in inputs})
 
 
-def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = DEFAULT_RCOND) -> NetworkModel:
+def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rule: TruncationRule = EXACT_RULE) -> NetworkModel:
     """Identify every local subsystem with exact DMDc and assemble the blocks.
 
     Each node's solution is ``G_j = Y_j pinv(Omega_j)`` with
     ``Omega_j = [Z_j; Gamma_j]``, as :func:`dmdc_exact` computes it. Nodes are
     solved a shape group of the topology's gather plan at a time, on the
     group's one gathered ``[Omega_j; Y_j]`` stack (:func:`_gathered`), by
-    the batched QR that :func:`_pinv_stack` describes, with ``rcond`` as the
+    the batched QR that :func:`_pinv_stack` describes, with ``rule`` as the
     cut (:func:`_solve_groups`). A node whose data are not finite, or whose
     factorization fails, is recorded in ``node_failures`` with the message
     :func:`dmdc_exact` raises and contributes zero blocks; the rest of the
     model is still assembled. Each group writes its solution stack into its
     contiguous slice of the model's plan-order ``coeffs``, and its nodes'
-    singular-value extremes into the model's vertex-ordered
+    singular-value extremes and cut into the model's vertex-ordered
     ``conditioning``; no per-node record is built.
     """
-    return _network_model(t, *_solve_groups(t, traj, lambda shape: (rcond, None)), rcond)
+    return _network_model(t, *_solve_groups(t, traj, rule))
 
 
-def _solve_groups(t: NetworkTopology, traj: TrajectoryData, cut, nonzero: bool = False):
-    """Plan-order coefficients of every node's ``Y_j pinv_p(Omega_j)``, its (sigma_max, sigma_min), and failures by vertex index.
+def _solve_groups(t: NetworkTopology, traj: TrajectoryData, rule: TruncationRule, nonzero: bool = False):
+    """Plan-order coefficients of every node's ``Y_j pinv_p(Omega_j)``, its (sigma_max, sigma_min, rcond), and failures by vertex index.
 
-    ``pinv_p`` keeps what :func:`_pinv_stack` keeps under ``cut(shape)``, its
-    ``(rcond, rank)`` for a group's k-by-m Omegas. A group that is not finite,
-    whose batch fails, or (with ``nonzero``) with an all-zero Omega_j or Y_j is
-    solved node by node, :func:`_check_regression` then the kernel alone: only
-    a node that fails fails, with :func:`dmdc_exact`'s (:func:`dmdc_reduced`'s) message.
+    ``pinv_p`` keeps what :func:`_pinv_stack` keeps under ``rule``'s cut
+    (:func:`_rule_cut`) for a group's k-by-m Omegas, and rcond is that cut's
+    relative part. A group that is not finite, whose batch fails, or (with
+    ``nonzero``) with an all-zero Omega_j or Y_j is solved node by node,
+    :func:`_check_regression` then the kernel alone: only a node that fails
+    fails, with :func:`dmdc_exact`'s (:func:`dmdc_reduced`'s) message.
     """
     coeffs = np.zeros(coefficient_support(t)[0].size)
-    sigma = np.full((2, len(t.state_vertices)), np.nan)
+    record = np.full((3, len(t.state_vertices)), np.nan)
     failures: dict[int, str] = {}
     for (group, data), (_, solution) in zip(_gathered(t, traj), _group_stacks(t, coeffs)):
         (_, d, k), index = group.shape, group.vertex_index
-        rcond, rank = cut((k, data.shape[2]))
+        rcond, rank = _rule_cut(rule, (k, data.shape[2]))
+        record[2, index] = rcond
         if np.isfinite(data).all() and (not nonzero or (data[:, :k].any(axis=(1, 2)) & data[:, k:].any(axis=(1, 2))).all()):
             with suppress(ConvergenceFailure):  # else node by node, below
                 solution[...], s = _pinv_stack(data, k, rcond, rank)
-                sigma[:, index] = s[:, [0, -1]].T
+                record[:2, index] = s[:, [0, -1]].T
                 continue
         for j, (i, data_j) in enumerate(zip(index.tolist(), data)):
             try:
                 _check_regression(data_j[:d], data_j[k:], data_j[d:k], nonzero=nonzero)
                 solution[j : j + 1], s = _pinv_stack(data_j[None], k, rcond, rank)
-                sigma[:, i] = s[0, [0, -1]]
+                record[:2, i] = s[0, [0, -1]]
             except NetdmdError as exc:
                 failures[i] = str(exc)
-    return coeffs, sigma, failures
+    return coeffs, record, failures
 
 
 def _gathered(t: NetworkTopology, traj: TrajectoryData):
@@ -323,12 +324,12 @@ def network_dmdc_reduced(
     ``P = u_hat u_hat^T`` projects onto a vertex's leading left singular
     vectors of Y under ``output_rule`` (:func:`_project`). A failed node
     keeps zero coefficients, and the identity as its P. Records come from
-    the solve's singular values of Omega_j, at ``DEFAULT_RCOND`` as
-    :func:`dmdc_reduced`'s do.
+    the solve's singular values of Omega_j, with the input rule's relative
+    cut for each shape group as ``rcond_used``, as :func:`dmdc_reduced`'s do.
     """
-    coeffs, sigma, failures = _solve_groups(t, traj, partial(_rule_cut, input_rule), nonzero=True)
+    coeffs, record, failures = _solve_groups(t, traj, input_rule, nonzero=True)
     _project(t, traj, coeffs, failures, output_rule)
-    return _network_model(t, coeffs, sigma, failures, DEFAULT_RCOND)
+    return _network_model(t, coeffs, record, failures)
 
 
 def _project(t: NetworkTopology, traj: TrajectoryData, coeffs: np.ndarray, failures: dict, rule: TruncationRule):
@@ -346,6 +347,7 @@ def _project(t: NetworkTopology, traj: TrajectoryData, coeffs: np.ndarray, failu
     source = _trajectory_rows(t, traj)
     for group in gather_plan(t):
         d, solved = group.shape[1], np.flatnonzero(~np.isin(group.vertex_index, list(failures)))
+        threshold = _rule_cut(rule, (d, traj.y.shape[1]))  # for every group, so that a value that is not a rule always raises
         if d == 1 or solved.size == 0:
             continue
         y = traj.y[source[group.rows[solved]]]
@@ -358,7 +360,7 @@ def _project(t: NetworkTopology, traj: TrajectoryData, coeffs: np.ndarray, failu
                     u[i], s[i], _ = _svd(y_i)
                 except ConvergenceFailure as exc:
                     failures[int(group.vertex_index[solved[i]])] = str(exc)
-        keep = _kept(s, *_rule_cut(rule, y.shape[1:]))
+        keep = _kept(s, *threshold)
         cut = (keep.sum(axis=1) < d) & (s[:, 0] > 0)
         rows, u = group.rows[solved[cut]], u[cut] * keep[cut][:, None, :]
         proj[rows[:, :, None], np.arange(d)] = u @ np.swapaxes(u, 1, 2)
@@ -371,12 +373,12 @@ def _project(t: NetworkTopology, traj: TrajectoryData, coeffs: np.ndarray, failu
         stack[np.isin(group.vertex_index, list(failures))] = 0.0
 
 
-def _network_model(t: NetworkTopology, coeffs: np.ndarray, sigma: np.ndarray, failures: dict, rcond_used: float) -> NetworkModel:
-    """The read-only model over plan-order ``coeffs``, with each node's (sigma_max, sigma_min) and failures by vertex index; a failed node has no record."""
+def _network_model(t: NetworkTopology, coeffs: np.ndarray, record: np.ndarray, failures: dict) -> NetworkModel:
+    """The read-only model over plan-order ``coeffs``, with each node's (sigma_max, sigma_min, rcond) and failures by vertex index; a failed node has no record."""
     present = np.ones(len(t.state_vertices), dtype=bool)
     present[list(failures)] = False
     coeffs.flags.writeable = False
-    conditioning = NodeConditioning(present, *sigma, np.full(present.size, float(rcond_used)), _ill_conditioned(*sigma) & present)
+    conditioning = NodeConditioning(present, *record, _ill_conditioned(*record[:2]) & present)
     return NetworkModel(t, coeffs, conditioning, {t.state_vertices[i]: failures[i] for i in sorted(failures)})
 
 

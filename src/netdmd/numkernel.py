@@ -15,9 +15,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSq
 
 EPS = float(np.finfo(np.float64).eps)
 
-#: Default relative cutoff below which pseudoinverse singular values are dropped.
-DEFAULT_RCOND = 1e-12
-
 #: A data matrix with sigma_min/sigma_max below this is flagged as ill conditioned.
 ILL_CONDITIONED_RATIO = 1e-10
 
@@ -42,6 +39,8 @@ class RelativeThreshold:
     tau: float
 
     def __post_init__(self):
+        if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float, np.integer, np.floating)):
+            raise ValueError(f"tau must be a number, got {self.tau!r}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
 
@@ -52,6 +51,9 @@ class MachineDefault:
 
 
 TruncationRule = FixedRank | RelativeThreshold | MachineDefault
+
+#: The exact solvers' default rule: singular values below 1e-12 sigma_max are dropped.
+EXACT_RULE = RelativeThreshold(1e-12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +122,11 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def _rule_cut(rule: TruncationRule, shape) -> tuple[float, int | None]:
-    """``rule`` as the ``(rcond, rank)`` of :func:`_kept` for a matrix of ``shape``: a relative cut, or for ``FixedRank(r)`` none and at most r values."""
+    """``rule`` as the ``(rcond, rank)`` of :func:`_kept` for a matrix of ``shape``: a relative cut, or for ``FixedRank(r)`` none and at most r values; anything but a rule is a TypeError."""
     if isinstance(rule, FixedRank):
         return 0.0, rule.rank
+    if not isinstance(rule, (RelativeThreshold, MachineDefault)):
+        raise TypeError(f"a truncation rule must be FixedRank, RelativeThreshold or MachineDefault, got {rule!r}")
     return (rule.tau if isinstance(rule, RelativeThreshold) else max(shape) * EPS), None
 
 
@@ -132,24 +136,6 @@ def _kept(sigma: np.ndarray, rcond: float, rank: int | None = None) -> np.ndarra
     if rank is not None:
         keep[..., rank:] = False
     return keep
-
-
-def pinv_conditioning(m, rcond: float = DEFAULT_RCOND):
-    """Pseudoinverse and conditioning record of a matrix, from one QR and the singular values of its R.
-
-    Returns the Moore-Penrose pseudoinverse of the k-by-n matrix ``m``
-    (n-by-k), with singular values below ``rcond * sigma_max`` treated as
-    zero, and the record :func:`conditioning_record` describes, both read
-    from the same singular values (see :func:`_pinv_stack`). The
-    pseudoinverse is the solve of an identity with min(k, n) rows: of the
-    tall side's, as ``pinv(m^T)^T`` when k < n. An array of more than two
-    dimensions raises :class:`DimensionMismatch` (:func:`as_matrix`).
-    """
-    a = as_matrix(m)
-    wide = a.shape[0] < a.shape[1]
-    tall = a.T if wide else a
-    (pinv,), (sigma,) = _pinv_stack(np.concatenate([tall, np.eye(tall.shape[1])])[None], tall.shape[0], rcond)
-    return pinv.T if wide else pinv, _record(sigma, rcond)
 
 
 def _pinv_stack(data: np.ndarray, k: int, rcond: float, rank: int | None = None):
@@ -299,11 +285,12 @@ def _canonicalize_columns(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def conditioning_record(m, rcond: float = DEFAULT_RCOND) -> ConditioningRecord:
+def conditioning_record(m, rcond: float = EXACT_RULE.tau) -> ConditioningRecord:
     """Singular-value extremes of a data matrix, flagging near-singularity.
 
     The warning trips when sigma_min/sigma_max < ILL_CONDITIONED_RATIO, the
-    regime where pseudoinverse-based estimates become unreliable.
+    regime where pseudoinverse-based estimates become unreliable. ``rcond``
+    is only the record's ``rcond_used`` label; nothing is cut here.
     """
     a = as_matrix(m)
     return _record(_svd(a, compute_uv=False) if a.size else np.zeros(0), rcond)

@@ -8,7 +8,8 @@ values, a per-node gather for both network DMDc solvers, a lift of the
 reduced network model through one dense block-diagonal projector, the
 exact solve through an explicit pseudoinverse of each matrix as given, and
 reduced DMD and DMDc through numpy's SVD, each cut at the rank its rule's
-definition gives.
+definition gives. :func:`pinv_conditioning` is the solvers' kernel applied
+to an identity: the pseudoinverse of one matrix, for checks of the kernel.
 """
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -28,12 +29,15 @@ from netdmd.errors import (
     UnknownVertex,
 )
 from netdmd.numkernel import (
-    DEFAULT_RCOND,
+    EXACT_RULE,
     ConditioningRecord,
     FixedRank,
     MachineDefault,
     RelativeThreshold,
     TruncationRule,
+    _pinv_stack,
+    _record,
+    as_matrix,
     conditioning_record,
 )
 from netdmd.sysmodel import (
@@ -239,8 +243,8 @@ def reference_simulate(system: LinearNetworkSystem, x0, inputs) -> TrajectoryDat
     return TrajectoryData(z=z, gamma=inputs.copy(), y=y, vertex_row_ranges=t.vertex_row_ranges())
 
 
-def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond: float = DEFAULT_RCOND, failures=None):
-    """Reference assembled (A, B): rescan, gather and solve each node on its own.
+def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rule: TruncationRule = EXACT_RULE, failures=None):
+    """Reference assembled (A, B): rescan, gather and solve each node on its own, with :func:`dmdc_exact` under ``rule``.
 
     A node whose solve raises propagates the error, unless a ``failures``
     dict is given: then the node's message goes there and its blocks stay zero.
@@ -258,7 +262,7 @@ def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond
         pieces = [data[slice(*ranges[w]), :] for w, data, _, _ in parents]
         gamma_j = np.vstack(pieces) if pieces else np.zeros((0, traj.z.shape[1]))
         try:
-            model = dmdc_exact(traj.z[lo:hi, :], traj.y[lo:hi, :], gamma_j, rcond)
+            model = dmdc_exact(traj.z[lo:hi, :], traj.y[lo:hi, :], gamma_j, rule)
         except NetdmdError as exc:
             if failures is None:
                 raise
@@ -275,6 +279,13 @@ def reference_network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rcond
     return a, b
 
 
+def rcond_by_definition(rule: TruncationRule, shape) -> float:
+    """The relative cut a rule's definition gives a matrix of ``shape``: ``tau``, ``max(shape) * eps`` for ``MachineDefault``, and 0.0 (none) for ``FixedRank``."""
+    if isinstance(rule, FixedRank):
+        return 0.0
+    return rule.tau if isinstance(rule, RelativeThreshold) else max(shape) * np.finfo(float).eps
+
+
 def rank_by_definition(sigma: np.ndarray, rule: TruncationRule, shape) -> int:
     """How many of a matrix's singular values ``rule`` keeps, counted as each rule's definition reads.
 
@@ -289,8 +300,7 @@ def rank_by_definition(sigma: np.ndarray, rule: TruncationRule, shape) -> int:
         while k > 0 and sigma[k - 1] == 0.0:
             k -= 1
         return k
-    tau = rule.tau if isinstance(rule, RelativeThreshold) else max(shape) * np.finfo(float).eps
-    return int(np.count_nonzero(sigma >= tau * sigma[0]))
+    return int(np.count_nonzero(sigma >= rcond_by_definition(rule, shape) * sigma[0]))
 
 
 def reference_svd(a: np.ndarray):
@@ -306,7 +316,7 @@ def reference_dmd_reduced(z, y, rule: TruncationRule = MachineDefault()) -> Redu
 
     After ``dmd_reduced``'s data checks: with ``z = u s v.T`` and ``u_hat``
     u's first p columns, ``a_tilde = u_hat.T y v_p s_p^-1``; the record is
-    :func:`conditioning_record`'s of z.
+    :func:`conditioning_record`'s of z, labelled with the rule's cut.
     """
     z, y, _ = _check_regression(z, y)
     if not (z.any() and y.any()):
@@ -315,7 +325,7 @@ def reference_dmd_reduced(z, y, rule: TruncationRule = MachineDefault()) -> Redu
     p = rank_by_definition(s, rule, z.shape)
     u_hat = u[:, :p]
     a_tilde = u_hat.T @ ((y @ vt[:p].T) / s[:p])
-    return ReducedLinearModel(a_tilde, None, u_hat, p, p, conditioning_record(z))
+    return ReducedLinearModel(a_tilde, None, u_hat, p, p, conditioning_record(z, rcond_by_definition(rule, z.shape)))
 
 
 def reference_dmdc_reduced(
@@ -331,7 +341,7 @@ def reference_dmdc_reduced(
     cut at rank p, its left factor split into state rows ``u1`` and input
     rows ``u2``; an SVD of y cut at rank r giving ``u_hat``; then
     ``a_tilde = u_hat.T y v s^-1 u1.T u_hat`` and ``b_tilde = u_hat.T y v s^-1 u2.T``.
-    The record is :func:`conditioning_record`'s of omega.
+    The record is :func:`conditioning_record`'s of omega, labelled with the input rule's cut.
     """
     z, y, gammas = _check_regression(z, y, gamma, nonzero=True)
     omega = np.vstack([z, *gammas])
@@ -347,7 +357,7 @@ def reference_dmdc_reduced(
         u_hat=u_hat,
         p=p,
         r=r,
-        conditioning=conditioning_record(omega),
+        conditioning=conditioning_record(omega, rcond_by_definition(input_rule, omega.shape)),
     )
 
 
@@ -382,7 +392,8 @@ def reference_network_dmdc_reduced(
             for w in ld.parent_row_ranges:
                 (raw_cross if w in srows else blocks_b)[(v, w)] = np.zeros((t.dims[v], t.dims[w]))
             continue
-        conditioning[v] = conditioning_record(np.vstack([ld.z_j, ld.gamma_j]))
+        omega_j = np.vstack([ld.z_j, ld.gamma_j])
+        conditioning[v] = conditioning_record(omega_j, rcond_by_definition(input_rule, omega_j.shape))
         u_hat[v] = model.u_hat
         diag[v] = model.a_tilde
         for w, (plo, phi) in ld.parent_row_ranges.items():
@@ -481,3 +492,21 @@ def factorizations_failing_on_marker():
 
     with mock.patch.object(np.linalg, "svd", failing(np.linalg.svd)), mock.patch.object(np.linalg, "qr", failing(np.linalg.qr)):
         yield
+
+
+def pinv_conditioning(m, rcond: float = EXACT_RULE.tau):
+    """Pseudoinverse and conditioning record of a matrix, from one QR and the singular values of its R.
+
+    Returns the Moore-Penrose pseudoinverse of the k-by-n matrix ``m``
+    (n-by-k), with singular values below ``rcond * sigma_max`` treated as
+    zero, and the record :func:`conditioning_record` describes, both read
+    from the same singular values (see :func:`_pinv_stack`). The
+    pseudoinverse is the solve of an identity with min(k, n) rows: of the
+    tall side's, as ``pinv(m^T)^T`` when k < n. An array of more than two
+    dimensions raises :class:`DimensionMismatch` (:func:`as_matrix`).
+    """
+    a = as_matrix(m)
+    wide = a.shape[0] < a.shape[1]
+    tall = a.T if wide else a
+    (pinv,), (sigma,) = _pinv_stack(np.concatenate([tall, np.eye(tall.shape[1])])[None], tall.shape[0], rcond)
+    return pinv.T if wide else pinv, _record(sigma, rcond)

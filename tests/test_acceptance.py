@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 
-from helpers import build_local_data, random_small_system
+from helpers import build_local_data, pinv_conditioning, random_small_system
 
 from netdmd.bench import (
     CSV_COLUMNS,
@@ -13,7 +13,7 @@ from netdmd.bench import (
     run_sweep,
     run_trial,
 )
-from netdmd.numkernel import FixedRank, MachineDefault, _kept, _rule_cut, _svd, pinv_conditioning
+from netdmd.numkernel import FixedRank, MachineDefault, _kept, _rule_cut, _svd
 from netdmd.dmdcore import dmd_modes, dmdc_exact, dmdc_reduced, predict
 from netdmd.netdmdc import model_error, network_dmdc_exact
 from netdmd.sysmodel import (

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     build_local_data,
+    rcond_by_definition,
+    reference_pinv_solve,
     reference_lift_reduced_network,
     reference_network_dmdc_exact,
     reference_network_dmdc_reduced,
@@ -18,15 +20,19 @@ from helpers import (
     topologies,
 )
 from netdmd.bench import _identify, generate_system
-from netdmd.dmdcore import dmdc_exact
+from netdmd.dmdcore import dmd_reduced, dmdc_exact, dmdc_reduced
 from netdmd.errors import DimensionMismatch, NetdmdError, RowRangeMismatch
 from netdmd.netdmdc import _trajectory_rows, network_dmdc_exact, network_dmdc_reduced, network_model_to_dict
 from netdmd.numkernel import (
-    DEFAULT_RCOND,
+    EPS,
+    EXACT_RULE,
     ConditioningRecord,
     FixedRank,
     MachineDefault,
     RelativeThreshold,
+    _kept,
+    _pinv_stack,
+    _rule_cut,
     conditioning_record,
     conditioning_to_dict,
 )
@@ -450,7 +456,7 @@ def test_exact_solve_builds_no_conditioning_record_until_one_is_read(monkeypatch
 
     monkeypatch.setattr(ConditioningRecord, "__init__", counting_init)
     model = network_dmdc_exact(t, traj)
-    _identify("network_dmdc", system, traj, DEFAULT_RCOND, MachineDefault(), False)
+    _identify("network_dmdc", system, traj, EXACT_RULE, False)
     assert built == []
     records = model.per_node_conditioning
     assert len(built) == len(records) == len(t.state_vertices)
@@ -498,6 +504,104 @@ def test_fresh_topologies_in_a_row_match_the_per_node_reference():
         assert model.node_failures == {}
         del system, t, traj, model
         gc.collect()
+
+
+EXACT_RULES = st.sampled_from(
+    [EXACT_RULE, RelativeThreshold(1e-3), RelativeThreshold(0.5), MachineDefault(), FixedRank(1), FixedRank(2), FixedRank(5)]
+)
+
+
+def _rule_clear(sigma: np.ndarray, rule, shape) -> bool:
+    """Whether rounding cannot move which of a matrix's singular values ``rule`` keeps, nor its solve much.
+
+    Under ``FixedRank(r)`` the first r values are at least 1e-2 sigma_max and the next is at most half the
+    r-th; under a relative cut the values kept are at least 1e-2 sigma_max and those dropped below 1e-2 of the cut.
+    """
+    top = sigma[0]
+    if top == 0.0:
+        return True
+    rcond, rank = _rule_cut(rule, shape)
+    if rank is not None:
+        return bool(np.all(sigma[:rank] >= 1e-2 * top) and (sigma.size <= rank or sigma[rank] <= 0.5 * sigma[rank - 1]))
+    keep = sigma >= rcond * top
+    return bool(np.all(sigma[keep] >= 1e-2 * top) and np.all(sigma[~keep] < 1e-2 * rcond * top))
+
+
+def _assert_cut_by(rule, omega, y, got, record):
+    """One exact solve of ``y ~ got omega`` under ``rule``: the kernel's own result under the rule's cut bit for bit, the explicit
+    pseudoinverse where rounding cannot move the cut, and a record of omega's sigma extremes labelled with the cut."""
+    shape = omega.shape
+    cut = _rule_cut(rule, shape)
+    kernel, sigma_kernel = _pinv_stack(np.concatenate([omega, y])[None], shape[0], *cut)
+    assert np.array_equal(got, kernel[0])
+    want, want_max, want_min = reference_pinv_solve(omega[None], y[None], *cut)
+    sigma = np.linalg.svd(omega, compute_uv=False)
+    top = sigma[0] if sigma.size else 0.0
+    assert record.rcond_used == rcond_by_definition(rule, shape)
+    assert (record.sigma_max, record.sigma_min) == (sigma_kernel[0, 0], sigma_kernel[0, -1])
+    assert abs(record.sigma_max - want_max[0]) <= 1e-12 * top and abs(record.sigma_min - want_min[0]) <= 1e-12 * top
+    p = int(np.count_nonzero(_kept(sigma, *cut)))
+    if p and _rule_clear(sigma, rule, shape):
+        # y pinv_p(omega) moves by about eps |y| / sigma_p times the kept sigma ratio, and times sigma_max over
+        # the gap to the first value dropped (0 when none is)
+        gap = sigma[p - 1] - (sigma[p] if p < sigma.size else 0.0)
+        tol = 1e3 * EPS * np.linalg.norm(y) / sigma[p - 1] * (top / sigma[p - 1] + top / gap)
+        assert np.linalg.norm(got - want[0]) <= tol
+
+
+@given(topologies(max_dim=3), st.integers(1, 8), st.integers(0, 2**32 - 1), EXACT_RULES, st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_solvers_cut_by_every_rule(t, m, seed, rule, data):
+    # entries are multiples of 0.1; zeroed or repeated rows of [z; gamma], and repeated snapshots, leave the
+    # nodes that read them rank deficient
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-40, 41, (t.total_state_dim + t.total_input_dim, m)) / 10
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(["zero row", "repeated row", "repeated snapshot"]))
+        if kind == "repeated snapshot":
+            rows[:, data.draw(st.integers(0, m - 1))] = rows[:, data.draw(st.integers(0, m - 1))]
+        else:
+            source = rows[data.draw(st.integers(0, len(rows) - 1))]
+            rows[data.draw(st.integers(0, len(rows) - 1))] = 0.0 if kind == "zero row" else source
+    z, gamma = rows[: t.total_state_dim], rows[t.total_state_dim :]
+    y = rng.integers(-40, 41, z.shape) / 10
+    whole = dmdc_exact(z, y, gamma, rule)
+    _assert_cut_by(rule, rows, y, np.hstack([whole.a, whole.b]), whole.conditioning)
+    traj = TrajectoryData(z, gamma, y, t.vertex_row_ranges())
+    model = network_dmdc_exact(t, traj, rule)
+    assert model.node_failures == {}
+    for v in t.state_vertices:
+        ld = build_local_data(t, traj, v)
+        node = dmdc_exact(ld.z_j, ld.y_j, ld.gamma_j, rule)
+        strip = _strip(model, t, v)
+        # one node's row of the network model is its own exact solve, bit for bit
+        assert np.array_equal(strip, np.hstack([node.a, node.b])) and model.per_node_conditioning[v] == node.conditioning
+        _assert_cut_by(rule, np.vstack([ld.z_j, ld.gamma_j]), ld.y_j, strip, node.conditioning)
+    if isinstance(rule, RelativeThreshold):
+        # a relative threshold is the kernel's rcond, unchanged
+        assert np.array_equal(whole.a, _pinv_stack(np.concatenate([rows, y])[None], len(rows), rule.tau)[0][0][:, : len(z)])
+
+
+def test_records_report_the_cut_their_solve_applied():
+    # two shape groups: v1 reads e1 (k = 4, d = 1) and v2 reads v1 (k = 3, d = 2), from m = 3 snapshots
+    t = NetworkTopology(("v1", "v2"), ("e1",), (("e1", "v1"), ("v1", "v2")), {"v1": 1, "v2": 2, "e1": 3})
+    rng = np.random.default_rng(12)
+    z, y, gamma = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
+    traj = TrajectoryData(z, gamma, y, t.vertex_row_ranges())
+    for rule, per_node in ((RelativeThreshold(1e-3), [1e-3, 1e-3]), (MachineDefault(), [4 * EPS, 3 * EPS]), (FixedRank(2), [0.0, 0.0])):
+        for model in (network_dmdc_exact(t, traj, rule), network_dmdc_reduced(t, traj, rule, rule)):
+            assert model.conditioning.rcond_used.tolist() == per_node
+            assert [rec.rcond_used for rec in model.per_node_conditioning.values()] == per_node
+        # whole-system records: z is 3-by-3 and [z; gamma] 6-by-3
+        assert dmdc_exact(z, y, gamma, rule).conditioning.rcond_used == rcond_by_definition(rule, (6, 3))
+        assert dmdc_reduced(z, y, gamma, rule, rule)[0].conditioning.rcond_used == rcond_by_definition(rule, (6, 3))
+        assert dmd_reduced(z, y, rule)[0].conditioning.rcond_used == rcond_by_definition(rule, (3, 3))
+    # the defaults: the exact solvers' rule, and MachineDefault for the reduced solvers
+    assert network_dmdc_exact(t, traj).conditioning.rcond_used.tolist() == [1e-12, 1e-12]
+    assert network_dmdc_reduced(t, traj).conditioning.rcond_used.tolist() == [4 * EPS, 3 * EPS]
+    assert dmdc_exact(z, y, gamma).conditioning.rcond_used == 1e-12
+    assert dmdc_reduced(z, y, gamma)[0].conditioning.rcond_used == 6 * EPS
+    assert dmd_reduced(z, y)[0].conditioning.rcond_used == 3 * EPS
 
 
 RULE_PAIRS = [
@@ -640,10 +744,16 @@ def test_reduced_solve_is_the_exact_solve_where_no_cut_drops_a_value(family, m):
     # scalar vertices have identity projectors, and every node keeps all its singular values under both
     # cuts, the exact solve's rcond and MachineDefault's max(k, m) eps: one kernel, the same arithmetic
     assert set(t.dims.values()) == {1}
-    assert exact.conditioning.ratio.min() > max(DEFAULT_RCOND, max(max_local_dim(t), m) * np.finfo(float).eps)
+    assert exact.conditioning.ratio.min() > max(EXACT_RULE.tau, max(max_local_dim(t), m) * np.finfo(float).eps)
     assert np.array_equal(reduced.coeffs, exact.coeffs)
-    for name in ("present", "sigma_max", "sigma_min", "rcond_used", "warning"):
+    for name in ("present", "sigma_max", "sigma_min", "warning"):
         assert np.array_equal(getattr(reduced.conditioning, name), getattr(exact.conditioning, name)), name
+    # each record reports the cut its solve applied: the exact rule's tau, and MachineDefault's per shape group
+    want = np.empty(len(t.state_vertices))
+    for group in gather_plan(t):
+        want[group.vertex_index] = rcond_by_definition(MachineDefault(), (group.shape[2], m))
+    assert np.all(exact.conditioning.rcond_used == 1e-12)
+    assert np.array_equal(reduced.conditioning.rcond_used, want)
     assert reduced.node_failures == exact.node_failures == {}
 
 

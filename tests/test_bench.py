@@ -32,10 +32,12 @@ from netdmd.bench import (
     run_trial,
     sweep_config_from_dict,
     sweep_config_to_dict,
+    truncation_to_dict,
+    _default_rule,
     _identify,
 )
 from netdmd.netdmdc import model_error, network_dmdc_exact
-from netdmd.numkernel import FixedRank, MachineDefault, RelativeThreshold, conditioning_record
+from netdmd.numkernel import EXACT_RULE, FixedRank, MachineDefault, RelativeThreshold, conditioning_record
 from netdmd.sysmodel import (
     Circular,
     ErdosRenyi,
@@ -210,9 +212,7 @@ def test_network_row_ratio_and_tags_match_the_records(topology, m, use_reduced, 
         z[data.draw(st.integers(0, z.shape[0] - 1)), data.draw(st.integers(0, m - 1))] = value
     traj = TrajectoryData(z, gamma, y, t.vertex_row_ranges())
     with factorizations_failing_on_marker():
-        model, ratio, warnings = _identify(
-            "network_dmdc", SimpleNamespace(topology=t), traj, 1e-12, MachineDefault(), use_reduced
-        )
+        model, ratio, warnings = _identify("network_dmdc", SimpleNamespace(topology=t), traj, _default_rule(use_reduced), use_reduced)
     records = model.per_node_conditioning
     want = [f"ill_conditioned:{v}" for v, rec in sorted(records.items()) if rec.warning]
     want += [f"underdetermined:{v}" for v in t.state_vertices if rescan_local_subsystem(t, v).local_dim > m]
@@ -238,7 +238,7 @@ def test_a_marker_fails_exactly_the_nodes_that_read_it(use_reduced, marked, read
     z[ranges[marked][0], 2] = MARKER
     traj = TrajectoryData(z, rng.standard_normal((t.total_input_dim, 5)), y, ranges)
     with factorizations_failing_on_marker():
-        model, _, warnings = _identify("network_dmdc", SimpleNamespace(topology=t), traj, 1e-12, MachineDefault(), use_reduced)
+        model, _, warnings = _identify("network_dmdc", SimpleNamespace(topology=t), traj, _default_rule(use_reduced), use_reduced)
     assert sorted(model.node_failures) == readers
     assert set(model.node_failures.values()) == {"qr did not converge"}
     assert warnings[-2:] == [f"failed:{v}" for v in readers]
@@ -426,9 +426,6 @@ class TestSweepConfig:
             {"trials": True},
             {"m_values": (3.9,)},
             {"m_values": (3, True)},
-            {"rcond": math.nan},
-            {"rcond": math.inf},
-            {"rcond": -1e-3},
             {"initial_state_range": (-math.inf, 0.0)},
         ):
             with pytest.raises(BadConfig):
@@ -456,7 +453,6 @@ class TestSweepConfig:
             m_values=(2, 5),
             algorithms=("dmd", "network_dmdc"),
             truncation=RelativeThreshold(1e-8),
-            rcond=1e-10,
             master_seed=99,
             initial_state_range=(-0.5, 0.5),
         )
@@ -471,6 +467,67 @@ class TestSweepConfig:
             use_reduced=True,
         )
         assert sweep_config_from_dict(sweep_config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("bad", [0.5, 1e-12, "junk", {"kind": "machine_default"}, (FixedRank(2),)])
+    def test_truncation_must_be_a_rule(self, bad):
+        gen = GeneratorConfig(Circular(4, 2))
+        for use_reduced in (False, True):
+            with pytest.raises(BadConfig, match="truncation must be a FixedRank, RelativeThreshold or MachineDefault rule"):
+                SweepConfig(generator=gen, trials=1, m_values=(3,), truncation=bad, use_reduced=use_reduced)
+
+    def test_a_sweep_without_a_rule_gets_its_paths_default(self):
+        gen = GeneratorConfig(Circular(4, 2))
+        assert SweepConfig(generator=gen, trials=1, m_values=(3,)).truncation == EXACT_RULE == RelativeThreshold(1e-12)
+        assert SweepConfig(generator=gen, trials=1, m_values=(3,), use_reduced=True).truncation == MachineDefault()
+        # the writer names the rule, and only the rule
+        doc = sweep_config_to_dict(SweepConfig(generator=gen, trials=1, m_values=(3,)))
+        assert "rcond" not in doc and doc["truncation"] == {"kind": "relative_threshold", "tau": 1e-12}
+
+    @pytest.mark.parametrize(
+        "use_reduced, keys, want",
+        [
+            (False, {"truncation": {"kind": "machine_default"}, "rcond": 1e-10}, RelativeThreshold(1e-10)),
+            (False, {"truncation": {"kind": "fixed_rank", "rank": 2}, "rcond": 1e-12}, RelativeThreshold(1e-12)),
+            (False, {"rcond": 1e-8}, RelativeThreshold(1e-8)),
+            (False, {}, RelativeThreshold(1e-12)),
+            (True, {"truncation": {"kind": "fixed_rank", "rank": 2}, "rcond": 1e-10}, FixedRank(2)),
+            (True, {"truncation": {"kind": "machine_default"}, "rcond": 1e-12}, MachineDefault()),
+            (True, {"rcond": 1e-8}, MachineDefault()),
+            (True, {}, MachineDefault()),
+        ],
+    )
+    def test_old_documents_load_to_the_rule_their_rows_used(self, use_reduced, keys, want):
+        # an exact sweep's rows were cut at "rcond" (default 1e-12), a reduced sweep's by "truncation" (default MachineDefault)
+        doc = {"generator": {"family": "circular", "n_states": 4}, "trials": 1, "m_values": [3], "use_reduced": use_reduced, **keys}
+        assert sweep_config_from_dict(doc).truncation == want
+
+    @pytest.mark.parametrize("use_reduced", [False, True])
+    @pytest.mark.parametrize("rcond", [0.0, 1.0, 2.0, -1e-3, math.nan, math.inf])
+    def test_a_legacy_rcond_outside_the_open_unit_interval_is_an_error(self, rcond, use_reduced):
+        doc = {"generator": {"family": "circular", "n_states": 4}, "trials": 1, "m_values": [3], "rcond": rcond, "use_reduced": use_reduced}
+        with pytest.raises(ValueError, match="tau must lie in"):
+            sweep_config_from_dict(doc)
+
+    @pytest.mark.parametrize("name, cfg", CHECKED_IN_CONFIGS, ids=[name for name, _ in CHECKED_IN_CONFIGS])
+    def test_checked_in_configs_in_their_old_form_load_to_the_same_config(self, name, cfg):
+        # until the cut vocabulary was one, every config named both keys: "machine_default" and "rcond" 1e-12
+        path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        doc = json.loads(path.read_text())
+        assert "rcond" not in doc and doc["truncation"] == truncation_to_dict(cfg.truncation)
+        old = {**doc, "truncation": {"kind": "machine_default"}, "rcond": 1e-12}
+        assert sweep_config_from_dict(old) == cfg
+
+    def test_a_result_json_in_the_old_form_loads_to_the_rule_its_rows_used(self, tmp_path):
+        cfg = SweepConfig(generator=GeneratorConfig(Circular(6, 2), seed=2), trials=1, m_values=(3, 6), master_seed=21)
+        result = run_sweep(cfg)
+        export_result(result, "json", tmp_path / "new.json")
+        doc = json.loads((tmp_path / "new.json").read_text())
+        doc["config"] = {**doc["config"], "truncation": {"kind": "machine_default"}, "rcond": 1e-12}
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        loaded = load_result_json(tmp_path / "old.json")
+        assert loaded.config == cfg and loaded.config.truncation == EXACT_RULE
+        strip = lambda rows: [(r.trial, r.m, r.algorithm, r.frobenius_error, r.cond_ratio, r.warnings) for r in rows]
+        assert strip(run_sweep(loaded.config).rows) == strip(loaded.rows) == strip(result.rows)
 
     @pytest.mark.parametrize("name, cfg", CHECKED_IN_CONFIGS, ids=[name for name, _ in CHECKED_IN_CONFIGS])
     def test_checked_in_configs_load(self, name, cfg):

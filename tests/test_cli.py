@@ -195,6 +195,20 @@ def test_identify_dmd(tmp_path, topology_file, trajectory_file):
     assert json.loads(out.read_text())["B"] is None
 
 
+@pytest.mark.parametrize("algorithm", ["dmd", "dmdc", "network-dmdc"])
+def test_identify_reads_rcond_as_a_relative_threshold(tmp_path, topology_file, trajectory_file, capsys, algorithm):
+    identify = ["identify", "--trajectory", str(trajectory_file), "--topology", str(topology_file), "--algorithm", algorithm]
+    default, legacy = tmp_path / "default.json", tmp_path / "legacy.json"
+    assert main([*identify, "--out", str(default)]) == 0
+    assert main([*identify, "--rcond", "1e-12", "--out", str(legacy)]) == 0
+    assert legacy.read_bytes() == default.read_bytes()
+    # 0 was once no relative cut at all, and 1 or more keeps sigma_max or nothing: outside RelativeThreshold's (0, 1)
+    for rcond in ("0", "1", "2", "-1e-3", "nan"):
+        assert main([*identify, f"--rcond={rcond}", "--out", str(tmp_path / "rejected.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: tau must lie in (0, 1), got ")
+        assert not (tmp_path / "rejected.json").exists()
+
+
 def test_sweep_writes_csv_and_json(tmp_path):
     config = {
         "generator": {"family": "circular", "n_states": 5, "input_period": 2, "seed": 0},

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from helpers import rank_by_definition, reference_pinv_solve
+from helpers import pinv_conditioning, rank_by_definition, reference_pinv_solve
 
 from netdmd.errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare
 from netdmd.numkernel import (
-    DEFAULT_RCOND,
     EPS,
+    EXACT_RULE,
     ConditioningRecord,
     FixedRank,
     MachineDefault,
@@ -28,10 +28,11 @@ from netdmd.numkernel import (
     _svd,
     _TRIANGULAR_BLOCK,
     as_matrix,
-    pinv_conditioning,
 )
-from netdmd.dmdcore import ExactLinearModel, dmd_reduced, lift_reduced
-from netdmd.netdmdc import model_error
+from netdmd.dmdcore import ExactLinearModel, dmd_reduced, dmdc_exact, dmdc_reduced, lift_reduced
+from netdmd.netdmdc import model_error, network_dmdc_exact, network_dmdc_reduced
+from netdmd.sysmodel import TrajectoryData
+from netdmd.topology import NetworkTopology
 
 # 3x3 stacked data matrix from the two-node worked example: [Z1; Gamma1]
 STACK_3X3 = np.array([[2.0, 0.1, -1.63], [5.0, 4.3, 3.54], [0.2, 0.4, 0.8]])
@@ -119,6 +120,40 @@ def test_fixed_rank_must_be_an_integer():
     assert FixedRank(np.int64(2)).rank == 2
     z = np.random.default_rng(5).uniform(-1, 1, (3, 6))
     assert dmd_reduced(z, z, FixedRank(np.int64(2)))[0].p == 2
+
+
+def test_relative_threshold_must_be_a_number():
+    # "0.5", None and 0.5j once failed in the range check with a bare TypeError
+    for tau in ("0.5", None, 0.5j, True, False, [0.5]):
+        with pytest.raises(ValueError, match="tau must be a number"):
+            RelativeThreshold(tau)
+    for tau in (0, 1, 0.0, 1.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"tau must lie in \(0, 1\)"):
+            RelativeThreshold(tau)
+    assert RelativeThreshold(np.float64(0.5)).tau == 0.5 and RelativeThreshold(np.float32(0.25)).tau == 0.25
+
+
+@pytest.mark.parametrize("rule", [0.5, 1e-12, "junk", None, (FixedRank(2),)], ids=repr)
+def test_a_value_that_is_not_a_rule_is_a_type_error(rule):
+    # any such value once read as MachineDefault: dmdc_reduced(z, y, g, 0.5, 0.5) kept what MachineDefault keeps
+    # (p = 4 below), and an old positional rcond, dmdc_exact(z, y, g, 1e-10), would have done the same
+    rng = np.random.default_rng(3)
+    z, y, gamma = rng.uniform(-1, 1, (3, 2, 6))
+    t = NetworkTopology(("v1", "v2"), ("e1",), (("e1", "v1"), ("v1", "v2")), {"v1": 1, "v2": 1, "e1": 1})
+    traj = TrajectoryData(z, gamma[:1], y, t.vertex_row_ranges())
+    message = "a truncation rule must be FixedRank, RelativeThreshold or MachineDefault, got"
+    for solve in (
+        lambda: _rule_cut(rule, (4, 6)),
+        lambda: dmdc_exact(z, y, gamma, rule),
+        lambda: dmd_reduced(z, y, rule),
+        lambda: dmdc_reduced(z, y, gamma, rule, MachineDefault()),
+        lambda: dmdc_reduced(z, y, gamma, MachineDefault(), rule),
+        lambda: network_dmdc_exact(t, traj, rule),
+        lambda: network_dmdc_reduced(t, traj, rule, MachineDefault()),
+        lambda: network_dmdc_reduced(t, traj, MachineDefault(), rule),  # scalar vertices: no projector is built
+    ):
+        with pytest.raises(TypeError, match=message):
+            solve()
 
 
 def test_truncation_rank_follows_each_rule():
@@ -291,7 +326,7 @@ class TestPinvConditioning:
         stack = rng.uniform(-2, 2, size=(6, 3, 5))
         stack[2] = 0.0
         stack[4, 2] = stack[4, 0]  # rank deficient
-        pinv, sigma_max, sigma_min = _stack_pinv(stack, DEFAULT_RCOND)
+        pinv, sigma_max, sigma_min = _stack_pinv(stack, EXACT_RULE.tau)
         assert pinv.shape == (6, 5, 3) and sigma_max.shape == sigma_min.shape == (6,)
         assert not pinv[2].any() and sigma_max[2] == sigma_min[2] == 0.0
         # the batched SVD factors each matrix on its own: the same values as one matrix at a time
@@ -405,17 +440,17 @@ def test_pinv_stack_across_triangular_blocks(k, m, d):
         omega[1, -1] = omega[1, 0]  # a repeated row: the rcond rule cuts one value
     else:
         omega[1, :, -1] = omega[1, :, 0]  # a repeated column
-    got, sigma_max, sigma_min = _solve(omega, y, DEFAULT_RCOND)
-    pinv = _stack_pinv(omega, DEFAULT_RCOND)[0]
-    want, want_max, want_min = reference_pinv_solve(omega, y, DEFAULT_RCOND)
-    assert sigma_min[1] < DEFAULT_RCOND * sigma_max[1]
+    got, sigma_max, sigma_min = _solve(omega, y, EXACT_RULE.tau)
+    pinv = _stack_pinv(omega, EXACT_RULE.tau)[0]
+    want, want_max, want_min = reference_pinv_solve(omega, y, EXACT_RULE.tau)
+    assert sigma_min[1] < EXACT_RULE.tau * sigma_max[1]
     for i in range(3):
         assert abs(sigma_max[i] - want_max[i]) <= 1e-12 * want_max[i]
         assert abs(sigma_min[i] - want_min[i]) <= 1e-12 * want_max[i]
         assert np.linalg.norm(got[i] - want[i]) <= 1e-12 * np.linalg.norm(want[i])
-        reference = np.linalg.pinv(omega[i], rcond=DEFAULT_RCOND)
+        reference = np.linalg.pinv(omega[i], rcond=EXACT_RULE.tau)
         assert np.linalg.norm(pinv[i] - reference) <= 1e-12 * np.linalg.norm(reference)
-        one, one_max, one_min = _solve(omega[i : i + 1], y[i : i + 1], DEFAULT_RCOND)
+        one, one_max, one_min = _solve(omega[i : i + 1], y[i : i + 1], EXACT_RULE.tau)
         assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
 
 
@@ -558,10 +593,10 @@ def test_full_rank_stack_computes_no_singular_vectors(monkeypatch, k, m):
     rng = np.random.default_rng(3)
     omega, y = rng.uniform(-2, 2, (5, k, m)), rng.uniform(-2, 2, (5, 2, m))
     calls = _svd_calls(monkeypatch)
-    got, sigma_max, sigma_min = _solve(omega, y, DEFAULT_RCOND)
+    got, sigma_max, sigma_min = _solve(omega, y, EXACT_RULE.tau)
     # one values-only SVD, of the stack of R factors from the QR of each matrix's tall side
     assert calls == [((5, min(k, m), min(k, m)), False)]
-    want, want_max, want_min = reference_pinv_solve(omega, y, DEFAULT_RCOND)
+    want, want_max, want_min = reference_pinv_solve(omega, y, EXACT_RULE.tau)
     assert np.all(np.abs(sigma_max - want_max) <= 1e-12 * want_max)
     assert np.all(np.abs(sigma_min - want_min) <= 1e-12 * want_max)
     for one, reference in zip(got, want):
@@ -577,15 +612,15 @@ def test_only_a_truncated_matrix_gets_singular_vectors(monkeypatch, k, m):
     else:
         omega[2, :, -1] = omega[2, :, 0]  # a repeated column: rank m - 1
     calls = _svd_calls(monkeypatch)
-    got, sigma_max, sigma_min = _solve(omega, y, DEFAULT_RCOND)
+    got, sigma_max, sigma_min = _solve(omega, y, EXACT_RULE.tau)
     r = min(k, m)
     assert calls == [((5, r, r), False), ((1, r, r), True)]
-    assert sigma_min[2] < DEFAULT_RCOND * sigma_max[2]
-    want = y[2] @ np.linalg.pinv(omega[2], rcond=DEFAULT_RCOND)
+    assert sigma_min[2] < EXACT_RULE.tau * sigma_max[2]
+    want = y[2] @ np.linalg.pinv(omega[2], rcond=EXACT_RULE.tau)
     assert np.linalg.norm(got[2] - want) <= 1e-12 * np.linalg.norm(want)
     for i in range(5):
         calls.clear()
-        one, one_max, one_min = _solve(omega[i : i + 1], y[i : i + 1], DEFAULT_RCOND)
+        one, one_max, one_min = _solve(omega[i : i + 1], y[i : i + 1], EXACT_RULE.tau)
         assert calls == [((1, r, r), False)] + [((1, r, r), True)] * (i == 2)
         assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
 
@@ -607,10 +642,10 @@ def test_wide_stack_with_y_forms_no_q(monkeypatch):
     rng = np.random.default_rng(5)
     omega, y = rng.uniform(-2, 2, (4, 6, 9)), rng.uniform(-2, 2, (4, 2, 9))
     calls = _qr_calls(monkeypatch)
-    got = _solve(omega, y, DEFAULT_RCOND)[0]
+    got = _solve(omega, y, EXACT_RULE.tau)[0]
     # one R-only QR of [omega^T | y^T], G by m by k + d: the gathered [omega; y] in column-major order
     assert calls == [((4, 9, 8), "r")]
-    want = reference_pinv_solve(omega, y, DEFAULT_RCOND)[0]
+    want = reference_pinv_solve(omega, y, EXACT_RULE.tau)[0]
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     # the pseudoinverse solves the identity with min(k, m) rows through omega's tall side, keeping Q:
     # no m-by-(k + m) factorization
@@ -620,9 +655,9 @@ def test_wide_stack_with_y_forms_no_q(monkeypatch):
     # y with more rows than omega (d > k) is read from the same one R factor
     omega, y = rng.uniform(-2, 2, (4, 2, 9)), rng.uniform(-2, 2, (4, 3, 9))
     calls.clear()
-    got = _solve(omega, y, DEFAULT_RCOND)[0]
+    got = _solve(omega, y, EXACT_RULE.tau)[0]
     assert calls == [((4, 9, 5), "r")]
-    want = reference_pinv_solve(omega, y, DEFAULT_RCOND)[0]
+    want = reference_pinv_solve(omega, y, EXACT_RULE.tau)[0]
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -632,7 +667,7 @@ def test_wide_stack_with_y_forms_no_q(monkeypatch):
         conditioning_record,
         lambda a: dmd_reduced(a, a),
         pinv_conditioning,
-        lambda a: _stack_pinv(np.stack([a, a]), DEFAULT_RCOND),
+        lambda a: _stack_pinv(np.stack([a, a]), EXACT_RULE.tau),
         eig,
     ],
     ids=["conditioning_record", "dmd_reduced", "pinv_conditioning", "pinv_stack", "eig"],
