@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from helpers import (
     build_local_data,
     rcond_by_definition,
-    reference_pinv_solve,
     reference_lift_reduced_network,
     reference_network_dmdc_exact,
     reference_network_dmdc_reduced,
+    reference_pinv_solve,
     rescan_local_subsystem,
     systems,
     topologies,
