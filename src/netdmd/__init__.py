@@ -28,7 +28,6 @@ from .numkernel import (
     RelativeThreshold,
     TruncationRule,
     conditioning_from_dict,
-    conditioning_record,
     conditioning_to_dict,
     eig,
 )

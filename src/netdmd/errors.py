@@ -10,7 +10,7 @@ class NonFiniteEntry(NetdmdError):
 
 
 class AllZeroMatrix(NetdmdError):
-    """A relative truncation rule was applied to an all-zero matrix."""
+    """A reduced solver's data check: its z, [z; gamma] or y is all zero, so it has no leading singular vectors."""
 
 
 class NotSquare(NetdmdError):
@@ -18,7 +18,7 @@ class NotSquare(NetdmdError):
 
 
 class ConvergenceFailure(NetdmdError):
-    """The eigenvalue iteration exhausted its budget (pathological input)."""
+    """A ``numpy.linalg`` factorization (QR, SVD, solve or eig) failed on pathological input."""
 
 
 class DimensionMismatch(NetdmdError):

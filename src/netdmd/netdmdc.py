@@ -24,7 +24,6 @@ from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -34,7 +33,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     NetdmdError,
-    RowRangeMismatch,
     UnknownVertex,
     _json_value,
 )
@@ -52,11 +50,10 @@ from .numkernel import (
     conditioning_from_dict,
 )
 from .dmdcore import ExactLinearModel, _check_regression
-from .sysmodel import TrajectoryData
+from .sysmodel import TrajectoryData, _trajectory_rows
 from .topology import (
     NetworkTopology,
     _block_key,
-    _block_order,
     _coefficient_views,
     _densify,
     _group_stacks,
@@ -274,39 +271,6 @@ def _gathered(t: NetworkTopology, traj: TrajectoryData):
     y_rows = source + (traj.z.shape[0] + traj.gamma.shape[0])  # a state position's row of y follows its row of z
     for group in gather_plan(t):
         yield group, trajectory[np.concatenate([source[group.cols], y_rows[group.rows]], axis=1)]
-
-
-def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
-    """Row of ``[traj.z; traj.gamma]`` holding each position of ``[x; u]``, read-only.
-
-    Raises :class:`RowRangeMismatch` for the first vertex, in
-    :func:`_block_order`, whose row range is missing or mis-sized, or does
-    not lie inside its array (z for a state vertex, gamma for an input). A
-    vertex that no node reads (an input without edges) may lack rows; its
-    positions map to -1.
-    """
-    vertices = t.state_vertices + t.input_vertices
-    n = len(t.state_vertices)
-    spans = map(traj.vertex_row_ranges.get, vertices, repeat((0, -1)))
-    lo, hi = np.fromiter(chain.from_iterable(spans), dtype=np.intp, count=2 * len(vertices)).reshape(-1, 2).T
-    dim = t._vertex_dims
-    height = np.repeat([traj.z.shape[0], traj.gamma.shape[0]], [n, len(vertices) - n])
-    bad = (hi - lo != dim) | (lo < 0) | (hi > height)
-    lo[n:] += traj.z.shape[0]
-    source = np.repeat(lo - (np.cumsum(dim) - dim), dim) + np.arange(dim.sum())
-    if bad.any():
-        failing = {w: i for i, (w, b) in enumerate(zip(vertices, bad)) if b}
-        for w in (w for _, w in _block_order(t) if w in failing):
-            if w not in traj.vertex_row_ranges:
-                raise RowRangeMismatch(f"trajectory has no rows for vertex {w!r}")
-            w_lo, w_hi = traj.vertex_row_ranges[w]
-            if w_hi - w_lo != t.dims[w]:
-                raise RowRangeMismatch(f"vertex {w!r} spans {w_hi - w_lo} trajectory rows but has dimension {t.dims[w]}")
-            name = "z" if failing[w] < n else "gamma"
-            raise RowRangeMismatch(f"vertex {w!r} spans rows {w_lo} to {w_hi} of {name}, which has {height[failing[w]]}")
-        source[np.repeat(bad, dim)] = -1
-    source.flags.writeable = False
-    return source
 
 
 def network_dmdc_reduced(

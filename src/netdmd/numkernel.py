@@ -285,17 +285,6 @@ def _canonicalize_columns(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def conditioning_record(m, rcond: float = EXACT_RULE.tau) -> ConditioningRecord:
-    """Singular-value extremes of a data matrix, flagging near-singularity.
-
-    The warning trips when sigma_min/sigma_max < ILL_CONDITIONED_RATIO, the
-    regime where pseudoinverse-based estimates become unreliable. ``rcond``
-    is only the record's ``rcond_used`` label; nothing is cut here.
-    """
-    a = as_matrix(m)
-    return _record(_svd(a, compute_uv=False) if a.size else np.zeros(0), rcond)
-
-
 def _record(sigma: np.ndarray, rcond: float) -> ConditioningRecord:
     """The record of one matrix from its singular values, descending; an empty matrix has none."""
     extremes = sigma[[0, -1]] if sigma.size else np.zeros(2)

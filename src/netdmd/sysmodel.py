@@ -16,6 +16,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -25,6 +26,7 @@ from .topology import (
     BLOCK_KEY_SEP,  # re-exported: the key separator of system and model JSON
     NetworkTopology,
     _block_key,
+    _block_order,
     _coefficient_views,
     _densify,
     _read_blocks,
@@ -86,7 +88,8 @@ class TrajectoryData:
     Column k of ``y`` is the successor of column k of ``z`` under column k of
     ``gamma``; when produced by :func:`simulate`, column k+1 of ``z`` equals
     column k of ``y``. ``vertex_row_ranges`` locates each vertex's rows
-    (state ids index ``z``/``y`` rows, input ids index ``gamma`` rows).
+    (state ids index ``z``/``y`` rows, input ids index ``gamma`` rows);
+    :func:`_trajectory_rows` is its only reader.
     :func:`simulate` and :func:`read_trajectory_csv` return read-only arrays,
     so every consumer of one trajectory sees the same data.
     """
@@ -99,6 +102,39 @@ class TrajectoryData:
     @property
     def n_snapshots(self) -> int:
         return self.z.shape[1]
+
+
+def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
+    """Row of ``[traj.z; traj.gamma]`` holding each position of ``[x; u]``, read-only.
+
+    Raises :class:`RowRangeMismatch` for the first vertex, in
+    :func:`_block_order`, whose row range is missing or mis-sized, or does
+    not lie inside its array (z for a state vertex, gamma for an input). A
+    vertex that no node reads (an input without edges) may lack rows; its
+    positions map to -1.
+    """
+    vertices = t.state_vertices + t.input_vertices
+    n = len(t.state_vertices)
+    spans = map(traj.vertex_row_ranges.get, vertices, repeat((0, -1)))
+    lo, hi = np.fromiter(chain.from_iterable(spans), dtype=np.intp, count=2 * len(vertices)).reshape(-1, 2).T
+    dim = t._vertex_dims
+    height = np.repeat([traj.z.shape[0], traj.gamma.shape[0]], [n, len(vertices) - n])
+    bad = (hi - lo != dim) | (lo < 0) | (hi > height)
+    lo[n:] += traj.z.shape[0]
+    source = np.repeat(lo - (np.cumsum(dim) - dim), dim) + np.arange(dim.sum())
+    if bad.any():
+        failing = {w: i for i, (w, b) in enumerate(zip(vertices, bad)) if b}
+        for w in (w for _, w in _block_order(t) if w in failing):
+            if w not in traj.vertex_row_ranges:
+                raise RowRangeMismatch(f"trajectory has no rows for vertex {w!r}")
+            w_lo, w_hi = traj.vertex_row_ranges[w]
+            if w_hi - w_lo != t.dims[w]:
+                raise RowRangeMismatch(f"vertex {w!r} spans {w_hi - w_lo} trajectory rows but has dimension {t.dims[w]}")
+            name = "z" if failing[w] < n else "gamma"
+            raise RowRangeMismatch(f"vertex {w!r} spans rows {w_lo} to {w_hi} of {name}, which has {height[failing[w]]}")
+        source[np.repeat(bad, dim)] = -1
+    source.flags.writeable = False
+    return source
 
 
 @dataclass(frozen=True)
@@ -308,34 +344,40 @@ def system_from_dict(d: dict) -> LinearNetworkSystem:
 def write_trajectory_csv(traj: TrajectoryData, topology: NetworkTopology, path) -> None:
     """CSV export: one row per time index with the state and input columns.
 
-    Header is ``k, <vertex>:<component>..., u:<vertex>:<component>...``. The
-    successor matrix is recoverable from the one-step shift plus a final row
-    flagged ``y_final`` that carries the last successor column.
+    Header is ``k, <vertex>:<component>..., u:<vertex>:<component>...`` in
+    the topology's vertex order, and each column holds its vertex's own
+    rows, found through :func:`_trajectory_rows`; rows that no vertex maps
+    to are not written. The successor matrix is recoverable from the
+    one-step shift plus a final row flagged ``y_final`` that carries the
+    last successor column. A row map that :func:`_trajectory_rows` rejects,
+    or an input vertex without rows, raises :class:`RowRangeMismatch`.
     """
+    source = _trajectory_rows(topology, traj)
+    if (source < 0).any():
+        vertices = topology.state_vertices + topology.input_vertices
+        w = vertices[np.repeat(np.arange(len(vertices)), topology._vertex_dims)[np.argmax(source < 0)]]
+        raise RowRangeMismatch(f"trajectory has no rows for vertex {w!r}")
     header = ["k"]
     header += [f"{v}:{c}" for v in topology.state_vertices for c in range(topology.dims[v])]
     header += [f"u:{e}:{c}" for e in topology.input_vertices for c in range(topology.dims[e])]
-    m = traj.n_snapshots
+    n = topology.total_state_dim
+    table = np.concatenate([traj.z, traj.gamma], dtype=float)[source].T.tolist()
+    final = traj.y[source[:n], -1].astype(float).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for k in range(m):
-            row = [str(k + 1)]
-            row += [repr(float(x)) for x in traj.z[:, k]]
-            row += [repr(float(x)) for x in traj.gamma[:, k]]
-            writer.writerow(row)
-        final = ["y_final"]
-        final += [repr(float(x)) for x in traj.y[:, -1]]
-        final += [""] * traj.gamma.shape[0]
-        writer.writerow(final)
+        writer.writerows([str(k), *map(repr, row)] for k, row in enumerate(table, start=1))
+        writer.writerow(["y_final", *map(repr, final), *[""] * (source.size - n)])
 
 
 def read_trajectory_csv(path) -> TrajectoryData:
     """Rebuild a read-only :class:`TrajectoryData` written by :func:`write_trajectory_csv`.
 
-    Raises :class:`DimensionMismatch` for a row whose field count differs
-    from the header's, and :class:`RowRangeMismatch` when a vertex's columns
-    are not contiguous or an id names both a state and an input vertex.
+    The cells are read with ``float``, row by row, each row's state columns
+    before its input columns, and the ``y_final`` row last. Raises
+    :class:`DimensionMismatch` for a row whose field count differs from the
+    header's, and :class:`RowRangeMismatch` when a vertex's columns are not
+    contiguous or an id names both a state and an input vertex.
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
@@ -345,38 +387,23 @@ def read_trajectory_csv(path) -> TrajectoryData:
     for number, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DimensionMismatch(f"trajectory CSV row {number} has {len(row)} fields, the header has {len(header)}")
-    state_cols = []
-    input_cols = []
-    for idx, name in enumerate(header[1:], start=1):
-        if name.startswith("u:"):
-            vertex = name[2:].rsplit(":", 1)[0]
-            input_cols.append((idx, vertex))
-        else:
-            vertex = name.rsplit(":", 1)[0]
-            state_cols.append((idx, vertex))
     data_rows = [r for r in rows[1:] if r[0] != "y_final"]
     final_rows = [r for r in rows[1:] if r[0] == "y_final"]
     if not data_rows or len(final_rows) != 1:
         raise DimensionMismatch("trajectory CSV needs data rows and exactly one y_final row")
-    m = len(data_rows)
-    z = np.empty((len(state_cols), m))
-    gamma = np.empty((len(input_cols), m))
-    for k, row in enumerate(data_rows):
-        for r, (idx, _) in enumerate(state_cols):
-            z[r, k] = float(row[idx])
-        for r, (idx, _) in enumerate(input_cols):
-            gamma[r, k] = float(row[idx])
-    y = np.empty_like(z)
-    if m > 1:
-        y[:, : m - 1] = z[:, 1:]
-    for r, (idx, _) in enumerate(state_cols):
-        y[r, m - 1] = float(final_rows[0][idx])
-    ranges = _column_ranges([vertex for _, vertex in state_cols])
-    input_ranges = _column_ranges([vertex for _, vertex in input_cols])
+    is_input = [name.startswith("u:") for name in header]
+    order = sorted(range(1, len(header)), key=is_input.__getitem__)  # state columns, then input columns
+    n = is_input[1:].count(False)
+    table = np.array([[float(row[i]) for i in order] for row in data_rows], dtype=float)
+    states = np.vstack([table[:, :n], [[float(final_rows[0][i]) for i in order[:n]]]])
+    vertices = [header[i].removeprefix("u:").rsplit(":", 1)[0] for i in order]
+    ranges = _column_ranges(vertices[:n])
+    input_ranges = _column_ranges(vertices[n:])
     shared = sorted(ranges.keys() & input_ranges.keys())
     if shared:
         raise RowRangeMismatch(f"trajectory CSV uses {shared[0]!r} as both a state and an input vertex")
     ranges.update(input_ranges)
+    z, gamma, y = (np.ascontiguousarray(a.T) for a in (states[:-1], table[:, n:], states[1:]))
     return _read_only_trajectory(z, gamma, y, ranges)
 
 

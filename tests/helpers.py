@@ -8,8 +8,10 @@ values, a per-node gather for both network DMDc solvers, a lift of the
 reduced network model through one dense block-diagonal projector, the
 exact solve through an explicit pseudoinverse of each matrix as given, and
 reduced DMD and DMDc through numpy's SVD, each cut at the rank its rule's
-definition gives. :func:`pinv_conditioning` is the solvers' kernel applied
-to an identity: the pseudoinverse of one matrix, for checks of the kernel.
+definition gives. :func:`conditioning_record` is the record the solvers
+write, from one SVD of the matrix as given. :func:`pinv_conditioning` is
+the solvers' kernel applied to an identity: the pseudoinverse of one
+matrix, for checks of the kernel.
 """
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,8 +39,8 @@ from netdmd.numkernel import (
     TruncationRule,
     _pinv_stack,
     _record,
+    _svd,
     as_matrix,
-    conditioning_record,
 )
 from netdmd.sysmodel import (
     ErdosRenyi,
@@ -492,6 +494,17 @@ def factorizations_failing_on_marker():
 
     with mock.patch.object(np.linalg, "svd", failing(np.linalg.svd)), mock.patch.object(np.linalg, "qr", failing(np.linalg.qr)):
         yield
+
+
+def conditioning_record(m, rcond: float = EXACT_RULE.tau) -> ConditioningRecord:
+    """Singular-value extremes of a data matrix, flagging near-singularity.
+
+    The warning trips when sigma_min/sigma_max < ILL_CONDITIONED_RATIO, the
+    regime where pseudoinverse-based estimates become unreliable. ``rcond``
+    is only the record's ``rcond_used`` label; nothing is cut here.
+    """
+    a = as_matrix(m)
+    return _record(_svd(a, compute_uv=False) if a.size else np.zeros(0), rcond)
 
 
 def pinv_conditioning(m, rcond: float = EXACT_RULE.tau):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     build_local_data,
+    conditioning_record,
     rcond_by_definition,
     reference_lift_reduced_network,
     reference_network_dmdc_exact,
@@ -22,7 +23,7 @@ from helpers import (
 from netdmd.bench import _identify, generate_system
 from netdmd.dmdcore import dmd_reduced, dmdc_exact, dmdc_reduced
 from netdmd.errors import DimensionMismatch, NetdmdError, RowRangeMismatch
-from netdmd.netdmdc import _trajectory_rows, network_dmdc_exact, network_dmdc_reduced, network_model_to_dict
+from netdmd.netdmdc import network_dmdc_exact, network_dmdc_reduced, network_model_to_dict
 from netdmd.numkernel import (
     EPS,
     EXACT_RULE,
@@ -33,7 +34,6 @@ from netdmd.numkernel import (
     _kept,
     _pinv_stack,
     _rule_cut,
-    conditioning_record,
     conditioning_to_dict,
 )
 from netdmd.sysmodel import (
@@ -42,6 +42,7 @@ from netdmd.sysmodel import (
     GeneratorConfig,
     LinearNetworkSystem,
     TrajectoryData,
+    _trajectory_rows,
     derive_rng,
     simulate,
 )
@@ -344,13 +345,6 @@ def test_coefficient_support_covers_exactly_the_edge_blocks(t):
     assert position == rows.size
 
 
-def _reference_assembled(identify, t, traj):
-    """The per-node reference's full-space (A, B) for either network solver."""
-    if identify is network_dmdc_exact:
-        return reference_network_dmdc_exact(t, traj)
-    return reference_lift_reduced_network(reference_network_dmdc_reduced(t, traj))
-
-
 @pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
 @given(systems(), st.data())
 @settings(max_examples=80, deadline=None)
@@ -380,8 +374,13 @@ def test_trajectory_row_errors_match_the_per_node_gather(identify, system, data)
         want = str(exc)
     if want is None:
         model = identify(t, broken)
-        a, b = _reference_assembled(identify, t, broken)
-        assert _close(model.assembled_a, a) and _close(model.assembled_b, b)
+        if identify is network_dmdc_exact:
+            a, b = reference_network_dmdc_exact(t, broken)
+            assert _close(model.assembled_a, a) and _close(model.assembled_b, b)
+        else:
+            reduced = reference_network_dmdc_reduced(t, broken)
+            got = np.hstack([model.assembled_a, model.assembled_b])
+            _assert_reduced_matches(model, reduced, got, np.hstack(reference_lift_reduced_network(reduced)))
     else:
         with pytest.raises(RowRangeMismatch) as raised:
             identify(t, broken)

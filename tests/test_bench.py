@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     MARKER,
+    conditioning_record,
     factorizations_failing_on_marker,
     reference_lift_reduced_network,
     reference_network_dmdc_reduced,
@@ -37,7 +38,7 @@ from netdmd.bench import (
     _identify,
 )
 from netdmd.netdmdc import model_error, network_dmdc_exact
-from netdmd.numkernel import EXACT_RULE, FixedRank, MachineDefault, RelativeThreshold, conditioning_record
+from netdmd.numkernel import EXACT_RULE, FixedRank, MachineDefault, RelativeThreshold
 from netdmd.sysmodel import (
     Circular,
     ErdosRenyi,

@@ -224,12 +224,18 @@ def test_model_json_with_assembled_matrices_still_loads(two_node_topology, two_n
         (lambda doc: doc["blocks_a"].update({"v1→v1": [[1.0], [2.0, 3.0]]}), DimensionMismatch, None),
         (lambda doc: doc["blocks_a"].update({"v1→v2": [[1.0]]}), BadConfig, "missing [], extra ['v1→v2']"),
         (lambda doc: doc["blocks_b"].update({"e1→v2": [[1.0]]}), BadConfig, "missing [], extra ['e1→v2']"),
+        (
+            lambda doc: doc["per_node_conditioning"].update({"e1": doc["per_node_conditioning"]["v1"]}),
+            UnknownVertex,
+            "conditioning records for vertices that are not state vertices: ['e1']",
+        ),
     ],
-    ids=["missing_a", "missing_b", "wide", "flat", "ragged", "non_edge_a", "non_edge_b"],
+    ids=["missing_a", "missing_b", "wide", "flat", "ragged", "non_edge_a", "non_edge_b", "input_conditioning"],
 )
 def test_model_json_with_bad_blocks_is_a_dimension_error(two_node_topology, two_node_trajectory, change, error, message):
     # a mis-shaped block is a DimensionMismatch; a missing or extra key is the BadConfig
-    # of the one key check that a system built from the wrong blocks also raises
+    # of the one key check that a system built from the wrong blocks also raises; a
+    # conditioning record for a vertex that is not a state vertex is an UnknownVertex
     doc = network_model_to_dict(network_dmdc_exact(two_node_topology, two_node_trajectory))
     change(doc)
     with pytest.raises(error, match=message and re.escape(message)):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from helpers import build_local_data, reference_dmd_reduced, reference_dmdc_reduced
+from helpers import build_local_data, conditioning_record, reference_dmd_reduced, reference_dmdc_reduced
 
 from netdmd.errors import AllZeroMatrix, DimensionMismatch
 from netdmd.netdmdc import network_dmdc_reduced
@@ -376,7 +376,6 @@ class TestDmdReduced:
 class TestPredict:
     def test_reproduces_worked_successors(self, two_node_trajectory):
         from netdmd.dmdcore import ExactLinearModel
-        from netdmd.numkernel import conditioning_record
 
         traj = two_node_trajectory
         a = np.array([[1.2, -0.5], [0.0, 0.8]])
@@ -387,7 +386,6 @@ class TestPredict:
 
     def test_zero_model(self):
         from netdmd.dmdcore import ExactLinearModel
-        from netdmd.numkernel import conditioning_record
 
         model = ExactLinearModel(np.zeros((2, 2)), np.zeros((2, 1)), conditioning_record(np.eye(2)))
         out = predict(model, (1.0, 2.0), np.ones((1, 4)), 4)
@@ -395,7 +393,6 @@ class TestPredict:
 
     def test_identity_autonomous(self):
         from netdmd.dmdcore import ExactLinearModel
-        from netdmd.numkernel import conditioning_record
 
         model = ExactLinearModel(np.eye(2), None, conditioning_record(np.eye(2)))
         out = predict(model, (1.0, -1.0), None, 3)
@@ -414,13 +411,22 @@ class TestPredict:
         u = rng.uniform(-1, 1, (2, 10))
         assert np.linalg.norm(predict(exact, x0, u, 10) - predict(reduced, x0, u, 10)) <= 1e-6
 
-    def test_input_shape_checked(self):
+    @pytest.mark.parametrize(
+        "b, x0, inputs, m, message",
+        [
+            (np.ones((2, 1)), (1.0, 1.0), np.ones((1, 4)), 0, "need at least one prediction step"),
+            (np.ones((2, 1)), (1.0, 1.0, 1.0), np.ones((1, 4)), 4, "x0 has 3 entries, model expects 2"),
+            (None, (1.0, 1.0), np.ones((1, 4)), 4, "model has no input operator but inputs were given"),
+            (np.ones((2, 1)), (1.0, 1.0), np.ones((2, 4)), 4, r"inputs must be \(1, 4\), got \(2, 4\)"),
+        ],
+        ids=["no_steps", "x0_size", "inputs_without_b", "input_shape"],
+    )
+    def test_bad_arguments_raise(self, b, x0, inputs, m, message):
         from netdmd.dmdcore import ExactLinearModel
-        from netdmd.numkernel import conditioning_record
 
-        model = ExactLinearModel(np.eye(2), np.ones((2, 1)), conditioning_record(np.eye(2)))
-        with pytest.raises(DimensionMismatch):
-            predict(model, (1.0, 1.0), np.ones((2, 4)), 4)
+        model = ExactLinearModel(np.eye(2), b, conditioning_record(np.eye(2)))
+        with pytest.raises(DimensionMismatch, match=message):
+            predict(model, x0, inputs, m)
 
 
 class TestModes:

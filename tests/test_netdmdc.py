@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import build_local_data, random_small_system
+from helpers import build_local_data, conditioning_record, random_small_system
 
 from netdmd.errors import RowRangeMismatch, UnknownVertex
 from netdmd.numkernel import FixedRank
@@ -187,7 +187,6 @@ class TestModelError:
 
     def test_three_four_five(self):
         from netdmd.dmdcore import ExactLinearModel
-        from netdmd.numkernel import conditioning_record
 
         truth_a = np.zeros((2, 2))
         truth_b = np.eye(2)
@@ -200,7 +199,6 @@ class TestModelError:
 
     def test_input_part_skipped_when_both_absent(self):
         from netdmd.dmdcore import ExactLinearModel
-        from netdmd.numkernel import conditioning_record
 
         model = ExactLinearModel(np.eye(2), None, conditioning_record(np.eye(2)))
         assert model_error(model, np.zeros((2, 2))) == pytest.approx(np.sqrt(2.0))
@@ -208,7 +206,6 @@ class TestModelError:
     def test_one_sided_input_operator_rejected(self):
         from netdmd.errors import DimensionMismatch
         from netdmd.dmdcore import ExactLinearModel
-        from netdmd.numkernel import conditioning_record
 
         model = ExactLinearModel(np.eye(2), None, conditioning_record(np.eye(2)))
         with pytest.raises(DimensionMismatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from helpers import pinv_conditioning, rank_by_definition, reference_pinv_solve
+from helpers import conditioning_record, pinv_conditioning, rank_by_definition, reference_pinv_solve
 
 from netdmd.errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare
 from netdmd.numkernel import (
@@ -18,7 +18,6 @@ from netdmd.numkernel import (
     MachineDefault,
     RelativeThreshold,
     conditioning_from_dict,
-    conditioning_record,
     conditioning_to_dict,
     eig,
     _kept,

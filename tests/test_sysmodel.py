@@ -10,11 +10,13 @@ from numpy.testing import assert_allclose
 
 from helpers import reference_gen_erdos_renyi, reference_operator_values, rescan_local_subsystem, systems
 from netdmd.errors import BadConfig, DimensionMismatch, Divergence, RowRangeMismatch
+from netdmd.netdmdc import network_dmdc_exact
 from netdmd.sysmodel import (
     Circular,
     ErdosRenyi,
     GeneratorConfig,
     LinearNetworkSystem,
+    TrajectoryData,
     _draw_blocks,
     derive_rng,
     gen_circular,
@@ -60,6 +62,20 @@ class TestSimulate:
         system = LinearNetworkSystem(t, {"v1": [[1e200]]}, {})
         with pytest.raises(Divergence, match="after step 2 of 4"):
             simulate(system, (1.0,), np.zeros((0, 4)))
+
+    @pytest.mark.parametrize(
+        "x0, inputs, message",
+        [
+            ((1.0, 1.0), np.zeros(3), r"inputs must be 2-D \(l x m\), got shape \(3,\)"),
+            ((1.0, 1.0), np.zeros((1, 3)), "inputs have 1 rows, topology needs 2"),
+            ((1.0, 1.0), np.zeros((2, 0)), r"need at least one input column \(m >= 1\)"),
+            ((1.0, 1.0, 1.0), np.zeros((2, 3)), "state vector has 3 entries, topology needs 2"),
+        ],
+        ids=["inputs_1d", "input_rows", "no_columns", "x0_size"],
+    )
+    def test_dimension_mismatch(self, two_node_system, x0, inputs, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            simulate(two_node_system, x0, inputs)
 
     def test_single_snapshot(self, two_node_system):
         traj = simulate(two_node_system, (1.0, 1.0), np.zeros((2, 1)))
@@ -295,6 +311,42 @@ class TestSerialization:
         assert np.array_equal(back.gamma, two_node_trajectory.gamma)
         assert np.array_equal(back.y, two_node_trajectory.y)
         assert back.vertex_row_ranges == two_node_trajectory.vertex_row_ranges
+
+    def test_trajectory_csv_follows_the_row_map(self, two_node_system, two_node_trajectory, tmp_path):
+        # rows in the order v2, v1 and e2, e1: each vertex's own rows go under its header
+        traj, t = two_node_trajectory, two_node_system.topology
+        ranges = {"v1": (1, 2), "v2": (0, 1), "e1": (1, 2), "e2": (0, 1)}
+        relaid = TrajectoryData(traj.z[::-1], traj.gamma[::-1], traj.y[::-1], ranges)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(relaid, t, path)
+        back = read_trajectory_csv(path)
+        for name in ("z", "gamma", "y"):
+            assert np.array_equal(getattr(back, name), getattr(traj, name))
+        assert np.array_equal(network_dmdc_exact(t, back).coeffs, network_dmdc_exact(t, traj).coeffs)
+        assert_allclose(network_dmdc_exact(t, back).coeffs, two_node_system.coeffs, atol=1e-9)
+        # a trailing row of z and y that no vertex maps to is not written
+        pad = np.full((1, traj.n_snapshots), 7.0)
+        padded = TrajectoryData(np.vstack([relaid.z, pad]), relaid.gamma, np.vstack([relaid.y, pad]), ranges)
+        write_trajectory_csv(padded, t, tmp_path / "padded.csv")
+        assert (tmp_path / "padded.csv").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "ranges, inputs, message",
+        [
+            ({"v2": (1, 3)}, (), "vertex 'v2' spans 2 trajectory rows but has dimension 1"),
+            ({"e1": (2, 3)}, (), "vertex 'e1' spans rows 2 to 3 of gamma, which has 2"),
+            ({}, ("e3",), "trajectory has no rows for vertex 'e3'"),
+            ({"e3": (5, 6)}, ("e3",), "trajectory has no rows for vertex 'e3'"),
+        ],
+        ids=["mis_sized", "outside_gamma", "input_without_rows", "input_outside_gamma"],
+    )
+    def test_trajectory_csv_rejects_a_bad_row_map(self, two_node_system, two_node_trajectory, tmp_path, ranges, inputs, message):
+        t = two_node_system.topology
+        wider = NetworkTopology(t.state_vertices, t.input_vertices + inputs, t.edges, {**t.dims, **{e: 1 for e in inputs}})
+        traj = two_node_trajectory
+        broken = TrajectoryData(traj.z, traj.gamma, traj.y, {**traj.vertex_row_ranges, **ranges})
+        with pytest.raises(RowRangeMismatch, match=re.escape(message)):
+            write_trajectory_csv(broken, wider, tmp_path / "traj.csv")
 
     def test_trajectory_csv_autonomous_single_column(self, tmp_path):
         system = gen_erdos_renyi(GeneratorConfig(ErdosRenyi(4, 0.5), seed=3))
