@@ -7,7 +7,6 @@ non-edges. Includes a simulator, random topology generators, and a sweep
 harness for recovery-error benchmarks.
 """
 from .errors import (
-    AllZeroMatrix,
     BadConfig,
     ConvergenceFailure,
     DimensionMismatch,

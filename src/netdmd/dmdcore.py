@@ -9,7 +9,8 @@ projected onto y's leading left singular vectors; reduced DMD projects onto
 z's leading left singular vectors, from one SVD of z cut by its rule. Every
 solver takes a truncation rule and reads its cut one way (``_kept`` under
 ``_rule_cut``): the exact ones default to ``EXACT_RULE``, a relative cut of
-1e-12, the reduced ones to ``MachineDefault``. The reduced forms return a
+1e-12, the reduced ones to ``MachineDefault``. ``_kept`` keeps no zero, so
+all-zero data give every solver the zero model. The reduced forms return a
 small model plus the dynamic modes it induces in the full space. All
 functions are pure; determinism comes from the fixed eigenvalue ordering in
 :mod:`netdmd.numkernel`.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroMatrix, DimensionMismatch
+from .errors import DimensionMismatch
 from .numkernel import (
     EXACT_RULE,
     ConditioningRecord,
@@ -89,13 +90,13 @@ class DynamicModes:
     n_zero_excluded: int = 0
 
 
-def _check_regression(z, y, *gammas, nonzero: bool = False):
+def _check_regression(z, y, *gammas):
     """The data of the regression ``y ~ a z (+ b gamma)`` as float matrices: z, y and each gamma.
 
     Each is read by :func:`as_matrix` in that order, so the first NaN or Inf
     entry is named by its argument; then the column counts must agree and y
-    must have z's rows, else :class:`DimensionMismatch`. With ``nonzero``,
-    an all-zero ``[z; gamma]`` or y raises :class:`AllZeroMatrix`.
+    must have z's rows, else :class:`DimensionMismatch`. This is the one
+    data check of every solver, exact or reduced: all-zero data pass it.
     """
     z, y = as_matrix(z, "z"), as_matrix(y, "y")
     gammas = [as_matrix(gamma, "gamma") for gamma in gammas]
@@ -104,28 +105,29 @@ def _check_regression(z, y, *gammas, nonzero: bool = False):
         raise DimensionMismatch(f"column counts differ: {[m.shape for m in mats]}")
     if z.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
-    if nonzero and not (y.any() and any(m.any() for m in (z, *gammas))):
-        raise AllZeroMatrix("dmdc_reduced needs nonzero [z; gamma] and y")
     return z, y, gammas
+
+
+def _solve(z, y, gammas, rule: TruncationRule):
+    """``y @ pinv([z; gamma...])`` of :func:`_check_regression`'s matrices under ``rule``'s cut, by :func:`_pinv_stack`; with omega's singular values and the cut."""
+    k = len(z) + sum(len(gamma) for gamma in gammas)
+    cut = _rule_cut(rule, (k, z.shape[1]))
+    (g,), (sigma,) = _pinv_stack(np.concatenate([z, *gammas, y])[None], k, *cut)
+    return g, sigma, cut
 
 
 def dmdc_exact(z, y, gamma=None, rule: TruncationRule = EXACT_RULE) -> ExactLinearModel:
     """Minimum-norm solution of ``y ~ a z + b gamma``, or of ``y ~ a z`` (DMD) when gamma is None.
 
-    Checks the data with :func:`_check_regression`, gathers ``[omega; y]``,
-    ``omega = [z; gamma]`` (just z for DMD), into one array and solves
-    ``y @ pinv(omega)`` from it without forming the pseudoinverse, by the
-    QR that :func:`_pinv_stack` describes, keeping the singular values
-    ``rule`` keeps (:func:`_rule_cut`). The result splits into the state
-    part (first n columns) and the input part (last l); for DMD ``b`` is
-    None. The record's ``rcond_used`` is the rule's relative cut.
+    Checks the data with :func:`_check_regression` and solves
+    ``y @ pinv(omega)``, ``omega = [z; gamma]`` (just z for DMD), under
+    ``rule``'s cut by :func:`_solve`. The result splits into the state part
+    (first n columns) and the input part (last l); for DMD ``b`` is None.
+    The record's ``rcond_used`` is the rule's relative cut.
     """
     z, y, gammas = _check_regression(z, y, *(() if gamma is None else (gamma,)))
-    n, data = z.shape[0], np.concatenate([z, *gammas, y])
-    k = data.shape[0] - n
-    rcond, rank = _rule_cut(rule, (k, data.shape[1]))
-    (g,), (sigma,) = _pinv_stack(data[None], k, rcond, rank)
-    return ExactLinearModel(a=g[:, :n], b=g[:, n:] if gammas else None, conditioning=_record(sigma, rcond))
+    g, sigma, (rcond, _) = _solve(z, y, gammas, rule)
+    return ExactLinearModel(a=g[:, : len(z)], b=g[:, len(z) :] if gammas else None, conditioning=_record(sigma, rcond))
 
 
 def _filter_zero_modes(values: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -144,11 +146,10 @@ def dmd_reduced(z, y, rule: TruncationRule = MachineDefault()) -> tuple[ReducedL
     operator is ``a_tilde = u_hat.T y v_p s_p^-1`` and each eigenpair (w, lam)
     of it, lam nonzero, lifts to the full-space mode
     ``phi = lam^-1 y v_p s_p^-1 w``. The record is z's, from the same
-    singular values, with the rule's relative cut as ``rcond_used``.
+    singular values, with the rule's relative cut as ``rcond_used``. An
+    all-zero z (p = 0) or y gives the zero model and no modes.
     """
     z, y, _ = _check_regression(z, y)
-    if not np.any(z) or not np.any(y):
-        raise AllZeroMatrix("dmd_reduced needs nonzero z and y")
     u, s, vt = _svd(z)
     rcond, rank = _rule_cut(rule, z.shape)
     p = int(np.count_nonzero(_kept(s, rcond, rank)))
@@ -174,29 +175,27 @@ def dmdc_reduced(
 ) -> tuple[ReducedLinearModel, DynamicModes]:
     """Reduced-order DMDc: the exact solve with ``input_rule`` as its cut, then y's projector.
 
-    ``[g_a g_b] = y @ pinv_p([z; gamma])`` is :func:`dmdc_exact`'s solve,
+    ``[g_a g_b] = y @ pinv_p([z; gamma])`` is :func:`dmdc_exact`'s :func:`_solve`,
     keeping the p singular values ``input_rule`` keeps (:func:`_rule_cut`),
     and ``u_hat`` holds y's leading r left singular vectors under
     ``output_rule``: ``a_tilde = u_hat.T g_a u_hat``, ``b_tilde = u_hat.T g_b``
     and the modes are ``g_a u_hat w`` for each eigenvector w of ``a_tilde``.
     The record is ``[z; gamma]``'s, from the solve's values, with the input
-    rule's relative cut as ``rcond_used``.
+    rule's relative cut as ``rcond_used``. An all-zero ``[z; gamma]``
+    (p = 0) or y (r = 0) gives the zero model.
     """
-    z, y, gammas = _check_regression(z, y, gamma, nonzero=True)
-    n, k = z.shape[0], z.shape[0] + sum(len(gamma) for gamma in gammas)
-    data = np.concatenate([z, *gammas, y])
-    rcond, rank = _rule_cut(input_rule, (k, data.shape[1]))
-    (g,), (sigma,) = _pinv_stack(data[None], k, rcond, rank)
+    z, y, gammas = _check_regression(z, y, gamma)
+    g, sigma, cut = _solve(z, y, gammas, input_rule)
     u, s, _ = _svd(y)
     u_hat = u[:, : np.count_nonzero(_kept(s, *_rule_cut(output_rule, y.shape)))]
-    state_map = g[:, :n] @ u_hat
+    state_map = g[:, : len(z)] @ u_hat
     model = ReducedLinearModel(
         a_tilde=u_hat.T @ state_map,
-        b_tilde=u_hat.T @ g[:, n:],
+        b_tilde=u_hat.T @ g[:, len(z) :],
         u_hat=u_hat,
-        p=int(np.count_nonzero(_kept(sigma, rcond, rank))),
+        p=int(np.count_nonzero(_kept(sigma, *cut))),
         r=u_hat.shape[1],
-        conditioning=_record(sigma, rcond),
+        conditioning=_record(sigma, cut[0]),
     )
     eigres = eig(model.a_tilde)
     raw_modes = state_map.astype(complex) @ eigres.vectors

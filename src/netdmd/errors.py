@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the typed read of a JSON field."""
+"""Exception types shared across the package, and the typed read of a JSON field; all-zero data are no error."""
 
 
 class NetdmdError(Exception):
@@ -7,10 +7,6 @@ class NetdmdError(Exception):
 
 class NonFiniteEntry(NetdmdError):
     """A matrix contains NaN or infinite entries."""
-
-
-class AllZeroMatrix(NetdmdError):
-    """A reduced solver's data check: its z, [z; gamma] or y is all zero, so it has no leading singular vectors."""
 
 
 class NotSquare(NetdmdError):

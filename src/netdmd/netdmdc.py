@@ -203,9 +203,9 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rule: Truncatio
     Each node's solution is ``G_j = Y_j pinv(Omega_j)`` with
     ``Omega_j = [Z_j; Gamma_j]``, as :func:`dmdc_exact` computes it. Nodes are
     solved a shape group of the topology's gather plan at a time, on the
-    group's one gathered ``[Omega_j; Y_j]`` stack (:func:`_gathered`), by
-    the batched QR that :func:`_pinv_stack` describes, with ``rule`` as the
-    cut (:func:`_solve_groups`). A node whose data are not finite, or whose
+    group's one gathered ``[Omega_j; Y_j]`` stack, by the batched QR that
+    :func:`_pinv_stack` describes, with ``rule`` as the cut
+    (:func:`_solve_groups`). A node whose data are not finite, or whose
     factorization fails, is recorded in ``node_failures`` with the message
     :func:`dmdc_exact` raises and contributes zero blocks; the rest of the
     model is still assembled. Each group writes its solution stack into its
@@ -213,64 +213,45 @@ def network_dmdc_exact(t: NetworkTopology, traj: TrajectoryData, rule: Truncatio
     singular-value extremes and cut into the model's vertex-ordered
     ``conditioning``; no per-node record is built.
     """
-    return _network_model(t, *_solve_groups(t, traj, rule))
+    return _network_model(t, *_solve_groups(t, traj, _trajectory_rows(t, traj), rule))
 
 
-def _solve_groups(t: NetworkTopology, traj: TrajectoryData, rule: TruncationRule, nonzero: bool = False):
+def _solve_groups(t: NetworkTopology, traj: TrajectoryData, source: np.ndarray, rule: TruncationRule):
     """Plan-order coefficients of every node's ``Y_j pinv_p(Omega_j)``, its (sigma_max, sigma_min, rcond), and failures by vertex index.
 
-    ``pinv_p`` keeps what :func:`_pinv_stack` keeps under ``rule``'s cut
-    (:func:`_rule_cut`) for a group's k-by-m Omegas, and rcond is that cut's
-    relative part. A group that is not finite, whose batch fails, or (with
-    ``nonzero``) with an all-zero Omega_j or Y_j is solved node by node,
+    A group's ``[Omega_j; Y_j]`` stack (G-by-(k + d)-by-m) is one fancy
+    index over ``[traj.z; traj.gamma; traj.y]`` through the row map
+    ``source`` (:func:`_trajectory_rows`). ``pinv_p`` keeps what
+    :func:`_pinv_stack` keeps under ``rule``'s cut (:func:`_rule_cut`) for
+    a group's k-by-m Omegas, and rcond is that cut's relative part, so an
+    all-zero Omega_j or Y_j gives zero coefficients. A group that is not
+    finite, or whose batch fails, is solved node by node,
     :func:`_check_regression` then the kernel alone: only a node that fails
-    fails, with :func:`dmdc_exact`'s (:func:`dmdc_reduced`'s) message.
+    fails, with :func:`dmdc_exact`'s message.
     """
     coeffs = np.zeros(coefficient_support(t)[0].size)
     record = np.full((3, len(t.state_vertices)), np.nan)
     failures: dict[int, str] = {}
-    for (group, data), (_, solution) in zip(_gathered(t, traj), _group_stacks(t, coeffs)):
+    trajectory = np.concatenate([traj.z, traj.gamma, traj.y])
+    y_rows = source + (traj.z.shape[0] + traj.gamma.shape[0])  # a state position's row of y follows its row of z
+    for group, solution in _group_stacks(t, coeffs):
+        data = trajectory[np.concatenate([source[group.cols], y_rows[group.rows]], axis=1)]
         (_, d, k), index = group.shape, group.vertex_index
         rcond, rank = _rule_cut(rule, (k, data.shape[2]))
         record[2, index] = rcond
-        if np.isfinite(data).all() and (not nonzero or (data[:, :k].any(axis=(1, 2)) & data[:, k:].any(axis=(1, 2))).all()):
+        if np.isfinite(data).all():
             with suppress(ConvergenceFailure):  # else node by node, below
                 solution[...], s = _pinv_stack(data, k, rcond, rank)
                 record[:2, index] = s[:, [0, -1]].T
                 continue
         for j, (i, data_j) in enumerate(zip(index.tolist(), data)):
             try:
-                _check_regression(data_j[:d], data_j[k:], data_j[d:k], nonzero=nonzero)
+                _check_regression(data_j[:d], data_j[k:], data_j[d:k])
                 solution[j : j + 1], s = _pinv_stack(data_j[None], k, rcond, rank)
                 record[:2, i] = s[0, [0, -1]]
             except NetdmdError as exc:
                 failures[i] = str(exc)
     return coeffs, record, failures
-
-
-def _gathered(t: NetworkTopology, traj: TrajectoryData):
-    """``(group, data)`` for every shape group of the gather plan.
-
-    ``data`` (G-by-(k + d)-by-m) stacks the group's ``[Omega_j; Y_j]``,
-    with ``Omega_j = [Z_j; Gamma_j]``, in one fancy index over
-    ``[traj.z; traj.gamma; traj.y]`` through :func:`_trajectory_rows`. A
-    trajectory whose arrays do not line up raises :class:`DimensionMismatch`
-    naming the array: z, gamma and y must be matrices with z's column
-    count, and y must have z's rows.
-    """
-    for name, a in (("z", traj.z), ("gamma", traj.gamma), ("y", traj.y)):
-        if np.ndim(a) != 2:
-            raise DimensionMismatch(f"trajectory {name} must be a matrix, got shape {np.shape(a)}")
-    if traj.y.shape[0] != traj.z.shape[0]:
-        raise DimensionMismatch(f"trajectory y has {traj.y.shape[0]} rows but z has {traj.z.shape[0]}")
-    for name, a in (("gamma", traj.gamma), ("y", traj.y)):
-        if a.shape[1] != traj.z.shape[1]:
-            raise DimensionMismatch(f"trajectory {name} has {a.shape[1]} columns but z has {traj.z.shape[1]}")
-    source = _trajectory_rows(t, traj)
-    trajectory = np.concatenate([traj.z, traj.gamma, traj.y])
-    y_rows = source + (traj.z.shape[0] + traj.gamma.shape[0])  # a state position's row of y follows its row of z
-    for group in gather_plan(t):
-        yield group, trajectory[np.concatenate([source[group.cols], y_rows[group.rows]], axis=1)]
 
 
 def network_dmdc_reduced(
@@ -287,28 +268,34 @@ def network_dmdc_reduced(
     keeps, is the exact solve with the rule as its cut (:func:`_rule_cut`);
     ``P = u_hat u_hat^T`` projects onto a vertex's leading left singular
     vectors of Y under ``output_rule`` (:func:`_project`). A failed node
-    keeps zero coefficients, and the identity as its P. Records come from
-    the solve's singular values of Omega_j, with the input rule's relative
-    cut for each shape group as ``rcond_used``, as :func:`dmdc_reduced`'s do.
+    keeps zero coefficients, and the identity as its P. All-zero data are
+    no failure: an all-zero Omega_j or Y_j keeps no singular value, so the
+    node's coefficients are zero, and a vertex whose Y is all zero keeps the
+    identity as its P; so on scalar vertices the model is
+    ``network_dmdc_exact(t, traj, input_rule)`` bit for bit. Records come
+    from the solve's singular values of Omega_j, with the input rule's
+    relative cut for each shape group as ``rcond_used``, as
+    :func:`dmdc_reduced`'s do.
     """
-    coeffs, record, failures = _solve_groups(t, traj, input_rule, nonzero=True)
-    _project(t, traj, coeffs, failures, output_rule)
+    source = _trajectory_rows(t, traj)
+    coeffs, record, failures = _solve_groups(t, traj, source, input_rule)
+    _project(t, traj, source, coeffs, failures, output_rule)
     return _network_model(t, coeffs, record, failures)
 
 
-def _project(t: NetworkTopology, traj: TrajectoryData, coeffs: np.ndarray, failures: dict, rule: TruncationRule):
+def _project(t: NetworkTopology, traj: TrajectoryData, source: np.ndarray, coeffs: np.ndarray, failures: dict, rule: TruncationRule):
     """Multiply each solved strip of plan-order ``coeffs`` by its projectors, in place.
 
-    ``P`` is the identity for an input, a failed node and a vertex whose ``rule``
-    keeps all dims of its Y (so for a scalar vertex); others come from one batched
-    SVD of a group's Ys, per node if it fails (a node whose own fails fails). Each
+    ``P`` is the identity for an input, a failed node, a vertex whose ``rule``
+    keeps all dims of its Y (so for a scalar vertex) and one whose Y is all zero;
+    others come from one batched SVD of a group's Ys, read through the solve's row
+    map ``source``, per node if it fails (a node whose own fails fails). Each
     strip that reads one becomes ``P_j strip M``, M holding its vertices' Ps.
     """
     dims = t._vertex_dims
     start = np.repeat(np.cumsum(dims) - dims, dims)  # first position in [x; u] of each position's vertex
     proj = np.eye(dims.max(initial=1))[np.arange(start.size) - start]  # each position's row of its vertex's P
     lifted = np.zeros(start.size, dtype=bool)
-    source = _trajectory_rows(t, traj)
     for group in gather_plan(t):
         d, solved = group.shape[1], np.flatnonzero(~np.isin(group.vertex_index, list(failures)))
         threshold = _rule_cut(rule, (d, traj.y.shape[1]))  # for every group, so that a value that is not a rule always raises
@@ -325,7 +312,7 @@ def _project(t: NetworkTopology, traj: TrajectoryData, coeffs: np.ndarray, failu
                 except ConvergenceFailure as exc:
                     failures[int(group.vertex_index[solved[i]])] = str(exc)
         keep = _kept(s, *threshold)
-        cut = (keep.sum(axis=1) < d) & (s[:, 0] > 0)
+        cut = (keep.sum(axis=1) < d) & (s[:, 0] > 0)  # an all-zero Y keeps nothing, and reads as the identity
         rows, u = group.rows[solved[cut]], u[cut] * keep[cut][:, None, :]
         proj[rows[:, :, None], np.arange(d)] = u @ np.swapaxes(u, 1, 2)
         lifted[rows] = True

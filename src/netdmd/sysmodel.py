@@ -107,12 +107,23 @@ class TrajectoryData:
 def _trajectory_rows(t: NetworkTopology, traj: TrajectoryData) -> np.ndarray:
     """Row of ``[traj.z; traj.gamma]`` holding each position of ``[x; u]``, read-only.
 
-    Raises :class:`RowRangeMismatch` for the first vertex, in
+    First the trajectory's arrays must line up, else
+    :class:`DimensionMismatch` naming the array: z, gamma and y must be
+    matrices, y must have z's rows, and gamma and y z's column count. Then
+    it raises :class:`RowRangeMismatch` for the first vertex, in
     :func:`_block_order`, whose row range is missing or mis-sized, or does
     not lie inside its array (z for a state vertex, gamma for an input). A
     vertex that no node reads (an input without edges) may lack rows; its
     positions map to -1.
     """
+    for name, a in (("z", traj.z), ("gamma", traj.gamma), ("y", traj.y)):
+        if np.ndim(a) != 2:
+            raise DimensionMismatch(f"trajectory {name} must be a matrix, got shape {np.shape(a)}")
+    if traj.y.shape[0] != traj.z.shape[0]:
+        raise DimensionMismatch(f"trajectory y has {traj.y.shape[0]} rows but z has {traj.z.shape[0]}")
+    for name, a in (("gamma", traj.gamma), ("y", traj.y)):
+        if a.shape[1] != traj.z.shape[1]:
+            raise DimensionMismatch(f"trajectory {name} has {a.shape[1]} columns but z has {traj.z.shape[1]}")
     vertices = t.state_vertices + t.input_vertices
     n = len(t.state_vertices)
     spans = map(traj.vertex_row_ranges.get, vertices, repeat((0, -1)))
@@ -349,8 +360,9 @@ def write_trajectory_csv(traj: TrajectoryData, topology: NetworkTopology, path) 
     rows, found through :func:`_trajectory_rows`; rows that no vertex maps
     to are not written. The successor matrix is recoverable from the
     one-step shift plus a final row flagged ``y_final`` that carries the
-    last successor column. A row map that :func:`_trajectory_rows` rejects,
-    or an input vertex without rows, raises :class:`RowRangeMismatch`.
+    last successor column and leaves the input cells empty. Arrays or a
+    row map that :func:`_trajectory_rows` rejects raise its error, and an
+    input vertex without rows :class:`RowRangeMismatch`.
     """
     source = _trajectory_rows(topology, traj)
     if (source < 0).any():
@@ -376,8 +388,10 @@ def read_trajectory_csv(path) -> TrajectoryData:
     The cells are read with ``float``, row by row, each row's state columns
     before its input columns, and the ``y_final`` row last. Raises
     :class:`DimensionMismatch` for a row whose field count differs from the
-    header's, and :class:`RowRangeMismatch` when a vertex's columns are not
-    contiguous or an id names both a state and an input vertex.
+    header's or a ``y_final`` row with anything in an input cell (the writer
+    leaves them empty), and :class:`RowRangeMismatch` when a vertex's
+    columns are not contiguous or an id names both a state and an input
+    vertex.
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
@@ -394,6 +408,9 @@ def read_trajectory_csv(path) -> TrajectoryData:
     is_input = [name.startswith("u:") for name in header]
     order = sorted(range(1, len(header)), key=is_input.__getitem__)  # state columns, then input columns
     n = is_input[1:].count(False)
+    for i in order[n:]:
+        if final_rows[0][i]:
+            raise DimensionMismatch(f"trajectory CSV y_final row has {final_rows[0][i]!r} in input column {header[i]!r}, which must be empty")
     table = np.array([[float(row[i]) for i in order] for row in data_rows], dtype=float)
     states = np.vstack([table[:, :n], [[float(final_rows[0][i]) for i in order[:n]]]])
     vertices = [header[i].removeprefix("u:").rsplit(":", 1)[0] for i in order]

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from netdmd.dmdcore import ReducedLinearModel, _check_regression, dmdc_exact
 from netdmd.errors import (
-    AllZeroMatrix,
     ConvergenceFailure,
     DimensionMismatch,
     NetdmdError,
@@ -291,18 +290,16 @@ def rcond_by_definition(rule: TruncationRule, shape) -> float:
 def rank_by_definition(sigma: np.ndarray, rule: TruncationRule, shape) -> int:
     """How many of a matrix's singular values ``rule`` keeps, counted as each rule's definition reads.
 
-    ``sigma`` holds the values of a matrix of ``shape``, descending.
-    ``FixedRank(r)`` keeps the first min(r, len(sigma)) values but any
-    trailing exact zeros; ``RelativeThreshold(tau)`` the values
-    ``>= tau * sigma_max``, and ``MachineDefault`` those with
-    ``tau = max(shape) * eps``, which for an all-zero matrix is undefined.
+    ``sigma`` holds the values of a matrix of ``shape``, descending. Every
+    rule keeps only values above zero, so an all-zero matrix keeps none:
+    ``FixedRank(r)`` keeps the first min(r, len(sigma)) of them,
+    ``RelativeThreshold(tau)`` those ``>= tau * sigma_max``, and
+    ``MachineDefault`` those with ``tau = max(shape) * eps``.
     """
+    positive = sigma[sigma > 0.0]
     if isinstance(rule, FixedRank):
-        k = min(rule.rank, sigma.size)
-        while k > 0 and sigma[k - 1] == 0.0:
-            k -= 1
-        return k
-    return int(np.count_nonzero(sigma >= rcond_by_definition(rule, shape) * sigma[0]))
+        return min(rule.rank, positive.size)
+    return int(np.count_nonzero(positive >= rcond_by_definition(rule, shape) * sigma[0]))
 
 
 def reference_svd(a: np.ndarray):
@@ -316,13 +313,11 @@ def reference_svd(a: np.ndarray):
 def reference_dmd_reduced(z, y, rule: TruncationRule = MachineDefault()) -> ReducedLinearModel:
     """Reference reduced DMD: one SVD of z, cut at :func:`rank_by_definition`'s p.
 
-    After ``dmd_reduced``'s data checks: with ``z = u s v.T`` and ``u_hat``
+    After ``dmd_reduced``'s data check: with ``z = u s v.T`` and ``u_hat``
     u's first p columns, ``a_tilde = u_hat.T y v_p s_p^-1``; the record is
     :func:`conditioning_record`'s of z, labelled with the rule's cut.
     """
     z, y, _ = _check_regression(z, y)
-    if not (z.any() and y.any()):
-        raise AllZeroMatrix("dmd_reduced needs nonzero z and y")
     u, s, vt = reference_svd(z)
     p = rank_by_definition(s, rule, z.shape)
     u_hat = u[:, :p]
@@ -345,7 +340,7 @@ def reference_dmdc_reduced(
     ``a_tilde = u_hat.T y v s^-1 u1.T u_hat`` and ``b_tilde = u_hat.T y v s^-1 u2.T``.
     The record is :func:`conditioning_record`'s of omega, labelled with the input rule's cut.
     """
-    z, y, gammas = _check_regression(z, y, gamma, nonzero=True)
+    z, y, gammas = _check_regression(z, y, gamma)
     omega = np.vstack([z, *gammas])
     u, s, vt = reference_svd(omega)
     u_y, s_y, _ = reference_svd(y)
@@ -374,7 +369,9 @@ def reference_network_dmdc_reduced(
     The per-node loop is the package's former ``network_dmdc_reduced``, with
     :func:`reference_dmdc_reduced` as its node solve. It also ran a third SVD
     per node for its record and kept the blocks next to the assembled
-    matrices; the result carries the same fields.
+    matrices; the result carries the same fields. A node that fails, or
+    whose Y_j is all zero, keeps zero blocks and the identity as its
+    projector, as the package's ``_project`` gives it.
     """
     u_hat: dict[str, np.ndarray] = {}
     diag: dict[str, np.ndarray] = {}
@@ -389,13 +386,17 @@ def reference_network_dmdc_reduced(
             model = reference_dmdc_reduced(ld.z_j, ld.y_j, ld.gamma_j, input_rule, output_rule)
         except NetdmdError as exc:
             failures[v] = str(exc)
+            model = None
+        else:
+            conditioning[v] = model.conditioning
+        if model is None or model.r == 0:
+            # a failed node, or one whose Y_j is all zero (r = 0, and its solve is zero), has zero blocks
+            # and the identity as its projector
             u_hat[v] = np.eye(t.dims[v])
             diag[v] = np.zeros((t.dims[v], t.dims[v]))
             for w in ld.parent_row_ranges:
                 (raw_cross if w in srows else blocks_b)[(v, w)] = np.zeros((t.dims[v], t.dims[w]))
             continue
-        omega_j = np.vstack([ld.z_j, ld.gamma_j])
-        conditioning[v] = conditioning_record(omega_j, rcond_by_definition(input_rule, omega_j.shape))
         u_hat[v] = model.u_hat
         diag[v] = model.a_tilde
         for w, (plo, phi) in ld.parent_row_ranges.items():

@@ -45,6 +45,7 @@ from netdmd.sysmodel import (
     _trajectory_rows,
     derive_rng,
     simulate,
+    write_trajectory_csv,
 )
 from netdmd.topology import NetworkTopology, coefficient_support, gather_plan, max_local_dim
 
@@ -294,22 +295,35 @@ def test_row_ranges_outside_the_trajectory_raise(two_node_topology, two_node_tra
         identify(two_node_topology, TrajectoryData(traj.z, traj.gamma, traj.y, ranges))
 
 
-@pytest.mark.parametrize("identify", [network_dmdc_exact, network_dmdc_reduced])
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda t, traj, path: write_trajectory_csv(traj, t, path),
+        lambda t, traj, path: network_dmdc_exact(t, traj),
+        lambda t, traj, path: network_dmdc_reduced(t, traj),
+    ],
+    ids=["write_trajectory_csv", "network_dmdc_exact", "network_dmdc_reduced"],
+)
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda z, gamma, y: (z, gamma, y[:1]), "y has 1 rows but z has 2"),
         (lambda z, gamma, y: (z, gamma, np.hstack([y, y[:, :1]])), "y has 4 columns but z has 3"),
+        (lambda z, gamma, y: (z, gamma, y[:, :2]), "y has 2 columns but z has 3"),
         (lambda z, gamma, y: (z, np.hstack([gamma, gamma[:, :1]]), y), "gamma has 4 columns but z has 3"),
+        (lambda z, gamma, y: (z, gamma[:, :2], y), "gamma has 2 columns but z has 3"),
         (lambda z, gamma, y: (z, gamma[0], y), r"gamma must be a matrix, got shape \(3,\)"),
     ],
-    ids=["y_rows", "y_columns", "gamma_columns", "gamma_vector"],
+    ids=["y_rows", "y_columns", "y_short_columns", "gamma_columns", "gamma_short_columns", "gamma_vector"],
 )
-def test_misaligned_trajectory_arrays_raise(two_node_topology, two_node_trajectory, identify, edit, message):
+def test_misaligned_trajectory_arrays_raise(two_node_topology, two_node_trajectory, tmp_path, read, edit, message):
+    # the CSV writer and both solvers read a trajectory through one row map, which checks its arrays first
     traj = two_node_trajectory
     z, gamma, y = edit(traj.z, traj.gamma, traj.y)
+    path = tmp_path / "traj.csv"
     with pytest.raises(DimensionMismatch, match=message):
-        identify(two_node_topology, TrajectoryData(z, gamma, y, traj.vertex_row_ranges))
+        read(two_node_topology, TrajectoryData(z, gamma, y, traj.vertex_row_ranges), path)
+    assert not path.exists()
 
 
 @given(topologies())
@@ -786,7 +800,7 @@ def test_a_node_whose_output_svd_fails_fails_alone(monkeypatch):
     assert not model.conditioning.present[1] and not model.conditioning.warning[1]
 
 
-def test_all_zero_data_fail_a_reduced_node_alone():
+def test_all_zero_data_give_a_reduced_node_zero_blocks():
     system = _star(3)
     t = system.topology
     traj = _trajectory(system, 5, 11)
@@ -796,7 +810,30 @@ def test_all_zero_data_fail_a_reduced_node_alone():
     traj = TrajectoryData(z, traj.gamma, y, traj.vertex_row_ranges)
     model = network_dmdc_reduced(t, traj)
     want = reference_network_dmdc_reduced(t, traj)
-    message = "dmdc_reduced needs nonzero [z; gamma] and y"
-    assert want.node_failures == {"v0": message, "v2": message}
+    # an all-zero matrix keeps no singular value under any rule: no node fails, and v0 and v2 get zero blocks
+    assert model.node_failures == want.node_failures == {}
     _assert_reduced_matches(model, want, model.coeffs, _edge_lift(t, want))
-    assert network_dmdc_exact(t, traj).node_failures == {}  # the exact solve has no relative cut to define
+    assert not _strip(model, t, "v0").any() and not _strip(model, t, "v2").any()
+    # on scalar vertices the reduced solve is the exact one under its input rule, bit for bit, records included
+    exact = network_dmdc_exact(t, traj, MachineDefault())
+    assert np.array_equal(model.coeffs, exact.coeffs)
+    for name in ("present", "sigma_max", "sigma_min", "rcond_used", "warning"):
+        assert np.array_equal(getattr(model.conditioning, name), getattr(exact.conditioning, name)), name
+    assert model.conditioning.warning[0]  # an all-zero Omega_j always warns
+
+
+def test_a_vertex_with_all_zero_y_is_read_through_the_identity():
+    # a (dim 2) has a zero self block and no parents, so its Y is all zero and keeps nothing under any rule;
+    # its projector is then the identity, not zero, so b, which reads a, keeps the exact solve's block on a
+    t = NetworkTopology(("a", "b"), (), (("a", "b"),), {"a": 2, "b": 1})
+    rng = np.random.default_rng(3)
+    system = LinearNetworkSystem(t, {"a": np.zeros((2, 2)), "b": rng.uniform(-1, 1, (1, 1))}, {("a", "b"): rng.uniform(-1, 1, (1, 2))})
+    traj = _trajectory(system, 6, 3)
+    assert not traj.y[slice(*traj.vertex_row_ranges["a"])].any()
+    model = network_dmdc_reduced(t, traj)
+    exact = network_dmdc_exact(t, traj, MachineDefault())
+    assert model.node_failures == {}
+    assert np.array_equal(model.coeffs, exact.coeffs)
+    assert model.blocks_a[("b", "a")].any()
+    want = reference_network_dmdc_reduced(t, traj)
+    _assert_reduced_matches(model, want, model.coeffs, _edge_lift(t, want))

@@ -143,8 +143,9 @@ def test_identify_network_dmdc(tmp_path, topology_file, trajectory_file):
     [
         "k,v1:0,v2:0,u:e1:0,u:e2:0\n1,2.0,5.0,0.2\n2,0.1,4.3,0.4,0.1\ny_final,-1.63,3.54,,\n",
         "k,v1:0,v2:0,v1:1,u:e1:0,u:e2:0\n1,2.0,5.0,1.0,0.2,0.3\ny_final,0.1,4.3,1.0,,\n",
+        "k,v1:0,v2:0,u:e1:0,u:e2:0\n1,2.0,5.0,0.2,0.3\ny_final,-1.63,3.54,,zzz\n",
     ],
-    ids=["ragged_row", "non_contiguous_columns"],
+    ids=["ragged_row", "non_contiguous_columns", "y_final_input_cell"],
 )
 def test_identify_malformed_trajectory_is_validation_error(tmp_path, topology_file, text, capsys):
     path = tmp_path / "traj.csv"

@@ -9,9 +9,9 @@ from numpy.testing import assert_allclose
 
 from helpers import build_local_data, conditioning_record, reference_dmd_reduced, reference_dmdc_reduced
 
-from netdmd.errors import AllZeroMatrix, DimensionMismatch
+from netdmd.errors import DimensionMismatch
 from netdmd.netdmdc import network_dmdc_reduced
-from netdmd.numkernel import EPS, FixedRank, MachineDefault, RelativeThreshold, _rule_cut, eig
+from netdmd.numkernel import EPS, FixedRank, MachineDefault, RelativeThreshold, _kept, _rule_cut, eig
 from netdmd.topology import NetworkTopology
 from netdmd.dmdcore import (
     dmd_modes,
@@ -183,9 +183,13 @@ class TestDmdcReduced:
         assert_allclose(sorted(modes.eigenvalues.real, reverse=True), [0.9, 0.5], atol=1e-8)
         assert np.max(np.abs(modes.eigenvalues.imag)) <= 1e-10
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(AllZeroMatrix):
-            dmdc_reduced(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
+    def test_all_zero_data_give_the_zero_model(self):
+        reduced, modes = dmdc_reduced(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
+        assert (reduced.p, reduced.r) == (0, 0)
+        a, b = lift_reduced(reduced)
+        assert (a.shape, b.shape) == ((2, 2), (2, 1)) and not a.any() and not b.any()
+        assert modes.eigenvalues.size == 0
+        assert (reduced.conditioning.sigma_max, reduced.conditioning.warning) == (0.0, True)
 
     def test_scalar_nodes_have_sign_projectors(self):
         for node in (NODE1, NODE2):
@@ -249,11 +253,6 @@ def _clear_of_the_cut(sigma: np.ndarray, rule, shape) -> bool:
 def test_dmdc_reduced_matches_the_two_svd_reference(case):
     z, y, gamma, input_rule, output_rule = case
     omega = np.vstack([z, gamma])
-    if not (omega.any() and y.any()):
-        for solve in (dmdc_reduced, reference_dmdc_reduced):
-            with pytest.raises(AllZeroMatrix):
-                solve(z, y, gamma, input_rule, output_rule)
-        return
     got, _ = dmdc_reduced(z, y, gamma, input_rule, output_rule)
     want = reference_dmdc_reduced(z, y, gamma, input_rule, output_rule)
     sigma, sigma_y = np.linalg.svd(omega, compute_uv=False), np.linalg.svd(y, compute_uv=False)
@@ -261,6 +260,13 @@ def test_dmdc_reduced_matches_the_two_svd_reference(case):
     assert abs(got.conditioning.sigma_max - want.conditioning.sigma_max) <= 1e-12 * top
     assert abs(got.conditioning.sigma_min - want.conditioning.sigma_min) <= 1e-12 * top
     assert got.conditioning.rcond_used == want.conditioning.rcond_used
+    if not (omega.any() and y.any()):
+        # no rule keeps a value of an all-zero matrix: p = 0 where omega is zero, r = 0 where y is, and the model is zero
+        assert omega.any() or got.p == want.p == 0
+        assert y.any() or got.r == want.r == 0
+        for model in (got, want):
+            assert not np.hstack(lift_reduced(model)).any()
+        return
     if _clear_of_the_cut(sigma_y, output_rule, y.shape):
         assert got.r == want.r
     if not (_clear_of_the_cut(sigma, input_rule, omega.shape) and got.r == want.r):
@@ -291,6 +297,34 @@ def test_one_vertex_network_is_the_whole_system_reduced_solve(n, l, m, seed, inp
     assert np.linalg.norm(np.hstack([model.assembled_a, model.assembled_b]) - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("rule", [MachineDefault(), RelativeThreshold(1e-3), FixedRank(2)], ids=["machine_default", "relative", "fixed_rank"])
+@pytest.mark.parametrize("zero", ["omega", "y", "both"])
+@pytest.mark.parametrize("solver", ["dmd_reduced", "dmdc_reduced", "network_dmdc_reduced"])
+def test_all_zero_data_give_the_zero_model_under_every_rule(solver, zero, rule):
+    # omega is [z; gamma], or z for dmd_reduced; the network is one state vertex of dim 3 read by one input of
+    # dim 2, so its node's local data are the whole system's. The suite turns any numpy warning into an error
+    rng = np.random.default_rng(4)
+    z, y, gamma = rng.standard_normal((3, 6)), rng.standard_normal((3, 6)), rng.standard_normal((2, 6))
+    if zero != "y":
+        z[...] = gamma[...] = 0.0
+    if zero != "omega":
+        y[...] = 0.0
+    omega = z if solver == "dmd_reduced" else np.vstack([z, gamma])
+    p, r = (int(np.count_nonzero(_kept(np.linalg.svd(a, compute_uv=False), *_rule_cut(rule, a.shape)))) for a in (omega, y))
+    if solver == "network_dmdc_reduced":
+        t = NetworkTopology(("v1",), ("e1",), (("e1", "v1"),), {"v1": 3, "e1": 2})
+        model = network_dmdc_reduced(t, TrajectoryData(z, gamma, y, t.vertex_row_ranges()), rule, rule)
+        assert model.node_failures == {}
+        lifted, record = np.hstack([model.assembled_a, model.assembled_b]), model.per_node_conditioning["v1"]
+    else:
+        model, modes = dmd_reduced(z, y, rule) if solver == "dmd_reduced" else dmdc_reduced(z, y, gamma, rule, rule)
+        assert (model.p, model.r) == ((p, p) if solver == "dmd_reduced" else (p, r))
+        assert modes.eigenvalues.size == 0
+        lifted, record = np.hstack([m for m in lift_reduced(model) if m is not None]), model.conditioning
+    assert np.isfinite(lifted).all() and not lifted.any()
+    assert record.warning == (not omega.any())  # an all-zero omega always warns; the drawn one is well conditioned
+
+
 @st.composite
 def reduced_autonomous_regressions(draw):
     """``(z, y, rule)``: n in 1..5 states, m in 1..8 snapshots, entries multiples of 0.1 in [-4, 4].
@@ -317,11 +351,6 @@ def reduced_autonomous_regressions(draw):
 @settings(max_examples=300, deadline=None)
 def test_dmd_reduced_matches_the_one_svd_reference(case):
     z, y, rule = case
-    if not (z.any() and y.any()):
-        for solve in (dmd_reduced, reference_dmd_reduced):
-            with pytest.raises(AllZeroMatrix, match="^dmd_reduced needs nonzero z and y$"):
-                solve(z, y, rule)
-        return
     got, _ = dmd_reduced(z, y, rule)
     want = reference_dmd_reduced(z, y, rule)
     sigma = np.linalg.svd(z, compute_uv=False)
@@ -330,6 +359,11 @@ def test_dmd_reduced_matches_the_one_svd_reference(case):
     assert abs(got.conditioning.sigma_min - want.conditioning.sigma_min) <= 1e-12 * top
     assert got.conditioning.rcond_used == want.conditioning.rcond_used
     assert got.r == got.p and want.r == want.p
+    if not (z.any() and y.any()):
+        # no rule keeps a value of an all-zero z, so p = 0; an all-zero y gives a zero a_tilde: the model is zero
+        assert z.any() or got.p == want.p == 0
+        assert not lift_reduced(got)[0].any() and not lift_reduced(want)[0].any()
+        return
     if not _clear_of_the_cut(sigma, rule, z.shape):
         return
     assert got.p == want.p
@@ -368,9 +402,10 @@ class TestDmdReduced:
             phi_unit = phi / np.linalg.norm(phi)
             assert min(np.linalg.norm(phi_unit - w), np.linalg.norm(phi_unit + w)) <= 1e-8
 
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(AllZeroMatrix):
-            dmd_reduced(np.zeros((2, 2)), np.eye(2))
+    def test_zero_matrix_gives_the_zero_model(self):
+        reduced, modes = dmd_reduced(np.zeros((2, 2)), np.eye(2))
+        assert (reduced.p, reduced.u_hat.shape) == (0, (2, 0))
+        assert not lift_reduced(reduced)[0].any() and modes.eigenvalues.size == 0
 
 
 class TestPredict:

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from helpers import conditioning_record, pinv_conditioning, rank_by_definition, reference_pinv_solve
 
-from netdmd.errors import AllZeroMatrix, ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare
+from netdmd.errors import ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare
 from netdmd.numkernel import (
     EPS,
     EXACT_RULE,
@@ -65,11 +65,14 @@ class TestTruncatedSvd:
         assert np.linalg.norm(model.a_tilde - np.eye(3)) <= 1e-12
         assert np.linalg.norm(lift_reduced(model)[0] @ STACK_3X3 - STACK_3X3) <= 1e-12
 
-    def test_all_zero_rejected_for_relative_rules(self):
-        # a relative cut is undefined for an all-zero z; dmd_reduced rejects one under any rule
+    def test_all_zero_keeps_nothing_under_any_rule(self):
+        # every rule keeps only sigma > 0, relative cuts included, so dmd_reduced of an all-zero z has p = 0
         for rule in (MachineDefault(), RelativeThreshold(0.5), FixedRank(1)):
-            with pytest.raises(AllZeroMatrix):
-                dmd_reduced(np.zeros((2, 2)), np.eye(2), rule)
+            assert _kept_count(np.zeros((2, 2)), rule) == 0
+            model, modes = dmd_reduced(np.zeros((2, 2)), np.eye(2), rule)
+            assert (model.p, model.r, model.u_hat.shape) == (0, 0, (2, 0))
+            assert not lift_reduced(model)[0].any() and modes.eigenvalues.size == 0
+            assert (model.conditioning.sigma_max, model.conditioning.warning) == (0.0, True)
 
     def test_fixed_rank_caps_and_drops_exact_zeros(self):
         assert _kept_count(np.eye(2), FixedRank(5)) == 2

@@ -381,6 +381,16 @@ class TestSerialization:
         with pytest.raises(RowRangeMismatch):
             read_trajectory_csv(path)
 
+    def test_trajectory_csv_y_final_input_cells_must_be_empty(self, two_node_system, two_node_trajectory, tmp_path):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(two_node_trajectory, two_node_system.topology, path)
+        lines = path.read_text().splitlines()
+        assert lines[-1].endswith(",,")  # the writer leaves them empty, and so they load
+        read_trajectory_csv(path)
+        path.write_text("\n".join(lines[:-1] + [lines[-1] + "zzz"]) + "\n")
+        with pytest.raises(DimensionMismatch, match="^trajectory CSV y_final row has 'zzz' in input column 'u:e2:0', which must be empty$"):
+            read_trajectory_csv(path)
+
     def test_trajectory_csv_empty(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("")
