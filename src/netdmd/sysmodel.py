@@ -29,9 +29,9 @@ from .topology import (
     _block_order,
     _coefficient_views,
     _densify,
+    _from_block_order,
     _read_blocks,
     _split_block_key,
-    _write_coefficients,
     coefficient_support,
     topology_from_dict,
     topology_to_dict,
@@ -278,11 +278,13 @@ def _draw_blocks(topology: NetworkTopology, rng: np.random.Generator, coeff_rang
     """Draw every coefficient block i.i.d. uniform, in the order the topology writes blocks.
 
     That is vertex by vertex, its self block, then its state parents', then
-    its input parents'; equal seeds give bit-identical systems.
+    its input parents', each block row-major. All of them come from one
+    ``rng.uniform`` call in that order, which the topology then places in
+    plan order: the same values, and the same generator state after, as one
+    call per block. Equal seeds give bit-identical systems.
     """
     lo, hi = coeff_range
-    dims = topology.dims
-    coeffs = _write_coefficients(topology, lambda v, w: rng.uniform(lo, hi, size=(dims[v], dims[w])))
+    coeffs = _from_block_order(topology, rng.uniform(lo, hi, size=topology._block_to_plan.size))
     return _fill(object.__new__(LinearNetworkSystem), topology, coeffs)
 
 
@@ -298,23 +300,26 @@ def gen_circular(cfg: GeneratorConfig, rng: np.random.Generator | None = None) -
         rng = derive_rng(cfg.seed)
     n = cfg.family.n_states
     states = [f"v{j}" for j in range(1, n + 1)]
-    edges = [(states[j], states[(j + 1) % n]) for j in range(n)]
-    inputs = []
-    for count, j in enumerate(range(0, n, cfg.family.input_period), start=1):
-        e = f"e{count}"
-        inputs.append(e)
-        edges.append((e, states[j]))
-    dims = {v: 1 for v in states + inputs}
+    fed = states[:: cfg.family.input_period]
+    inputs = [f"e{count}" for count in range(1, len(fed) + 1)]
+    edges = [*zip(states, states[1:] + states[:1]), *zip(inputs, fed)]
+    dims = dict.fromkeys(states + inputs, 1)
     topology = NetworkTopology(tuple(states), tuple(inputs), tuple(edges), dims)
     return _draw_blocks(topology, rng, cfg.coeff_range)
+
+
+#: Uniforms per call when :func:`gen_erdos_renyi` draws its edges: whole rows of at most 2 MiB of doubles.
+_EDGE_DRAW_BLOCK = 2**18
 
 
 def gen_erdos_renyi(cfg: GeneratorConfig, rng: np.random.Generator | None = None) -> LinearNetworkSystem:
     """Random autonomous digraph: each ordered non-self pair is an edge w.p. p.
 
     Edge existence is drawn first: one uniform per ordered pair (i, j),
-    including i == j, in row-major order, drawn one row of n at a time so the
-    draws take O(n) memory. Pair (i, j) is an edge when i != j and its
+    including i == j, in row-major order. The generator draws them a block
+    of whole rows per call, about ``_EDGE_DRAW_BLOCK`` uniforms, so the
+    draws take O(n + block) memory and the stream is the one a single
+    n-by-n draw would give. Pair (i, j) is an edge when i != j and its
     uniform is below p. Coefficients follow, in the same per-vertex order as
     every other generator.
     """
@@ -324,12 +329,14 @@ def gen_erdos_renyi(cfg: GeneratorConfig, rng: np.random.Generator | None = None
         rng = derive_rng(cfg.seed)
     n = cfg.family.n
     states = [f"v{j}" for j in range(1, n + 1)]
-    edges = []
-    for i, src in enumerate(states):
-        targets = np.flatnonzero(rng.random(n) < cfg.family.p).tolist()
-        edges.extend((src, states[j]) for j in targets if j != i)
-    dims = {v: 1 for v in states}
-    topology = NetworkTopology(tuple(states), (), tuple(edges), dims)
+    rows = max(1, _EDGE_DRAW_BLOCK // n)
+    pairs = []
+    for first in range(0, n, rows):
+        hits = np.flatnonzero(rng.random(min(rows, n - first) * n) < cfg.family.p) + first * n
+        pairs.append(hits[hits % (n + 1) != 0])  # flat index i * n + j with i == j is a multiple of n + 1
+    src, dst = np.divmod(np.concatenate([np.zeros(0, dtype=np.intp), *pairs]), n)
+    edges = tuple(zip(map(states.__getitem__, src.tolist()), map(states.__getitem__, dst.tolist())))
+    topology = NetworkTopology(tuple(states), (), edges, dict.fromkeys(states, 1))
     return _draw_blocks(topology, rng, cfg.coeff_range)
 
 
@@ -388,31 +395,34 @@ def read_trajectory_csv(path) -> TrajectoryData:
     The cells are read with ``float``, row by row, each row's state columns
     before its input columns, and the ``y_final`` row last. Raises
     :class:`DimensionMismatch` for a row whose field count differs from the
-    header's or a ``y_final`` row with anything in an input cell (the writer
-    leaves them empty), and :class:`RowRangeMismatch` when a vertex's
-    columns are not contiguous or an id names both a state and an input
-    vertex.
+    header's, a ``y_final`` row with anything in an input cell (the writer
+    leaves them empty) or the first cell ``float`` cannot read, naming its
+    row (counted from 1, the header included) and column, and
+    :class:`RowRangeMismatch` when a vertex's columns are not contiguous or
+    an id names both a state and an input vertex.
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise DimensionMismatch("trajectory CSV is empty")
     header = rows[0]
-    for number, row in enumerate(rows[1:], start=2):
+    numbered = list(enumerate(rows[1:], start=2))
+    for number, row in numbered:
         if len(row) != len(header):
             raise DimensionMismatch(f"trajectory CSV row {number} has {len(row)} fields, the header has {len(header)}")
-    data_rows = [r for r in rows[1:] if r[0] != "y_final"]
-    final_rows = [r for r in rows[1:] if r[0] == "y_final"]
+    data_rows = [(number, r) for number, r in numbered if r[0] != "y_final"]
+    final_rows = [(number, r) for number, r in numbered if r[0] == "y_final"]
     if not data_rows or len(final_rows) != 1:
         raise DimensionMismatch("trajectory CSV needs data rows and exactly one y_final row")
     is_input = [name.startswith("u:") for name in header]
     order = sorted(range(1, len(header)), key=is_input.__getitem__)  # state columns, then input columns
     n = is_input[1:].count(False)
+    final = final_rows[0][1]
     for i in order[n:]:
-        if final_rows[0][i]:
-            raise DimensionMismatch(f"trajectory CSV y_final row has {final_rows[0][i]!r} in input column {header[i]!r}, which must be empty")
-    table = np.array([[float(row[i]) for i in order] for row in data_rows], dtype=float)
-    states = np.vstack([table[:, :n], [[float(final_rows[0][i]) for i in order[:n]]]])
+        if final[i]:
+            raise DimensionMismatch(f"trajectory CSV y_final row has {final[i]!r} in input column {header[i]!r}, which must be empty")
+    table = np.array(_read_cells(data_rows, order, header), dtype=float)
+    states = np.vstack([table[:, :n], _read_cells(final_rows, order[:n], header)])
     vertices = [header[i].removeprefix("u:").rsplit(":", 1)[0] for i in order]
     ranges = _column_ranges(vertices[:n])
     input_ranges = _column_ranges(vertices[n:])
@@ -422,6 +432,20 @@ def read_trajectory_csv(path) -> TrajectoryData:
     ranges.update(input_ranges)
     z, gamma, y = (np.ascontiguousarray(a.T) for a in (states[:-1], table[:, n:], states[1:]))
     return _read_only_trajectory(z, gamma, y, ranges)
+
+
+def _read_cells(numbered_rows, columns, header) -> list[list[float]]:
+    """``float`` of each row's cells in ``columns``, for ``(row number, row)`` pairs; the first cell that is not a number raises :class:`DimensionMismatch`."""
+    try:
+        return [[float(row[i]) for i in columns] for _, row in numbered_rows]
+    except ValueError:
+        for number, row in numbered_rows:
+            for i in columns:
+                try:
+                    float(row[i])
+                except ValueError as exc:
+                    raise DimensionMismatch(f"trajectory CSV row {number} has {row[i]!r} in column {header[i]!r}, which is not a number") from exc
+        raise
 
 
 def _column_ranges(vertices) -> dict[str, tuple[int, int]]:

@@ -6,17 +6,19 @@ on itself is structural, not an edge, so self-loops are never stored and the
 diagonal coupling block is always estimated. Vertex declaration order fixes
 every downstream block ordering.
 
-Each topology derives one graph index on its first lookup: it runs
-:func:`validate` once, collects every state vertex's parents in one pass
-over the edges, and then builds each vertex's local subsystem (its parents
-and local dimension) and its row of the gather plan (its positions in the
-stacked vector ``[x; u]``, grouped by local shape) in one loop. A malformed
-topology has no index: every lookup, total dimension and row range raises
-the same :class:`BadConfig`, naming the first violation. Where each of the
-plan's coefficients sits is derived on first use, as are the total state and
-input dimensions and the array of every vertex's dimension. Topologies are
-values: mutating one, ``dims`` included, after any of these is derived leaves
-it stale.
+Each topology derives one graph index on its first lookup, in whole-array
+steps over its edges: :func:`validate` checks the collections once, every
+edge end becomes its declaration rank, and one sort of the edges by target
+and then source rank gives every state vertex's parents. Those arrays give
+the gather plan (each vertex's positions in the stacked vector ``[x; u]``,
+grouped by local shape); a vertex's local subsystem (its parents and local
+dimension) is built from them on its first lookup. A malformed topology has
+no index: every lookup, total dimension and row range raises the same
+:class:`BadConfig`, naming the first violation. Where each of the plan's
+coefficients sits, and where each block's entries go in plan order, are
+derived on first use, as are the total state and input dimensions.
+Topologies are values: mutating one, ``dims`` included, after any of these
+is derived leaves it stale.
 
 Systems and models store their coefficients as one vector in plan order.
 Only this module maps per-edge blocks to and from it: it fixes their order,
@@ -25,8 +27,11 @@ checks a block map's keys and spells a block's JSON key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -43,7 +48,8 @@ class NetworkTopology:
     ``dims`` maps every vertex id to the dimension of its component. The
     dataclass itself admits malformed graphs so that :func:`validate` can
     report violations instead of raising. Treat an instance as immutable:
-    :func:`local_subsystem` reads an index derived from it once.
+    :func:`local_subsystem` reads an index derived from it once. Edges are
+    stored as a tuple of pairs; an edge that is not a pair raises ValueError.
     """
 
     state_vertices: tuple[str, ...]
@@ -54,7 +60,10 @@ class NetworkTopology:
     def __post_init__(self):
         object.__setattr__(self, "state_vertices", tuple(self.state_vertices))
         object.__setattr__(self, "input_vertices", tuple(self.input_vertices))
-        object.__setattr__(self, "edges", tuple((s, d) for s, d in self.edges))
+        edges = tuple(map(tuple, self.edges))
+        if set(map(len, edges)) - {2}:
+            raise ValueError("every edge must be a (source, target) pair")
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "dims", dict(self.dims))
 
     @cached_property
@@ -86,8 +95,7 @@ class NetworkTopology:
         return self.dims
 
     @cached_property
-    def _graph(self) -> tuple[dict[str, LocalSubsystem], tuple[ShapeGroup, ...]]:
-        """Every state vertex's :class:`LocalSubsystem`, and the gather plan."""
+    def _graph(self) -> _GraphIndex:
         return _build_graph(self)
 
     @cached_property
@@ -95,14 +103,19 @@ class NetworkTopology:
         """Each state vertex's position in ``state_vertices``."""
         return {v: i for i, v in enumerate(self.state_vertices)}
 
-    @cached_property
+    @property
     def _vertex_dims(self) -> np.ndarray:
         """Each vertex's dimension, read-only: state vertices, then inputs, in declaration order."""
-        return _index_array([self._valid_dims[w] for w in self.state_vertices + self.input_vertices])
+        return self._graph.dims
 
     @cached_property
     def _coefficient_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _build_coefficient_support(gather_plan(self), self.total_state_dim + self.total_input_dim)
+
+    @cached_property
+    def _block_to_plan(self) -> np.ndarray:
+        """Plan-order position of every block entry, read-only: blocks in :func:`_block_order`, each row-major."""
+        return _build_block_to_plan(self._graph)
 
 
 def _ranges(vertices, dims):
@@ -166,8 +179,15 @@ def validate(t: NetworkTopology) -> list[Violation]:
     """Check all topology invariants; returns an empty list iff the graph is valid.
 
     Never raises: every problem becomes a :class:`Violation` naming the
-    offending vertex or edge.
+    offending vertex or edge. The collections are checked whole first, one
+    pass per invariant (:func:`_edge_ranks`); only a topology that fails
+    there is walked id by id and edge by edge, which writes the violations
+    in the order it meets them.
     """
+    return [] if _edge_ranks(t) is not None else _violations(t)
+
+
+def _violations(t: NetworkTopology) -> list[Violation]:
     violations = []
     seen = set()
     for v in t.state_vertices + t.input_vertices:
@@ -200,48 +220,129 @@ def validate(t: NetworkTopology) -> list[Violation]:
     return violations
 
 
-def _build_graph(t: NetworkTopology) -> tuple[dict[str, LocalSubsystem], tuple[ShapeGroup, ...]]:
-    """Validate once, group the edges by target, then build each vertex's subsystem and plan row in one loop."""
-    violations = validate(t)
-    if violations:
-        raise BadConfig(f"invalid topology: {violations[0].message}")
-    order = t.state_vertices + t.input_vertices
-    rank = {w: i for i, w in enumerate(order)}
-    pos = _ranges(order, t.dims)
+def _edge_ranks(t: NetworkTopology) -> tuple[np.ndarray, np.ndarray] | None:
+    """Every edge's (source, target) declaration ranks, sorted by target rank and then source rank; None unless ``t`` is valid.
+
+    Ranks count state vertices, then inputs. One pass each checks that the
+    ids are unique, that ``dims`` has exactly the declared ids as keys and
+    no dimension below 1, and that every edge joins two known vertices,
+    points at a state vertex, is no self edge and is listed once.
+    """
+    vertices = t.state_vertices + t.input_vertices
+    rank = dict(zip(vertices, range(len(vertices))))
+    if len(rank) != len(vertices) or t.dims.keys() != rank.keys() or any(map(operator.lt, t.dims.values(), repeat(1))):
+        return None
+    ends = np.fromiter(map(rank.get, chain.from_iterable(t.edges), repeat(-1)), dtype=np.intp, count=2 * len(t.edges))
+    src, dst = ends[0::2], ends[1::2]
+    order = np.lexsort((src, dst))
+    src, dst = src[order], dst[order]
+    repeated = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if (ends < 0).any() or (dst >= len(t.state_vertices)).any() or (src == dst).any() or repeated.any():
+        return None
+    return src, dst
+
+
+@dataclass(frozen=True, eq=False)
+class _GraphIndex:
+    """A valid topology's graph as arrays over declaration ranks (state vertices, then inputs), and its gather plan.
+
+    State vertex i has one block per column group of its local data: its
+    own, then one per parent in rank order. ``block_sources`` holds every
+    block's source rank, vertex by vertex; vertex i's blocks are
+    ``block_sources[block_starts[i]:block_starts[i + 1]]``. ``dims`` holds
+    each vertex's dimension, ``local_dims`` each state vertex's local
+    dimension, and ``plan_starts`` where each state vertex's coefficients
+    begin in plan order. ``subsystems`` caches the
+    :class:`LocalSubsystem` of each vertex looked up.
+    """
+
+    vertices: tuple[str, ...]
+    dims: np.ndarray
+    block_sources: np.ndarray
+    block_starts: np.ndarray
+    local_dims: np.ndarray
+    plan: tuple[ShapeGroup, ...]
+    plan_starts: np.ndarray
+    subsystems: dict[str, LocalSubsystem] = field(default_factory=dict)
+
+
+def _build_graph(t: NetworkTopology) -> _GraphIndex:
+    """Validate once, then build the index and the gather plan in whole-array steps over the sorted edges."""
+    ranks = _edge_ranks(t)
+    if ranks is None:
+        raise BadConfig(f"invalid topology: {_violations(t)[0].message}")
+    parents, targets = ranks
+    vertices = t.state_vertices + t.input_vertices
     n = len(t.state_vertices)
-    parents: dict[str, list[str]] = {v: [] for v in t.state_vertices}
-    for src, dst in t.edges:
-        parents[dst].append(src)
-    subs = {}
-    groups: dict[tuple[int, int], tuple[list, list, list, list]] = {}
-    for i, (v, ps) in enumerate(parents.items()):
-        ps.sort(key=rank.__getitem__)
-        n_state = sum(rank[w] < n for w in ps)
-        cols = [p for w in (v, *ps) for p in range(*pos[w])]
-        subs[v] = LocalSubsystem(v, tuple(ps[:n_state]), tuple(ps[n_state:]), len(cols))
-        vertices, plan_rows, plan_cols, index = groups.setdefault((t.dims[v], len(cols)), ([], [], [], []))
-        vertices.append(v)
-        plan_rows.append(range(*pos[v]))
-        plan_cols.append(cols)
-        index.append(i)
-    plan = tuple(
-        ShapeGroup(tuple(v), _index_array(rows), _index_array(cols), _index_array(index))
-        for v, rows, cols, index in groups.values()
+    dims = _index_array(np.fromiter(map(t.dims.__getitem__, vertices), dtype=np.intp, count=len(vertices)))
+    position = np.cumsum(dims) - dims  # each vertex's first position in [x; u]
+    block_starts = _offsets(np.bincount(targets, minlength=n) + 1)
+    own = np.zeros(block_starts[-1], dtype=bool)
+    own[block_starts[:-1]] = True
+    sources = np.empty(block_starts[-1], dtype=np.intp)
+    sources[own] = np.arange(n)
+    sources[~own] = parents
+    widths = dims[sources]
+    column_starts = _offsets(widths)  # each block's first column, counting every vertex's columns in turn
+    columns = np.repeat(position[sources] - column_starts[:-1], widths) + np.arange(column_starts[-1])
+    first_column = column_starts[block_starts]
+    local_dims = np.diff(first_column)
+    center_dims = dims[:n]
+    # shape groups (d, k), numbered in the order of their first vertex
+    _, first, label = np.unique(center_dims * (local_dims.max(initial=0) + 1) + local_dims, return_index=True, return_inverse=True)
+    renumber = np.empty_like(first)
+    renumber[np.argsort(first)] = np.arange(first.size)
+    label = renumber[label]
+    members = np.argsort(label, kind="stable")
+    group_starts = _offsets(np.bincount(label, minlength=first.size))
+    plan_starts = np.empty(n, dtype=np.intp)
+    plan, offset = [], 0
+    for lo, hi in zip(group_starts[:-1].tolist(), group_starts[1:].tolist()):
+        index = members[lo:hi]
+        d, k = int(center_dims[index[0]]), int(local_dims[index[0]])
+        plan_starts[index] = offset + np.arange(hi - lo) * (d * k)
+        offset += (hi - lo) * d * k
+        rows = position[index, None] + np.arange(d)
+        cols = columns[first_column[index, None] + np.arange(k)]
+        names = tuple(map(t.state_vertices.__getitem__, index.tolist()))
+        plan.append(ShapeGroup(names, _index_array(rows), _index_array(cols), _index_array(index)))
+    return _GraphIndex(
+        vertices,
+        dims,
+        _index_array(sources),
+        _index_array(block_starts),
+        _index_array(local_dims),
+        tuple(plan),
+        _index_array(plan_starts),
     )
-    return subs, plan
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: where each of ``counts``' runs starts, laid end to end, then the total."""
+    out = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 def local_subsystem(t: NetworkTopology, v: str) -> LocalSubsystem:
     """In-neighborhood of state vertex ``v``, split into state and input parents.
 
-    Reads the topology's graph index, so a lookup costs O(1) after the first
-    one on ``t``. Raises :class:`BadConfig` naming the first violation
-    :func:`validate` reports, and :class:`UnknownVertex` for a vertex that is
-    not a state vertex.
+    Reads the topology's graph index and builds a vertex's subsystem on its
+    first lookup, so a lookup costs O(1) after the first one on ``t``.
+    Raises :class:`BadConfig` naming the first violation :func:`validate`
+    reports, and :class:`UnknownVertex` for a vertex that is not a state
+    vertex.
     """
-    sub = t._graph[0].get(v)
+    g = t._graph
+    sub = g.subsystems.get(v)
     if sub is None:
-        raise UnknownVertex(f"{v!r} is not a state vertex")
+        i = t._state_index.get(v)
+        if i is None:
+            raise UnknownVertex(f"{v!r} is not a state vertex")
+        parents = g.block_sources[g.block_starts[i] + 1 : g.block_starts[i + 1]].tolist()
+        n_state = bisect_left(parents, len(t.state_vertices))
+        names = tuple(map(g.vertices.__getitem__, parents))
+        sub = g.subsystems[v] = LocalSubsystem(v, names[:n_state], names[n_state:], int(g.local_dims[i]))
     return sub
 
 
@@ -252,7 +353,7 @@ def gather_plan(t: NetworkTopology) -> tuple[ShapeGroup, ...]:
     declaration order within a group. Derived once per topology; raises
     :class:`BadConfig` naming the first violation :func:`validate` reports.
     """
-    return t._graph[1]
+    return t._graph.plan
 
 
 def coefficient_support(t: NetworkTopology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,10 +404,9 @@ def _block_order(t: NetworkTopology):
     Vertex by vertex, each vertex's own block (w == v) first, then its state
     parents', then its input parents': the column order of v's local data.
     """
-    for v in t.state_vertices:
-        sub = local_subsystem(t, v)
-        for w in (v, *sub.state_parents, *sub.input_parents):
-            yield v, w
+    g = t._graph
+    centers = chain.from_iterable(map(repeat, t.state_vertices, np.diff(g.block_starts).tolist()))
+    return zip(centers, map(g.vertices.__getitem__, g.block_sources.tolist()))
 
 
 def _block_slots(t: NetworkTopology, coeffs: np.ndarray):
@@ -319,31 +419,36 @@ def _block_slots(t: NetworkTopology, coeffs: np.ndarray):
         offset += t.dims[w]
 
 
-def _write_coefficients(t: NetworkTopology, block_of) -> np.ndarray:
-    """A new read-only plan-order coefficient vector, filled with ``block_of(v, w)`` for each block.
+def _build_block_to_plan(g: _GraphIndex) -> np.ndarray:
+    """Plan-order position of every entry of every block, blocks in :func:`_block_order` and each row-major."""
+    center = np.repeat(np.arange(len(g.local_dims)), np.diff(g.block_starts))
+    widths = g.dims[g.block_sources]
+    column_starts = _offsets(widths)
+    sizes = g.dims[center] * widths
+    entry_starts = _offsets(sizes)
+    block = np.repeat(np.arange(sizes.size), sizes)
+    row, col = np.divmod(np.arange(entry_starts[-1]) - entry_starts[block], widths[block])
+    # block b's entry (r, c) sits at row r, column (b's first column in its strip) + c of its center's strip
+    first = g.plan_starts[center] + column_starts[:-1] - column_starts[g.block_starts[center]]
+    return _index_array(first[block] + row * g.local_dims[center][block] + col)
 
-    Blocks are asked for in :func:`_block_slots`' order. One that is not a
-    (dims[v], dims[w]) matrix raises :class:`DimensionMismatch`.
-    """
-    coeffs = np.zeros(coefficient_support(t)[0].size)
-    for v, w, slot in _block_slots(t, coeffs):
-        block = block_of(v, w)
-        try:
-            block = np.asarray(block, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DimensionMismatch(f"block for {w}->{v} is not a matrix: {exc}") from exc
-        if block.shape != slot.shape:
-            raise DimensionMismatch(f"block for {w}->{v} must be {slot.shape}, got {block.shape}")
-        slot[...] = block
+
+def _from_block_order(t: NetworkTopology, values: np.ndarray) -> np.ndarray:
+    """A new read-only plan-order coefficient vector holding ``values``: every block's entries, blocks in :func:`_block_order`, each row-major."""
+    coeffs = np.empty(values.size)
+    coeffs[t._block_to_plan] = values
     coeffs.flags.writeable = False
     return coeffs
 
 
 def _read_blocks(t: NetworkTopology, blocks: dict) -> np.ndarray:
-    """:func:`_write_coefficients` of ``blocks[(w, v)]``, coupling w into state vertex v; (v, v) is v's own block.
+    """A new read-only plan-order coefficient vector of ``blocks[(w, v)]``, coupling w into state vertex v; (v, v) is v's own block.
 
     After the topology's own check, keys other than one per state vertex and
     one per edge raise :class:`BadConfig` naming the missing and extra ones.
+    Then the first block, in :func:`_block_order`, that is not a
+    (dims[v], dims[w]) matrix raises :class:`DimensionMismatch`. The blocks'
+    entries are laid end to end and placed in plan order in one step.
     """
     gather_plan(t)
     expected = {(v, v) for v in t.state_vertices}.union(t.edges)
@@ -351,7 +456,17 @@ def _read_blocks(t: NetworkTopology, blocks: dict) -> np.ndarray:
     if missing or extra:
         missing, extra = (sorted(_block_key(w, v) for w, v in keys) for keys in (missing, extra))
         raise BadConfig(f"blocks do not match the topology: missing {missing}, extra {extra}")
-    return _write_coefficients(t, lambda v, w: blocks[(w, v)])
+    dims = t.dims
+    values = [np.zeros(0)]
+    for v, w in _block_order(t):
+        try:
+            block = np.asarray(blocks[(w, v)], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch(f"block for {w}->{v} is not a matrix: {exc}") from exc
+        if block.shape != (dims[v], dims[w]):
+            raise DimensionMismatch(f"block for {w}->{v} must be {(dims[v], dims[w])}, got {block.shape}")
+        values.append(block.reshape(-1))
+    return _from_block_order(t, np.concatenate(values))
 
 
 def _block_key(w: str, v: str) -> str:

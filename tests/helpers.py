@@ -1,12 +1,12 @@
 """Shared constructors for randomized test systems, and reference oracles.
 
 The oracles are the straightforward per-vertex forms of the package's
-indexed and vectorized code: a topology rescan per lookup, a per-vertex
-block loop per simulation step, a per-pair loop over one n-by-n draw for the
-Erdős–Rényi edges, a per-vertex block row for the transition operator's
-values, a per-node gather for both network DMDc solvers, a lift of the
-reduced network model through one dense block-diagonal projector, the
-exact solve through an explicit pseudoinverse of each matrix as given, and
+indexed and vectorized code: topology validation one id and one edge at a
+time, a topology rescan per lookup, a per-vertex block loop per simulation
+step, a per-pair loop over one n-by-n draw for the Erdős–Rényi edges, a
+per-vertex block row for the transition operator's values, a per-node
+gather for both network DMDc solvers, a lift of the reduced network model
+through one dense block-diagonal projector, the exact solve through an explicit pseudoinverse of each matrix as given, and
 reduced DMD and DMDc through numpy's SVD, each cut at the rank its rule's
 definition gives. :func:`conditioning_record` is the record the solvers
 write, from one SVD of the matrix as given. :func:`pinv_conditioning` is
@@ -49,7 +49,7 @@ from netdmd.sysmodel import (
     _draw_blocks,
     derive_rng,
 )
-from netdmd.topology import LocalSubsystem, NetworkTopology, gather_plan, local_subsystem
+from netdmd.topology import LocalSubsystem, NetworkTopology, Violation, gather_plan, local_subsystem
 
 
 def random_small_system(rng: np.random.Generator, max_states: int = 4, max_inputs: int = 2) -> LinearNetworkSystem:
@@ -95,6 +95,40 @@ def systems(draw, max_dim=3):
     self_blocks = {v: rng.uniform(-1, 1, (t.dims[v], t.dims[v])) for v in t.state_vertices}
     edge_blocks = {(s, d): rng.uniform(-1, 1, (t.dims[d], t.dims[s])) for s, d in t.edges}
     return LinearNetworkSystem(t, self_blocks, edge_blocks)
+
+
+def reference_validate(t: NetworkTopology) -> list[Violation]:
+    """Reference validation: every id, dimension and edge checked one at a time, violations in the order met."""
+    violations = []
+    seen = set()
+    for v in t.state_vertices + t.input_vertices:
+        if v in seen:
+            violations.append(Violation("duplicate_id", v, f"vertex id {v!r} declared twice"))
+        seen.add(v)
+    for v in t.state_vertices + t.input_vertices:
+        if v not in t.dims:
+            violations.append(Violation("missing_dim", v, f"no dimension for vertex {v!r}"))
+        elif t.dims[v] < 1:
+            violations.append(Violation("bad_dim", v, f"dimension of {v!r} must be >= 1, got {t.dims[v]}"))
+    for v in t.dims:
+        if v not in seen:
+            violations.append(Violation("unknown_dim", v, f"dimension given for undeclared vertex {v!r}"))
+    input_set = set(t.input_vertices)
+    seen_edges = set()
+    for src, dst in t.edges:
+        label = f"{src}->{dst}"
+        if src not in seen:
+            violations.append(Violation("unknown_vertex", src, f"edge {label} has unknown source {src!r}"))
+        if dst not in seen:
+            violations.append(Violation("unknown_vertex", dst, f"edge {label} has unknown target {dst!r}"))
+        elif dst in input_set:
+            violations.append(Violation("input_vertex_has_in_edge", dst, f"edge {label} points into input vertex {dst!r}"))
+        if src == dst:
+            violations.append(Violation("self_edge", src, f"self edge on {src!r}; self-dependence is implicit"))
+        if (src, dst) in seen_edges:
+            violations.append(Violation("duplicate_edge", label, f"edge {label} declared twice"))
+        seen_edges.add((src, dst))
+    return violations
 
 
 def rescan_local_subsystem(t: NetworkTopology, v: str) -> LocalSubsystem:

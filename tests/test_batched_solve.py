@@ -69,7 +69,7 @@ def _strip(model, t, v):
     return np.hstack(blocks)
 
 
-@given(topologies())
+@given(topologies(max_states=30, max_inputs=10))
 @settings(max_examples=80, deadline=None)
 def test_gather_plan_matches_rescan(t):
     n = t.total_state_dim
@@ -78,9 +78,14 @@ def test_gather_plan_matches_rescan(t):
     plan = gather_plan(t)
     grouped = [v for group in plan for v in group.vertices]
     assert sorted(grouped) == sorted(t.state_vertices)
+    # groups in the order of their first vertex, vertices in declaration order within each
+    assert [group.vertex_index[0] for group in plan] == sorted(group.vertex_index[0] for group in plan)
     for group in plan:
         order = [t.state_vertices.index(v) for v in group.vertices]
         assert order == sorted(order)
+        assert group.vertex_index.tolist() == order
+        for a in (group.rows, group.cols, group.vertex_index):
+            assert a.dtype == np.intp and a.flags.c_contiguous and not a.flags.writeable
         for i, v in enumerate(group.vertices):
             sub = rescan_local_subsystem(t, v)
             assert group.rows[i].tolist() == pos[v]

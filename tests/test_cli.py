@@ -155,6 +155,16 @@ def test_identify_malformed_trajectory_is_validation_error(tmp_path, topology_fi
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_identify_names_the_cell_that_is_not_a_number(tmp_path, topology_file, trajectory_file, capsys):
+    rows = [line.split(",") for line in trajectory_file.read_text().splitlines()]
+    rows[2][rows[0].index("v2:0")] = "zzz"
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    code = main(["identify", "--trajectory", str(path), "--topology", str(topology_file), "--algorithm", "network-dmdc"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: trajectory CSV row 3 has 'zzz' in column 'v2:0', which is not a number\n"
+
+
 def test_identify_dmdc(tmp_path, topology_file, trajectory_file):
     out = tmp_path / "model.json"
     code = main(

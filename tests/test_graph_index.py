@@ -1,4 +1,4 @@
-"""The topology's parent index and the COO simulator against their per-vertex oracles."""
+"""The topology's validation, parent index and COO simulator against their per-vertex oracles."""
 import re
 
 import numpy as np
@@ -10,6 +10,7 @@ from helpers import (
     reference_network_dmdc_exact,
     reference_simulate,
     reference_step,
+    reference_validate,
     rescan_local_subsystem,
     systems,
     topologies,
@@ -27,7 +28,7 @@ from netdmd.sysmodel import (
     step,
     true_full_matrices,
 )
-from netdmd.topology import NetworkTopology, local_subsystem, max_local_dim, validate
+from netdmd.topology import NetworkTopology, gather_plan, local_subsystem, max_local_dim, validate
 
 
 def _lookup(fn, t, v):
@@ -38,10 +39,71 @@ def _lookup(fn, t, v):
         return ("UnknownVertex", str(exc))
 
 
+#: Up to 40 vertices, of dimensions 1 to 3.
+LARGE = {"max_states": 30, "max_inputs": 10}
+
+VIOLATION_CODES = (
+    "duplicate_id",
+    "missing_dim",
+    "bad_dim",
+    "unknown_dim",
+    "unknown_vertex",
+    "input_vertex_has_in_edge",
+    "self_edge",
+    "duplicate_edge",
+)
+
+
+@st.composite
+def topologies_with_violations(draw):
+    """A topology from :func:`topologies` with violations of any codes injected, edges spliced in anywhere."""
+    t = draw(topologies(**LARGE))
+    states, inputs, edges, dims = list(t.state_vertices), list(t.input_vertices), list(t.edges), dict(t.dims)
+    vertices = states + inputs
+
+    def splice(edge):
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+
+    for code in draw(st.lists(st.sampled_from(VIOLATION_CODES), max_size=4)):
+        if code == "duplicate_id":
+            declared = draw(st.sampled_from((states, inputs)))
+            declared.insert(draw(st.integers(0, len(declared))), draw(st.sampled_from(vertices)))
+        elif code == "missing_dim":
+            dims.pop(draw(st.sampled_from(vertices)), None)
+        elif code == "bad_dim":
+            dims[draw(st.sampled_from(vertices))] = draw(st.integers(-2, 0))
+        elif code == "unknown_dim":
+            dims["ghost"] = draw(st.integers(1, 3))
+        elif code == "unknown_vertex":
+            v = draw(st.sampled_from(vertices))
+            splice(draw(st.sampled_from([("ghost", v), (v, "ghost"), ("ghost", "ghost")])))
+        elif code == "input_vertex_has_in_edge" and inputs:
+            splice((draw(st.sampled_from(vertices)), draw(st.sampled_from(inputs))))
+        elif code == "self_edge":
+            v = draw(st.sampled_from(vertices))
+            splice((v, v))
+        elif code == "duplicate_edge" and edges:
+            splice(draw(st.sampled_from(edges)))
+    return NetworkTopology(tuple(states), tuple(inputs), tuple(edges), dims)
+
+
+@given(topologies_with_violations())
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_the_per_edge_reference(t):
+    want = reference_validate(t)
+    assert validate(t) == want
+    if not want:
+        assert gather_plan(t)
+        return
+    with pytest.raises(BadConfig) as info:
+        gather_plan(t)
+    assert str(info.value) == f"invalid topology: {want[0].message}"
+
+
 @st.composite
 def topologies_with_ghost_sources(draw):
     """A valid topology plus in-edges from undeclared sources spliced into the edge list."""
-    t = draw(topologies())
+    t = draw(topologies(**LARGE))
     edges = list(t.edges)
     for dst in draw(st.lists(st.sampled_from(t.state_vertices), max_size=3)):
         ghost = draw(st.sampled_from(("g1", "g2")))
@@ -50,7 +112,7 @@ def topologies_with_ghost_sources(draw):
 
 
 @given(topologies_with_ghost_sources())
-@settings(max_examples=80)
+@settings(max_examples=80, deadline=None)
 def test_index_matches_rescan(t):
     if any(src.startswith("g") for src, _ in t.edges):
         # a ghost source makes the whole graph invalid, so every lookup fails the same way

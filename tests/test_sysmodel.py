@@ -391,6 +391,29 @@ class TestSerialization:
         with pytest.raises(DimensionMismatch, match="^trajectory CSV y_final row has 'zzz' in input column 'u:e2:0', which must be empty$"):
             read_trajectory_csv(path)
 
+    @pytest.mark.parametrize(
+        "bad, want",
+        [
+            ({(3, "v2:0"): "zzz"}, (3, "zzz", "v2:0")),
+            ({(2, "u:e1:0"): "1.0.0"}, (2, "1.0.0", "u:e1:0")),
+            ({(5, "v1:0"): "zzz"}, (5, "zzz", "v1:0")),
+            ({(2, "u:e2:0"): "zzz", (2, "v2:0"): ""}, (2, "", "v2:0")),  # state columns are read first
+            ({(4, "v1:0"): "zzz", (3, "u:e2:0"): "x"}, (3, "x", "u:e2:0")),
+        ],
+        ids=["state_cell", "input_cell", "y_final_state_cell", "state_before_input", "earlier_row_first"],
+    )
+    def test_trajectory_csv_cell_that_is_not_a_number(self, two_node_system, two_node_trajectory, tmp_path, bad, want):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(two_node_trajectory, two_node_system.topology, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        for (number, column), text in bad.items():
+            rows[number - 1][rows[0].index(column)] = text
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        number, text, column = want
+        message = f"trajectory CSV row {number} has {text!r} in column {column!r}, which is not a number"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            read_trajectory_csv(path)
+
     def test_trajectory_csv_empty(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("")
