@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
@@ -227,7 +226,9 @@ def _solve_groups(t: NetworkTopology, traj: TrajectoryData, source: np.ndarray, 
     all-zero Omega_j or Y_j gives zero coefficients. A group that is not
     finite, or whose batch fails, is solved node by node,
     :func:`_check_regression` then the kernel alone: only a node that fails
-    fails, with :func:`dmdc_exact`'s message.
+    fails, with :func:`dmdc_exact`'s message. A one-node group's batch is
+    that node's own solve, on data that the kernel may have overwritten,
+    so its failure is the node's.
     """
     coeffs = np.zeros(coefficient_support(t)[0].size)
     record = np.full((3, len(t.state_vertices)), np.nan)
@@ -240,10 +241,14 @@ def _solve_groups(t: NetworkTopology, traj: TrajectoryData, source: np.ndarray, 
         rcond, rank = _rule_cut(rule, (k, data.shape[2]))
         record[2, index] = rcond
         if np.isfinite(data).all():
-            with suppress(ConvergenceFailure):  # else node by node, below
+            try:
                 solution[...], s = _pinv_stack(data, k, rcond, rank)
                 record[:2, index] = s[:, [0, -1]].T
                 continue
+            except ConvergenceFailure as exc:  # else node by node, below
+                if len(index) == 1:  # the batch was the node's own solve, and may have overwritten data
+                    failures[index.item()] = str(exc)
+                    continue
         for j, (i, data_j) in enumerate(zip(index.tolist(), data)):
             try:
                 _check_regression(data_j[:d], data_j[k:], data_j[d:k])

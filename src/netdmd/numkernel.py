@@ -10,6 +10,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import ConvergenceFailure, DimensionMismatch, NonFiniteEntry, NotSquare, _json_value
 
@@ -144,23 +145,27 @@ def _pinv_stack(data: np.ndarray, k: int, rcond: float, rank: int | None = None)
     ``data`` is G-by-(k + d)-by-m, each matrix ``[omega; y]`` stacked by
     rows: its first k rows are omega and the other d rows y, checked finite
     by the caller; the result is G-by-d-by-k. Omega and y are read as views
-    of ``data``. One batched Householder QR factors each omega's tall side
-    T, omega^T when k < m and omega otherwise, as T = Q R, and one batched
-    SVD of the R factors, values only, gives the singular values that the
-    keep rule (:func:`_kept`: sigma >= rcond * sigma_max, sigma > 0, at most
-    ``rank`` of them) reads, returned G-by-min(k, m), descending (one 0.0
-    for an empty matrix). A matrix that keeps them all is the least-squares
-    solve through R: ``(y Q) R^-T`` when k < m, ``(y R^-1) Q^T`` otherwise,
-    by block substitution (:func:`_solve_triangular`). When k < m, Q is
-    never formed: ``data`` in column-major order is ``[omega^T | y^T]``, and
-    the QR, mode "r", factors it as it is, its R holding R in its leading
-    k-by-k block and ``(y Q)^T`` beside it, whatever d is; Q is formed only
-    when k >= m. Only a matrix the rule truncates, or whose pivoted LU of
-    R^T rounds a pivot to zero, gets singular vectors, from an SVD of its R,
-    and is solved as ``((y P) S^-1) Q^T`` with ``omega = Q S P^T``: the
-    values the rule drops get a zero in S^-1; its sigma and its cut both
-    come from that SVD. Each matrix is factored and solved on its own, so
-    its result does not depend on the rest of the stack.
+    of ``data``, which is workspace: the call may overwrite it. One batched
+    Householder QR factors each omega's tall side T, omega^T when k < m and
+    omega otherwise, as T = Q R, and one batched SVD of the R factors,
+    values only, gives the singular values that the keep rule
+    (:func:`_kept`: sigma >= rcond * sigma_max, sigma > 0, at most ``rank``
+    of them) reads, returned G-by-min(k, m), descending (one 0.0 for an
+    empty matrix). A matrix that keeps them all is the least-squares solve
+    through R: ``(y Q) R^-T`` when k < m, ``(y R^-1) Q^T`` otherwise, by
+    block substitution (:func:`_solve_triangular`). When k < m, Q is never
+    formed: ``data`` in column-major order is ``[omega^T | y^T]``, and the
+    QR, mode "r", factors it as it is, its R holding R in its leading k-by-k
+    block and ``(y Q)^T`` beside it, whatever d is. A stack of one wide
+    matrix is factored in ``data`` itself (:func:`_qr_in_place`), and only
+    R's k-by-k block is copied out, row-major as ``np.linalg.qr``'s R, so
+    the result is the batched QR's bit for bit. Q is formed only when k >=
+    m. Only a matrix the rule truncates, or whose pivoted LU of R^T rounds a
+    pivot to zero, gets singular vectors, from an SVD of its R, and is
+    solved as ``((y P) S^-1) Q^T`` with ``omega = Q S P^T``: the values the
+    rule drops get a zero in S^-1; its sigma and its cut both come from that
+    SVD. Each matrix is factored and solved on its own, so its result does
+    not depend on the rest of the stack.
     """
     if not rcond >= 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
@@ -171,9 +176,15 @@ def _pinv_stack(data: np.ndarray, k: int, rcond: float, rank: int | None = None)
     wide = k < m
     if wide:
         # [omega^T | y^T] = Q [R | Q^T y^T], so R and (y Q)^T are blocks of one R factor and
-        # no Q is formed. data is [omega^T | y^T] in column-major order, the order LAPACK reads
-        r_augmented = _linalg(np.linalg.qr, np.swapaxes(data, 1, 2), mode="r")
-        r, yq_t = r_augmented[:, :k, :k], r_augmented[:, :k, k:]
+        # no Q is formed. data is [omega^T | y^T] in column-major order, the order LAPACK reads;
+        # a lone matrix is factored in data itself, and R copied out in np.linalg.qr's row-major order
+        if g == 1:
+            factored = _linalg(_qr_in_place, np.swapaxes(data, 1, 2))
+            r = np.triu(factored[:, :k, :k])
+        else:
+            factored = _linalg(np.linalg.qr, np.swapaxes(data, 1, 2), mode="r")
+            r = factored[:, :k, :k]
+        yq_t = factored[:, :k, k:]
     else:
         q, r = _linalg(np.linalg.qr, omega)
     sigma = _svd(r, compute_uv=False)
@@ -197,11 +208,30 @@ def _pinv_stack(data: np.ndarray, k: int, rcond: float, rank: int | None = None)
         sigma[cut] = s
         s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=_kept(s, rcond, rank))
         if wide:
-            y_p, qt = np.swapaxes(yq_t[cut], 1, 2) @ u, vt
+            y_p, qt = np.swapaxes(np.ascontiguousarray(yq_t[cut]), 1, 2) @ u, vt
         else:
             y_p, qt = y[cut] @ np.swapaxes(vt, 1, 2), np.swapaxes(q[cut] @ u, 1, 2)
         solution[cut] = (y_p * s_inv[:, None, :]) @ qt
     return solution, sigma
+
+
+def _qr_in_place(a: np.ndarray) -> np.ndarray:
+    """Householder QR of one m-by-n matrix, a 1-by-m-by-n stack ``a``, in ``a`` itself: R in its upper triangle.
+
+    ``np.linalg.qr`` copies its input, then LAPACK's buffer, then R; this
+    runs LAPACK's dgeqrf through ``numpy.linalg.lapack_lite`` on ``a``'s own
+    memory when it is column-major, aligned and writable (else on one such
+    copy), with leading dimension m and numpy's own work size: at least n,
+    or what dgeqrf's query asks. Returns the factored 1-by-m-by-n stack; its
+    entries below the diagonal hold the Householder vectors.
+    """
+    _, m, n = a.shape
+    f = np.require(a[0].T, np.float64, "CAW")  # n-by-m row-major: the matrix in column-major order
+    tau, work = np.empty(min(m, n)), np.empty(1)
+    lapack_lite.dgeqrf(m, n, f, m, tau, work, -1, 0)
+    work = np.empty(max(1, n, int(work[0])))
+    lapack_lite.dgeqrf(m, n, f, m, tau, work, work.size, 0)
+    return f.T[None]
 
 
 #: Rows of R that each step of :func:`_solve_triangular` solves.

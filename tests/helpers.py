@@ -21,6 +21,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import strategies as st
 
+from netdmd import numkernel
 from netdmd.dmdcore import ReducedLinearModel, _check_regression, dmdc_exact
 from netdmd.errors import (
     ConvergenceFailure,
@@ -512,22 +513,26 @@ MARKER = 12345.678
 
 @contextmanager
 def factorizations_failing_on_marker():
-    """Patch ``np.linalg.svd`` and ``np.linalg.qr`` to raise LinAlgError on any input that holds MARKER.
+    """Patch ``np.linalg.svd``, ``np.linalg.qr`` and the kernel's in-place QR to raise LinAlgError on any input that holds MARKER.
 
-    Both, since node data reach LAPACK through a QR first and only R factors
-    and output projectors through an SVD: a solve whose data hold the marker
-    fails, and only such a solve.
+    All three, since node data reach LAPACK through a QR first, in place for
+    a lone wide matrix, and only R factors and output projectors through an
+    SVD: a solve whose data hold the marker fails, and only such a solve.
     """
 
-    def failing(routine):
+    def failing(name, routine):
         def call(a, *args, **kwargs):
             if np.any(np.asarray(a) == MARKER):
-                raise np.linalg.LinAlgError(f"{routine.__name__} did not converge")
+                raise np.linalg.LinAlgError(f"{name} did not converge")
             return routine(a, *args, **kwargs)
 
         return call
 
-    with mock.patch.object(np.linalg, "svd", failing(np.linalg.svd)), mock.patch.object(np.linalg, "qr", failing(np.linalg.qr)):
+    with (
+        mock.patch.object(np.linalg, "svd", failing("svd", np.linalg.svd)),
+        mock.patch.object(np.linalg, "qr", failing("qr", np.linalg.qr)),
+        mock.patch.object(numkernel, "_qr_in_place", failing("qr", numkernel._qr_in_place)),
+    ):
         yield
 
 

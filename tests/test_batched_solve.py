@@ -20,6 +20,7 @@ from helpers import (
     systems,
     topologies,
 )
+from netdmd import numkernel
 from netdmd.bench import _identify, generate_system
 from netdmd.dmdcore import dmd_reduced, dmdc_exact, dmdc_reduced
 from netdmd.errors import DimensionMismatch, NetdmdError, RowRangeMismatch
@@ -159,24 +160,29 @@ def _star(leaves=3, inward=False):
 
 
 def _factorization_spy(monkeypatch, marker=None):
-    """Record ``(routine, input shape)`` for each ``np.linalg.qr`` and ``np.linalg.svd`` call.
+    """Record ``(routine, input shape)`` for each ``np.linalg.qr``, in-place QR and ``np.linalg.svd`` call.
 
-    A factorization whose input holds ``marker`` raises LAPACK's non-convergence
-    instead. Both network solves' data reach only their QR (their SVD sees the
-    R factors), so the marker fails the first factorization of either.
+    A factorization whose input holds ``marker`` runs, then raises LAPACK's
+    non-convergence, as a failure after an in-place QR has overwritten its
+    input would. Both network solves' data reach only their QR (their SVD
+    sees the R factors), so the marker fails the first factorization of
+    either.
     """
     calls = []
 
     def spy(name, real):
         def routine(a, *args, **kwargs):
             calls.append((name, np.shape(a)))
-            if marker is not None and np.any(np.asarray(a) == marker):
+            marked = marker is not None and np.any(np.asarray(a) == marker)
+            out = real(a, *args, **kwargs)
+            if marked:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return real(a, *args, **kwargs)
+            return out
 
         return routine
 
     monkeypatch.setattr(np.linalg, "qr", spy("qr", np.linalg.qr))
+    monkeypatch.setattr(numkernel, "_qr_in_place", spy("qr_in_place", numkernel._qr_in_place))
     monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
     return calls
 
@@ -188,18 +194,26 @@ def test_non_converging_node_fails_alone(monkeypatch):
     marker = 12345.678
     z = traj.z.copy()
     z[2, 0] = marker  # only v2's local data contain its own row
-    traj = TrajectoryData(z, traj.gamma, traj.y, traj.vertex_row_ranges)
+    y = traj.y.copy()
+    y[0, 1] = marker  # only v0, a one-node shape group, reads its own row of y
+    traj = TrajectoryData(z, traj.gamma, y, traj.vertex_row_ranges)
     calls = _factorization_spy(monkeypatch, marker)
     model = network_dmdc_exact(t, traj)
-    assert model.node_failures == {"v2": "SVD did not converge"}
+    # v0's lone matrix fails after its QR has overwritten the gathered data: no retry may read them
+    assert model.node_failures == {"v0": "SVD did not converge", "v2": "SVD did not converge"}
+    assert ("qr_in_place", (1, 4, 2)) in calls  # v0's 1-by-4 Omega and 1-by-4 y, factored in place
     assert ("qr", (3, 4, 3)) in calls  # the leaves' gathered 2-by-4 Omega and 1-by-4 y, factored as [Omega^T | Y^T]
-    assert not _strip(model, t, "v2").any()
+    for v in ("v0", "v2"):
+        assert not _strip(model, t, v).any()
+        ld = build_local_data(t, traj, v)
+        with pytest.raises(NetdmdError, match="^SVD did not converge$"):
+            dmdc_exact(ld.z_j, ld.y_j, ld.gamma_j)
     for v in ("v1", "v3"):
         ld = build_local_data(t, traj, v)
         node = dmdc_exact(ld.z_j, ld.y_j, ld.gamma_j)
         assert _close(_strip(model, t, v), np.hstack([node.a, node.b]))
         assert model.per_node_conditioning[v] == node.conditioning
-    assert set(model.per_node_conditioning) == {"v0", "v1", "v3"}
+    assert set(model.per_node_conditioning) == {"v1", "v3"}
 
 
 def test_finite_groups_are_solved_with_one_batched_svd_each(monkeypatch):
@@ -210,8 +224,9 @@ def test_finite_groups_are_solved_with_one_batched_svd_each(monkeypatch):
     assert model.node_failures == {}
     # v0 alone, then the three leaves in one stack, each wide matrix factored as its tall transpose
     # with Y^T beside it, [Omega^T | Y^T] (G by m by k + d): the group's gathered [Omega; Y] stack
-    # itself; each QR is followed by one values-only SVD of the stack's k-by-k R factors
-    assert calls == [("qr", (1, 4, 2)), ("svd", (1, 1, 1)), ("qr", (3, 4, 3)), ("svd", (3, 2, 2))]
+    # itself, v0's lone matrix in place; each QR is followed by one values-only SVD of the stack's
+    # k-by-k R factors
+    assert calls == [("qr_in_place", (1, 4, 2)), ("svd", (1, 1, 1)), ("qr", (3, 4, 3)), ("svd", (3, 2, 2))]
     # inward star at m = 2: v0 reads 4 rows (tall, factored as is), each leaf 1 row (wide, transposed)
     inward = _star(inward=True)
     calls.clear()

@@ -19,6 +19,7 @@ from helpers import (
     systems,
     topologies,
 )
+from netdmd import numkernel
 from netdmd.errors import BadConfig
 from netdmd.bench import (
     CSV_COLUMNS,
@@ -160,7 +161,7 @@ class TestRunTrial:
         traj = simulate(two_node_system, x0, rng.uniform(-1.0, 1.0, size=(t.total_input_dim, 10)))
         data = np.vstack([traj.z, traj.gamma]) if algorithm == "dmdc" else traj.z
         want = conditioning_record(data).ratio
-        real_svd, real_qr = np.linalg.svd, np.linalg.qr
+        real_svd, real_qr, real_qr_in_place = np.linalg.svd, np.linalg.qr, numkernel._qr_in_place
         calls = []
 
         def svd(a, *args, compute_uv=True, **kwargs):
@@ -171,13 +172,18 @@ class TestRunTrial:
             calls.append(("qr", np.shape(a), mode))
             return real_qr(a, mode=mode)
 
+        def qr_in_place(a):
+            calls.append(("qr", np.shape(a), "in place"))
+            return real_qr_in_place(a)
+
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(numkernel, "_qr_in_place", qr_in_place)
         (row,) = run_trial(two_node_system, 10, (algorithm,), derive_rng(5), use_reduced=True)
         (k, m), n = data.shape, traj.z.shape[0]
         if algorithm == "dmdc":
-            # the exact solve's R-only QR of [omega^T | y^T], the values of its k-by-k R, then y's projector
-            assert calls == [("qr", (1, m, k + n), "r"), ("svd", (1, k, k), False), ("svd", (n, m), True)]
+            # the exact solve's QR of its lone [omega^T | y^T] in place, the values of its k-by-k R, then y's projector
+            assert calls == [("qr", (1, m, k + n), "in place"), ("svd", (1, k, k), False), ("svd", (n, m), True)]
         else:
             assert calls == [("svd", data.shape, True)]  # one SVD of z
         assert sum(call[0] == "svd" for call in calls) == svds

@@ -157,6 +157,22 @@ class TestDmdcExact:
         assert model.a.shape == (n, n) and model.b.shape == (n, l)
         assert peak <= 3.3 * (n + l + n) * m * 8
 
+    def test_a_lone_wide_solve_is_factored_in_its_gathered_data(self):
+        # dense_dmdc's shape at a fifth: 160 states and 80 inputs (k = 240), 160 rows of y, 260 snapshots.
+        # Beside the gathered [omega; y] live only R's k-by-k copy, the d-by-k solution and the
+        # triangular solve's blocks: np.linalg.qr's copies of the whole array are gone
+        rng = np.random.default_rng(12)
+        n, l, m = 160, 80, 260
+        z, gamma, y = rng.uniform(-1, 1, (n, m)), rng.uniform(-1, 1, (l, m)), rng.uniform(-1, 1, (n, m))
+        tracemalloc.start()
+        try:
+            model = dmdc_exact(z, y, gamma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.b.shape == (n, l) and not model.conditioning.warning
+        assert peak <= 2.5 * (n + l + n) * m * 8
+
 
 class TestDmdcReduced:
     def test_full_rank_lift_matches_exact(self):

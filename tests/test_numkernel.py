@@ -22,6 +22,7 @@ from netdmd.numkernel import (
     eig,
     _kept,
     _pinv_stack,
+    _qr_in_place,
     _rule_cut,
     _solve_triangular,
     _svd,
@@ -456,6 +457,39 @@ def test_pinv_stack_across_triangular_blocks(k, m, d):
         assert np.array_equal(one[0], got[i]) and (one_max[0], one_min[0]) == (sigma_max[i], sigma_min[i])
 
 
+@given(st.integers(1, 130), st.integers(0, 3), st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@example(k=130, d=3, extra=1, seed=0, zero_column=True, repeated_row=True)
+@example(k=1, d=0, extra=1, seed=1, zero_column=False, repeated_row=False)
+@settings(max_examples=60, deadline=None)
+def test_in_place_qr_gives_numpys_r_bit_for_bit(k, d, extra, seed, zero_column, repeated_row):
+    # a lone wide [omega; y] is factored in its own memory by dgeqrf through numpy.linalg.lapack_lite, and
+    # np.linalg.qr runs dgeqrf through its own gufunc: both must give the kernel the same R and (y Q)^T
+    m = k + extra
+    data = np.random.default_rng(seed).uniform(-1, 1, (1, k + d, m))
+    if zero_column:
+        data[0, :, m // 2] = 0.0  # a zero snapshot
+    if repeated_row:
+        data[0, k - 1] = data[0, 0]  # a repeated row of omega (omega's only row when k = 1)
+    want = np.linalg.qr(np.swapaxes(data, 1, 2), mode="r")
+    factored = _qr_in_place(np.swapaxes(data, 1, 2))
+    assert np.shares_memory(factored, data)
+    assert np.array_equal(np.triu(factored[:, : want.shape[1]]), want)
+
+
+def test_in_place_qr_factors_a_copy_of_what_it_may_not_overwrite():
+    data = np.random.default_rng(3).uniform(-1, 1, (1, 5, 9))
+    want = np.linalg.qr(np.swapaxes(data, 1, 2), mode="r")
+    row_major = np.ascontiguousarray(np.swapaxes(data, 1, 2))  # [omega^T | y^T] in row-major order
+    data.flags.writeable = False
+    for a in (row_major, np.swapaxes(data, 1, 2)):
+        before = a.copy()
+        factored = _qr_in_place(a)
+        assert not np.shares_memory(factored, a) and np.array_equal(a, before)
+        assert np.array_equal(np.triu(factored[:, :5]), want)
+    # the kernel solves read-only data without writing them
+    assert np.array_equal(_pinv_stack(data, 3, EXACT_RULE.tau)[0], _pinv_stack(data.copy(), 3, EXACT_RULE.tau)[0])
+
+
 @st.composite
 def solve_stacks(draw):
     """``(omega, y, rcond)``: G in 1..8 matrices, k and m in 1..8 (wide, tall, square), d in 1..3.
@@ -535,7 +569,7 @@ def test_pinv_stack_rank_cap_matches_the_explicit_pseudoinverse(k, m, rank):
     omega, y = rng.uniform(-2, 2, (5, k, m)), rng.uniform(-2, 2, (5, 2, m))
     omega[4] = 0.0  # keeps no value under any cap
     data = np.concatenate([omega, y], axis=1)
-    got, sigma = _pinv_stack(data, k, 0.0, rank=rank)
+    got, sigma = _pinv_stack(data.copy(), k, 0.0, rank=rank)  # data is the kernel's workspace
     sigma_max, sigma_min = sigma[:, 0], sigma[:, -1]
     want, want_max, want_min = reference_pinv_solve(omega, y, 0.0, rank=rank)
     for i in range(5):
